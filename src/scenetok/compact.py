@@ -16,7 +16,7 @@ import numpy as np
 from .bundle import KIND_CODES, KIND_OPENSET, SceneElement, TokenizedScene
 from .config import PipelineConfig
 from .errors import BudgetMismatch
-from .pooling import pool_by_index, segment_sum
+from .pooling import cell_index, segment_sum
 
 
 @dataclass
@@ -96,14 +96,16 @@ def pool_image_features(F_pts: np.ndarray, F_pts_valid: np.ndarray,
                         n_elem: int, T: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean image feature per (element, frame) cell.
 
-    Only points with a valid image feature contribute; empty cells are zero
-    and invalid.  Open-set elements are additionally averaged over their
+    Only points with a valid image feature contribute: their row indices
+    are the columns of the one-hot pooling matrix, so the valid rows of
+    ``F_pts`` are pooled without being copied out.  Empty cells are zero and
+    invalid.  Open-set elements are additionally averaged over their
     non-empty frames and the result broadcast to every frame slot, matching
     the store-once temporal pooling of dynamic elements.
     """
     D = F_pts.shape[1]
-    cells = P_ind[:, 1] * T + P_ind[:, 0]
-    sums, counts = segment_sum(F_pts[F_pts_valid], cells[F_pts_valid], n_elem * T)
+    sums, counts, _ = segment_sum(F_pts, cell_index(P_ind, T), n_elem * T,
+                                  rows=np.flatnonzero(F_pts_valid))
     F_img = np.zeros((n_elem * T, D))
     nonzero = counts > 0
     F_img[nonzero] = sums[nonzero] / counts[nonzero, None]
@@ -123,4 +125,4 @@ def pool_image_features(F_pts: np.ndarray, F_pts_valid: np.ndarray,
 
 
 __all__ = ["PointPool", "downsample", "build_tokenized_scene",
-           "pool_image_features", "pool_by_index"]
+           "pool_image_features"]

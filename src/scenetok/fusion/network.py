@@ -30,24 +30,28 @@ from .params import AttentionBlockParams, FusionParams
 # geometry encoding
 
 def _pooled_point_forward(P_xyz, P_ind, params, n_elem):
-    """Mean-pooled MLP_f features per (element, frame) cell, with cache."""
+    """Mean-pooled MLP_f features per (element, frame) cell, with cache.
+
+    Pooling is ``M @ phi`` with the one-hot (cells x points) matrix ``M``,
+    which the cache keeps for the backward pass.
+    """
     phi, mlp_cache = mlp2_forward(P_xyz.astype(params.dtype), params.mlp_f)
-    cells = cell_index(P_ind, params.T)
-    sums, counts = segment_sum(phi, cells, n_elem * params.T)
+    sums, counts, M = segment_sum(phi, cell_index(P_ind, params.T),
+                                  n_elem * params.T)
     pooled = np.zeros_like(sums)
     nz = counts > 0
     pooled[nz] = sums[nz] / counts[nz, None]
     pooled = pooled.reshape(n_elem, params.T, params.D).astype(params.dtype)
-    return pooled, (mlp_cache, cells, counts)
+    return pooled, (mlp_cache, M, counts)
 
 
 def _pooled_point_backward(g, cache, params, n_elem):
-    mlp_cache, cells, counts = cache
-    gf = g.reshape(n_elem * params.T, params.D)
+    """Adjoint of the mean pool: ``M.T @ (g / count)`` back to the points."""
+    mlp_cache, M, counts = cache
     scale = np.zeros(counts.shape[0])
     nz = counts > 0
     scale[nz] = 1.0 / counts[nz]
-    dphi = gf[cells] * scale[cells, None]
+    dphi = M.T @ (g.reshape(n_elem * params.T, params.D) * scale[:, None])
     _, grads = mlp2_backward(dphi.astype(params.dtype), mlp_cache, params.mlp_f)
     return grads
 

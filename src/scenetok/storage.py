@@ -25,7 +25,7 @@ from .bundle import (
     validate_bundle,
 )
 from .config import ClusterConfig, PipelineConfig, RansacConfig, TrackConfig
-from .errors import IoFailure, ManifestMissingEntry
+from .errors import IoFailure, ManifestMissingEntry, StorageError
 from .formats import (
     KIND_PARAMS,
     read_blob,
@@ -170,6 +170,9 @@ def read_tokens(path) -> SceneTokens:
         if key not in t:
             raise ManifestMissingEntry(f"{path}: token file missing tensor {key!r}")
     n = t["token_id"].shape[0]
+    unknown = sorted(set(t["kind"].tolist()) - set(KIND_NAMES))
+    if unknown:
+        raise StorageError(f"{path}: unknown element kind code {unknown[0]}")
     source = t.get("source_id", np.full(n, -1, dtype=np.int64))
     elements = [SceneElement(token_id=int(t["token_id"][i]),
                              kind=KIND_NAMES[int(t["kind"][i])],

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bundle import KIND_OPENSET, SceneElement
 from .config import TrackConfig
 
 
@@ -155,10 +154,3 @@ def track_open_set(frame_detections: list[list[tuple[np.ndarray, int]]],
             elements.append(el)
 
     return elements
-
-
-def tracked_to_elements(tracks: list[TrackedElement]) -> list[SceneElement]:
-    """Wrap raw tracks as open-set scene elements (token ids assigned later)."""
-    return [SceneElement(token_id=-1, kind=KIND_OPENSET, boxes=t.boxes,
-                         frame_valid=t.frame_valid, source_id=i)
-            for i, t in enumerate(tracks)]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -293,3 +295,41 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(toy_params().astype(np.float32), t["P_xyz"], t["P_ind"],
                        t["B"], t["F_img"], t["elem_valid"])
+
+
+class TestPointPoolBackward:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_gather_reference_bit_for_bit(self, small_scene,
+                                                 small_config, dtype):
+        from scenetok import tokenize_bundle
+        from scenetok.fusion.layers import mlp2_backward
+        from scenetok.fusion.network import (_pooled_point_backward,
+                                             _pooled_point_forward)
+        from scenetok.pooling import cell_index
+
+        # tight point budgets leave some (element, frame) cells without points
+        config = dataclasses.replace(small_config, n_pts_ground=150,
+                                     n_pts_agent=60, n_pts_openset=60)
+        scene = tokenize_bundle(small_scene.bundle, config).scene
+        n_elem = scene.B.shape[0]
+        params = init_fusion_params(T=config.T, D=config.D,
+                                    hidden=8, seed=3, dtype=dtype)
+        _, cache = _pooled_point_forward(scene.P_xyz, scene.P_ind, params,
+                                         n_elem)
+        counts = cache[2]
+        assert (counts == 0).any() and (counts > 1).any()
+
+        g = np.random.default_rng(5).normal(
+            size=(n_elem, params.T, params.D)).astype(dtype)
+        got = _pooled_point_backward(g, cache, params, n_elem)
+
+        # the pre-CSR backward: gather each point's cell gradient, scale by 1/count
+        cells = cell_index(scene.P_ind, params.T)
+        scale = np.zeros(counts.shape[0])
+        scale[counts > 0] = 1.0 / counts[counts > 0]
+        dphi = g.reshape(-1, params.D)[cells] * scale[cells, None]
+        _, want = mlp2_backward(dphi.astype(dtype), cache[0], params.mlp_f)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].dtype == want[name].dtype
+            np.testing.assert_array_equal(got[name], want[name])

@@ -19,9 +19,11 @@ from scenetok.errors import (
     BadMagic,
     ManifestMissingEntry,
     ShapeHeaderMismatch,
+    StorageError,
     VersionUnsupported,
 )
-from scenetok.formats import read_blob, write_blob
+from scenetok.cli import cli_main
+from scenetok.formats import read_blob, read_tensor_file, write_blob, write_tensor_file
 
 
 def dir_bytes(root):
@@ -151,10 +153,19 @@ class TestTokensIO:
         tokens = small_tokens()
         path = tmp_path / "t.tokens"
         write_tokens(path, tokens)
-        from scenetok.formats import read_tensor_file
-
         raw = read_tensor_file(path)
         assert raw["kind"].tolist() == [0, 1, 2]
+
+    def test_unknown_kind_code_is_storage_error(self, tmp_path, capsys):
+        path = tmp_path / "t.tokens"
+        write_tokens(path, small_tokens())
+        raw = read_tensor_file(path)
+        raw["kind"][1] = 9
+        write_tensor_file(path, raw)
+        with pytest.raises(StorageError, match=r"t\.tokens.*kind code 9"):
+            read_tokens(path)
+        assert cli_main(["inspect", "--tokens", str(path)]) == 2
+        assert "kind code 9" in capsys.readouterr().err
 
 
 class TestParamsIO:

@@ -7,7 +7,6 @@ ends up with exactly one label.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,32 +94,24 @@ def cluster_open_set(points: np.ndarray, radius: float,
         return labels
 
     order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
-    pts = points[order]
-    tree = cKDTree(pts)
+    pairs = cKDTree(points[order]).query_pairs(radius, output_type="ndarray")
 
-    visited = np.zeros(n, dtype=bool)
-    canon_labels = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    queue: deque[int] = deque()
-    for i in range(n):
-        if visited[i]:
-            continue
-        queue.clear()
-        queue.append(i)
-        visited[i] = True
-        component = []
-        while queue:
-            j = queue.popleft()
-            component.append(j)
-            for k in tree.query_ball_point(pts[j], radius):
-                if not visited[k]:
-                    visited[k] = True
-                    queue.append(k)
-        if len(component) >= min_points:
-            canon_labels[component] = next_id
-            next_id += 1
+    # Min-label propagation over both directions of every pair, with pointer
+    # jumping: each point ends up holding the smallest canonical index in
+    # its component.
+    root = np.arange(n)
+    while True:
+        nxt = root.copy()
+        np.minimum.at(nxt, pairs.ravel(), root[pairs[:, ::-1].ravel()])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
 
-    labels[order] = canon_labels
+    _, component, size = np.unique(root, return_inverse=True,
+                                   return_counts=True)
+    keep = size >= min_points
+    labels[order] = np.where(keep, np.cumsum(keep) - 1, -1)[component]
     return labels
 
 
@@ -135,29 +126,30 @@ def _min_area_rect(xy: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     hull = ConvexHull(xy)
     hp = xy[hull.vertices]
     edges = np.roll(hp, -1, axis=0) - hp
-    angles = np.mod(np.arctan2(edges[:, 1], edges[:, 0]), np.pi)
+    theta = np.unique(np.mod(np.arctan2(edges[:, 1], edges[:, 0]), np.pi))
 
-    best = None
-    for theta in np.unique(angles):
-        c, s = np.cos(theta), np.sin(theta)
-        u = hp[:, 0] * c + hp[:, 1] * s
-        v = -hp[:, 0] * s + hp[:, 1] * c
-        ext_u = u.max() - u.min()
-        ext_v = v.max() - v.min()
-        area = ext_u * ext_v
-        if ext_u >= ext_v:
-            length, width, heading = ext_u, ext_v, theta
-        else:
-            length, width, heading = ext_v, ext_u, np.mod(theta + np.pi / 2, np.pi)
-        mu = (u.max() + u.min()) / 2.0
-        mv = (v.max() + v.min()) / 2.0
-        center = np.array([mu * c - mv * s, mu * s + mv * c])
-        cand = (area, heading, center, length, width)
-        if best is None or area < best[0] - 1e-12 or (
-                abs(area - best[0]) <= 1e-12 and heading < best[1] - 1e-12):
-            best = cand
-    area, heading, center, length, width = best
-    return center, length, width, heading
+    # Project the hull onto every candidate axis at once: (angles, vertices).
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    u = hp[:, 0] * c + hp[:, 1] * s
+    v = -hp[:, 0] * s + hp[:, 1] * c
+    ext_u = u.max(axis=1) - u.min(axis=1)
+    ext_v = v.max(axis=1) - v.min(axis=1)
+    area = ext_u * ext_v
+    heading = np.where(ext_u >= ext_v, theta, np.mod(theta + np.pi / 2, np.pi))
+
+    best = 0
+    for k in range(1, theta.shape[0]):
+        if area[k] < area[best] - 1e-12 or (
+                abs(area[k] - area[best]) <= 1e-12
+                and heading[k] < heading[best] - 1e-12):
+            best = k
+
+    mu = (u[best].max() + u[best].min()) / 2.0
+    mv = (v[best].max() + v[best].min()) / 2.0
+    cb, sb = c[best, 0], s[best, 0]
+    center = np.array([mu * cb - mv * sb, mu * sb + mv * cb])
+    length, width = sorted((ext_u[best], ext_v[best]), reverse=True)
+    return center, length, width, heading[best]
 
 
 def _degenerate_rect(xy: np.ndarray) -> tuple[np.ndarray, float, float, float]:
@@ -192,13 +184,10 @@ def fit_tight_box(points: np.ndarray) -> np.ndarray:
         raise ValueError("cannot fit a box around zero points")
 
     xy = points[:, :2]
-    if points.shape[0] == 1:
-        center2, length, width, heading = xy[0], 0.0, 0.0, 0.0
-    else:
-        try:
-            center2, length, width, heading = _min_area_rect(xy)
-        except (QhullError, ValueError):
-            center2, length, width, heading = _degenerate_rect(xy)
+    try:
+        center2, length, width, heading = _min_area_rect(xy)
+    except (QhullError, ValueError):  # fewer than 3 points, or collinear
+        center2, length, width, heading = _degenerate_rect(xy)
 
     z_min, z_max = points[:, 2].min(), points[:, 2].max()
     length = max(length, SIZE_FLOOR)

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, ShapeHeaderMismatch, VersionUnsupported
+from .errors import BadMagic, ShapeHeaderMismatch, StorageError, VersionUnsupported
 
 MAGIC = b"MOST"
 VERSION = 1
@@ -133,7 +133,11 @@ def read_tensor_file(path, kind: bytes = KIND_TOKENS) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StorageError(
+                f"{path}: tensor name is not valid UTF-8 ({exc})") from exc
         tensors[name] = reader.array()
     if reader.pos != len(reader.data):
         raise ShapeHeaderMismatch(

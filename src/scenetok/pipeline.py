@@ -184,10 +184,11 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     n_ground_kept = len(ground_elements)
     ground_token_base = len(elements) - n_ground_kept
 
-    cluster_token: dict[tuple[int, int], int] = {}
+    cluster_token = [np.full(len(dets), -1, dtype=np.int64)
+                     for dets in frame_detections]
     for i, token in openset_token.items():
         for f, c in openset_tracks[i].members:
-            cluster_token[(f, c)] = token
+            cluster_token[f][c] = token
 
     pools: dict[str, compact.PointPool] = {}
     pool_parts = {KIND_AGENT: ([], [], []), KIND_OPENSET: ([], [], []),
@@ -209,8 +210,7 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
         token[a_sel] = [agent_token.get(tid, -1) for tid in agent_track[f][a_sel]]
 
         o_sel = lab == decompose.LABEL_OPENSET
-        token[o_sel] = [cluster_token.get((f, c), -1)
-                        for c in cluster_id[f][o_sel]]
+        token[o_sel] = cluster_token[f][cluster_id[f][o_sel]]
 
         lab[(token < 0) & (lab != decompose.LABEL_DISCARDED)] = decompose.LABEL_DISCARDED
 

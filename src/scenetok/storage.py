@@ -223,22 +223,35 @@ def save_pipeline_config(path, config: PipelineConfig) -> None:
         fh.write("\n")
 
 
+_SECTIONS = {"ransac": RansacConfig, "cluster": ClusterConfig,
+             "track": TrackConfig}
+# JSON value types accepted per declared field type; bool is not a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
+
+
+def _config_kwargs(raw, cls, path, section: str = "") -> dict:
+    """Check one JSON object against a config dataclass's declared fields."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: {section or 'config'} must be a JSON object")
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for name, value in raw.items():
+        field = f"{section}.{name}" if section else name
+        if name not in declared:
+            raise ValueError(f"{path}: unknown config field {field}")
+        if name in _SECTIONS:
+            value = _SECTIONS[name](**_config_kwargs(value, _SECTIONS[name],
+                                                     path, name))
+        elif (isinstance(value, bool)
+              or not isinstance(value, _JSON_TYPES[declared[name]])):
+            raise ValueError(f"{path}: config field {field} must be "
+                             f"{declared[name]}, got {json.dumps(value)}")
+        kwargs[name] = value
+    return kwargs
+
+
 def load_pipeline_config(path) -> PipelineConfig:
     """Load a config file; fields not present keep their defaults."""
     with open(path) as fh:
         raw = json.load(fh)
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"{path}: unknown config fields {sorted(unknown)}")
-    kwargs = dict(raw)
-    for name, cls in (("ransac", RansacConfig), ("cluster", ClusterConfig),
-                      ("track", TrackConfig)):
-        if name in kwargs:
-            sub_known = {f.name for f in dataclasses.fields(cls)}
-            sub_unknown = set(kwargs[name]) - sub_known
-            if sub_unknown:
-                raise ValueError(
-                    f"{path}: unknown {name} fields {sorted(sub_unknown)}")
-            kwargs[name] = cls(**kwargs[name])
-    return PipelineConfig(**kwargs)
+    return PipelineConfig(**_config_kwargs(raw, PipelineConfig, path))

@@ -21,8 +21,6 @@ class TrackState:
     mean: np.ndarray
     cov: np.ndarray
     last_box: np.ndarray  # (7,) most recent measured box row
-    age: int = 0
-    missed: int = 0
 
 
 @dataclass
@@ -52,7 +50,7 @@ def predict(state: TrackState, dt: float,
     mean = F @ state.mean
     cov = F @ state.cov @ F.T + Q
     cov = (cov + cov.T) / 2.0
-    return replace(state, mean=mean, cov=cov, age=state.age + 1)
+    return replace(state, mean=mean, cov=cov)
 
 
 def update(state: TrackState, measured_box: np.ndarray,
@@ -68,7 +66,7 @@ def update(state: TrackState, measured_box: np.ndarray,
     mean = state.mean + K @ (z - H @ state.mean)
     cov = (np.eye(6) - K @ H) @ state.cov
     cov = (cov + cov.T) / 2.0
-    return replace(state, mean=mean, cov=cov, last_box=measured_box, missed=0)
+    return replace(state, mean=mean, cov=cov, last_box=measured_box)
 
 
 def associate(track_centers: np.ndarray, det_centers: np.ndarray,
@@ -85,14 +83,13 @@ def associate(track_centers: np.ndarray, det_centers: np.ndarray,
         return [], list(range(nt)), list(range(nd))
 
     dist = np.linalg.norm(track_centers[:, None, :] - det_centers[None, :, :], axis=2)
-    pairs = [(dist[t, d], t, d) for t in range(nt) for d in range(nd)
-             if dist[t, d] <= gate]
-    pairs.sort()
+    ts, ds = np.nonzero(dist <= gate)
+    order = np.lexsort((ds, ts, dist[ts, ds]))
 
     matches = []
     used_t = np.zeros(nt, dtype=bool)
     used_d = np.zeros(nd, dtype=bool)
-    for _, t, d in pairs:
+    for t, d in zip(ts[order].tolist(), ds[order].tolist()):
         if used_t[t] or used_d[d]:
             continue
         used_t[t] = used_d[d] = True
@@ -108,8 +105,9 @@ def track_open_set(frame_detections: list[list[tuple[np.ndarray, int]]],
 
     ``frame_detections[f]`` lists (box row, point count) pairs for frame f,
     indexed by cluster id.  Unmatched frames stay invalid with zero box
-    rows; tracks never merge.  Track order is creation order, which is
-    deterministic for identical inputs.
+    rows; tracks never merge.  An unmatched track coasts on its prediction
+    to the end of the window and never ends.  Track order is creation
+    order, which is deterministic for identical inputs.
     """
     states: list[TrackState] = []
     elements: list[TrackedElement] = []
@@ -127,16 +125,6 @@ def track_open_set(frame_detections: list[list[tuple[np.ndarray, int]]],
         for t, d in matches:
             states[t] = update(states[t], det_boxes[d],
                                config.measurement_noise_pos)
-            el = elements[t]
-            el.boxes[f] = det_boxes[d]
-            el.frame_valid[f] = True
-            el.members.append((f, d))
-            el.total_points += dets[d][1]
-
-        matched_t = {t for t, _ in matches}
-        for i in range(len(states)):
-            if i not in matched_t:
-                states[i].missed += 1
 
         for d in unmatched_d:
             mean = np.zeros(6)
@@ -145,12 +133,15 @@ def track_open_set(frame_detections: list[list[tuple[np.ndarray, int]]],
             cov[:3, :3] = np.eye(3) * config.init_pos_var
             cov[3:, 3:] = np.eye(3) * config.init_vel_var
             states.append(TrackState(mean=mean, cov=cov, last_box=det_boxes[d].copy()))
-            el = TrackedElement(boxes=np.zeros((T, 7)),
-                                frame_valid=np.zeros(T, dtype=bool))
+            elements.append(TrackedElement(boxes=np.zeros((T, 7)),
+                                           frame_valid=np.zeros(T, dtype=bool)))
+            matches.append((len(elements) - 1, d))
+
+        for t, d in matches:
+            el = elements[t]
             el.boxes[f] = det_boxes[d]
             el.frame_valid[f] = True
             el.members.append((f, d))
             el.total_points += dets[d][1]
-            elements.append(el)
 
     return elements

@@ -108,6 +108,21 @@ def test_missing_scene_exits_2(workdir, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"T": "11"}, "config field T must be int"),
+    ({"ransac": {"iters": None}}, "config field ransac.iters must be int"),
+    ([1, 2], "config must be a JSON object"),
+])
+def test_wrong_typed_config_exits_1(workdir, capsys, config, message):
+    path = workdir / "bad.json"
+    path.write_text(json.dumps(config))
+    code = cli_main(["tokenize", "--scene", str(workdir / "nope"), "--config",
+                     str(path), "--out", str(workdir / "x.tokens")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_usage_error_exits_2(capsys):
     assert cli_main(["frobnicate"]) == 2
     assert cli_main([]) == 2

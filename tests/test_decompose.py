@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from scenetok import cluster_open_set, extract_agent_elements, fit_tight_box
+from scenetok import decompose
 from scenetok.bundle import AgentBox
 from scenetok.decompose import (
     LABEL_AGENT,
@@ -120,18 +122,44 @@ class TestClustering:
         assert labels.tolist() == [-1, -1]
 
     def test_matches_union_find_oracle(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(0, 6, (120, 3))
-        labels = cluster_open_set(pts, 0.5, 3)
-        roots, sizes = union_find_oracle(pts, 0.5, 3)
-        # same partition: points share a label iff they share a root
-        for i in range(len(pts)):
-            expected_discard = sizes[roots[i]] < 3
-            assert (labels[i] == -1) == expected_discard
-        kept = [i for i in range(len(pts)) if labels[i] >= 0]
-        for i in kept:
-            for j in kept:
-                assert (labels[i] == labels[j]) == (roots[i] == roots[j])
+        # (seed, points, extent, min_points); the second case keeps 15 clusters
+        for seed, n, extent, min_points in ((3, 120, 6, 3), (5, 200, 5, 3)):
+            rng = np.random.default_rng(seed)
+            pts = rng.uniform(0, extent, (n, 3))
+            labels = cluster_open_set(pts, 0.5, min_points)
+            roots, sizes = union_find_oracle(pts, 0.5, min_points)
+            # same partition: points share a label iff they share a root
+            for i in range(n):
+                expected_discard = sizes[roots[i]] < min_points
+                assert (labels[i] == -1) == expected_discard
+            kept = [i for i in range(n) if labels[i] >= 0]
+            for i in kept:
+                for j in kept:
+                    assert (labels[i] == labels[j]) == (roots[i] == roots[j])
+
+            # exact ids: kept components are numbered in order of their
+            # smallest canonical (x, y, z lexicographic) point index
+            rank = np.empty(n, dtype=np.int64)
+            rank[np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))] = np.arange(n)
+            first = {}
+            for i, r in enumerate(roots):
+                first[r] = min(first.get(r, rank[i]), rank[i])
+            kept_roots = sorted((first[r], r) for r in first
+                                if sizes[r] >= min_points)
+            cid = {r: k for k, (_, r) in enumerate(kept_roots)}
+            expected = np.array([cid.get(r, -1) for r in roots])
+            np.testing.assert_array_equal(labels, expected)
+
+    def test_points_exactly_radius_apart_join(self):
+        pts = np.array([[0.0, 0, 0], [0.5, 0, 0], [0.5, 0.5, 0]])
+        np.testing.assert_array_equal(cluster_open_set(pts, 0.5, 3), [0, 0, 0])
+
+    def test_empty_and_single_point(self):
+        empty = cluster_open_set(np.empty((0, 3)), 0.5, 1)
+        assert empty.shape == (0,) and empty.dtype == np.int64
+        one = np.array([[1.0, 2.0, 3.0]])
+        assert cluster_open_set(one, 0.5, 1).tolist() == [0]
+        assert cluster_open_set(one, 0.5, 2).tolist() == [-1]
 
     def test_order_independence(self):
         rng = np.random.default_rng(4)
@@ -160,7 +188,60 @@ def min_rect_area_oracle(xy):
     return best
 
 
+def min_area_rect_loop(xy):
+    """Reference: rotating calipers, one candidate edge angle at a time."""
+    hull = ConvexHull(xy)
+    hp = xy[hull.vertices]
+    edges = np.roll(hp, -1, axis=0) - hp
+    angles = np.mod(np.arctan2(edges[:, 1], edges[:, 0]), np.pi)
+
+    best = None
+    for theta in np.unique(angles):
+        c, s = np.cos(theta), np.sin(theta)
+        u = hp[:, 0] * c + hp[:, 1] * s
+        v = -hp[:, 0] * s + hp[:, 1] * c
+        ext_u = u.max() - u.min()
+        ext_v = v.max() - v.min()
+        area = ext_u * ext_v
+        if ext_u >= ext_v:
+            length, width, heading = ext_u, ext_v, theta
+        else:
+            length, width, heading = ext_v, ext_u, np.mod(theta + np.pi / 2, np.pi)
+        mu = (u.max() + u.min()) / 2.0
+        mv = (v.max() + v.min()) / 2.0
+        center = np.array([mu * c - mv * s, mu * s + mv * c])
+        cand = (area, heading, center, length, width)
+        if best is None or area < best[0] - 1e-12 or (
+                abs(area - best[0]) <= 1e-12 and heading < best[1] - 1e-12):
+            best = cand
+    area, heading, center, length, width = best
+    return center, length, width, heading
+
+
+def tie_prone_clouds():
+    """Random clouds plus squares and 45-degree squares, where areas tie."""
+    rng = np.random.default_rng(11)
+    clouds = [rng.normal(size=(int(rng.integers(3, 40)), 3)) * [3, 1, 1]
+              for _ in range(30)]
+    clouds += [rng.integers(-3, 4, (20, 3)).astype(float) for _ in range(10)]
+    square = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1], [0, 0.5]], float)
+    for deg in (0, 45, 90, 135, 30, -45):
+        t = math.radians(deg)
+        R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        for scale, shift in ((1.0, (0, 0)), (0.3, (7.5, -2.0))):
+            xy = square @ R.T * scale + shift
+            clouds.append(np.column_stack([xy, np.linspace(0, 1, len(xy))]))
+    return clouds
+
+
 class TestTightBox:
+    def test_equals_per_angle_reference(self, monkeypatch):
+        clouds = tie_prone_clouds()
+        vectorised = [fit_tight_box(pts) for pts in clouds]
+        monkeypatch.setattr(decompose, "_min_area_rect", min_area_rect_loop)
+        for pts, got in zip(clouds, vectorised):
+            np.testing.assert_array_equal(got, fit_tight_box(pts))
+
     def test_square_prism(self):
         pts = np.array([[1, 1, 0], [1, -1, 0], [-1, 1, 1], [-1, -1, 1],
                         [1, 1, 1], [1, -1, 1], [-1, 1, 0], [-1, -1, 0]],

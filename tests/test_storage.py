@@ -167,6 +167,17 @@ class TestTokensIO:
         assert cli_main(["inspect", "--tokens", str(path)]) == 2
         assert "kind code 9" in capsys.readouterr().err
 
+    def test_non_utf8_tensor_name_is_storage_error(self, tmp_path, capsys):
+        path = tmp_path / "t.tokens"
+        write_tokens(path, small_tokens())
+        data = bytearray(path.read_bytes())
+        data[data.index(b"kind")] ^= 0xFF  # 'k' becomes a stray 0x94 byte
+        path.write_bytes(bytes(data))
+        with pytest.raises(StorageError, match=r"t\.tokens.*not valid UTF-8"):
+            read_tensor_file(path)
+        assert cli_main(["inspect", "--tokens", str(path)]) == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
+
 
 class TestParamsIO:
     def test_round_trip(self, tmp_path):
@@ -218,6 +229,32 @@ class TestConfigIO:
         path = tmp_path / "cfg.json"
         path.write_text('{"ransac": {"iterations": 9}}\n')  # typo
         with pytest.raises(ValueError):
+            load_pipeline_config(path)
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"T": "11"}', "T"),
+        ('{"ransac": {"iters": null}}', "ransac.iters"),
+        ('{"tile_size_m": true}', "tile_size_m"),
+        ('{"T": 11.0}', "T"),
+        ('{"feature_interp": 1}', "feature_interp"),
+    ])
+    def test_wrong_typed_value_rejected(self, tmp_path, text, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"config field {field} must be"):
+            load_pipeline_config(path)
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"tile_size_m": 5, "track": {"gate_m": 3}}')
+        cfg = load_pipeline_config(path)
+        assert cfg.tile_size_m == 5 and cfg.track.gate_m == 3
+
+    @pytest.mark.parametrize("text", ['[1, 2]', '{"cluster": 4}'])
+    def test_non_object_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="must be a JSON object"):
             load_pipeline_config(path)
 
 

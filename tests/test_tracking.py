@@ -116,6 +116,31 @@ class TestAssociate:
                               np.array([[5.0, 0, 0]]), gate=2.0)
         assert m == [] and ut == [0] and ud == [0]
 
+    def test_equal_distances_resolve_by_track_then_detection(self):
+        tracks = np.array([[0.0, 0, 0], [2.0, 0, 0]])
+        dets = np.array([[1.0, 0, 0], [1.0, 0, 0]])  # every distance is 1
+        m, ut, ud = associate(tracks, dets, gate=2.0)
+        assert m == [(0, 0), (1, 1)] and ut == [] and ud == []
+        m, ut, ud = associate(tracks, dets[:1], gate=2.0)
+        assert m == [(0, 0)] and ut == [1] and ud == []
+
+    def test_equals_tuple_sort_reference_on_ties(self):
+        # integer grids make many equal distances
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            tracks = rng.integers(0, 3, (rng.integers(1, 6), 3)).astype(float)
+            dets = rng.integers(0, 3, (rng.integers(1, 6), 3)).astype(float)
+            dist = np.linalg.norm(tracks[:, None] - dets[None, :], axis=2)
+            pairs = sorted((dist[t, d], t, d) for t in range(len(tracks))
+                           for d in range(len(dets)) if dist[t, d] <= 2.0)
+            expected, used_t, used_d = [], set(), set()
+            for _, t, d in pairs:
+                if t not in used_t and d not in used_d:
+                    used_t.add(t)
+                    used_d.add(d)
+                    expected.append((t, d))
+            assert associate(tracks, dets, gate=2.0)[0] == expected
+
     def test_greedy_vs_optimal_oracle(self):
         # Greedy is not always min-sum optimal; on random gated instances it
         # usually is.  Where it differs it must still be a maximal valid

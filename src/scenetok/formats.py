@@ -9,6 +9,7 @@ byte-identically across machines.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -73,7 +74,7 @@ class _Reader:
             raise ShapeHeaderMismatch(f"{self.path}: unknown dtype code {code}")
         shape = self.unpack(f"<{ndim}Q")
         dtype = _DTYPE_CODES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize  # Python ints: no wrap
         payload = self.take(nbytes)
         return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 

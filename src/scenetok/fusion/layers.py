@@ -3,7 +3,9 @@
 Each forward returns (output, cache); the matching backward consumes the
 upstream gradient plus the cache and returns gradients for inputs and
 parameters.  Everything is plain numpy so the analytic gradients can be
-validated against finite differences in float64.
+validated against finite differences in float64.  Every output keeps the
+dtype of the parameters: scalars are Python floats, which NumPy 2 does not
+let promote a float32 array.
 """
 
 from __future__ import annotations
@@ -13,15 +15,26 @@ import numpy as np
 LN_EPS = 1e-5
 
 
+def matmul_rows(x, w):
+    """x @ w over the last axis of x (..., k), as one 2-D GEMM.
+
+    ``x @ w`` on a 3-D x runs one small GEMM per leading index; flattening
+    the leading axes runs a single large one.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
 def linear_forward(x, w, b):
     """y = x @ w.T + b with x (..., in), w (out, in), b (out,)."""
-    return x @ w.T + b, x
+    y = matmul_rows(x, w.T)
+    y += b
+    return y, x
 
 
 def linear_backward(g, x, w):
     gf = g.reshape(-1, g.shape[-1])
     xf = x.reshape(-1, x.shape[-1])
-    dx = g @ w
+    dx = matmul_rows(g, w)
     dw = gf.T @ xf
     db = gf.sum(axis=0)
     return dx, dw, db
@@ -79,13 +92,14 @@ def masked_softmax(logits, key_valid):
     with zero valid keys come out all-zero rather than NaN.
     """
     mask = key_valid[:, None, None, :]
-    masked = np.where(mask, logits, -np.inf)
-    m = masked.max(axis=-1, keepdims=True)
+    w = np.where(mask, logits, -np.inf)
+    m = w.max(axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(masked - m)
-    s = e.sum(axis=-1, keepdims=True)
-    w = np.zeros_like(e)
-    np.divide(e, s, out=w, where=s > 0)
+    w -= m
+    np.exp(w, out=w)
+    s = w.sum(axis=-1, keepdims=True)
+    # A row with s == 0 has no valid key and is already all zero.
+    np.divide(w, s, out=w, where=s > 0)
     return w
 
 

@@ -19,6 +19,7 @@ from .layers import (
     linear_backward,
     linear_forward,
     masked_softmax,
+    matmul_rows,
     mlp2_backward,
     mlp2_forward,
     softmax_backward,
@@ -112,16 +113,18 @@ def _attention_fwd(X, block: AttentionBlockParams, key_valid):
     B, L, D = X.shape
     h = block.n_heads
     dh = D // h
+    scale = 1.0 / dh ** 0.5
     Y, ln_cache = layernorm_forward(X, block.ln_gamma, block.ln_beta)
     Q, _ = linear_forward(Y, block.wq, block.bq)
-    K = Y @ block.wk.T
+    K = matmul_rows(Y, block.wk.T)
     V, _ = linear_forward(Y, block.wv, block.bv)
 
     def split(Z):
         return Z.reshape(B, L, h, dh).transpose(0, 2, 1, 3)
 
     Qh, Kh, Vh = split(Q), split(K), split(V)
-    logits = Qh @ Kh.transpose(0, 1, 3, 2) / np.sqrt(dh)
+    logits = Qh @ Kh.transpose(0, 1, 3, 2)
+    logits *= scale
     weights = masked_softmax(logits, key_valid)
     ctx_h = weights @ Vh
     ctx = ctx_h.transpose(0, 2, 1, 3).reshape(B, L, D)
@@ -138,6 +141,7 @@ def _attention_bwd(g, X, block: AttentionBlockParams, cache):
     B, L, D = X.shape
     h = block.n_heads
     dh = D // h
+    scale = 1.0 / dh ** 0.5
 
     dA = np.where(any_valid[:, None, None], g, 0.0)
     dctx, dwo, dbo = linear_backward(dA, ctx, block.wo)
@@ -146,15 +150,17 @@ def _attention_bwd(g, X, block: AttentionBlockParams, cache):
     dweights = dctx_h @ Vh.transpose(0, 1, 3, 2)
     dVh = weights.transpose(0, 1, 3, 2) @ dctx_h
     dlogits = softmax_backward(dweights, weights)
-    dQh = dlogits @ Kh / np.sqrt(dh)
-    dKh = dlogits.transpose(0, 1, 3, 2) @ Qh / np.sqrt(dh)
+    dQh = dlogits @ Kh
+    dQh *= scale
+    dKh = dlogits.transpose(0, 1, 3, 2) @ Qh
+    dKh *= scale
 
     def merge(Zh):
         return Zh.transpose(0, 2, 1, 3).reshape(B, L, D)
 
     dQ, dK, dV = merge(dQh), merge(dKh), merge(dVh)
     dYq, dwq, dbq = linear_backward(dQ, Y, block.wq)
-    dYk = dK @ block.wk
+    dYk = matmul_rows(dK, block.wk)
     dwk = dK.reshape(-1, D).T @ Y.reshape(-1, D)
     dYv, dwv, dbv = linear_backward(dV, Y, block.wv)
     dY = dYq + dYk + dYv
@@ -203,7 +209,7 @@ def _masked_time_mean_fwd(X, elem_valid):
 
 
 def _masked_time_mean_bwd(g, elem_valid, counts, T):
-    scale = np.zeros(counts.shape[0])
+    scale = np.zeros(counts.shape[0], dtype=g.dtype)
     nz = counts > 0
     scale[nz] = 1.0 / counts[nz]
     return g[:, None, :] * (elem_valid[:, :, None] * scale[:, None, None])

@@ -39,8 +39,10 @@ class AttentionBlockParams:
 class FusionParams:
     """All trainable tensors of the fusion network.
 
-    float64 is the test/verification mode; call ``astype(np.float32)`` for
-    the production forward.
+    The forward and backward passes compute in ``dtype``, and every output
+    and gradient has it.  float64 is the test/verification mode (the
+    finite-difference gradient check needs it); call ``astype(np.float32)``
+    for production.
     """
 
     T: int

@@ -184,6 +184,13 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     n_ground_kept = len(ground_elements)
     ground_token_base = len(elements) - n_ground_kept
 
+    # Every agent point's track id is one of the bundle's, so its rank among
+    # them indexes a dense int64 table (-1 = dropped by the budget).
+    track_ids = np.array(sorted(agent_tracks), dtype=np.int64)
+    agent_lookup = np.full(track_ids.size, -1, dtype=np.int64)
+    agent_lookup[np.searchsorted(track_ids, list(agent_token))] = \
+        list(agent_token.values())
+
     cluster_token = [np.full(len(dets), -1, dtype=np.int64)
                      for dets in frame_detections]
     for i, token in openset_token.items():
@@ -207,7 +214,8 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
         token[g_sel] = g_tok
 
         a_sel = lab == decompose.LABEL_AGENT
-        token[a_sel] = [agent_token.get(tid, -1) for tid in agent_track[f][a_sel]]
+        token[a_sel] = agent_lookup[np.searchsorted(track_ids,
+                                                    agent_track[f][a_sel])]
 
         o_sel = lab == decompose.LABEL_OPENSET
         token[o_sel] = cluster_token[f][cluster_id[f][o_sel]]

@@ -20,7 +20,6 @@ class TrackState:
 
     mean: np.ndarray
     cov: np.ndarray
-    last_box: np.ndarray  # (7,) most recent measured box row
 
 
 @dataclass
@@ -66,7 +65,7 @@ def update(state: TrackState, measured_box: np.ndarray,
     mean = state.mean + K @ (z - H @ state.mean)
     cov = (np.eye(6) - K @ H) @ state.cov
     cov = (cov + cov.T) / 2.0
-    return replace(state, mean=mean, cov=cov, last_box=measured_box)
+    return replace(state, mean=mean, cov=cov)
 
 
 def associate(track_centers: np.ndarray, det_centers: np.ndarray,
@@ -132,7 +131,7 @@ def track_open_set(frame_detections: list[list[tuple[np.ndarray, int]]],
             cov = np.zeros((6, 6))
             cov[:3, :3] = np.eye(3) * config.init_pos_var
             cov[3:, 3:] = np.eye(3) * config.init_vel_var
-            states.append(TrackState(mean=mean, cov=cov, last_box=det_boxes[d].copy()))
+            states.append(TrackState(mean=mean, cov=cov))
             elements.append(TrackedElement(boxes=np.zeros((T, 7)),
                                            frame_valid=np.zeros(T, dtype=bool)))
             matches.append((len(elements) - 1, d))

@@ -10,6 +10,7 @@ from scenetok.fusion import (
     encode_geometry,
     finite_difference_grads,
     fuse_scene,
+    fusion_forward,
     fusion_loss_and_grads,
     grad_check,
     init_fusion_params,
@@ -333,3 +334,43 @@ class TestPointPoolBackward:
         for name in want:
             assert got[name].dtype == want[name].dtype
             np.testing.assert_array_equal(got[name], want[name])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestOutputsKeepParamsDtype:
+    """Every layer output and every gradient has ``params.dtype``."""
+
+    def test_encode_geometry(self, toy_fusion_inputs, dtype):
+        t = toy_fusion_inputs
+        params = toy_params().astype(dtype)
+        F_geo = encode_geometry(t["P_xyz"], t["P_ind"], t["B"], params)
+        assert F_geo.dtype == dtype
+
+    @pytest.mark.parametrize("axis", ["time", "element"])
+    def test_attn_along_axis(self, toy_fusion_inputs, dtype, axis):
+        t = toy_fusion_inputs
+        params = toy_params().astype(dtype)
+        out, weights = attn_along_axis(t["F_img"].astype(dtype), axis,
+                                       params.time_block, t["elem_valid"])
+        assert out.dtype == dtype
+        assert weights.dtype == dtype
+
+    def test_fuse_scene_and_fusion_forward(self, toy_fusion_inputs, dtype):
+        t = toy_fusion_inputs
+        params = toy_params().astype(dtype)
+        F_geo = encode_geometry(t["P_xyz"], t["P_ind"], t["B"], params)
+        assert fuse_scene(t["F_img"], F_geo, params,
+                          t["elem_valid"]).dtype == dtype
+        F_elem, (w_t, w_e), _ = fusion_forward(
+            params, t["P_xyz"], t["P_ind"], t["B"], t["F_img"],
+            t["elem_valid"])
+        assert F_elem.dtype == w_t.dtype == w_e.dtype == dtype
+
+    def test_every_gradient(self, toy_fusion_inputs, dtype):
+        t = toy_fusion_inputs
+        params = toy_params().astype(dtype)
+        _, grads = fusion_loss_and_grads(params, t["P_xyz"], t["P_ind"],
+                                         t["B"], t["F_img"], t["elem_valid"])
+        assert grads.keys() == params.tensors().keys()
+        assert {k: g.dtype for k, g in grads.items()} == \
+            {k: np.dtype(dtype) for k in grads}

@@ -8,7 +8,9 @@ from scenetok import (
     SceneSpec,
     generate_scene,
     init_fusion_params,
+    read_tokens,
     tokenize_bundle,
+    write_tokens,
 )
 from scenetok.decompose import LABEL_AGENT, LABEL_DISCARDED, LABEL_GROUND, LABEL_OPENSET
 from scenetok.errors import BudgetOverflowWarning, ShapeMismatch
@@ -123,6 +125,12 @@ def test_agent_budget_overflow_warns_and_keeps_nearest():
     kept_d = max(dist[t] for t in kept)
     dropped_d = min(d for t, d in dist.items() if t not in kept)
     assert kept_d <= dropped_d + 1.0  # nearest mean-center wins (speed jitter)
+    # points of a dropped agent track are discarded, not given a token
+    dropped = [t for t in dist if t not in kept]
+    for lab, owner in zip(result.partition.labels,
+                          result.partition.agent_track):
+        assert (lab[np.isin(owner, dropped)] == LABEL_DISCARDED).all()
+        assert np.isin(owner[lab == LABEL_AGENT], list(kept)).all()
 
 
 def test_openset_budget_overflow_keeps_largest():
@@ -181,3 +189,13 @@ def test_invalid_feature_rows_are_zero(small_scene, small_config):
     result = tokenize_bundle(small_scene.bundle, small_config)
     scene = result.scene
     assert (scene.F_pts[~scene.F_pts_valid] == 0).all()
+
+
+def test_float32_params_write_float32_tokens(small_scene, small_config,
+                                             tmp_path):
+    params = init_fusion_params(T=small_config.T, D=small_config.D, seed=2,
+                                dtype=np.float32)
+    result = tokenize_bundle(small_scene.bundle, small_config, params=params)
+    path = tmp_path / "tokens.most"
+    write_tokens(path, result.tokens)
+    assert read_tokens(path).F_elem.dtype == np.float32

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,12 @@ from scenetok.formats import read_blob, read_tensor_file, write_blob, write_tens
 
 def dir_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def set_shape(data: bytes, old: tuple, new: tuple) -> bytes:
+    """Rewrite the first array header in ``data`` whose shape is ``old``."""
+    return data.replace(struct.pack(f"<{len(old)}Q", *old),
+                        struct.pack(f"<{len(new)}Q", *new), 1)
 
 
 class TestBlobs:
@@ -71,6 +79,14 @@ class TestBlobs:
         write_blob(path, np.arange(4, dtype=np.float64))
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(ShapeHeaderMismatch):
+            read_blob(path)
+
+    def test_overflowing_shape_is_format_error(self, tmp_path):
+        # 2**62 * 4 elements wraps to 0 in int64; the payload is still missing
+        path = tmp_path / "big.bin"
+        write_blob(path, np.zeros((3, 5)))
+        path.write_bytes(set_shape(path.read_bytes(), (3, 5), (2**62, 4)))
+        with pytest.raises(ShapeHeaderMismatch, match="truncated"):
             read_blob(path)
 
 
@@ -177,6 +193,17 @@ class TestTokensIO:
             read_tensor_file(path)
         assert cli_main(["inspect", "--tokens", str(path)]) == 2
         assert "not valid UTF-8" in capsys.readouterr().err
+
+    def test_overflowing_shape_is_storage_error(self, tmp_path, capsys):
+        path = tmp_path / "t.tokens"
+        tokens = small_tokens()
+        write_tokens(path, tokens)
+        shape = tokens.F_elem.shape
+        path.write_bytes(set_shape(path.read_bytes(), shape, (2**62, 4)))
+        with pytest.raises(ShapeHeaderMismatch, match=r"t\.tokens.*truncated"):
+            read_tensor_file(path)
+        assert cli_main(["inspect", "--tokens", str(path)]) == 2
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestParamsIO:

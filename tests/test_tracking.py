@@ -11,7 +11,7 @@ def make_state(pos=(0, 0, 0), vel=(0, 0, 0), pos_var=1e-2, vel_var=1.0):
     cov = np.zeros((6, 6))
     cov[:3, :3] = np.eye(3) * pos_var
     cov[3:, 3:] = np.eye(3) * vel_var
-    return TrackState(mean=mean, cov=cov, last_box=np.zeros(7))
+    return TrackState(mean=mean, cov=cov)
 
 
 class TestPredict:
@@ -36,8 +36,7 @@ class TestPredict:
         rng = np.random.default_rng(0)
         for _ in range(20):
             A = rng.normal(size=(6, 6))
-            st = TrackState(mean=rng.normal(size=6), cov=A @ A.T,
-                            last_box=np.zeros(7))
+            st = TrackState(mean=rng.normal(size=6), cov=A @ A.T)
             out = predict(st, 0.25)
             np.testing.assert_allclose(out.cov, out.cov.T, atol=1e-9)
             assert np.linalg.eigvalsh(out.cov).min() > -1e-9
@@ -49,7 +48,6 @@ class TestUpdate:
         z = np.array([1.5, 2.5, 3.5, 1, 1, 1, 0.0])
         out = update(st, z, measurement_noise_pos=0.0)
         np.testing.assert_allclose(out.mean[:3], z[:3], atol=1e-12)
-        np.testing.assert_allclose(out.last_box, z)
 
     def test_measurement_equal_to_prediction_is_noop(self):
         st = make_state(pos=(1, 2, 3))

@@ -121,7 +121,7 @@ class SceneElement:
     kind: str
     boxes: np.ndarray
     frame_valid: np.ndarray
-    source_id: int = -1  # agent track_id / open-set track index / ground cell hash
+    source_id: int = -1  # agent track_id / open-set track index / ground cell rank
 
     def __post_init__(self):
         self.boxes = np.asarray(self.boxes, dtype=np.float64)

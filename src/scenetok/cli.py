@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     StorageError,
 )
-from .fusion import init_fusion_params
+from .fusion import FusionParams, init_fusion_params
 from .pipeline import tokenize_bundle
 from .storage import (
     load_pipeline_config,
@@ -87,10 +87,8 @@ def _default_params(config: PipelineConfig):
 
 
 def _tokenize_one(scene_dir: str, out_path: str, config: PipelineConfig,
-                  params_path: str | None) -> None:
+                  params: FusionParams) -> None:
     bundle = read_scene_bundle(scene_dir, config)
-    params = (read_fusion_params(params_path) if params_path
-              else _default_params(config))
     result = tokenize_bundle(bundle, config, params=params, validate=False)
     write_tokens(out_path, result.tokens)
     print(f"{scene_dir}: {len(result.scene.elements)} elements, "
@@ -99,13 +97,15 @@ def _tokenize_one(scene_dir: str, out_path: str, config: PipelineConfig,
 
 def _cmd_tokenize(args) -> int:
     config = _load_config(args.config)
+    params = (read_fusion_params(args.params) if args.params
+              else _default_params(config))
     scenes = args.scene
     if len(scenes) == 1:
-        _tokenize_one(scenes[0], args.out, config, args.params)
+        _tokenize_one(scenes[0], args.out, config, params)
         return 0
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(s, str(out_dir / (Path(s).name + ".tokens")), config, args.params)
+    jobs = [(s, str(out_dir / (Path(s).name + ".tokens")), config, params)
             for s in scenes]
     if args.jobs > 1:
         import multiprocessing

@@ -9,7 +9,10 @@ byte-identically across machines.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import secrets
 import struct
 
 import numpy as np
@@ -97,8 +100,28 @@ def _header(kind: bytes) -> bytes:
     return MAGIC + kind + struct.pack("<H", VERSION)
 
 
+@contextlib.contextmanager
+def _replace_on_success(path):
+    """Binary handle on a temp file that replaces ``path`` once closed.
+
+    The temp file sits in the target's directory, so ``os.replace`` is an
+    atomic rename: readers see the old file or the new one, never a partial
+    write.  On any error the temp file is removed and ``path`` is untouched.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_blob(path, array: np.ndarray) -> None:
-    with open(path, "wb") as fh:
+    with _replace_on_success(path) as fh:
         fh.write(_header(KIND_BLOB))
         fh.write(_pack_array(array))
 
@@ -116,7 +139,7 @@ def read_blob(path) -> np.ndarray:
 
 def write_tensor_file(path, tensors: dict[str, np.ndarray],
                       kind: bytes = KIND_TOKENS) -> None:
-    with open(path, "wb") as fh:
+    with _replace_on_success(path) as fh:
         fh.write(_header(kind))
         fh.write(struct.pack("<I", len(tensors)))
         for name, array in tensors.items():

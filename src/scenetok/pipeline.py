@@ -155,13 +155,13 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
         labels.append(lab)
         agent_track.append(atr)
         cluster_id.append(cid)
-        dets = []
-        n_clusters = int(cid.max()) + 1 if cid.size and cid.max() >= 0 else 0
-        for c in range(n_clusters):
-            member = cid == c
-            dets.append((decompose.fit_tight_box(frame.points[member]),
-                         int(member.sum())))
-        frame_detections.append(dets)
+        # One stable sort groups each cluster's points in their frame order.
+        sizes = np.bincount(cid[cid >= 0])
+        by_cluster = np.argsort(cid, kind="stable")[cid.size - sizes.sum():]
+        members = (np.split(frame.points[by_cluster], np.cumsum(sizes)[:-1])
+                   if sizes.size else [])
+        frame_detections.append([(decompose.fit_tight_box(pts), len(pts))
+                                 for pts in members])
     partition = decompose.PointPartition(labels=labels, agent_track=agent_track,
                                          cluster_id=cluster_id)
     timings["decompose"] += time.perf_counter() - t0

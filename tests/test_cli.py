@@ -160,3 +160,59 @@ def test_multi_scene_tokenize(workdir):
                      "--jobs", "2"]) == 0
     for name in ("scene0.tokens", "scene1.tokens"):
         assert (par_dir / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("with_checkpoint", [True, False])
+def test_multi_scene_tokenize_loads_params_once(workdir, monkeypatch,
+                                                with_checkpoint):
+    from scenetok import cli, init_fusion_params, write_fusion_params
+
+    dirs = []
+    for i in range(3):
+        d = workdir / f"scene{i}"
+        cli_main(["synth", "--seed", str(i), "--spec",
+                  str(workdir / "spec.json"), "--out", str(d)])
+        dirs.append(str(d))
+    ckpt = workdir / "params.ckpt"
+    write_fusion_params(ckpt, init_fusion_params(T=5, D=8, seed=11))
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "read_fusion_params",
+                        counted(cli.read_fusion_params))
+    monkeypatch.setattr(cli, "init_fusion_params",
+                        counted(cli.init_fusion_params))
+    args = ["tokenize", "--scene", *dirs, "--config",
+            str(workdir / "config.json"), "--out", str(workdir / "tokens")]
+    if with_checkpoint:
+        args += ["--params", str(ckpt)]
+    assert cli_main(args) == 0
+    assert calls == (["read_fusion_params"] if with_checkpoint
+                     else ["init_fusion_params"])
+    assert len(list((workdir / "tokens").iterdir())) == 3
+
+
+@pytest.mark.parametrize("n_scenes", [1, 2])
+def test_bad_params_file_exits_2(workdir, capsys, n_scenes):
+    dirs = []
+    for i in range(n_scenes):
+        d = workdir / f"scene{i}"
+        cli_main(["synth", "--seed", str(i), "--spec",
+                  str(workdir / "spec.json"), "--out", str(d)])
+        dirs.append(str(d))
+    bad = workdir / "bad.ckpt"
+    bad.write_bytes(b"not a checkpoint")
+    out = workdir / ("out.tokens" if n_scenes == 1 else "tokens")
+    code = cli_main(["tokenize", "--scene", *dirs, "--config",
+                     str(workdir / "config.json"), "--out", str(out),
+                     "--params", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "i/o error" in err and "Traceback" not in err
+    assert not out.exists()

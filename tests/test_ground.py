@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from scenetok import fit_ground_plane, segment_ground, tile_ground
+from scenetok.bundle import KIND_GROUND, SceneElement
 from scenetok.config import RansacConfig
 from scenetok.errors import DegenerateInput
-from scenetok.ground import GroundPlane
+from scenetok.ground import (GroundPlane, _canonicalize, _least_squares_plane,
+                             tile_cells)
 
 CFG = RansacConfig()
 
@@ -42,6 +44,122 @@ def test_sloped_plane_with_outliers_matches_ls_oracle():
     assert angle < 1e-3
 
 
+def ransac_reference(points, config, seed=0):
+    """Per-hypothesis RANSAC loop: the reference for fit_ground_plane."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = points.shape[0]
+    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
+    pts = points[order]
+    rng = np.random.default_rng(seed)
+    if n > config.max_score_points:
+        score_idx = rng.choice(n, size=config.max_score_points, replace=False)
+        score_pts = pts[np.sort(score_idx)]
+    else:
+        score_pts = pts
+
+    best_count = -1
+    best_plane = None
+    for _ in range(config.iters):
+        i, j, k = rng.choice(n, size=3, replace=False)
+        a, b, c = pts[i], pts[j], pts[k]
+        normal = np.cross(b - a, c - a)
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            continue
+        normal = normal / norm
+        offset = -float(normal @ a)
+        count = int((np.abs(score_pts @ normal + offset)
+                     <= config.inlier_threshold_m).sum())
+        if count > best_count:
+            best_count = count
+            best_plane = (normal, offset)
+    if best_plane is None:
+        raise DegenerateInput("all RANSAC samples were collinear")
+
+    normal, offset = best_plane
+    inliers = pts[np.abs(pts @ normal + offset) <= config.inlier_threshold_m]
+    if inliers.shape[0] >= 3:
+        try:
+            normal, offset = _least_squares_plane(inliers)
+        except DegenerateInput:
+            normal, offset = _canonicalize(normal, offset)
+    else:
+        normal, offset = _canonicalize(normal, offset)
+    final_count = int((np.abs(points @ normal + offset)
+                       <= config.inlier_threshold_m).sum())
+    return GroundPlane(normal=normal, offset=offset, inlier_count=final_count)
+
+
+def _tilted_with_outliers(seed):
+    rng = np.random.default_rng(seed)
+    n_in = int(rng.integers(30, 1500))
+    n_out = int(rng.integers(0, n_in // 2 + 1))
+    slope = rng.uniform(-0.3, 0.3, 2)
+    xy = rng.uniform(-30, 30, (n_in, 2))
+    z = xy @ slope + rng.uniform(-2, 2) + rng.normal(0, 0.05, n_in)
+    outliers = rng.uniform(-30, 30, (n_out, 3))
+    return np.concatenate([np.column_stack([xy, z]), outliers]), CFG
+
+
+def _tied_layers(seed):
+    """An integer grid: its parallel axis-aligned slices tie on count."""
+    rng = np.random.default_rng(seed)
+    side, n_layers = int(rng.integers(3, 7)), int(rng.integers(2, 5))
+    g = np.arange(side, dtype=np.float64)
+    x, y, z = np.meshgrid(g, g, np.arange(n_layers, dtype=np.float64),
+                          indexing="ij")
+    pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    return pts[rng.permutation(len(pts))], CFG
+
+
+def _mostly_collinear(seed):
+    """Most samples fall on one line (or repeat a point) and are dropped."""
+    rng = np.random.default_rng(seed)
+    t = rng.integers(-20, 20, int(rng.integers(20, 60))).astype(np.float64)
+    line = np.column_stack([t, 0.5 * t, np.zeros_like(t)])
+    off_line = rng.uniform(-5, 5, (int(rng.integers(1, 4)), 3))
+    return np.concatenate([line, off_line]), CFG
+
+
+def _subsampled(seed):
+    pts, _ = _tilted_with_outliers(seed)
+    pts = np.concatenate([pts, pts[: len(pts) // 3]])  # duplicate points too
+    cfg = RansacConfig(iters=64, max_score_points=max(3, len(pts) // 4))
+    return pts, cfg
+
+
+REFERENCE_CLOUDS = ([("tilted", _tilted_with_outliers, s) for s in range(16)]
+                    + [("tied", _tied_layers, s) for s in range(16)]
+                    + [("collinear", _mostly_collinear, s) for s in range(12)]
+                    + [("subsample", _subsampled, s) for s in range(12)])
+
+
+@pytest.mark.parametrize("make,seed", [c[1:] for c in REFERENCE_CLOUDS],
+                         ids=[f"{k}{s}" for k, _, s in REFERENCE_CLOUDS])
+def test_fit_matches_per_hypothesis_reference(make, seed):
+    pts, cfg = make(seed)
+    got = fit_ground_plane(pts, cfg, seed=seed)
+    want = ransac_reference(pts, cfg, seed=seed)
+    np.testing.assert_array_equal(got.normal, want.normal)
+    assert got.offset == want.offset
+    assert got.inlier_count == want.inlier_count
+
+
+def test_tied_layers_keep_the_earliest_sample():
+    # Here the horizontal layers score most, each the same count; the plane
+    # returned is the layer of the first in-layer sample, not of the last.
+    pts, _ = _tied_layers(0)
+    plane = fit_ground_plane(pts, CFG, seed=0)
+    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+    rng = np.random.default_rng(0)
+    layers = [set(pts[order][rng.choice(len(pts), 3, replace=False), 2])
+              for _ in range(CFG.iters)]
+    in_layer = [next(iter(z)) for z in layers if len(z) == 1]
+    assert len(set(in_layer)) > 1  # the tie is real
+    np.testing.assert_allclose(plane.normal, [0.0, 0.0, 1.0], atol=1e-12)
+    assert -plane.offset == pytest.approx(in_layer[0], abs=1e-12)
+
+
 def test_two_points_degenerate():
     with pytest.raises(DegenerateInput):
         fit_ground_plane(np.array([[0.0, 0, 0], [1, 0, 0]]), CFG)
@@ -49,8 +167,10 @@ def test_two_points_degenerate():
 
 def test_collinear_points_degenerate():
     pts = np.column_stack([np.linspace(0, 5, 50), np.zeros(50), np.zeros(50)])
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput, match="collinear"):
         fit_ground_plane(pts, CFG, seed=0)
+    with pytest.raises(DegenerateInput, match="collinear"):
+        ransac_reference(pts, CFG, seed=0)
 
 
 def test_fit_invariant_to_point_order():
@@ -141,3 +261,65 @@ def test_grid_equivariance_under_tile_multiple_shift():
     base_centers = sorted(tuple(e.boxes[0, :2]) for e in base)
     shift_centers = sorted((cx + 20.0, cy - 10.0) for cx, cy in base_centers)
     assert shift_centers == sorted(tuple(e.boxes[0, :2]) for e in shifted)
+
+
+def tile_reference(points, tile_size, max_tiles, T):
+    """tile_ground grouped by np.unique(axis=0): the reference."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    cells = tile_cells(points[:, :2], tile_size)
+    uniq, inverse, counts = np.unique(cells, axis=0, return_inverse=True,
+                                      return_counts=True)
+    keep = np.arange(uniq.shape[0])
+    if uniq.shape[0] > max_tiles:
+        keep = np.sort(np.argsort(-counts, kind="stable")[:max_tiles])
+    slot_of_cell = np.full(uniq.shape[0], -1, dtype=np.int64)
+    slot_of_cell[keep] = np.arange(keep.shape[0])
+    mean_z = np.bincount(inverse, weights=points[:, 2],
+                         minlength=uniq.shape[0]) / counts
+    elements = []
+    for cell_idx in keep:
+        cx, cy = uniq[cell_idx]
+        row = np.array([(cx + 0.5) * tile_size, (cy + 0.5) * tile_size,
+                        mean_z[cell_idx], 0, 0, 0, 0])
+        elements.append(SceneElement(token_id=-1, kind=KIND_GROUND,
+                                     boxes=np.tile(row, (T, 1)),
+                                     frame_valid=np.ones(T, dtype=bool),
+                                     source_id=int(cell_idx)))
+    return elements, slot_of_cell[inverse]
+
+
+def _tile_cases():
+    rng = np.random.default_rng(11)
+    spread = np.column_stack([rng.uniform(-75, 75, (3000, 2)),
+                              rng.normal(0, 0.1, 3000)])
+    # Twelve cells of exactly 5 points each plus two of 9: a budget of 6
+    # keeps both big cells and the four lexicographically first small ones.
+    centers = [(x, y) for x in (-25.0, -5.0, 15.0) for y in (-35.0, 5.0, 25.0, 45.0)]
+    tied = np.concatenate(
+        [np.column_stack([np.full((5, 2), c) + rng.uniform(-4, 4, (5, 2)),
+                          rng.normal(0, 0.1, 5)]) for c in centers]
+        + [np.column_stack([np.full((9, 2), (-45.0, 15.0)), np.zeros(9)]),
+           np.column_stack([np.full((9, 2), (35.0, -15.0)), np.ones(9)])])
+    far = np.array([[-1e15, 1e15, 0.0], [1e15, -1e15, 1.0], [1e15, 1e15, 2.0],
+                    [-1e15, -1e15, 3.0], [1e15, -1e15, 4.0], [3.0, -4.0, 5.0]])
+    return [("spread", spread[rng.permutation(3000)], 256),
+            ("spread_over_budget", spread, 17),
+            ("tied_over_budget", tied[rng.permutation(len(tied))], 6),
+            ("far_apart", far, 256),
+            ("far_apart_over_budget", far, 2),
+            ("one_cell", np.tile([[-0.5, -0.5, 1.0]], (4, 1)), 1)]
+
+
+@pytest.mark.parametrize("name,pts,max_tiles", _tile_cases(),
+                         ids=[c[0] for c in _tile_cases()])
+def test_tile_matches_unique_reference(name, pts, max_tiles):
+    got, got_idx = tile_ground(pts, 10.0, max_tiles, T=3)
+    want, want_idx = tile_reference(pts, 10.0, max_tiles, T=3)
+    np.testing.assert_array_equal(got_idx, want_idx)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.token_id, g.kind, g.source_id) == (w.token_id, w.kind, w.source_id)
+        np.testing.assert_array_equal(g.boxes, w.boxes)
+        np.testing.assert_array_equal(g.frame_valid, w.frame_valid)
+    if max_tiles < len(np.unique(tile_cells(pts[:, :2], 10.0), axis=0)):
+        assert (got_idx == -1).any()

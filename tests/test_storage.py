@@ -90,6 +90,35 @@ class TestBlobs:
             read_blob(path)
 
 
+class TestAtomicWrites:
+    """A write that fails halfway leaves the old file and no temp file."""
+
+    def test_failed_tensor_file_keeps_old_target(self, tmp_path):
+        path = tmp_path / "t.tokens"
+        write_tensor_file(path, {"a": np.arange(3)})
+        before = path.read_bytes()
+        # "a" is packed and written before "b" fails on its dtype.
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            write_tensor_file(path, {"a": np.arange(5),
+                                     "b": np.array([1j])})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.tokens"]
+
+    def test_failed_blob_keeps_old_target(self, tmp_path):
+        path = tmp_path / "a.bin"
+        write_blob(path, np.ones(4))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            write_blob(path, np.array(["text"]))  # fails after the header
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_blob(tmp_path / "new.bin", np.array([1j]))
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBundleIO:
     def test_round_trip_bit_exact(self, tmp_path, small_scene):
         d1 = tmp_path / "one"

@@ -18,7 +18,6 @@ class BenchRow:
     repetitions: int
     p50_ms: float
     p95_ms: float
-    samples_ms: list[float]
 
 
 @dataclass
@@ -32,16 +31,9 @@ class BenchReport:
                          f"{row.p50_ms:.3f}\t{row.p95_ms:.3f}")
         return "\n".join(lines)
 
-    def to_rows(self) -> list[dict]:
-        return [{"stage": r.stage, "repetitions": r.repetitions,
-                 "p50_ms": r.p50_ms, "p95_ms": r.p95_ms} for r in self.rows]
-
     def total_p50_ms(self, include_fuse: bool = True) -> float:
         return sum(r.p50_ms for r in self.rows
                    if include_fuse or r.stage != "fuse")
-
-    def __str__(self) -> str:
-        return self.text()
 
 
 def bench_tokenize(bundle: SceneBundle, config: PipelineConfig,
@@ -66,6 +58,5 @@ def bench_tokenize(bundle: SceneBundle, config: PipelineConfig,
         s = samples[stage]
         rows.append(BenchRow(stage=stage, repetitions=repetitions,
                              p50_ms=float(np.percentile(s, 50)),
-                             p95_ms=float(np.percentile(s, 95)),
-                             samples_ms=s))
+                             p95_ms=float(np.percentile(s, 95))))
     return BenchReport(rows=rows)

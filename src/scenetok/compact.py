@@ -1,15 +1,13 @@
 """Budgeted multi-frame compaction.
 
-Class pools (ground merged across frames, agent, open-set) are uniformly
-subsampled to their point budgets, concatenated into one cloud with a
-(frame id, token id) index per point, and per-element image features are
+Each kind's points (agent, open-set, ground merged across frames) are
+uniformly subsampled to their point budget and gathered into one cloud with
+a (frame id, token id) index per point; per-element image features are
 pooled per frame.  The number of points per frame is variable; only the
 per-kind totals are fixed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,23 +15,6 @@ from .bundle import KIND_CODES, KIND_OPENSET, SceneElement, TokenizedScene
 from .config import PipelineConfig
 from .errors import BudgetMismatch
 from .pooling import cell_index, segment_sum
-
-
-@dataclass
-class PointPool:
-    """All surviving points of one element kind, before downsampling."""
-
-    xyz: np.ndarray        # (M, 3)
-    frame_ids: np.ndarray  # (M,)
-    token_ids: np.ndarray  # (M,)
-
-    def __len__(self) -> int:
-        return self.xyz.shape[0]
-
-    @staticmethod
-    def empty() -> "PointPool":
-        return PointPool(np.empty((0, 3)), np.empty(0, dtype=np.int64),
-                         np.empty(0, dtype=np.int64))
 
 
 def downsample(pool_size: int, budget: int, seed: int) -> np.ndarray:
@@ -50,31 +31,24 @@ def downsample(pool_size: int, budget: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(pool_size, size=budget, replace=False))
 
 
-def build_tokenized_scene(pools: dict[str, PointPool], F_pts: np.ndarray,
-                          F_pts_valid: np.ndarray,
+def build_tokenized_scene(P_xyz: np.ndarray, P_ind: np.ndarray,
+                          F_pts: np.ndarray, F_pts_valid: np.ndarray,
                           elements: list[SceneElement],
                           config: PipelineConfig) -> TokenizedScene:
-    """Assemble the compacted tensors from downsampled class pools.
+    """Assemble the compacted tensors from the downsampled points.
 
-    ``pools`` maps kind -> already-downsampled PointPool; ``F_pts`` rows are
-    aligned with the pools concatenated in (agent, open-set, ground) order.
-    Raises BudgetMismatch if any pool exceeds its budget (totals only reach
-    the configured N_pts when every pool saturates its budget).
+    ``P_ind`` rows are (frame id, token id) and ``F_pts`` rows are aligned
+    with ``P_xyz``.  Raises BudgetMismatch if any kind's points exceed its
+    budget (totals only reach the configured N_pts when every kind
+    saturates its budget) or if ``F_pts`` is not row-aligned.
     """
-    budgets = {"agent": config.n_pts_agent, "open-set": config.n_pts_openset,
-               "ground": config.n_pts_ground}
-    order = ("agent", "open-set", "ground")
-    for kind in order:
-        got = len(pools.get(kind, PointPool.empty()))
-        if got > budgets[kind]:
-            raise BudgetMismatch(
-                f"{kind} pool has {got} points, budget is {budgets[kind]}")
-
-    parts = [pools.get(kind, PointPool.empty()) for kind in order]
-    P_xyz = np.concatenate([p.xyz for p in parts], axis=0)
-    P_ind = np.stack([np.concatenate([p.frame_ids for p in parts]),
-                      np.concatenate([p.token_ids for p in parts])], axis=1)
-
+    codes = np.array([KIND_CODES[el.kind] for el in elements], dtype=np.int64)
+    counts = np.bincount(codes[P_ind[:, 1]], minlength=len(KIND_CODES))
+    budgets = (config.n_pts_agent, config.n_pts_openset, config.n_pts_ground)
+    for kind, code in KIND_CODES.items():  # codes 0, 1, 2 index budgets
+        if counts[code] > budgets[code]:
+            raise BudgetMismatch(f"{kind} pool has {counts[code]} points, "
+                                 f"budget is {budgets[code]}")
     if F_pts.shape[0] != P_xyz.shape[0]:
         raise BudgetMismatch(
             f"F_pts has {F_pts.shape[0]} rows for {P_xyz.shape[0]} points")
@@ -86,7 +60,7 @@ def build_tokenized_scene(pools: dict[str, PointPool], F_pts: np.ndarray,
         B[el.token_id] = el.boxes
         elem_valid[el.token_id] = el.frame_valid
 
-    return TokenizedScene(P_xyz=P_xyz, P_ind=P_ind.astype(np.int64),
+    return TokenizedScene(P_xyz=P_xyz, P_ind=np.asarray(P_ind, dtype=np.int64),
                           F_pts=F_pts, F_pts_valid=F_pts_valid,
                           B=B, elem_valid=elem_valid, elements=elements)
 
@@ -124,5 +98,4 @@ def pool_image_features(F_pts: np.ndarray, F_pts_valid: np.ndarray,
     return F_img, F_img_valid
 
 
-__all__ = ["PointPool", "downsample", "build_tokenized_scene",
-           "pool_image_features"]
+__all__ = ["downsample", "build_tokenized_scene", "pool_image_features"]

@@ -71,6 +71,10 @@ class ManifestMissingEntry(StorageError):
     pass
 
 
+class BadJson(StorageError):
+    """A manifest or config file is not valid JSON."""
+
+
 class IoFailure(StorageError):
     pass
 

@@ -17,7 +17,6 @@ from . import compact, decompose, ground, projection, tracking
 from .bundle import (
     KIND_AGENT,
     KIND_CODES,
-    KIND_GROUND,
     KIND_OPENSET,
     SceneBundle,
     SceneElement,
@@ -171,18 +170,23 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     timings["track"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ground_pts = [frame.points[labels[f] == decompose.LABEL_GROUND]
-                  for f, frame in enumerate(bundle.frames)]
-    merged_ground = (np.concatenate(ground_pts, axis=0) if ground_pts
-                     else np.empty((0, 3)))
+    # Every point attribute as one flat array, in frame order.
+    n_points = [frame.points.shape[0] for frame in bundle.frames]
+    xyz = np.concatenate([np.empty((0, 3))]
+                         + [frame.points for frame in bundle.frames])
+    point_frame = np.repeat(np.arange(len(n_points)), n_points)
+    lab, point_track, point_cluster = (
+        np.concatenate([np.empty(0, dtype=np.int64), *per_frame])
+        for per_frame in (labels, agent_track, cluster_id))
+
+    is_ground = lab == decompose.LABEL_GROUND
     ground_elements, tile_of_point = ground.tile_ground(
-        merged_ground, config.tile_size_m, config.n_elem_ground, T)
+        xyz[is_ground], config.tile_size_m, config.n_elem_ground, T)
 
     agent_tracks = _group_agent_tracks(bundle.agents, T)
     elements, agent_token, openset_token = assign_token_ids(
         agent_tracks, openset_tracks, ground_elements, config)
-    n_ground_kept = len(ground_elements)
-    ground_token_base = len(elements) - n_ground_kept
+    ground_token_base = len(elements) - len(ground_elements)
 
     # Every agent point's track id is one of the bundle's, so its rank among
     # them indexes a dense int64 table (-1 = dropped by the budget).
@@ -191,75 +195,46 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     agent_lookup[np.searchsorted(track_ids, list(agent_token))] = \
         list(agent_token.values())
 
-    cluster_token = [np.full(len(dets), -1, dtype=np.int64)
-                     for dets in frame_detections]
+    # Frame f's cluster c is row cluster_base[f] + c of one token table.
+    cluster_base = np.cumsum([0] + [len(dets) for dets in frame_detections])
+    cluster_token = np.full(cluster_base[-1], -1, dtype=np.int64)
     for i, token in openset_token.items():
         for f, c in openset_tracks[i].members:
-            cluster_token[f][c] = token
+            cluster_token[cluster_base[f] + c] = token
 
-    pools: dict[str, compact.PointPool] = {}
-    pool_parts = {KIND_AGENT: ([], [], []), KIND_OPENSET: ([], [], []),
-                  KIND_GROUND: ([], [], [])}
-    ground_offset = 0
-    for f, frame in enumerate(bundle.frames):
-        lab = labels[f]
-        n = lab.shape[0]
-        token = np.full(n, -1, dtype=np.int64)
+    token = np.full(lab.size, -1, dtype=np.int64)
+    token[is_ground] = np.where(tile_of_point >= 0,
+                                ground_token_base + tile_of_point, -1)
+    is_agent = lab == decompose.LABEL_AGENT
+    token[is_agent] = agent_lookup[np.searchsorted(track_ids,
+                                                   point_track[is_agent])]
+    is_open = lab == decompose.LABEL_OPENSET
+    token[is_open] = cluster_token[cluster_base[point_frame[is_open]]
+                                   + point_cluster[is_open]]
+    lab[token < 0] = decompose.LABEL_DISCARDED
+    partition.labels = np.split(lab, np.cumsum(n_points))[:-1]
 
-        g_sel = lab == decompose.LABEL_GROUND
-        n_g = int(g_sel.sum())
-        tiles = tile_of_point[ground_offset:ground_offset + n_g]
-        ground_offset += n_g
-        g_tok = np.where(tiles >= 0, ground_token_base + tiles, -1)
-        token[g_sel] = g_tok
-
-        a_sel = lab == decompose.LABEL_AGENT
-        token[a_sel] = agent_lookup[np.searchsorted(track_ids,
-                                                    agent_track[f][a_sel])]
-
-        o_sel = lab == decompose.LABEL_OPENSET
-        token[o_sel] = cluster_token[f][cluster_id[f][o_sel]]
-
-        lab[(token < 0) & (lab != decompose.LABEL_DISCARDED)] = decompose.LABEL_DISCARDED
-
-        for kind, code in ((KIND_GROUND, decompose.LABEL_GROUND),
-                           (KIND_AGENT, decompose.LABEL_AGENT),
-                           (KIND_OPENSET, decompose.LABEL_OPENSET)):
-            sel = (lab == code) & (token >= 0)
-            if sel.any():
-                xs, fs, ts = pool_parts[kind]
-                xs.append(frame.points[sel])
-                fs.append(np.full(int(sel.sum()), f, dtype=np.int64))
-                ts.append(token[sel])
-
-    budgets = {KIND_AGENT: config.n_pts_agent,
-               KIND_OPENSET: config.n_pts_openset,
-               KIND_GROUND: config.n_pts_ground}
-    for offset, kind in enumerate((KIND_AGENT, KIND_OPENSET, KIND_GROUND)):
-        xs, fs, ts = pool_parts[kind]
-        if xs:
-            pool = compact.PointPool(np.concatenate(xs),
-                                     np.concatenate(fs), np.concatenate(ts))
-        else:
-            pool = compact.PointPool.empty()
-        sel = compact.downsample(len(pool), budgets[kind],
-                                 seed=config.seed + offset + 1)
-        pools[kind] = compact.PointPool(pool.xyz[sel], pool.frame_ids[sel],
-                                        pool.token_ids[sel])
+    keep = []
+    for offset, (code, budget) in enumerate(
+            ((decompose.LABEL_AGENT, config.n_pts_agent),
+             (decompose.LABEL_OPENSET, config.n_pts_openset),
+             (decompose.LABEL_GROUND, config.n_pts_ground)), start=1):
+        pool = np.flatnonzero(lab == code)
+        keep.append(pool[compact.downsample(pool.size, budget,
+                                            seed=config.seed + offset)])
+    keep = np.concatenate(keep)
+    P_xyz = xyz[keep]
+    P_ind = np.stack([point_frame[keep], token[keep]], axis=1)
     timings["compact"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    all_xyz = np.concatenate([pools[k].xyz for k in
-                              (KIND_AGENT, KIND_OPENSET, KIND_GROUND)], axis=0)
-    all_frames = np.concatenate([pools[k].frame_ids for k in
-                                 (KIND_AGENT, KIND_OPENSET, KIND_GROUND)])
     F_pts, F_pts_valid = projection.build_point_features(
-        all_xyz, all_frames, bundle.cameras, config.D,
+        P_xyz, P_ind[:, 0], bundle.cameras, config.D,
         interp=config.feature_interp, overlap=config.camera_overlap)
     timings["project"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scene = compact.build_tokenized_scene(pools, F_pts, F_pts_valid,
+    scene = compact.build_tokenized_scene(P_xyz, P_ind, F_pts, F_pts_valid,
                                           elements, config)
     kinds = np.array([KIND_CODES[el.kind] for el in elements], dtype=np.int64)
     F_img, F_img_valid = compact.pool_image_features(

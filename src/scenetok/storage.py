@@ -25,9 +25,10 @@ from .bundle import (
     validate_bundle,
 )
 from .config import ClusterConfig, PipelineConfig, RansacConfig, TrackConfig
-from .errors import IoFailure, ManifestMissingEntry, StorageError
+from .errors import BadJson, IoFailure, ManifestMissingEntry, StorageError
 from .formats import (
     KIND_PARAMS,
+    _replace_on_success,
     read_blob,
     read_tensor_file,
     write_blob,
@@ -84,11 +85,19 @@ def write_scene_bundle(path, bundle: SceneBundle) -> None:
                 "heading": box.heading,
                 "label": box.label,
             })
-        with open(root / MANIFEST_NAME, "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        with _replace_on_success(root / MANIFEST_NAME) as fh:
+            fh.write((json.dumps(manifest, indent=2) + "\n").encode())
     except OSError as exc:
         raise IoFailure(f"failed to write bundle at {path}: {exc}") from exc
+
+
+def _load_json(path):
+    """Parse a JSON file; a syntax or encoding error is a format error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise BadJson(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _manifest_get(entry: dict, key: str, context: str):
@@ -103,8 +112,7 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         raise ManifestMissingEntry(f"no {MANIFEST_NAME} in {root}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _load_json(manifest_path)
 
     def blob(name: str) -> np.ndarray:
         blob_path = root / name
@@ -213,14 +221,10 @@ def read_fusion_params(path) -> FusionParams:
     return params
 
 
-def _config_to_dict(config: PipelineConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def save_pipeline_config(path, config: PipelineConfig) -> None:
-    with open(path, "w") as fh:
-        json.dump(_config_to_dict(config), fh, indent=2)
-        fh.write("\n")
+    with _replace_on_success(path) as fh:
+        fh.write((json.dumps(dataclasses.asdict(config), indent=2)
+                  + "\n").encode())
 
 
 _SECTIONS = {"ransac": RansacConfig, "cluster": ClusterConfig,
@@ -252,6 +256,5 @@ def _config_kwargs(raw, cls, path, section: str = "") -> dict:
 
 def load_pipeline_config(path) -> PipelineConfig:
     """Load a config file; fields not present keep their defaults."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
     return PipelineConfig(**_config_kwargs(raw, PipelineConfig, path))

@@ -369,18 +369,20 @@ def test_criterion_11_performance_budget(full_size_scene, request):
         fusion_ms.append((time.perf_counter() - t0) * 1e3)
     fusion_p50 = float(np.median(fusion_ms))
 
-    # regression tracking against the last recorded run on this machine
-    cache = request.config.cache
-    baseline = cache.get("scenetok/perf_baseline", None)
-    if baseline is not None:
-        for name, value in (("tokenize_ms", tokenize_ms),
-                            ("fusion_ms", fusion_p50)):
-            ref = baseline[name]
-            if not (0.75 * ref <= value <= 1.25 * ref):
-                warnings.warn(f"{name} drifted beyond 25%: {ref:.0f} -> "
-                              f"{value:.0f} ms")
-    cache.set("scenetok/perf_baseline",
-              {"tokenize_ms": tokenize_ms, "fusion_ms": fusion_p50})
+    # regression tracking against the last recorded run on this machine,
+    # skipped when pytest runs without its cache (-p no:cacheprovider)
+    cache = getattr(request.config, "cache", None)
+    if cache is not None:
+        baseline = cache.get("scenetok/perf_baseline", None)
+        if baseline is not None:
+            for name, value in (("tokenize_ms", tokenize_ms),
+                                ("fusion_ms", fusion_p50)):
+                ref = baseline[name]
+                if not (0.75 * ref <= value <= 1.25 * ref):
+                    warnings.warn(f"{name} drifted beyond 25%: {ref:.0f} -> "
+                                  f"{value:.0f} ms")
+        cache.set("scenetok/perf_baseline",
+                  {"tokenize_ms": tokenize_ms, "fusion_ms": fusion_p50})
 
     report(11, f"tokenize p50 {tokenize_ms:.0f} ms (< 2000), fusion forward "
                f"p50 {fusion_p50:.0f} ms (< 5000), N_pts={result.scene.n_pts}",

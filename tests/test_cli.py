@@ -123,6 +123,29 @@ def test_wrong_typed_config_exits_1(workdir, capsys, config, message):
     assert message in err and "Traceback" not in err
 
 
+def test_truncated_manifest_exits_2(workdir, capsys):
+    scene_dir = workdir / "scene"
+    cli_main(["synth", "--seed", "4", "--spec", str(workdir / "spec.json"),
+              "--out", str(scene_dir)])
+    manifest = scene_dir / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes()[:100])
+    code = cli_main(["tokenize", "--scene", str(scene_dir),
+                     "--out", str(workdir / "x.tokens")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{manifest}: not valid JSON" in err and "Traceback" not in err
+
+
+def test_truncated_config_exits_2(workdir, capsys):
+    path = workdir / "config.json"
+    path.write_bytes(path.read_bytes()[:-5])
+    code = cli_main(["tokenize", "--scene", str(workdir / "nope"), "--config",
+                     str(path), "--out", str(workdir / "x.tokens")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not valid JSON" in err and "Traceback" not in err
+
+
 def test_usage_error_exits_2(capsys):
     assert cli_main(["frobnicate"]) == 2
     assert cli_main([]) == 2

@@ -4,7 +4,7 @@ from scipy.stats import hypergeom
 
 from scenetok import PipelineConfig, build_tokenized_scene, downsample
 from scenetok.bundle import KIND_AGENT, KIND_CODES, KIND_GROUND, KIND_OPENSET, SceneElement
-from scenetok.compact import PointPool, pool_image_features
+from scenetok.compact import pool_image_features
 from scenetok.errors import BudgetMismatch
 
 
@@ -49,53 +49,72 @@ class TestBuildTokenizedScene:
 
     def test_single_element_three_points(self):
         config = self.make_config()
-        pool = PointPool(xyz=np.zeros((3, 3)),
-                         frame_ids=np.zeros(3, dtype=np.int64),
-                         token_ids=np.zeros(3, dtype=np.int64))
         elements = [_element(0, KIND_AGENT, 3, row=[1, 2, 3, 1, 1, 1, 0])]
-        scene = build_tokenized_scene({KIND_AGENT: pool}, np.zeros((3, 2)),
-                                      np.ones(3, dtype=bool), elements, config)
+        scene = build_tokenized_scene(np.zeros((3, 3)),
+                                      np.zeros((3, 2), dtype=np.int64),
+                                      np.zeros((3, 2)), np.ones(3, dtype=bool),
+                                      elements, config)
         assert scene.P_ind.tolist() == [[0, 0], [0, 0], [0, 0]]
         assert scene.n_elem == 1 and scene.n_pts == 3
 
     def test_element_without_points_still_has_boxes(self):
         config = self.make_config()
         elements = [_element(0, KIND_OPENSET, 3, row=[5, 5, 1, 1, 1, 1, 0])]
-        scene = build_tokenized_scene({}, np.zeros((0, 2)),
-                                      np.zeros(0, dtype=bool), elements, config)
+        scene = build_tokenized_scene(np.zeros((0, 3)),
+                                      np.zeros((0, 2), dtype=np.int64),
+                                      np.zeros((0, 2)), np.zeros(0, dtype=bool),
+                                      elements, config)
         assert scene.n_pts == 0
         assert scene.elem_valid[0].all()
         np.testing.assert_allclose(scene.B[0, 0], [5, 5, 1, 1, 1, 1, 0])
 
     def test_over_budget_pool_rejected(self):
-        config = self.make_config(n_pts_agent=2)
-        pool = PointPool(xyz=np.zeros((3, 3)),
-                         frame_ids=np.zeros(3, dtype=np.int64),
-                         token_ids=np.zeros(3, dtype=np.int64))
-        with pytest.raises(BudgetMismatch):
-            build_tokenized_scene({KIND_AGENT: pool}, np.zeros((3, 2)),
-                                  np.ones(3, dtype=bool), [], config)
+        # each kind in turn: two elements of the kind share three points
+        P_ind = np.array([[0, 1], [1, 2], [2, 1]])
+        for kind, budget in ((KIND_AGENT, "n_pts_agent"),
+                             (KIND_OPENSET, "n_pts_openset"),
+                             (KIND_GROUND, "n_pts_ground")):
+            config = self.make_config(**{budget: 2})
+            elements = [_element(0, KIND_AGENT, 3), _element(1, kind, 3),
+                        _element(2, kind, 3)]
+            with pytest.raises(BudgetMismatch,
+                               match=f"{kind} pool has 3 points"):
+                build_tokenized_scene(np.zeros((3, 3)), P_ind,
+                                      np.zeros((3, 2)), np.ones(3, dtype=bool),
+                                      elements, config)
+            build_tokenized_scene(np.zeros((2, 3)), P_ind[:2],
+                                  np.zeros((2, 2)), np.ones(2, dtype=bool),
+                                  elements, config)
+
+    def test_misaligned_feature_rows_rejected(self):
+        config = self.make_config()
+        elements = [_element(0, KIND_AGENT, 3)]
+        with pytest.raises(BudgetMismatch, match="F_pts has 2 rows for 3"):
+            build_tokenized_scene(np.zeros((3, 3)),
+                                  np.zeros((3, 2), dtype=np.int64),
+                                  np.zeros((2, 2)), np.ones(2, dtype=bool),
+                                  elements, config)
 
     def test_gather_reconstitutes_per_element_sets(self):
         rng = np.random.default_rng(0)
         config = self.make_config(n_pts_agent=64, n_pts_openset=64,
                                   n_pts_ground=64)
         T = config.T
-        pools, expected = {}, {}
-        for kind, tokens in ((KIND_AGENT, [0, 1]), (KIND_OPENSET, [2]),
-                             (KIND_GROUND, [3, 4])):
+        parts, expected = [], {}
+        for tokens in ([0, 1], [2], [3, 4]):
             n = rng.integers(5, 20)
             xyz = rng.normal(size=(n, 3))
-            fr = rng.integers(0, T, n)
             tk = rng.choice(tokens, n)
-            pools[kind] = PointPool(xyz=xyz, frame_ids=fr, token_ids=tk)
+            parts.append((xyz, np.stack([rng.integers(0, T, n), tk], axis=1)))
             for i in range(n):
                 expected.setdefault(int(tk[i]), []).append(tuple(xyz[i]))
-        total = sum(len(p) for p in pools.values())
+        P_xyz = np.concatenate([xyz for xyz, _ in parts])
+        P_ind = np.concatenate([ind for _, ind in parts])
+        total = P_xyz.shape[0]
         elements = [_element(t, k, T) for t, k in
                     zip(range(5), [KIND_AGENT, KIND_AGENT, KIND_OPENSET,
                                    KIND_GROUND, KIND_GROUND])]
-        scene = build_tokenized_scene(pools, np.zeros((total, 2)),
+        scene = build_tokenized_scene(P_xyz, P_ind, np.zeros((total, 2)),
                                       np.ones(total, dtype=bool), elements,
                                       config)
         for token, pts in expected.items():

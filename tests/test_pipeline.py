@@ -199,3 +199,143 @@ def test_float32_params_write_float32_tokens(small_scene, small_config,
     path = tmp_path / "tokens.most"
     write_tokens(path, result.tokens)
     assert read_tokens(path).F_elem.dtype == np.float32
+
+
+def compact_reference(bundle, config):
+    """The per-frame, per-kind pool assembly that the flat pass replaced.
+
+    Re-runs every stage up to projection and returns (P_xyz, P_ind, F_pts,
+    labels) with the labels of dropped points set to LABEL_DISCARDED.
+    """
+    from scenetok import decompose, ground, projection, tracking
+    from scenetok.compact import downsample
+    from scenetok.pipeline import _group_agent_tracks, assign_token_ids
+
+    T = config.T
+    if sum(f.points.shape[0] for f in bundle.frames) >= 3:
+        _, ground_masks = ground.fit_and_segment(bundle.frames, config)
+    else:
+        ground_masks = [np.zeros(f.points.shape[0], dtype=bool)
+                        for f in bundle.frames]
+    labels, agent_track, cluster_id, frame_detections = [], [], [], []
+    for f, frame in enumerate(bundle.frames):
+        lab, atr, cid = decompose.decompose_frame(
+            frame.points, ground_masks[f],
+            [b for b in bundle.agents if b.frame_index == f],
+            config.cluster.radius_m, config.cluster.min_points)
+        labels.append(lab)
+        agent_track.append(atr)
+        cluster_id.append(cid)
+        frame_detections.append(
+            [(decompose.fit_tight_box(frame.points[cid == c]),
+              int((cid == c).sum())) for c in range(cid.max(initial=-1) + 1)])
+    openset_tracks = tracking.track_open_set(frame_detections, T, config.track)
+
+    ground_pts = [frame.points[labels[f] == LABEL_GROUND]
+                  for f, frame in enumerate(bundle.frames)]
+    ground_elements, tile_of_point = ground.tile_ground(
+        np.concatenate(ground_pts, axis=0), config.tile_size_m,
+        config.n_elem_ground, T)
+    elements, agent_token, openset_token = assign_token_ids(
+        _group_agent_tracks(bundle.agents, T), openset_tracks,
+        ground_elements, config)
+    ground_token_base = len(elements) - len(ground_elements)
+    cluster_token = [np.full(len(dets), -1, dtype=np.int64)
+                     for dets in frame_detections]
+    for i, token in openset_token.items():
+        for f, c in openset_tracks[i].members:
+            cluster_token[f][c] = token
+
+    pool_parts = {kind: ([], [], []) for kind in ("agent", "open-set",
+                                                  "ground")}
+    ground_offset = 0
+    for f, frame in enumerate(bundle.frames):
+        lab = labels[f]
+        token = np.full(lab.shape[0], -1, dtype=np.int64)
+        g_sel = lab == LABEL_GROUND
+        n_g = int(g_sel.sum())
+        tiles = tile_of_point[ground_offset:ground_offset + n_g]
+        ground_offset += n_g
+        token[g_sel] = np.where(tiles >= 0, ground_token_base + tiles, -1)
+        for i in np.flatnonzero(lab == LABEL_AGENT):
+            token[i] = agent_token.get(int(agent_track[f][i]), -1)
+        o_sel = lab == LABEL_OPENSET
+        token[o_sel] = cluster_token[f][cluster_id[f][o_sel]]
+        lab[(token < 0) & (lab != LABEL_DISCARDED)] = LABEL_DISCARDED
+        for kind, code in (("ground", LABEL_GROUND), ("agent", LABEL_AGENT),
+                           ("open-set", LABEL_OPENSET)):
+            sel = (lab == code) & (token >= 0)
+            if sel.any():
+                xs, fs, ts = pool_parts[kind]
+                xs.append(frame.points[sel])
+                fs.append(np.full(int(sel.sum()), f, dtype=np.int64))
+                ts.append(token[sel])
+
+    budgets = {"agent": config.n_pts_agent, "open-set": config.n_pts_openset,
+               "ground": config.n_pts_ground}
+    parts = []
+    for offset, kind in enumerate(("agent", "open-set", "ground")):
+        xs, fs, ts = pool_parts[kind]
+        if xs:
+            xyz, fr, tk = (np.concatenate(xs), np.concatenate(fs),
+                           np.concatenate(ts))
+        else:
+            xyz, fr, tk = (np.empty((0, 3)), np.empty(0, dtype=np.int64),
+                           np.empty(0, dtype=np.int64))
+        sel = downsample(len(xyz), budgets[kind], seed=config.seed + offset + 1)
+        parts.append((xyz[sel], fr[sel], tk[sel]))
+    P_xyz = np.concatenate([p[0] for p in parts], axis=0)
+    P_ind = np.stack([np.concatenate([p[1] for p in parts]),
+                      np.concatenate([p[2] for p in parts])], axis=1)
+    F_pts, _ = projection.build_point_features(
+        P_xyz, P_ind[:, 0], bundle.cameras, config.D,
+        interp=config.feature_interp, overlap=config.camera_overlap)
+    return P_xyz, P_ind, F_pts, labels
+
+
+def _compaction_case(name, small_scene, small_config):
+    import dataclasses
+
+    if name == "small_scene":
+        return small_scene.bundle, small_config
+    if name == "agent_overflow":
+        scene = generate_scene(1, SceneSpec(n_agents=6, n_clutter=0, T=3,
+                                            area_m=110.0, D=8))
+        return scene.bundle, PipelineConfig(
+            T=3, D=8, n_elem_agent=3, n_elem_openset=8, n_elem_ground=64,
+            n_pts_ground=2000, n_pts_agent=1500, n_pts_openset=500)
+    if name == "openset_overflow":
+        scene = generate_scene(6, SceneSpec(n_agents=0, n_clutter=5, T=3,
+                                            area_m=80.0, D=8,
+                                            clutter_points=40))
+        return scene.bundle, PipelineConfig(
+            T=3, D=8, n_elem_agent=4, n_elem_openset=2, n_elem_ground=64,
+            n_pts_ground=2000, n_pts_agent=500, n_pts_openset=500)
+    if name == "pools_over_budget":
+        return small_scene.bundle, dataclasses.replace(
+            small_config, n_pts_agent=90, n_pts_openset=70, n_pts_ground=300)
+    assert name == "pointless_frame"
+    frames = list(small_scene.bundle.frames)
+    frames[2] = PointCloudFrame(frame_index=2, points=np.empty((0, 3)))
+    return (dataclasses.replace(small_scene.bundle, frames=frames),
+            dataclasses.replace(small_config, n_pts_ground=500))
+
+
+@pytest.mark.filterwarnings("ignore::scenetok.errors.BudgetOverflowWarning")
+@pytest.mark.parametrize("case", ["small_scene", "agent_overflow",
+                                  "openset_overflow", "pools_over_budget",
+                                  "pointless_frame"])
+def test_compaction_matches_per_frame_reference(case, small_scene,
+                                                small_config):
+    bundle, config = _compaction_case(case, small_scene, small_config)
+    P_xyz, P_ind, F_pts, labels = compact_reference(bundle, config)
+    result = tokenize_bundle(bundle, config)
+    scene = result.scene
+    for got, want in ((scene.P_xyz, P_xyz), (scene.P_ind, P_ind),
+                      (scene.F_pts, F_pts)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert len(result.partition.labels) == len(labels)
+    for got, want in zip(result.partition.labels, labels):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -117,6 +118,30 @@ class TestAtomicWrites:
         with pytest.raises(ValueError):
             write_blob(tmp_path / "new.bin", np.array([1j]))
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_manifest_keeps_old_manifest(self, tmp_path, small_scene):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        before = dir_bytes(d)
+        # The blobs are rewritten (same bytes) before the manifest fails.
+        agents = list(small_scene.bundle.agents)
+        agents[-1] = dataclasses.replace(agents[-1], label=object())
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_scene_bundle(d, dataclasses.replace(small_scene.bundle,
+                                                      agents=agents))
+        assert dir_bytes(d) == before
+
+    def test_failed_config_keeps_old_file(self, tmp_path, small_config):
+        path = tmp_path / "cfg.json"
+        save_pipeline_config(path, small_config)
+        before = path.read_bytes()
+        bad = dataclasses.replace(small_config)
+        # set past the frozen dataclass's checks
+        object.__setattr__(bad, "feature_interp", object())
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_pipeline_config(path, bad)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 class TestBundleIO:

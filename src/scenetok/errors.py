@@ -75,6 +75,10 @@ class BadJson(StorageError):
     """A manifest or config file is not valid JSON."""
 
 
+class BadManifestField(StorageError):
+    """A manifest field has the wrong JSON type, or cannot be written as JSON."""
+
+
 class IoFailure(StorageError):
     pass
 

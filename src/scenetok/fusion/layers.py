@@ -104,4 +104,7 @@ def masked_softmax(logits, key_valid):
 
 
 def softmax_backward(g, w):
-    return w * (g - (g * w).sum(axis=-1, keepdims=True))
+    """``w * (g - (g * w).sum(-1))``, written into ``g``, which is returned."""
+    g -= (g * w).sum(axis=-1, keepdims=True)
+    g *= w
+    return g

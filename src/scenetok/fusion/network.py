@@ -47,13 +47,19 @@ def _pooled_point_forward(P_xyz, P_ind, params, n_elem):
 
 
 def _pooled_point_backward(g, cache, params, n_elem):
-    """Adjoint of the mean pool: ``M.T @ (g / count)`` back to the points."""
+    """Adjoint of the mean pool: ``M.T @ (g / count)`` back to the points.
+
+    ``g / count`` is rounded to ``params.dtype`` before the product: each
+    point has exactly one nonzero in ``M``, so this is the same rounding as
+    after it, without a float64 (points x D) intermediate.
+    """
     mlp_cache, M, counts = cache
     scale = np.zeros(counts.shape[0])
     nz = counts > 0
     scale[nz] = 1.0 / counts[nz]
-    dphi = M.T @ (g.reshape(n_elem * params.T, params.D) * scale[:, None])
-    _, grads = mlp2_backward(dphi.astype(params.dtype), mlp_cache, params.mlp_f)
+    g_cell = g.reshape(n_elem * params.T, params.D) * scale[:, None]
+    _, grads = mlp2_backward(M.T @ g_cell.astype(params.dtype), mlp_cache,
+                             params.mlp_f)
     return grads
 
 

@@ -9,6 +9,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+# Float64 values per pooling chunk (4 MB): whole cells are gathered and
+# widened to float64 until a chunk holds about this many values, so no
+# float64 copy of the full input is made.  At D=256 a chunk is ~2048 points.
+_POOL_BUFFER = 1 << 19
+
 
 def cell_index(P_ind: np.ndarray, T: int) -> np.ndarray:
     """Flat cell id ``token_id * T + frame_id`` for each point."""
@@ -21,21 +26,40 @@ def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
     """Sum rows of ``values`` (N, D) into ``n_cells`` buckets.
 
     ``cell`` (N,) gives each row's bucket.  ``rows``, if given, lists the
-    rows that take part; the others are skipped by the product, so a subset
-    of ``values`` is pooled without being copied out.
+    rows that take part; only those rows are read.
 
     Returns (sums (n_cells, D) float64, counts (n_cells,), M), where ``M`` is
     the one-hot (n_cells, N) CSR matrix with ``sums = M @ values``.  ``M``
     holds int8 ones and int32 indices, so the fusion cache that keeps it for
-    the backward pass stays small.  ``values`` is cast to float64 first, so
-    sums accumulate in float64 whatever the input dtype.  Each CSR row adds
-    its points one at a time in ascending row order: a sum equals a
-    sequential float64 scatter-add in index order.
+    the backward pass stays small.
+
+    Sums accumulate in float64 whatever the input dtype.  ``M``'s rows are
+    walked in chunks of whole cells of about ``_POOL_BUFFER`` values: each
+    chunk's points are gathered, widened to float64 and reduced by the
+    chunk's slice of ``M``.  Each sum adds its points one at a time in
+    ascending row order, starting from 0.0: a sum equals a sequential
+    float64 scatter-add in index order.
     """
     cell = np.asarray(cell, dtype=np.int32)
     rows = (np.arange(cell.shape[0], dtype=np.int32) if rows is None
             else np.asarray(rows, dtype=np.int32))
     M = sparse.csr_array((np.ones(rows.shape[0], dtype=np.int8), (cell[rows], rows)),
                          shape=(n_cells, values.shape[0]))
-    return (M @ values.astype(np.float64, copy=False),
-            np.diff(M.indptr).astype(np.int64), M)
+    D = values.shape[1]
+    sums = np.zeros((n_cells, D), dtype=np.float64)
+    indptr = M.indptr
+    step = max(1, _POOL_BUFFER // max(D, 1))
+    c0 = 0
+    while c0 < n_cells:
+        a = int(indptr[c0])
+        # the most cells whose points fit in a chunk, and at least one
+        c1 = max(c0 + 1, int(np.searchsorted(indptr, a + step, side="right")) - 1)
+        b = indptr[c1]
+        if b > a:
+            local = sparse.csr_array(
+                (M.data[a:b], np.arange(b - a, dtype=np.int32), indptr[c0:c1 + 1] - a),
+                shape=(c1 - c0, b - a))
+            chunk = np.take(values, M.indices[a:b], axis=0)
+            sums[c0:c1] = local @ chunk.astype(np.float64, copy=False)
+        c0 = c1
+    return sums, np.diff(indptr).astype(np.int64), M

@@ -81,15 +81,17 @@ def build_point_features(points: np.ndarray, frame_ids: np.ndarray,
     averages all in-view cameras.  Points seen by no camera get a zero row
     and valid=False.
 
+    Features keep the valid cameras' feature-map dtype, promoted to at least
+    float32 (float64 when no camera is valid), so "nearest" / "first" copies
+    map values exactly.  Bilinear blends and "mean" averages are computed in
+    float64 and rounded once to that dtype.
+
     Raises DimensionMismatch if any feature map's channel count differs
     from ``D``.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     frame_ids = np.asarray(frame_ids, dtype=np.int64).reshape(-1)
     n = points.shape[0]
-    feats = np.zeros((n, D), dtype=np.float64)
-    valid = np.zeros(n, dtype=bool)
-    hits = np.zeros(n, dtype=np.int64)
 
     by_frame: dict[int, list[CameraFrame]] = {}
     for cam in cameras:
@@ -102,6 +104,12 @@ def build_point_features(points: np.ndarray, frame_ids: np.ndarray,
         by_frame.setdefault(cam.frame_index, []).append(cam)
     for cams in by_frame.values():
         cams.sort(key=lambda c: c.camera_id)
+
+    map_dtypes = {c.feature_map.dtype for cams in by_frame.values() for c in cams}
+    dtype = np.result_type(np.float32, *map_dtypes) if map_dtypes else np.float64
+    feats = np.zeros((n, D), dtype=np.float64 if overlap == "mean" else dtype)
+    valid = np.zeros(n, dtype=bool)
+    hits = np.zeros(n, dtype=np.int64)
 
     for f, cams in by_frame.items():
         sel = np.flatnonzero(frame_ids == f)
@@ -132,4 +140,4 @@ def build_point_features(points: np.ndarray, frame_ids: np.ndarray,
         feats[seen] /= hits[seen, None]
 
     feats[~valid] = 0.0
-    return feats, valid
+    return feats.astype(dtype, copy=False), valid

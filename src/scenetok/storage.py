@@ -25,7 +25,13 @@ from .bundle import (
     validate_bundle,
 )
 from .config import ClusterConfig, PipelineConfig, RansacConfig, TrackConfig
-from .errors import BadJson, IoFailure, ManifestMissingEntry, StorageError
+from .errors import (
+    BadJson,
+    BadManifestField,
+    IoFailure,
+    ManifestMissingEntry,
+    StorageError,
+)
 from .formats import (
     KIND_PARAMS,
     _replace_on_success,
@@ -48,45 +54,49 @@ def _camera_blob(camera_id: int, frame_index: int) -> str:
 
 
 def write_scene_bundle(path, bundle: SceneBundle) -> None:
-    """Write one scene as a directory of manifest + blobs."""
+    """Write one scene as a directory of manifest + blobs.
+
+    The manifest is serialised before the first blob is written, so a field
+    that JSON cannot hold raises BadManifestField and leaves the directory
+    as it was.
+    """
     root = Path(path)
+    manifest = {
+        "format_version": 1,
+        "frame_count": len(bundle.frames),
+        "frames": [{"frame_index": frame.frame_index,
+                    "points": _frame_blob(frame.frame_index)}
+                   for frame in bundle.frames],
+        "cameras": [{
+            "camera_id": cam.camera_id,
+            "frame_index": cam.frame_index,
+            "feature_map": _camera_blob(cam.camera_id, cam.frame_index),
+            "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
+            "rotation": cam.rotation.tolist(),
+            "translation": cam.translation.tolist(),
+            "valid": bool(cam.valid),
+        } for cam in bundle.cameras],
+        "agents": [{
+            "track_id": box.track_id,
+            "frame_index": box.frame_index,
+            "center": box.center.tolist(),
+            "size": box.size.tolist(),
+            "heading": box.heading,
+            "label": box.label,
+        } for box in bundle.agents],
+    }
+    try:
+        text = json.dumps(manifest, indent=2) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise BadManifestField(f"cannot write bundle at {path}: {exc}") from exc
     try:
         root.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "format_version": 1,
-            "frame_count": len(bundle.frames),
-            "frames": [],
-            "cameras": [],
-            "agents": [],
-        }
-        for frame in bundle.frames:
-            name = _frame_blob(frame.frame_index)
-            write_blob(root / name, frame.points.astype("<f8"))
-            manifest["frames"].append({"frame_index": frame.frame_index,
-                                       "points": name})
-        for cam in bundle.cameras:
-            name = _camera_blob(cam.camera_id, cam.frame_index)
-            write_blob(root / name, cam.feature_map)
-            manifest["cameras"].append({
-                "camera_id": cam.camera_id,
-                "frame_index": cam.frame_index,
-                "feature_map": name,
-                "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-                "rotation": cam.rotation.tolist(),
-                "translation": cam.translation.tolist(),
-                "valid": bool(cam.valid),
-            })
-        for box in bundle.agents:
-            manifest["agents"].append({
-                "track_id": box.track_id,
-                "frame_index": box.frame_index,
-                "center": box.center.tolist(),
-                "size": box.size.tolist(),
-                "heading": box.heading,
-                "label": box.label,
-            })
+        for frame, entry in zip(bundle.frames, manifest["frames"]):
+            write_blob(root / entry["points"], frame.points.astype("<f8"))
+        for cam, entry in zip(bundle.cameras, manifest["cameras"]):
+            write_blob(root / entry["feature_map"], cam.feature_map)
         with _replace_on_success(root / MANIFEST_NAME) as fh:
-            fh.write((json.dumps(manifest, indent=2) + "\n").encode())
+            fh.write(text.encode())
     except OSError as exc:
         raise IoFailure(f"failed to write bundle at {path}: {exc}") from exc
 
@@ -100,10 +110,29 @@ def _load_json(path):
             raise BadJson(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _manifest_get(entry: dict, key: str, context: str):
+# JSON value types accepted per declared field type; bool is not a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "list": list}
+
+# JSON type of every manifest field read with _manifest_get.
+_MANIFEST_TYPES = {"frames": "list", "cameras": "list", "agents": "list",
+                   "frame_index": "int", "track_id": "int", "camera_id": "int",
+                   "points": "str", "feature_map": "str", "heading": "float",
+                   "center": "list", "size": "list", "rotation": "list",
+                   "translation": "list"}
+
+
+def _manifest_get(entry, key: str, context: str):
+    if not isinstance(entry, dict):
+        raise BadManifestField(f"{context} must be a JSON object, "
+                               f"got {json.dumps(entry)}")
     if key not in entry:
         raise ManifestMissingEntry(f"{context}: missing key {key!r}")
-    return entry[key]
+    value = entry[key]
+    expected = _MANIFEST_TYPES[key]
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
+        raise BadManifestField(f"{context}: field {key} must be {expected}, "
+                               f"got {json.dumps(value)}")
+    return value
 
 
 def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle:
@@ -229,8 +258,6 @@ def save_pipeline_config(path, config: PipelineConfig) -> None:
 
 _SECTIONS = {"ransac": RansacConfig, "cluster": ClusterConfig,
              "track": TrackConfig}
-# JSON value types accepted per declared field type; bool is not a number.
-_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 def _config_kwargs(raw, cls, path, section: str = "") -> dict:

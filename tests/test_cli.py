@@ -136,6 +136,30 @@ def test_truncated_manifest_exits_2(workdir, capsys):
     assert f"{manifest}: not valid JSON" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("agents", "heading", None),
+    ("frames", "points", 5),
+    ("frames", "frame_index", "x"),
+])
+def test_wrong_typed_manifest_field_exits_2(workdir, capsys, section, key,
+                                            value):
+    scene_dir = workdir / "scene"
+    cli_main(["synth", "--seed", "4", "--spec", str(workdir / "spec.json"),
+              "--out", str(scene_dir)])
+    manifest_path = scene_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[section][0][key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = cli_main(["tokenize", "--scene", str(scene_dir), "--config",
+                     str(workdir / "config.json"),
+                     "--out", str(workdir / "x.tokens")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"field {key} must be" in err and "Traceback" not in err
+    assert not (workdir / "x.tokens").exists()
+
+
 def test_truncated_config_exits_2(workdir, capsys):
     path = workdir / "config.json"
     path.write_bytes(path.read_bytes()[:-5])

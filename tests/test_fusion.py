@@ -16,7 +16,7 @@ from scenetok.fusion import (
     init_fusion_params,
     zero_attention_output,
 )
-from scenetok.fusion.layers import LN_EPS
+from scenetok.fusion.layers import LN_EPS, masked_softmax, softmax_backward
 
 
 def toy_params(T=3, D=8, hidden=8, seed=1):
@@ -296,6 +296,22 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(toy_params().astype(np.float32), t["P_xyz"], t["P_ind"],
                        t["B"], t["F_img"], t["elem_valid"])
+
+
+class TestSoftmaxBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_equals_reference_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(9)
+        key_valid = rng.random((6, 7)) > 0.3
+        key_valid[0] = False  # a row with no valid key: all-zero weights
+        w = masked_softmax(rng.normal(size=(6, 2, 7, 7)).astype(dtype),
+                           key_valid)
+        g = rng.normal(size=w.shape).astype(dtype)
+        want = w * (g - (g * w).sum(axis=-1, keepdims=True))
+        got = softmax_backward(g.copy(), w)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestPointPoolBackward:

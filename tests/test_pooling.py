@@ -1,8 +1,13 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
 
+from scenetok import pooling
 from scenetok.pooling import cell_index, segment_sum
 
 
@@ -68,3 +73,62 @@ class TestSegmentSum:
         np.testing.assert_array_equal(sums[[1, 2, 3, 4]], 0.0)
         np.testing.assert_array_equal(sums[0], values[0] + values[3])
         np.testing.assert_array_equal(sums[5], values[1] + values[2])
+
+
+def assert_same_sums(got, want):
+    """Bit-for-bit equal, including the sign of zero."""
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+# Cell of each of 14 rows: cell 1 has 9 rows, more than a 4-row chunk; cells
+# 0, 3, 4 and 6 are empty and fall at or next to chunk boundaries.
+CHUNK_CELLS = np.array([1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 5, 5, 2, 7])
+
+
+class TestChunkedSegmentSum:
+    """Chunks of whole cells sum exactly as one sequential scatter-add."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("subset", [False, True])
+    @pytest.mark.parametrize("buffer", [1, 8, 12, 1 << 19])  # D=2: 4-6 rows
+    def test_matches_add_at_with_small_chunks(self, monkeypatch, dtype,
+                                              subset, buffer):
+        monkeypatch.setattr(pooling, "_POOL_BUFFER", buffer)
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(CHUNK_CELLS.size, 2)).astype(dtype)
+        values[[2, 9]] = -0.0  # a -0.0 first summand, and a lone one
+        values[10:12] = -0.0   # cell 5 sums only -0.0
+        rows = np.array([0, 2, 3, 5, 8, 9, 10, 11, 13]) if subset else None
+        sums, counts, M = segment_sum(values, CHUNK_CELLS, 9, rows=rows)
+        ref_sums, ref_counts = add_at_reference(values, CHUNK_CELLS, 9, rows)
+        assert sums.dtype == np.float64
+        assert_same_sums(sums, ref_sums)
+        np.testing.assert_array_equal(counts, ref_counts)
+        assert M.nnz == counts.sum()
+        assert not np.signbit(sums[5]).any()  # 0.0 + -0.0 + -0.0 is +0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(pooling_cases(), hs.integers(1, 24))
+    def test_any_chunk_size_matches_add_at(self, case, buffer):
+        values, cell, n_cells, rows = case
+        with mock.patch.object(pooling, "_POOL_BUFFER", buffer):
+            sums, counts, _ = segment_sum(values, cell, n_cells, rows=rows)
+        ref_sums, ref_counts = add_at_reference(values, cell, n_cells, rows)
+        assert_same_sums(sums, ref_sums)
+        np.testing.assert_array_equal(counts, ref_counts)
+
+    def test_no_float64_copy_of_the_input(self):
+        # the fusion shape: 768 elements x 11 frames, 65 536 points, D=256
+        n, d, n_cells = 65536, 256, 768 * 11
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((n, d), dtype=np.float32)
+        cell = rng.integers(0, n_cells, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sums, _, _ = segment_sum(values, cell, n_cells)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - sums.nbytes < n * d * 8 / 4

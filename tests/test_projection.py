@@ -8,6 +8,52 @@ from scenetok.bundle import CameraFrame
 from scenetok.errors import DimensionMismatch
 
 
+def build_point_features_reference(points, frame_ids, cameras, D,
+                                   interp="nearest", overlap="first"):
+    """The float64 build: one float64 row per point whatever the map dtype."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    frame_ids = np.asarray(frame_ids, dtype=np.int64).reshape(-1)
+    n = points.shape[0]
+    feats = np.zeros((n, D), dtype=np.float64)
+    valid = np.zeros(n, dtype=bool)
+    hits = np.zeros(n, dtype=np.int64)
+    by_frame = {}
+    for cam in cameras:
+        if cam.valid:
+            by_frame.setdefault(cam.frame_index, []).append(cam)
+    for cams in by_frame.values():
+        cams.sort(key=lambda c: c.camera_id)
+    for f, cams in by_frame.items():
+        sel = np.flatnonzero(frame_ids == f)
+        for cam in cams:
+            pending = sel[~valid[sel]] if overlap == "first" else sel
+            if pending.size == 0:
+                break
+            uv, in_view = project_points(points[pending], cam)
+            take = pending[in_view]
+            if take.size == 0:
+                continue
+            sampled = sample_feature(cam.feature_map, uv[in_view], interp)
+            if overlap == "first":
+                feats[take] = sampled
+            else:
+                feats[take] += sampled
+                hits[take] += 1
+            valid[take] = True
+    if overlap == "mean":
+        seen = hits > 0
+        feats[seen] /= hits[seen, None]
+    feats[~valid] = 0.0
+    return feats, valid
+
+
+def scene_points(bundle):
+    points = np.concatenate([f.points for f in bundle.frames])
+    frame_ids = np.concatenate([np.full(f.points.shape[0], f.frame_index)
+                                for f in bundle.frames])
+    return points, frame_ids
+
+
 def make_camera(camera_id=0, frame_index=0, res=(100, 100), D=4,
                 fx=100.0, fy=100.0, cx=50.0, cy=50.0, fill=None,
                 rotation=None, translation=None):
@@ -156,3 +202,56 @@ class TestBuildPointFeatures:
             col = int(np.floor(uv[0, 0]))
             row = int(np.floor(uv[0, 1]))
             assert 0 <= col < 11 and 0 <= row < 5
+
+
+class TestPointFeatureDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_follows_feature_maps(self, dtype):
+        cam = make_camera(fill=1.5)
+        cam.feature_map = cam.feature_map.astype(dtype)
+        feats, valid = build_point_features(
+            np.array([[0.0, 0.0, 5.0]]), np.array([0]), [cam], D=4)
+        assert feats.dtype == dtype and valid[0]
+
+    def test_float64_without_a_valid_camera(self):
+        cam = make_camera(fill=1.5)
+        cam.feature_map = cam.feature_map.astype(np.float32)
+        cam.valid = False
+        feats, _ = build_point_features(
+            np.array([[0.0, 0.0, 5.0]]), np.array([0]), [cam], D=4)
+        assert feats.dtype == np.float64
+
+    def test_nearest_first_equals_float64_build_exactly(self, small_scene,
+                                                        small_spec):
+        bundle = small_scene.bundle
+        assert {c.feature_map.dtype for c in bundle.cameras} == {np.dtype(np.float32)}
+        points, frame_ids = scene_points(bundle)
+        feats, valid = build_point_features(points, frame_ids, bundle.cameras,
+                                            small_spec.D)
+        want, want_valid = build_point_features_reference(
+            points, frame_ids, bundle.cameras, small_spec.D)
+        assert feats.dtype == np.float32 and 0 < valid.sum() < valid.size
+        np.testing.assert_array_equal(valid, want_valid)
+        np.testing.assert_array_equal(feats.astype(np.float64), want)
+
+    @pytest.mark.parametrize("interp, overlap", [("bilinear", "first"),
+                                                 ("nearest", "mean"),
+                                                 ("bilinear", "mean")])
+    def test_blends_round_once_to_map_dtype(self, interp, overlap):
+        # three overlapping cameras with random float32 maps: a float32
+        # running sum of three features rounds differently from one rounding
+        rng = np.random.default_rng(4)
+        cams = [make_camera(camera_id=i, cx=50.0 + 7.3 * i, D=4)
+                for i in range(3)]
+        for cam in cams:
+            cam.feature_map = rng.normal(size=cam.feature_map.shape
+                                         ).astype(np.float32)
+        points = rng.uniform([-1.0, -1.0, 4.0], [1.0, 1.0, 9.0], (400, 3))
+        frame_ids = np.zeros(400, dtype=np.int64)
+        feats, valid = build_point_features(points, frame_ids, cams, 4,
+                                            interp, overlap)
+        want, want_valid = build_point_features_reference(
+            points, frame_ids, cams, 4, interp, overlap)
+        assert feats.dtype == np.float32 and valid.all()
+        np.testing.assert_array_equal(valid, want_valid)
+        np.testing.assert_array_equal(feats, want.astype(np.float32))

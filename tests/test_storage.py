@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from scenetok import (
     PipelineConfig,
+    generate_scene,
     init_fusion_params,
     load_pipeline_config,
     read_fusion_params,
@@ -20,6 +22,7 @@ from scenetok import (
 from scenetok.bundle import KIND_CODES, SceneElement, SceneTokens
 from scenetok.errors import (
     BadMagic,
+    BadManifestField,
     ManifestMissingEntry,
     ShapeHeaderMismatch,
     StorageError,
@@ -31,6 +34,14 @@ from scenetok.formats import read_blob, read_tensor_file, write_blob, write_tens
 
 def dir_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def set_manifest_field(root, section, key, value):
+    """Set ``key`` of the first entry of one manifest section to ``value``."""
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[section][0][key] = value
+    path.write_text(json.dumps(manifest))
 
 
 def set_shape(data: bytes, old: tuple, new: tuple) -> bytes:
@@ -123,13 +134,32 @@ class TestAtomicWrites:
         d = tmp_path / "scene"
         write_scene_bundle(d, small_scene.bundle)
         before = dir_bytes(d)
-        # The blobs are rewritten (same bytes) before the manifest fails.
+        # The manifest is serialised, and fails, before the first blob write.
         agents = list(small_scene.bundle.agents)
         agents[-1] = dataclasses.replace(agents[-1], label=object())
-        with pytest.raises(TypeError, match="not JSON serializable"):
+        with pytest.raises(BadManifestField, match="not JSON serializable"):
             write_scene_bundle(d, dataclasses.replace(small_scene.bundle,
                                                       agents=agents))
         assert dir_bytes(d) == before
+
+    def test_failed_manifest_keeps_other_scene(self, tmp_path, small_spec,
+                                               small_scene):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)  # seed 7
+        before = dir_bytes(d)
+        other = generate_scene(8, small_spec).bundle
+        agents = list(other.agents)
+        agents[0] = dataclasses.replace(agents[0], label=object())
+        with pytest.raises(BadManifestField, match="not JSON serializable"):
+            write_scene_bundle(d, dataclasses.replace(other, agents=agents))
+        assert dir_bytes(d) == before
+        back = read_scene_bundle(d)
+        for got, want in zip(back.frames, small_scene.bundle.frames,
+                             strict=True):
+            np.testing.assert_array_equal(got.points, want.points)
+        assert [(a.track_id, a.frame_index, a.heading) for a in back.agents] \
+            == [(a.track_id, a.frame_index, a.heading)
+                for a in small_scene.bundle.agents]
 
     def test_failed_config_keeps_old_file(self, tmp_path, small_config):
         path = tmp_path / "cfg.json"
@@ -163,6 +193,35 @@ class TestBundleIO:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ManifestMissingEntry):
             read_scene_bundle(tmp_path / "nothing")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("agents", "heading", None),
+        ("frames", "points", 5),
+        ("frames", "frame_index", "x"),
+        ("frames", "frame_index", True),
+        ("cameras", "camera_id", 1.5),
+        ("cameras", "feature_map", ["cam.bin"]),
+        ("cameras", "rotation", "abc"),
+        ("agents", "track_id", "1"),
+        ("agents", "center", "abc"),
+    ])
+    def test_wrong_typed_field_names_it(self, tmp_path, small_scene,
+                                        section, key, value):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        set_manifest_field(d, section, key, value)
+        with pytest.raises(BadManifestField,
+                           match=f"field {key} must be .*, got "):
+            read_scene_bundle(d)
+
+    def test_entry_that_is_not_an_object(self, tmp_path, small_scene):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest["agents"][0] = 3
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadManifestField, match="must be a JSON object"):
+            read_scene_bundle(d)
 
     def test_manifest_referencing_absent_file(self, tmp_path, small_scene):
         d = tmp_path / "scene"

@@ -56,6 +56,6 @@ from .storage import (
     write_tokens,
 )
 from .synthetic import SceneSpec, SyntheticScene, drop_agents, generate_scene
-from .tracking import TrackState, associate, predict, track_open_set, update
+from .tracking import associate, predict, track_open_set, update
 
 __version__ = "0.1.0"

@@ -59,35 +59,37 @@ def _group_agent_tracks(agents, T: int) -> dict[int, SceneElement]:
 
 
 def assign_token_ids(agent_tracks: dict[int, SceneElement],
-                     openset_tracks: list[tracking.TrackedElement],
+                     openset_tracks: list[SceneElement],
+                     openset_points: np.ndarray,
                      ground_elements: list[SceneElement],
                      config: PipelineConfig,
-                     ) -> tuple[list[SceneElement], dict[int, int], dict[int, int]]:
+                     ) -> tuple[list[SceneElement], np.ndarray, np.ndarray]:
     """Order elements into token-id blocks: agents, open-set, then ground.
 
     Over-budget agents are dropped farthest-from-origin first; over-budget
-    open-set tracks are dropped smallest-by-point-count first.  Returns the
-    retained elements (token ids set) plus maps from agent track_id and
-    open-set track index to token id.
+    open-set tracks are dropped smallest by ``openset_points`` (each
+    track's point count) first.  Returns the retained elements (token ids
+    set) plus two int64 token maps, -1 where dropped: one indexed by agent
+    rank in ``sorted(agent_tracks)``, one by open-set track index.
     """
     agent_ids = sorted(agent_tracks)
+    agent_rank = list(range(len(agent_ids)))
     if len(agent_ids) > config.n_elem_agent:
-        def mean_dist(tid):
-            el = agent_tracks[tid]
+        def mean_dist(r):
+            el = agent_tracks[agent_ids[r]]
             centers = el.boxes[el.frame_valid, :3]
             return float(np.linalg.norm(centers, axis=1).mean())
-        ranked = sorted(agent_ids, key=lambda tid: (mean_dist(tid), tid))
+        ranked = sorted(agent_rank, key=lambda r: (mean_dist(r), r))
         kept = ranked[:config.n_elem_agent]
-        dropped = sorted(set(agent_ids) - set(kept))
+        dropped = [agent_ids[r] for r in sorted(set(agent_rank) - set(kept))]
         warnings.warn(
             f"agent budget {config.n_elem_agent} exceeded by {len(dropped)}; "
             f"dropped farthest tracks {dropped}", BudgetOverflowWarning)
-        agent_ids = sorted(kept)
+        agent_rank = sorted(kept)
 
     track_idx = list(range(len(openset_tracks)))
     if len(track_idx) > config.n_elem_openset:
-        ranked = sorted(track_idx,
-                        key=lambda i: (-openset_tracks[i].total_points, i))
+        ranked = sorted(track_idx, key=lambda i: (-openset_points[i], i))
         kept = ranked[:config.n_elem_openset]
         dropped = sorted(set(track_idx) - set(kept))
         warnings.warn(
@@ -97,25 +99,17 @@ def assign_token_ids(agent_tracks: dict[int, SceneElement],
         track_idx = sorted(kept)
 
     elements: list[SceneElement] = []
-    agent_token: dict[int, int] = {}
-    for tid in agent_ids:
-        el = agent_tracks[tid]
-        el.token_id = len(elements)
-        agent_token[tid] = el.token_id
-        elements.append(el)
-
-    openset_token: dict[int, int] = {}
+    agent_token = np.full(len(agent_ids), -1, dtype=np.int64)
+    for r in agent_rank:
+        agent_token[r] = len(elements)
+        elements.append(agent_tracks[agent_ids[r]])
+    openset_token = np.full(len(openset_tracks), -1, dtype=np.int64)
     for i in track_idx:
-        tr = openset_tracks[i]
-        el = SceneElement(token_id=len(elements), kind=KIND_OPENSET,
-                          boxes=tr.boxes, frame_valid=tr.frame_valid,
-                          source_id=i)
-        openset_token[i] = el.token_id
-        elements.append(el)
-
-    for el in ground_elements:
-        el.token_id = len(elements)
-        elements.append(el)
+        openset_token[i] = len(elements)
+        elements.append(openset_tracks[i])
+    elements.extend(ground_elements)
+    for token_id, el in enumerate(elements):
+        el.token_id = token_id
 
     return elements, agent_token, openset_token
 
@@ -145,8 +139,7 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     for box in bundle.agents:
         boxes_by_frame.setdefault(box.frame_index, []).append(box)
 
-    labels, agent_track, cluster_id = [], [], []
-    frame_detections: list[list[tuple[np.ndarray, int]]] = []
+    labels, agent_track, cluster_id, frame_boxes, cluster_size = [], [], [], [], []
     for f, frame in enumerate(bundle.frames):
         lab, atr, cid = decompose.decompose_frame(
             frame.points, ground_masks[f], boxes_by_frame.get(f, []),
@@ -157,16 +150,17 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
         # One stable sort groups each cluster's points in their frame order.
         sizes = np.bincount(cid[cid >= 0])
         by_cluster = np.argsort(cid, kind="stable")[cid.size - sizes.sum():]
-        members = (np.split(frame.points[by_cluster], np.cumsum(sizes)[:-1])
-                   if sizes.size else [])
-        frame_detections.append([(decompose.fit_tight_box(pts), len(pts))
-                                 for pts in members])
+        cluster_points = (np.split(frame.points[by_cluster],
+                                   np.cumsum(sizes)[:-1]) if sizes.size else [])
+        frame_boxes.append(np.reshape(
+            [decompose.fit_tight_box(pts) for pts in cluster_points], (-1, 7)))
+        cluster_size.append(sizes)
     partition = decompose.PointPartition(labels=labels, agent_track=agent_track,
                                          cluster_id=cluster_id)
     timings["decompose"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    openset_tracks = tracking.track_open_set(frame_detections, T, config.track)
+    members = tracking.track_open_set(frame_boxes, T, config.track)
     timings["track"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -183,31 +177,38 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     ground_elements, tile_of_point = ground.tile_ground(
         xyz[is_ground], config.tile_size_m, config.n_elem_ground, T)
 
+    # Frame f's cluster c is row cluster_base[f] + c of the flat cluster
+    # arrays; each (track, frame) entry of the member table names one row.
+    cluster_base = np.cumsum([0] + [len(boxes) for boxes in frame_boxes])
+    member_track, member_frame = np.nonzero(members >= 0)
+    member_row = cluster_base[member_frame] + members[member_track,
+                                                      member_frame]
+    openset_boxes = np.zeros((len(members), T, 7))
+    openset_boxes[member_track, member_frame] = np.concatenate(
+        [np.empty((0, 7)), *frame_boxes])[member_row]
+    openset_points = np.bincount(
+        member_track, np.concatenate([np.empty(0), *cluster_size])[member_row],
+        minlength=len(members))
+    openset_tracks = [SceneElement(token_id=-1, kind=KIND_OPENSET,
+                                   boxes=boxes, frame_valid=valid, source_id=i)
+                      for i, (boxes, valid) in enumerate(zip(openset_boxes,
+                                                             members >= 0))]
+
     agent_tracks = _group_agent_tracks(bundle.agents, T)
     elements, agent_token, openset_token = assign_token_ids(
-        agent_tracks, openset_tracks, ground_elements, config)
+        agent_tracks, openset_tracks, openset_points, ground_elements, config)
     ground_token_base = len(elements) - len(ground_elements)
-
-    # Every agent point's track id is one of the bundle's, so its rank among
-    # them indexes a dense int64 table (-1 = dropped by the budget).
-    track_ids = np.array(sorted(agent_tracks), dtype=np.int64)
-    agent_lookup = np.full(track_ids.size, -1, dtype=np.int64)
-    agent_lookup[np.searchsorted(track_ids, list(agent_token))] = \
-        list(agent_token.values())
-
-    # Frame f's cluster c is row cluster_base[f] + c of one token table.
-    cluster_base = np.cumsum([0] + [len(dets) for dets in frame_detections])
     cluster_token = np.full(cluster_base[-1], -1, dtype=np.int64)
-    for i, token in openset_token.items():
-        for f, c in openset_tracks[i].members:
-            cluster_token[cluster_base[f] + c] = token
+    cluster_token[member_row] = openset_token[member_track]
 
     token = np.full(lab.size, -1, dtype=np.int64)
     token[is_ground] = np.where(tile_of_point >= 0,
                                 ground_token_base + tile_of_point, -1)
+    # Every agent point's track id is one of the bundle's, so its rank
+    # among them indexes the agent token map.
     is_agent = lab == decompose.LABEL_AGENT
-    token[is_agent] = agent_lookup[np.searchsorted(track_ids,
-                                                   point_track[is_agent])]
+    token[is_agent] = agent_token[np.searchsorted(sorted(agent_tracks),
+                                                  point_track[is_agent])]
     is_open = lab == decompose.LABEL_OPENSET
     token[is_open] = cluster_token[cluster_base[point_frame[is_open]]
                                    + point_cluster[is_open]]

@@ -113,24 +113,41 @@ def _load_json(path):
 # JSON value types accepted per declared field type; bool is not a number.
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "list": list}
 
-# JSON type of every manifest field read with _manifest_get.
+# JSON type of every manifest field read with _manifest_get: a _JSON_TYPES
+# name or "bool"; each "[3]" suffix wraps it in an array of exactly 3.
 _MANIFEST_TYPES = {"frames": "list", "cameras": "list", "agents": "list",
                    "frame_index": "int", "track_id": "int", "camera_id": "int",
                    "points": "str", "feature_map": "str", "heading": "float",
-                   "center": "list", "size": "list", "rotation": "list",
-                   "translation": "list"}
+                   "center": "float[3]", "size": "float[3]",
+                   "rotation": "float[3][3]", "translation": "float[3]",
+                   "fx": "float", "fy": "float", "cx": "float", "cy": "float",
+                   "valid": "bool", "label": "str"}
 
 
-def _manifest_get(entry, key: str, context: str):
+def _json_is(value, expected: str) -> bool:
+    if expected.endswith("[3]"):
+        return (isinstance(value, list) and len(value) == 3
+                and all(_json_is(v, expected[:-3]) for v in value))
+    if expected == "bool":
+        return isinstance(value, bool)
+    return (not isinstance(value, bool)
+            and isinstance(value, _JSON_TYPES[expected]))
+
+
+def _manifest_get(entry, key: str, context: str, default=None):
+    """``entry[key]`` checked against _MANIFEST_TYPES; the key is optional
+    when a ``default`` is given."""
     if not isinstance(entry, dict):
         raise BadManifestField(f"{context} must be a JSON object, "
                                f"got {json.dumps(entry)}")
     if key not in entry:
-        raise ManifestMissingEntry(f"{context}: missing key {key!r}")
+        if default is None:
+            raise ManifestMissingEntry(f"{context}: missing key {key!r}")
+        return default
     value = entry[key]
-    expected = _MANIFEST_TYPES[key]
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[expected]):
-        raise BadManifestField(f"{context}: field {key} must be {expected}, "
+    if not _json_is(value, _MANIFEST_TYPES[key]):
+        raise BadManifestField(f"{context}: field {key} must be "
+                               f"{_MANIFEST_TYPES[key]}, "
                                f"got {json.dumps(value)}")
     return value
 
@@ -162,11 +179,13 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
             camera_id=_manifest_get(entry, "camera_id", "camera entry"),
             frame_index=_manifest_get(entry, "frame_index", "camera entry"),
             feature_map=blob(_manifest_get(entry, "feature_map", "camera entry")),
-            fx=entry.get("fx", 1.0), fy=entry.get("fy", 1.0),
-            cx=entry.get("cx", 0.0), cy=entry.get("cy", 0.0),
+            fx=_manifest_get(entry, "fx", "camera entry", 1.0),
+            fy=_manifest_get(entry, "fy", "camera entry", 1.0),
+            cx=_manifest_get(entry, "cx", "camera entry", 0.0),
+            cy=_manifest_get(entry, "cy", "camera entry", 0.0),
             rotation=_manifest_get(entry, "rotation", "camera entry"),
             translation=_manifest_get(entry, "translation", "camera entry"),
-            valid=entry.get("valid", True)))
+            valid=_manifest_get(entry, "valid", "camera entry", True)))
 
     agents = []
     for entry in _manifest_get(manifest, "agents", str(manifest_path)):
@@ -176,7 +195,7 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
             center=_manifest_get(entry, "center", "agent entry"),
             size=_manifest_get(entry, "size", "agent entry"),
             heading=_manifest_get(entry, "heading", "agent entry"),
-            label=entry.get("label", "")))
+            label=_manifest_get(entry, "label", "agent entry", "")))
 
     bundle = SceneBundle(frames=frames, cameras=cameras, agents=agents)
     if config is not None:

@@ -1,35 +1,16 @@
 """Constant-velocity Kalman tracking of open-set clusters across frames.
 
 State is (center xyz, velocity xyz) with position-only measurements; the
-measured box's size and heading are carried through unfiltered.  Greedy
+measured box's size and heading are carried through unfiltered.  All tracks
+are filtered as one stack: means (n, 6), covariances (n, 6, 6).  Greedy
 nearest-first association with a distance gate is deliberately minimal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
 from .config import TrackConfig
-
-
-@dataclass
-class TrackState:
-    """Kalman state: mean (6,), covariance (6, 6) symmetric PSD."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-@dataclass
-class TrackedElement:
-    """One open-set track over the whole scene window."""
-
-    boxes: np.ndarray        # (T, 7), zero rows where invalid
-    frame_valid: np.ndarray  # (T,) bool
-    members: list[tuple[int, int]] = field(default_factory=list)  # (frame, cluster id)
-    total_points: int = 0
 
 
 def _transition(dt: float) -> np.ndarray:
@@ -38,34 +19,37 @@ def _transition(dt: float) -> np.ndarray:
     return F
 
 
-def predict(state: TrackState, dt: float,
-            process_noise_vel: float = 1e-2) -> TrackState:
-    """Advance the state by ``dt`` seconds under constant velocity."""
+def _symmetrize(cov: np.ndarray) -> np.ndarray:
+    return (cov + np.swapaxes(cov, -1, -2)) / 2.0
+
+
+def predict(mean: np.ndarray, cov: np.ndarray, dt: float,
+            process_noise_vel: float = 1e-2) -> tuple[np.ndarray, np.ndarray]:
+    """Advance (n, 6) means and (n, 6, 6) covariances by ``dt`` seconds
+    under constant velocity."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     F = _transition(dt)
     Q = np.zeros((6, 6))
     Q[3:, 3:] = np.eye(3) * process_noise_vel
-    mean = F @ state.mean
-    cov = F @ state.cov @ F.T + Q
-    cov = (cov + cov.T) / 2.0
-    return replace(state, mean=mean, cov=cov)
+    # F times each mean as a column rounds exactly as the single-state
+    # product F @ mean; mean @ F.T does not.
+    return (F @ mean[..., None])[..., 0], _symmetrize(F @ cov @ F.T + Q)
 
 
-def update(state: TrackState, measured_box: np.ndarray,
-           measurement_noise_pos: float = 1e-2) -> TrackState:
-    """Kalman update with the box center as a position-only observation."""
-    measured_box = np.asarray(measured_box, dtype=np.float64).reshape(7)
-    z = measured_box[:3]
+def update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray,
+           measurement_noise_pos: float = 1e-2) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman update of (n, 6) means and (n, 6, 6) covariances with (n, 3)
+    measured box centers as position-only observations."""
     H = np.zeros((3, 6))
     H[:, :3] = np.eye(3)
     R = np.eye(3) * measurement_noise_pos
-    S = H @ state.cov @ H.T + R
-    K = np.linalg.solve(S.T, (state.cov @ H.T).T).T
-    mean = state.mean + K @ (z - H @ state.mean)
-    cov = (np.eye(6) - K @ H) @ state.cov
-    cov = (cov + cov.T) / 2.0
-    return replace(state, mean=mean, cov=cov)
+    S = H @ cov @ H.T + R
+    K = np.swapaxes(np.linalg.solve(np.swapaxes(S, -1, -2),
+                                    np.swapaxes(cov @ H.T, -1, -2)), -1, -2)
+    innov = z - mean[..., :3]
+    mean = mean + (K @ innov[..., None])[..., 0]
+    return mean, _symmetrize((np.eye(6) - K @ H) @ cov)
 
 
 def associate(track_centers: np.ndarray, det_centers: np.ndarray,
@@ -98,49 +82,38 @@ def associate(track_centers: np.ndarray, det_centers: np.ndarray,
             [d for d in range(nd) if not used_d[d]])
 
 
-def track_open_set(frame_detections: list[list[tuple[np.ndarray, int]]],
-                   T: int, config: TrackConfig) -> list[TrackedElement]:
-    """Associate per-frame cluster detections into tracks.
+def track_open_set(frame_boxes: list[np.ndarray], T: int,
+                   config: TrackConfig) -> np.ndarray:
+    """Associate per-frame cluster boxes into tracks.
 
-    ``frame_detections[f]`` lists (box row, point count) pairs for frame f,
-    indexed by cluster id.  Unmatched frames stay invalid with zero box
-    rows; tracks never merge.  An unmatched track coasts on its prediction
-    to the end of the window and never ends.  Track order is creation
-    order, which is deterministic for identical inputs.
+    ``frame_boxes[f]`` is an (n_f, 7) array of frame f's cluster boxes,
+    indexed by cluster id.  Returns the (n_tracks, T) int64 member table:
+    the cluster id each track holds in each frame, -1 where it holds none.
+    Tracks never merge.  An unmatched track coasts on its prediction to the
+    end of the window and never ends.  Track order is creation order, which
+    is deterministic for identical inputs.
     """
-    states: list[TrackState] = []
-    elements: list[TrackedElement] = []
+    mean = np.empty((0, 6))
+    cov = np.empty((0, 6, 6))
+    members = np.empty((0, T), dtype=np.int64)
+    init_cov = np.diag([config.init_pos_var] * 3 + [config.init_vel_var] * 3)
 
     for f in range(T):
-        dets = frame_detections[f] if f < len(frame_detections) else []
-        det_boxes = np.array([b for b, _ in dets]).reshape(-1, 7)
+        boxes = np.reshape(frame_boxes[f] if f < len(frame_boxes) else [],
+                           (-1, 7))
+        mean, cov = predict(mean, cov, config.dt_s, config.process_noise_vel)
+        matches, _, new = associate(mean[:, :3], boxes[:, :3], config.gate_m)
+        t, d = np.array(matches, dtype=np.int64).reshape(-1, 2).T
+        mean[t], cov[t] = update(mean[t], cov[t], boxes[d, :3],
+                                 config.measurement_noise_pos)
+        members[t, f] = d
 
-        for i, st in enumerate(states):
-            states[i] = predict(st, config.dt_s, config.process_noise_vel)
-        track_centers = np.array([st.mean[:3] for st in states]).reshape(-1, 3)
+        born = np.zeros((len(new), 6))
+        born[:, :3] = boxes[new, :3]
+        mean = np.concatenate([mean, born])
+        cov = np.concatenate([cov, np.broadcast_to(init_cov, (len(new), 6, 6))])
+        rows = np.full((len(new), T), -1, dtype=np.int64)
+        rows[:, f] = new
+        members = np.concatenate([members, rows])
 
-        matches, _, unmatched_d = associate(track_centers, det_boxes[:, :3],
-                                            config.gate_m)
-        for t, d in matches:
-            states[t] = update(states[t], det_boxes[d],
-                               config.measurement_noise_pos)
-
-        for d in unmatched_d:
-            mean = np.zeros(6)
-            mean[:3] = det_boxes[d, :3]
-            cov = np.zeros((6, 6))
-            cov[:3, :3] = np.eye(3) * config.init_pos_var
-            cov[3:, 3:] = np.eye(3) * config.init_vel_var
-            states.append(TrackState(mean=mean, cov=cov))
-            elements.append(TrackedElement(boxes=np.zeros((T, 7)),
-                                           frame_valid=np.zeros(T, dtype=bool)))
-            matches.append((len(elements) - 1, d))
-
-        for t, d in matches:
-            el = elements[t]
-            el.boxes[f] = det_boxes[d]
-            el.frame_valid[f] = True
-            el.members.append((f, d))
-            el.total_points += dets[d][1]
-
-    return elements
+    return members

@@ -140,6 +140,12 @@ def test_truncated_manifest_exits_2(workdir, capsys):
     ("agents", "heading", None),
     ("frames", "points", 5),
     ("frames", "frame_index", "x"),
+    ("cameras", "fx", "abc"),
+    ("cameras", "fx", None),
+    ("cameras", "valid", "no"),
+    ("agents", "center", [1, 2]),
+    ("cameras", "rotation", [[1.0]]),
+    ("cameras", "translation", ["a", "b", "c"]),
 ])
 def test_wrong_typed_manifest_field_exits_2(workdir, capsys, section, key,
                                             value):

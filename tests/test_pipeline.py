@@ -6,6 +6,7 @@ from scenetok import (
     PointCloudFrame,
     SceneBundle,
     SceneSpec,
+    drop_agents,
     generate_scene,
     init_fusion_params,
     read_tokens,
@@ -27,12 +28,13 @@ class TestAssignTokenIds:
                             source_id=track_id)
 
     @staticmethod
-    def _track(n_points, T=3):
-        from scenetok.tracking import TrackedElement
+    def _track(index, T=3):
+        from scenetok.bundle import SceneElement
 
-        return TrackedElement(boxes=np.zeros((T, 7)),
-                              frame_valid=np.ones(T, dtype=bool),
-                              members=[], total_points=n_points)
+        return SceneElement(token_id=-1, kind="open-set",
+                            boxes=np.zeros((T, 7)),
+                            frame_valid=np.ones(T, dtype=bool),
+                            source_id=index)
 
     @staticmethod
     def _tile(T=3):
@@ -49,13 +51,16 @@ class TestAssignTokenIds:
                                 n_elem_ground=4, n_pts_ground=10,
                                 n_pts_agent=10, n_pts_openset=10)
         elements, agent_token, openset_token = assign_token_ids(
-            {7: self._agent(7), 3: self._agent(3)}, [self._track(5)],
-            [self._tile()], config)
+            {7: self._agent(7), 3: self._agent(3)}, [self._track(0)],
+            np.array([5]), [self._tile()], config)
         assert [el.kind for el in elements] == ["agent", "agent", "open-set",
                                                 "ground"]
         assert [el.token_id for el in elements] == [0, 1, 2, 3]
-        assert agent_token == {3: 0, 7: 1}  # sorted by track id
-        assert openset_token == {0: 2}
+        assert [el.source_id for el in elements[:2]] == [3, 7]
+        # indexed by rank among the sorted track ids 3, 7
+        assert agent_token.dtype == openset_token.dtype == np.int64
+        assert agent_token.tolist() == [0, 1]
+        assert openset_token.tolist() == [2]
 
     def test_openset_overflow_drops_16_smallest_of_400(self):
         from scenetok.errors import BudgetOverflowWarning
@@ -63,15 +68,16 @@ class TestAssignTokenIds:
 
         config = PipelineConfig(T=3, D=4, n_pts_ground=10, n_pts_agent=10,
                                 n_pts_openset=10)  # default budget 384
-        tracks = [self._track(n_points=1000 + i) for i in range(400)]
+        tracks = [self._track(i) for i in range(400)]
         with pytest.warns(BudgetOverflowWarning) as record:
-            elements, _, openset_token = assign_token_ids({}, tracks, [],
-                                                          config)
+            elements, _, openset_token = assign_token_ids(
+                {}, tracks, 1000 + np.arange(400), [], config)
         assert len(elements) == 384
         # the 16 smallest tracks are indices 0..15 (point counts ascend)
-        dropped = sorted(set(range(400)) - set(openset_token))
+        dropped = np.flatnonzero(openset_token < 0).tolist()
         assert dropped == list(range(16))
         assert str(dropped) in str(record[0].message)
+        assert openset_token[16:].tolist() == list(range(384))
 
 
 def test_union_of_token_point_sets_is_exact_partition(small_scene,
@@ -205,9 +211,12 @@ def compact_reference(bundle, config):
     """The per-frame, per-kind pool assembly that the flat pass replaced.
 
     Re-runs every stage up to projection and returns (P_xyz, P_ind, F_pts,
-    labels) with the labels of dropped points set to LABEL_DISCARDED.
+    labels, elements) with the labels of dropped points set to
+    LABEL_DISCARDED.  Each open-set track's boxes and point count are
+    gathered cluster by cluster from the tracker's member table.
     """
     from scenetok import decompose, ground, projection, tracking
+    from scenetok.bundle import SceneElement
     from scenetok.compact import downsample
     from scenetok.pipeline import _group_agent_tracks, assign_token_ids
 
@@ -217,7 +226,8 @@ def compact_reference(bundle, config):
     else:
         ground_masks = [np.zeros(f.points.shape[0], dtype=bool)
                         for f in bundle.frames]
-    labels, agent_track, cluster_id, frame_detections = [], [], [], []
+    labels, agent_track, cluster_id, frame_boxes, frame_sizes = ([], [], [],
+                                                                  [], [])
     for f, frame in enumerate(bundle.frames):
         lab, atr, cid = decompose.decompose_frame(
             frame.points, ground_masks[f],
@@ -226,25 +236,41 @@ def compact_reference(bundle, config):
         labels.append(lab)
         agent_track.append(atr)
         cluster_id.append(cid)
-        frame_detections.append(
-            [(decompose.fit_tight_box(frame.points[cid == c]),
-              int((cid == c).sum())) for c in range(cid.max(initial=-1) + 1)])
-    openset_tracks = tracking.track_open_set(frame_detections, T, config.track)
+        clusters = range(cid.max(initial=-1) + 1)
+        frame_boxes.append(np.array(
+            [decompose.fit_tight_box(frame.points[cid == c])
+             for c in clusters]).reshape(-1, 7))
+        frame_sizes.append([int((cid == c).sum()) for c in clusters])
+    members = tracking.track_open_set(frame_boxes, T, config.track)
+    openset_tracks, openset_points = [], []
+    for i, row in enumerate(members):
+        boxes, n_points = np.zeros((T, 7)), 0
+        for f, c in enumerate(row):
+            if c >= 0:
+                boxes[f] = frame_boxes[f][c]
+                n_points += frame_sizes[f][c]
+        openset_tracks.append(SceneElement(token_id=-1, kind="open-set",
+                                           boxes=boxes, frame_valid=row >= 0,
+                                           source_id=i))
+        openset_points.append(n_points)
 
     ground_pts = [frame.points[labels[f] == LABEL_GROUND]
                   for f, frame in enumerate(bundle.frames)]
     ground_elements, tile_of_point = ground.tile_ground(
         np.concatenate(ground_pts, axis=0), config.tile_size_m,
         config.n_elem_ground, T)
-    elements, agent_token, openset_token = assign_token_ids(
-        _group_agent_tracks(bundle.agents, T), openset_tracks,
+    agent_tracks = _group_agent_tracks(bundle.agents, T)
+    elements, agent_rank_token, openset_token = assign_token_ids(
+        agent_tracks, openset_tracks, np.array(openset_points),
         ground_elements, config)
+    agent_token = dict(zip(sorted(agent_tracks), agent_rank_token.tolist()))
     ground_token_base = len(elements) - len(ground_elements)
-    cluster_token = [np.full(len(dets), -1, dtype=np.int64)
-                     for dets in frame_detections]
-    for i, token in openset_token.items():
-        for f, c in openset_tracks[i].members:
-            cluster_token[f][c] = token
+    cluster_token = [np.full(len(boxes), -1, dtype=np.int64)
+                     for boxes in frame_boxes]
+    for i, row in enumerate(members):
+        for f, c in enumerate(row):
+            if c >= 0:
+                cluster_token[f][c] = openset_token[i]
 
     pool_parts = {kind: ([], [], []) for kind in ("agent", "open-set",
                                                   "ground")}
@@ -290,7 +316,7 @@ def compact_reference(bundle, config):
     F_pts, _ = projection.build_point_features(
         P_xyz, P_ind[:, 0], bundle.cameras, config.D,
         interp=config.feature_interp, overlap=config.camera_overlap)
-    return P_xyz, P_ind, F_pts, labels
+    return P_xyz, P_ind, F_pts, labels, elements
 
 
 def _compaction_case(name, small_scene, small_config):
@@ -311,6 +337,11 @@ def _compaction_case(name, small_scene, small_config):
         return scene.bundle, PipelineConfig(
             T=3, D=8, n_elem_agent=4, n_elem_openset=2, n_elem_ground=64,
             n_pts_ground=2000, n_pts_agent=500, n_pts_openset=500)
+    if name == "perception_dropout":
+        # The agents' points fall through to clustering: open-set tracks of
+        # uneven sizes and lifetimes, the largest 8 of 32 kept.
+        bundle, _ = drop_agents(small_scene.bundle, 1.0, seed=0)
+        return bundle, dataclasses.replace(small_config, n_elem_openset=8)
     if name == "pools_over_budget":
         return small_scene.bundle, dataclasses.replace(
             small_config, n_pts_agent=90, n_pts_openset=70, n_pts_ground=300)
@@ -323,12 +354,13 @@ def _compaction_case(name, small_scene, small_config):
 
 @pytest.mark.filterwarnings("ignore::scenetok.errors.BudgetOverflowWarning")
 @pytest.mark.parametrize("case", ["small_scene", "agent_overflow",
-                                  "openset_overflow", "pools_over_budget",
+                                  "openset_overflow", "perception_dropout",
+                                  "pools_over_budget",
                                   "pointless_frame"])
 def test_compaction_matches_per_frame_reference(case, small_scene,
                                                 small_config):
     bundle, config = _compaction_case(case, small_scene, small_config)
-    P_xyz, P_ind, F_pts, labels = compact_reference(bundle, config)
+    P_xyz, P_ind, F_pts, labels, elements = compact_reference(bundle, config)
     result = tokenize_bundle(bundle, config)
     scene = result.scene
     for got, want in ((scene.P_xyz, P_xyz), (scene.P_ind, P_ind),
@@ -339,3 +371,9 @@ def test_compaction_matches_per_frame_reference(case, small_scene,
     for got, want in zip(result.partition.labels, labels):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+    assert len(scene.elements) == len(elements)
+    for got, want in zip(scene.elements, elements):
+        assert (got.token_id, got.kind, got.source_id) == (
+            want.token_id, want.kind, want.source_id)
+        np.testing.assert_array_equal(got.boxes, want.boxes)
+        np.testing.assert_array_equal(got.frame_valid, want.frame_valid)

@@ -204,6 +204,12 @@ class TestBundleIO:
         ("cameras", "rotation", "abc"),
         ("agents", "track_id", "1"),
         ("agents", "center", "abc"),
+        ("cameras", "fx", "abc"),
+        ("cameras", "fx", None),
+        ("cameras", "valid", "no"),
+        ("agents", "center", [1, 2]),
+        ("cameras", "rotation", [[1.0]]),
+        ("cameras", "translation", ["a", "b", "c"]),
     ])
     def test_wrong_typed_field_names_it(self, tmp_path, small_scene,
                                         section, key, value):
@@ -213,6 +219,21 @@ class TestBundleIO:
         with pytest.raises(BadManifestField,
                            match=f"field {key} must be .*, got "):
             read_scene_bundle(d)
+
+    def test_absent_optional_fields_take_defaults(self, tmp_path,
+                                                  small_scene):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        manifest = json.loads((d / "manifest.json").read_text())
+        for key in ("fx", "fy", "cx", "cy", "valid"):
+            del manifest["cameras"][0][key]
+        del manifest["agents"][0]["label"]
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        bundle = read_scene_bundle(d)
+        cam = bundle.cameras[0]
+        assert (cam.fx, cam.fy, cam.cx, cam.cy, cam.valid) == (1.0, 1.0, 0.0,
+                                                               0.0, True)
+        assert bundle.agents[0].label == ""
 
     def test_entry_that_is_not_an_object(self, tmp_path, small_scene):
         d = tmp_path / "scene"

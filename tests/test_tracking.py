@@ -1,59 +1,150 @@
 import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
+import pytest
 
 from scenetok import TrackConfig, associate, predict, track_open_set, update
-from scenetok.tracking import TrackState
+
+
+# -- the per-track loop that the stacked tracker replaced ------------------
+
+@dataclass
+class TrackState:
+    mean: np.ndarray
+    cov: np.ndarray
+
+
+def _transition(dt):
+    F = np.eye(6)
+    F[0, 3] = F[1, 4] = F[2, 5] = dt
+    return F
+
+
+def predict_reference(state, dt, process_noise_vel=1e-2):
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    F = _transition(dt)
+    Q = np.zeros((6, 6))
+    Q[3:, 3:] = np.eye(3) * process_noise_vel
+    mean = F @ state.mean
+    cov = F @ state.cov @ F.T + Q
+    cov = (cov + cov.T) / 2.0
+    return replace(state, mean=mean, cov=cov)
+
+
+def update_reference(state, measured_box, measurement_noise_pos=1e-2):
+    measured_box = np.asarray(measured_box, dtype=np.float64).reshape(7)
+    z = measured_box[:3]
+    H = np.zeros((3, 6))
+    H[:, :3] = np.eye(3)
+    R = np.eye(3) * measurement_noise_pos
+    S = H @ state.cov @ H.T + R
+    K = np.linalg.solve(S.T, (state.cov @ H.T).T).T
+    mean = state.mean + K @ (z - H @ state.mean)
+    cov = (np.eye(6) - K @ H) @ state.cov
+    cov = (cov + cov.T) / 2.0
+    return replace(state, mean=mean, cov=cov)
+
+
+def track_open_set_reference(frame_boxes, T, config):
+    """Per-track predict/update; returns each track's (frame, cluster) list."""
+    states, members = [], []
+    for f in range(T):
+        det_boxes = np.reshape(frame_boxes[f] if f < len(frame_boxes) else [],
+                               (-1, 7))
+        for i, st in enumerate(states):
+            states[i] = predict_reference(st, config.dt_s,
+                                          config.process_noise_vel)
+        track_centers = np.array([st.mean[:3] for st in states]).reshape(-1, 3)
+        matches, _, unmatched_d = associate(track_centers, det_boxes[:, :3],
+                                            config.gate_m)
+        for t, d in matches:
+            states[t] = update_reference(states[t], det_boxes[d],
+                                         config.measurement_noise_pos)
+        for d in unmatched_d:
+            mean = np.zeros(6)
+            mean[:3] = det_boxes[d, :3]
+            cov = np.zeros((6, 6))
+            cov[:3, :3] = np.eye(3) * config.init_pos_var
+            cov[3:, 3:] = np.eye(3) * config.init_vel_var
+            states.append(TrackState(mean=mean, cov=cov))
+            members.append([])
+            matches.append((len(members) - 1, d))
+        for t, d in matches:
+            members[t].append((f, d))
+    return members
+
+
+def member_table(members, T):
+    table = np.full((len(members), T), -1, dtype=np.int64)
+    for t, track in enumerate(members):
+        for f, c in track:
+            table[t, f] = c
+    return table
+
+
+def random_stack(rng, n):
+    A = rng.normal(size=(n, 6, 6))
+    return rng.normal(size=(n, 6)), A @ np.swapaxes(A, 1, 2)
 
 
 def make_state(pos=(0, 0, 0), vel=(0, 0, 0), pos_var=1e-2, vel_var=1.0):
-    mean = np.concatenate([pos, vel]).astype(float)
-    cov = np.zeros((6, 6))
-    cov[:3, :3] = np.eye(3) * pos_var
-    cov[3:, 3:] = np.eye(3) * vel_var
-    return TrackState(mean=mean, cov=cov)
+    """A stack of one state."""
+    mean = np.concatenate([pos, vel]).astype(float)[None]
+    cov = np.zeros((1, 6, 6))
+    cov[0, :3, :3] = np.eye(3) * pos_var
+    cov[0, 3:, 3:] = np.eye(3) * vel_var
+    return mean, cov
 
 
 class TestPredict:
     def test_linear_motion(self):
-        st = make_state(vel=(1, 0, 0))
-        out = predict(st, 0.1)
-        np.testing.assert_allclose(out.mean[:3], [0.1, 0, 0])
-        np.testing.assert_allclose(out.mean[3:], [1, 0, 0])
+        mean, _ = predict(*make_state(vel=(1, 0, 0)), 0.1)
+        np.testing.assert_allclose(mean[0, :3], [0.1, 0, 0])
+        np.testing.assert_allclose(mean[0, 3:], [1, 0, 0])
 
     def test_zero_noise_zero_cov_stays_zero(self):
-        st = make_state(pos_var=0.0, vel_var=0.0)
-        out = predict(st, 0.1, process_noise_vel=0.0)
-        assert (out.cov == 0).all()
+        _, cov = predict(*make_state(pos_var=0.0, vel_var=0.0), 0.1,
+                         process_noise_vel=0.0)
+        assert (cov == 0).all()
 
     def test_nonpositive_dt_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
-            predict(make_state(), 0.0)
+            predict(*make_state(), 0.0)
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            A = rng.normal(size=(6, 6))
-            st = TrackState(mean=rng.normal(size=6), cov=A @ A.T)
-            out = predict(st, 0.25)
-            np.testing.assert_allclose(out.cov, out.cov.T, atol=1e-9)
-            assert np.linalg.eigvalsh(out.cov).min() > -1e-9
+        _, cov = predict(*random_stack(rng, 20), 0.25)
+        for c in cov:
+            np.testing.assert_allclose(c, c.T, atol=1e-9)
+            assert np.linalg.eigvalsh(c).min() > -1e-9
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_stack_equals_per_track_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(10):
+            mean, cov = random_stack(rng, n)
+            dt, q = rng.uniform(0.01, 1.0), rng.uniform(0.0, 1.0)
+            got_mean, got_cov = predict(mean, cov, dt, q)
+            assert got_mean.shape == (n, 6) and got_cov.shape == (n, 6, 6)
+            for i in range(n):
+                want = predict_reference(TrackState(mean[i], cov[i]), dt, q)
+                np.testing.assert_array_equal(got_mean[i], want.mean)
+                np.testing.assert_array_equal(got_cov[i], want.cov)
 
 
 class TestUpdate:
     def test_exact_measurement_pins_position(self):
-        st = make_state(pos=(1, 2, 3))
-        z = np.array([1.5, 2.5, 3.5, 1, 1, 1, 0.0])
-        out = update(st, z, measurement_noise_pos=0.0)
-        np.testing.assert_allclose(out.mean[:3], z[:3], atol=1e-12)
+        z = np.array([[1.5, 2.5, 3.5]])
+        mean, _ = update(*make_state(pos=(1, 2, 3)), z,
+                         measurement_noise_pos=0.0)
+        np.testing.assert_allclose(mean[0, :3], z[0], atol=1e-12)
 
     def test_measurement_equal_to_prediction_is_noop(self):
-        st = make_state(pos=(1, 2, 3))
-        z = np.concatenate([st.mean[:3], [1, 1, 1, 0.0]])
-        out = update(st, z, measurement_noise_pos=1e-2)
-        np.testing.assert_allclose(out.mean, st.mean, atol=1e-12)
+        mean, cov = make_state(pos=(1, 2, 3))
+        out, _ = update(mean, cov, mean[:, :3], measurement_noise_pos=1e-2)
+        np.testing.assert_allclose(out, mean, atol=1e-12)
 
     def test_scalar_kalman_gain_closed_form(self):
         # 1-D case hand-evaluated: K = P / (P + R)
@@ -63,25 +154,38 @@ class TestUpdate:
         expected_mean = x_prior + K * (z - x_prior)
         expected_var = (1 - K) * P
 
-        st = make_state(pos=(x_prior, 0, 0), pos_var=P, vel_var=0.0)
-        out = update(st, np.array([z, 0, 0, 1, 1, 1, 0.0]),
-                     measurement_noise_pos=R)
-        np.testing.assert_allclose(out.mean[0], expected_mean)
-        np.testing.assert_allclose(out.cov[0, 0], expected_var)
+        mean, cov = update(*make_state(pos=(x_prior, 0, 0), pos_var=P,
+                                       vel_var=0.0),
+                           np.array([[z, 0, 0]]), measurement_noise_pos=R)
+        np.testing.assert_allclose(mean[0, 0], expected_mean)
+        np.testing.assert_allclose(cov[0, 0, 0], expected_var)
 
     def test_converges_to_constant_velocity_truth(self):
         cfg = TrackConfig()
         truth_v = np.array([2.0, -1.0, 0.0])
-        st = make_state(pos=(0, 0, 0), vel=(0, 0, 0))
-        pos = np.zeros(3)
+        mean, cov = make_state(pos=(0, 0, 0), vel=(0, 0, 0))
         for k in range(1, 4):
-            st = predict(st, cfg.dt_s, cfg.process_noise_vel)
-            pos = truth_v * (k * cfg.dt_s)
-            st = update(st, np.concatenate([pos, [1, 1, 1, 0]]),
-                        measurement_noise_pos=0.0)
-        pred = predict(st, cfg.dt_s, cfg.process_noise_vel)
-        np.testing.assert_allclose(pred.mean[:3], truth_v * (4 * cfg.dt_s),
+            mean, cov = predict(mean, cov, cfg.dt_s, cfg.process_noise_vel)
+            mean, cov = update(mean, cov, (truth_v * (k * cfg.dt_s))[None],
+                               measurement_noise_pos=0.0)
+        pred, _ = predict(mean, cov, cfg.dt_s, cfg.process_noise_vel)
+        np.testing.assert_allclose(pred[0, :3], truth_v * (4 * cfg.dt_s),
                                    atol=1e-6)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_stack_equals_per_track_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(10):
+            mean, cov = random_stack(rng, n)
+            boxes = rng.normal(size=(n, 7))
+            r = rng.uniform(0.0, 1.0)
+            got_mean, got_cov = update(mean, cov, boxes[:, :3], r)
+            assert got_mean.shape == (n, 6) and got_cov.shape == (n, 6, 6)
+            for i in range(n):
+                want = update_reference(TrackState(mean[i], cov[i]), boxes[i],
+                                        r)
+                np.testing.assert_array_equal(got_mean[i], want.mean)
+                np.testing.assert_array_equal(got_cov[i], want.cov)
 
 
 def optimal_assignment_oracle(dist, gate):
@@ -174,30 +278,27 @@ class TestAssociate:
 
 class TestTrackOpenSet:
     @staticmethod
-    def dets_from_centers(centers, n_points=20):
-        return [[(np.concatenate([c, [1, 1, 1, 0.0]]), n_points)
-                 for c in frame] for frame in centers]
+    def boxes_from_centers(centers):
+        return [np.array([np.concatenate([c, [1, 1, 1, 0.0]]) for c in frame])
+                .reshape(-1, 7) for frame in centers]
 
     def test_constant_velocity_single_track(self):
         T = 11
         centers = [[np.array([0.1 * f, 0.0, 0.5])] for f in range(T)]
-        tracks = track_open_set(self.dets_from_centers(centers), T,
-                                TrackConfig())
-        assert len(tracks) == 1
-        assert tracks[0].frame_valid.all()
-        assert tracks[0].total_points == 20 * T
+        members = track_open_set(self.boxes_from_centers(centers), T,
+                                 TrackConfig())
+        np.testing.assert_array_equal(members, np.zeros((1, T)))
+        assert members.dtype == np.int64
 
     def test_single_frame_appearance(self):
         T = 11
         centers = [[] for _ in range(T)]
         centers[7] = [np.array([3.0, 1.0, 0.5])]
-        tracks = track_open_set(self.dets_from_centers(centers), T,
-                                TrackConfig())
-        assert len(tracks) == 1
-        expected = np.zeros(T, dtype=bool)
-        expected[7] = True
-        np.testing.assert_array_equal(tracks[0].frame_valid, expected)
-        assert (tracks[0].boxes[~expected] == 0).all()
+        members = track_open_set(self.boxes_from_centers(centers), T,
+                                 TrackConfig())
+        expected = np.full((1, T), -1)
+        expected[0, 7] = 0
+        np.testing.assert_array_equal(members, expected)
 
     def test_crossing_clusters_no_id_switch(self):
         T = 11
@@ -206,35 +307,62 @@ class TestTrackOpenSet:
         a = [np.array([0.5 * f, 0.0, 0.5]) for f in range(T)]
         b = [np.array([5.0 - 0.5 * f, 3.0, 0.5]) for f in range(T)]
         centers = [[a[f], b[f]] for f in range(T)]
-        tracks = track_open_set(self.dets_from_centers(centers), T, cfg)
-        assert len(tracks) == 2
-        for tr, truth in zip(tracks, (a, b)):
-            assert tr.frame_valid.all()
-            np.testing.assert_allclose(tr.boxes[:, :3], np.array(truth))
+        members = track_open_set(self.boxes_from_centers(centers), T, cfg)
+        np.testing.assert_array_equal(members, [[0] * T, [1] * T])
 
     def test_each_cluster_in_exactly_one_track(self):
         rng = np.random.default_rng(2)
         T = 6
         centers = [[rng.uniform(0, 50, 3) for _ in range(rng.integers(0, 4))]
                    for _ in range(T)]
-        dets = self.dets_from_centers(centers)
-        tracks = track_open_set(dets, T, TrackConfig())
-        seen = set()
-        for tr in tracks:
-            for member in tr.members:
-                assert member not in seen
-                seen.add(member)
-        assert len(seen) == sum(len(c) for c in centers)
-        assert len(tracks) <= len(seen)
+        members = track_open_set(self.boxes_from_centers(centers), T,
+                                 TrackConfig())
+        # every (frame, cluster) appears exactly once in the table
+        for f in range(T):
+            held = np.sort(members[:, f][members[:, f] >= 0])
+            np.testing.assert_array_equal(held, np.arange(len(centers[f])))
+        assert (members >= 0).any(axis=1).all()
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
         T = 5
         centers = [[rng.uniform(0, 20, 3) for _ in range(3)] for _ in range(T)]
-        dets = self.dets_from_centers(centers)
-        a = track_open_set(dets, T, TrackConfig())
-        b = track_open_set(dets, T, TrackConfig())
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.boxes, y.boxes)
-            np.testing.assert_array_equal(x.frame_valid, y.frame_valid)
-            assert x.members == y.members
+        boxes = self.boxes_from_centers(centers)
+        np.testing.assert_array_equal(track_open_set(boxes, T, TrackConfig()),
+                                      track_open_set(boxes, T, TrackConfig()))
+
+    def test_missing_frames_hold_no_cluster(self):
+        T = 4
+        boxes = self.boxes_from_centers([[np.array([1.0, 2.0, 0.5])]])
+        members = track_open_set(boxes, T, TrackConfig())
+        np.testing.assert_array_equal(members, [[0, -1, -1, -1]])
+        assert track_open_set([], T, TrackConfig()).shape == (0, T)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_table_equals_per_track_loop(self, seed):
+        """Random detections with gaps, empty frames, crossing clusters and
+        (on odd seeds) integer-grid centers whose distances tie."""
+        rng = np.random.default_rng(seed)
+        cfg = TrackConfig()
+        T = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 8))
+        start = rng.uniform(0, 6, (n, 3))
+        vel = rng.uniform(-3, 3, (n, 3))  # paths cross within the window
+        frame_boxes = []
+        for f in range(T):
+            centers = start + vel * (f * cfg.dt_s)
+            centers = centers[rng.uniform(size=n) < 0.7]  # gaps
+            if rng.uniform() < 0.2:
+                centers = centers[:0]  # an empty frame
+            if seed % 2:
+                centers = np.round(centers)  # many equal distances
+            centers = np.concatenate(
+                [centers, rng.uniform(0, 6, (int(rng.integers(0, 3)), 3))])
+            rng.shuffle(centers)
+            boxes = np.zeros((len(centers), 7))
+            boxes[:, :3] = centers
+            boxes[:, 3:6] = rng.uniform(0.5, 2, (len(centers), 3))
+            frame_boxes.append(boxes)
+        want = member_table(track_open_set_reference(frame_boxes, T, cfg), T)
+        np.testing.assert_array_equal(track_open_set(frame_boxes, T, cfg),
+                                      want)

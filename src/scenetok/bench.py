@@ -8,6 +8,7 @@ import numpy as np
 
 from .bundle import SceneBundle
 from .config import PipelineConfig
+from .errors import InvalidInput
 from .fusion import FusionParams
 from .pipeline import STAGES, tokenize_bundle
 
@@ -45,7 +46,7 @@ def bench_tokenize(bundle: SceneBundle, config: PipelineConfig,
     the timings cover the pipeline stages only.
     """
     if repetitions <= 0:
-        raise ValueError("repetitions must be > 0")
+        raise InvalidInput("repetitions must be > 0")
     samples: dict[str, list[float]] = {stage: [] for stage in STAGES}
     for rep in range(repetitions):
         result = tokenize_bundle(bundle, config, params=params,

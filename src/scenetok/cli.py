@@ -20,6 +20,7 @@ from .errors import (
     BundleValidationError,
     DegenerateInput,
     DimensionMismatch,
+    InvalidInput,
     ShapeMismatch,
     StorageError,
 )
@@ -27,6 +28,7 @@ from .fusion import FusionParams, init_fusion_params
 from .pipeline import tokenize_bundle
 from .storage import (
     load_pipeline_config,
+    load_scene_spec,
     read_fusion_params,
     read_scene_bundle,
     read_tokens,
@@ -36,7 +38,7 @@ from .storage import (
 from .synthetic import SceneSpec, drop_agents, generate_scene
 
 _VALIDATION_ERRORS = (BundleValidationError, BudgetMismatch, DimensionMismatch,
-                      ShapeMismatch, DegenerateInput, ValueError)
+                      ShapeMismatch, DegenerateInput, InvalidInput)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,7 +121,7 @@ def _cmd_tokenize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = SceneSpec.from_json(args.spec) if args.spec else SceneSpec()
+    spec = load_scene_spec(args.spec) if args.spec else SceneSpec()
     scene = generate_scene(args.seed, spec)
     write_scene_bundle(args.out, scene.bundle)
     n_pts = sum(f.points.shape[0] for f in scene.bundle.frames)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvalidInput
+
 
 @dataclass(frozen=True)
 class RansacConfig:
@@ -111,6 +113,8 @@ class PipelineConfig:
                 problems.append(f"{name} must be > 0")
         if self.tile_size_m <= 0:
             problems.append("tile_size_m must be > 0")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if self.feature_interp not in ("nearest", "bilinear"):
             problems.append("feature_interp must be 'nearest' or 'bilinear'")
         if self.camera_overlap not in ("first", "mean"):
@@ -119,7 +123,7 @@ class PipelineConfig:
         problems += self.cluster.validate()
         problems += self.track.validate()
         if problems:
-            raise ValueError("invalid config: " + "; ".join(problems))
+            raise InvalidInput("invalid config: " + "; ".join(problems))
 
     @property
     def n_elem(self) -> int:

@@ -8,12 +8,13 @@ ends up with exactly one label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .bundle import AgentBox
+from .ground import lexicographic_order
 
 # Per-point label codes.
 LABEL_GROUND = 0
@@ -22,6 +23,16 @@ LABEL_OPENSET = 2
 LABEL_DISCARDED = 3
 
 SIZE_FLOOR = 0.05  # minimum box edge, meters
+
+# A monotone-chain cross product with |cross| <= _HULL_RTOL * R * L, where L
+# is the cluster's largest xy extent and R its largest |x| or |y| plus L,
+# sends the cluster to Qhull.  Above that, the chain's hull is the vertex
+# cycle Qhull returns; near it, rounding can make the two disagree.
+_HULL_RTOL = 1e-9
+# Float64 entries per (clusters, angles, vertices) projection block (2 MB).
+_FOLD_BUFFER = 1 << 18
+# Turns a chain step tests at once before it tests the deeper ones.
+_POP_WIDTH = 4
 
 
 @dataclass
@@ -55,26 +66,51 @@ def extract_agent_elements(points: np.ndarray, boxes: list[AgentBox]) -> np.ndar
     """Assign each point to at most one agent box.
 
     Returns the owning track_id per point, -1 for points outside every box.
-    A point inside several boxes goes to the box with the nearest center;
-    ties go to the lower track_id.
+    Boundaries are inclusive, as in ``points_in_box``.  A point inside
+    several boxes goes to the box with the nearest center; ties go to the
+    lower track_id, and boxes with equal track_ids keep their input order.
+
+    Candidates come from one ``cKDTree.query_ball_point`` over the points,
+    at each box's half-diagonal widened by 1e-9 relative + 1e-9 absolute, so
+    rounding cannot lose a point the oriented test keeps.  The oriented test
+    runs on the candidate (point, box) pairs only, rounded as
+    ``points_in_box`` rounds it, and one lexsort by point, center distance
+    and track rank picks each point's owner.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = points.shape[0]
-    owner = np.full(n, -1, dtype=np.int64)
-    if n == 0 or not boxes:
+    owner = np.full(points.shape[0], -1, dtype=np.int64)
+    if owner.size == 0 or not boxes:
         return owner
 
-    best_dist = np.full(n, np.inf)
-    for box in sorted(boxes, key=lambda b: b.track_id):
-        inside = points_in_box(points, box)
-        if not inside.any():
-            continue
-        dist = np.linalg.norm(points[inside] - box.center, axis=1)
-        idx = np.flatnonzero(inside)
-        better = dist < best_dist[idx]  # strict: ties keep the lower track_id
-        sel = idx[better]
-        owner[sel] = box.track_id
-        best_dist[sel] = dist[better]
+    boxes = sorted(boxes, key=lambda b: b.track_id)  # list index = track rank
+    center = np.array([b.center for b in boxes])
+    half = np.array([b.size for b in boxes]) / 2.0
+    # One scalar cos/sin per box, as points_in_box takes them.
+    cos_sin = np.array([(np.cos(b.heading), np.sin(b.heading)) for b in boxes])
+    radius = np.linalg.norm(half, axis=1)
+    # A sliding-midpoint tree builds faster, and one query per box is all
+    # it serves.
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+    hits = tree.query_ball_point(center, radius * (1 + 1e-9) + 1e-9)
+    box = np.repeat(np.arange(len(boxes)), [len(h) for h in hits])
+    pt = np.fromiter(chain.from_iterable(hits), dtype=np.int64, count=box.size)
+
+    d = points[pt] - center[box]
+    c, s = cos_sin[box, 0], cos_sin[box, 1]
+    x = c * d[:, 0] + s * d[:, 1]
+    y = -s * d[:, 0] + c * d[:, 1]
+    h = half[box]
+    inside = ((np.abs(x) <= h[:, 0]) & (np.abs(y) <= h[:, 1])
+              & (np.abs(d[:, 2]) <= h[:, 2]))
+    pt, box = pt[inside], box[inside]
+    dist = np.linalg.norm(d[inside], axis=1)
+
+    order = np.lexsort((box, dist, pt))
+    pt, box = pt[order], box[order]
+    first = np.ones(pt.size, dtype=bool)
+    np.not_equal(pt[1:], pt[:-1], out=first[1:])
+    track_id = np.array([b.track_id for b in boxes], dtype=np.int64)
+    owner[pt[first]] = track_id[box[first]]
     return owner
 
 
@@ -93,7 +129,7 @@ def cluster_open_set(points: np.ndarray, radius: float,
     if n == 0:
         return labels
 
-    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
+    order = lexicographic_order(points)
     pairs = cKDTree(points[order]).query_pairs(radius, output_type="ndarray")
 
     # Min-label propagation over both directions of every pair, with pointer
@@ -115,41 +151,55 @@ def cluster_open_set(points: np.ndarray, radius: float,
     return labels
 
 
-def _min_area_rect(xy: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    """Minimum-area oriented rectangle of 2-D points.
+def _min_area_rects(hull: np.ndarray, n_vertices: np.ndarray
+                    ) -> tuple[np.ndarray, ...]:
+    """Minimum-area oriented rectangles of a stack of convex polygons.
 
-    Rotating calipers over the convex hull: the optimal rectangle has a side
-    collinear with a hull edge.  Returns (center, length, width, heading)
-    with length >= width and heading in [0, pi); area ties pick the smallest
-    heading.
+    ``hull`` is (polygons, H, 2): row r holds a counter-clockwise vertex
+    cycle of ``n_vertices[r]`` vertices, padded to H by repeating its last
+    vertex.  Rotating calipers: the optimal rectangle has a side collinear
+    with a hull edge, so each row is projected onto all of its edge angles
+    in one (polygons, vertices, angles) product.  Returns (center (n, 2),
+    length, width, heading) with length >= width and heading in [0, pi).
+
+    Each row's angles are visited in increasing order.  A later angle wins
+    only with an area smaller by more than 1e-12, or an area within 1e-12
+    and a heading smaller by more than 1e-12; so a repeated angle never
+    wins, and rows need no deduplication: padding repeats the last edge.
     """
-    hull = ConvexHull(xy)
-    hp = xy[hull.vertices]
-    edges = np.roll(hp, -1, axis=0) - hp
-    theta = np.unique(np.mod(np.arctan2(edges[:, 1], edges[:, 0]), np.pi))
+    rows = np.arange(hull.shape[0])
+    tail = np.minimum(np.arange(hull.shape[1]), n_vertices[:, None] - 1)
+    head = np.where(tail + 1 < n_vertices[:, None], tail + 1, 0)
+    edges = hull[rows[:, None], head] - hull[rows[:, None], tail]
+    theta = np.sort(np.mod(np.arctan2(edges[..., 1], edges[..., 0]), np.pi),
+                    axis=1)
 
-    # Project the hull onto every candidate axis at once: (angles, vertices).
-    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    u = hp[:, 0] * c + hp[:, 1] * s
-    v = -hp[:, 0] * s + hp[:, 1] * c
+    # Project every vertex onto every candidate axis: (polygons, vertices,
+    # angles), reduced over the vertex axis.
+    c, s = np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
+    x, y = hull[:, :, None, 0], hull[:, :, None, 1]
+    u = x * c + y * s
+    v = -x * s + y * c
     ext_u = u.max(axis=1) - u.min(axis=1)
     ext_v = v.max(axis=1) - v.min(axis=1)
     area = ext_u * ext_v
     heading = np.where(ext_u >= ext_v, theta, np.mod(theta + np.pi / 2, np.pi))
 
-    best = 0
-    for k in range(1, theta.shape[0]):
-        if area[k] < area[best] - 1e-12 or (
-                abs(area[k] - area[best]) <= 1e-12
-                and heading[k] < heading[best] - 1e-12):
-            best = k
+    best = np.zeros(hull.shape[0], dtype=np.int64)
+    for k in range(1, theta.shape[1]):
+        area_best, heading_best = area[rows, best], heading[rows, best]
+        better = (area[:, k] < area_best - 1e-12) | (
+            (np.abs(area[:, k] - area_best) <= 1e-12)
+            & (heading[:, k] < heading_best - 1e-12))
+        best[better] = k
 
-    mu = (u[best].max() + u[best].min()) / 2.0
-    mv = (v[best].max() + v[best].min()) / 2.0
-    cb, sb = c[best, 0], s[best, 0]
-    center = np.array([mu * cb - mv * sb, mu * sb + mv * cb])
-    length, width = sorted((ext_u[best], ext_v[best]), reverse=True)
-    return center, length, width, heading[best]
+    u, v = u[rows, :, best], v[rows, :, best]
+    mu = (u.max(axis=1) + u.min(axis=1)) / 2.0
+    mv = (v.max(axis=1) + v.min(axis=1)) / 2.0
+    cb, sb = c[rows, 0, best], s[rows, 0, best]
+    center = np.stack([mu * cb - mv * sb, mu * sb + mv * cb], axis=1)
+    eu, ev = ext_u[rows, best], ext_v[rows, best]
+    return center, np.maximum(eu, ev), np.minimum(eu, ev), heading[rows, best]
 
 
 def _degenerate_rect(xy: np.ndarray) -> tuple[np.ndarray, float, float, float]:
@@ -171,30 +221,173 @@ def _degenerate_rect(xy: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     return mid, length, width, heading
 
 
-def fit_tight_box(points: np.ndarray) -> np.ndarray:
-    """Tightest 7-float box (center 3, size 3, heading) around a cluster.
+def _monotone_chains(xy: np.ndarray, sizes: np.ndarray
+                     ) -> tuple[np.ndarray, ...]:
+    """Convex hulls of clusters stored back to back, all built at once.
 
-    The xy footprint is the minimum-area oriented rectangle; the z extent
-    comes from min/max z.  Heading is the long-axis direction in [0, pi).
+    Andrew's monotone chain (Andrew 1979, Inf. Process. Lett. 9(5)): step i
+    offers every cluster with more than i points its i-th point in (x, y)
+    order to its lower chain and in reverse order to its upper chain, and
+    each chain pops while its top two points and the offered one do not
+    turn left.  A step computes the turns after 0 to _POP_WIDTH - 1 pops
+    together, then all deeper turns of the chains that popped that many,
+    and makes the same pops, and evaluates the same cross products, as the
+    one-point-at-a-time chain.  Clusters are ranked by size, largest first,
+    so the chains still running at step i are a leading slice, and each
+    chain keeps its stack in its own slice of one flat array.
+
+    Returns ``(hull_xy, first, n_vertices, exact)``: every cluster's
+    counter-clockwise hull cycle, back to back in ``hull_xy``, and per
+    cluster in input order where its cycle starts, its vertex count, and
+    whether the cycle is the one Qhull finds.  It is not when the chains
+    found fewer than 3 vertices, or evaluated a cross product with
+    |cross| <= _HULL_RTOL * R * L.
+    """
+    n = sizes.size
+    rank = np.argsort(-sizes, kind="stable")  # rank -> cluster
+    r_size = sizes[rank]
+    r_start = np.cumsum(r_size) - r_size
+    rank_of = np.empty(n, dtype=np.int64)
+    rank_of[rank] = np.arange(n)
+    # One lexsort by (cluster rank, x, y).
+    pts = xy[np.lexsort((xy[:, 1], xy[:, 0], np.repeat(rank_of, sizes)))]
+
+    extent = (np.maximum.reduceat(pts, r_start)
+              - np.minimum.reduceat(pts, r_start)).max(axis=1)
+    reach = np.maximum.reduceat(np.abs(pts).max(axis=1), r_start) + extent
+    tol = np.repeat(_HULL_RTOL * reach * extent, 2)
+
+    # Step i offers chain 2r, the lower chain of the rank-r cluster, its
+    # i-th point in (x, y) order, and chain 2r + 1, its upper chain, its
+    # i-th point from the end.  The offers are stored step after step.
+    running = 2 * (n - np.searchsorted(r_size[::-1], np.arange(r_size[0]),
+                                       side="right"))
+    step_start = np.cumsum(running) - running
+    step = np.repeat(np.arange(running.size), running)
+    chain = np.arange(step.size) - step_start[step]
+    r = chain // 2
+    offer = r_start[r] + np.where(chain % 2 == 1, r_size[r] - 1 - step, step)
+    # Points as complex x + iy: one gather per stack read.
+    offered = pts[offer, 0] + 1j * pts[offer, 1]
+
+    # Each chain's stack is a slice of one array.  The slices start past as
+    # many slots as the largest stack holds, so turns read below an emptied
+    # stack still index inside the array.
+    c_size = np.repeat(r_size, 2)
+    base = np.cumsum(c_size) - c_size + r_size[0] + 2
+    stack = np.zeros(base[-1] + c_size[-1], dtype=complex)
+    end = base.copy()  # one past each chain's top point
+    near = np.zeros(2 * n, dtype=bool)
+
+    def pop_count(chains, q, width):
+        """Pop the chains' stacks for the offered points q.
+
+        Column j holds the turn tested after j pops, for j up to ``width``;
+        the last column stops every chain that pops all ``width`` before it.
+        """
+        after = np.arange(1, width + 2)
+        top = end[chains, None] - after  # top point after j pops
+        dead = top <= base[chains, None]  # fewer than 2 points left
+        a, o = stack[top], stack[top - 1]
+        cross = (np.conj(a - o) * (q[:, None] - o)).imag
+        stop = cross > 0
+        stop |= dead
+        stop[:, -1] = True
+        pops = stop.argmax(axis=1)
+        small = np.abs(cross) <= tol[chains, None]
+        if small.any():  # flag only turns the chain tests: up to the stop
+            near[chains] |= ((small > dead)
+                             & (after <= pops[:, None] + 1)).any(axis=1)
+        end[chains] -= pops
+        return pops
+
+    for i, m in enumerate(running):
+        q = offered[step_start[i]:step_start[i] + m]
+        if i >= 2:  # every running stack holds at least 2 points
+            more = np.flatnonzero(pop_count(slice(m), q, _POP_WIDTH) == _POP_WIDTH)
+            if more.size:  # test down to the bottom of the deepest stack
+                pop_count(more, q[more], int((end[more] - base[more]).max()))
+        stack[end[:m]] = q
+        end[:m] += 1
+
+    # A hull is its lower chain then its upper chain, each without its last
+    # point, which starts the other: in the order the chains are stored.
+    keep = end - base - 1
+    hull = stack[np.repeat(base, keep) + np.arange(keep.sum())
+                 - np.repeat(np.cumsum(keep) - keep, keep)]
+    n_vertices = keep.reshape(n, 2).sum(axis=1)
+    first = np.cumsum(n_vertices) - n_vertices
+    exact = (n_vertices >= 3) & ~near.reshape(n, 2).any(axis=1)
+    return (np.column_stack([hull.real, hull.imag]),
+            first[rank_of], n_vertices[rank_of], exact[rank_of])
+
+
+def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
+    """Tightest 7-float boxes (center 3, size 3, heading), one per cluster.
+
+    ``points`` holds every cluster's points back to back, ``sizes[c]`` of
+    them for cluster c; returns a ``(len(sizes), 7)`` array.  The xy
+    footprint is the minimum-area oriented rectangle of the cluster's
+    convex hull; the z extent comes from min/max z.  Heading is the
+    long-axis direction in [0, pi); of rectangles whose areas are within
+    1e-12, the one with the smallest heading (by more than 1e-12) wins.
     All sizes are floored at SIZE_FLOOR so degenerate clusters still make
     usable boxes.
+
+    The hulls of all clusters come from one batched monotone chain.  A
+    cluster whose chain finds fewer than 3 vertices, or evaluates a cross
+    product with |cross| <= 1e-9 * R * L (L: its largest xy extent, R: its
+    largest |x| or |y| plus L), takes its hull from Qhull instead, and
+    when Qhull fails too (fewer than 3 points, or collinear) its principal
+    direction gives the rectangle.  The result for each cluster does not
+    depend on the other clusters in the call.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if points.shape[0] == 0:
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    if (sizes <= 0).any():
         raise ValueError("cannot fit a box around zero points")
+    if sizes.sum() != points.shape[0]:
+        raise ValueError(f"cluster sizes sum to {sizes.sum()}, "
+                         f"but {points.shape[0]} points were given")
+    n = sizes.size
+    if n == 0:
+        return np.empty((0, 7))
 
+    start = np.cumsum(sizes) - sizes
     xy = points[:, :2]
-    try:
-        center2, length, width, heading = _min_area_rect(xy)
-    except (QhullError, ValueError):  # fewer than 3 points, or collinear
-        center2, length, width, heading = _degenerate_rect(xy)
+    hull_xy, first, n_vertices, exact = _monotone_chains(xy, sizes)
 
-    z_min, z_max = points[:, 2].min(), points[:, 2].max()
-    length = max(length, SIZE_FLOOR)
-    width = max(width, SIZE_FLOOR)
-    height = max(z_max - z_min, SIZE_FLOOR)
-    return np.array([center2[0], center2[1], (z_min + z_max) / 2.0,
-                     length, width, height, heading])
+    center, length = np.empty((n, 2)), np.empty(n)
+    width, heading = np.empty(n), np.empty(n)
+    rect = (center, length, width, heading)
+    # Rows by hull size, in blocks whose padded projection fits the buffer.
+    rows = np.flatnonzero(exact)
+    rows = rows[np.argsort(n_vertices[rows], kind="stable")]
+    while rows.size:
+        cost = np.arange(1, rows.size + 1) * n_vertices[rows] ** 2
+        k = max(1, np.searchsorted(cost, _FOLD_BUFFER, side="right"))
+        block, rows = rows[:k], rows[k:]
+        h = n_vertices[block]
+        hull = hull_xy[first[block, None]
+                       + np.minimum(np.arange(h[-1]), h[:, None] - 1)]
+        for out, value in zip(rect, _min_area_rects(hull, h)):
+            out[block] = value
+    for c in np.flatnonzero(~exact):
+        cluster_xy = xy[start[c]:start[c] + sizes[c]]
+        try:
+            hull = cluster_xy[ConvexHull(cluster_xy).vertices]
+            value = [r[0] for r in _min_area_rects(hull[None], np.array([len(hull)]))]
+        except (QhullError, ValueError):  # fewer than 3 points, or collinear
+            value = _degenerate_rect(cluster_xy)
+        for out, v in zip(rect, value):
+            out[c] = v
+
+    z_min = np.minimum.reduceat(points[:, 2], start)
+    z_max = np.maximum.reduceat(points[:, 2], start)
+    return np.column_stack([
+        center, (z_min + z_max) / 2.0, np.maximum(length, SIZE_FLOOR),
+        np.maximum(width, SIZE_FLOOR), np.maximum(z_max - z_min, SIZE_FLOOR),
+        heading])
 
 
 def decompose_frame(points: np.ndarray, ground_mask: np.ndarray,

@@ -35,6 +35,10 @@ class FrameCountMismatch(BundleValidationError):
     pass
 
 
+class InvalidInput(SceneTokError, ValueError):
+    """A value the user supplied (config, scene spec, option) is invalid."""
+
+
 class DegenerateInput(SceneTokError):
     """Too few or collinear points for a geometric fit."""
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..errors import InvalidInput
+
 
 @dataclass
 class MlpParams:
@@ -128,7 +130,7 @@ def init_fusion_params(T: int, D: int, hidden: int = 64, n_heads: int = 2,
                        seed: int = 0, dtype=np.float64) -> FusionParams:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization."""
     if D % n_heads != 0:
-        raise ValueError(f"D={D} not divisible by n_heads={n_heads}")
+        raise InvalidInput(f"D={D} not divisible by n_heads={n_heads}")
     rng = np.random.default_rng(seed)
     return FusionParams(
         T=T, D=D, hidden=hidden, n_heads=n_heads,

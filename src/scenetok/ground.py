@@ -65,6 +65,28 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None]).reshape(-1)
 
 
+def lexicographic_order(points: np.ndarray) -> np.ndarray:
+    """``np.lexsort((z, y, x))`` of an (N, 3) array, sorting only tied x.
+
+    One stable argsort on x places every point whose x is unique; a lexsort
+    over (x, y, z) then reorders just the positions in runs of tied x.  Ties
+    are found as ``~(xs[1:] > xs[:-1])``, so runs of ±0.0 and of NaN go to the
+    lexsort too and come out as it orders them.
+    """
+    x = points[:, 0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    tie = ~(xs[1:] > xs[:-1])
+    if tie.any():
+        in_run = np.zeros(x.size, dtype=bool)
+        in_run[1:] = tie
+        in_run[:-1] |= tie
+        pos = np.flatnonzero(in_run)
+        sub = order[pos]
+        order[pos] = sub[np.lexsort((points[sub, 2], points[sub, 1], x[sub]))]
+    return order
+
+
 def fit_ground_plane(points: np.ndarray, config: RansacConfig,
                      seed: int = 0) -> GroundPlane:
     """RANSAC plane fit, deterministic under ``seed``.
@@ -88,8 +110,7 @@ def fit_ground_plane(points: np.ndarray, config: RansacConfig,
     if n < 3:
         raise DegenerateInput(f"need at least 3 points to fit a plane, got {n}")
 
-    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
-    pts = points[order]
+    pts = points[lexicographic_order(points)]
     rng = np.random.default_rng(seed)
 
     if n > config.max_score_points:
@@ -193,19 +214,15 @@ def tile_ground(points: np.ndarray, tile_size: float, max_tiles: int,
     sums_z = np.bincount(inverse, weights=points[:, 2], minlength=uniq.shape[0])
     mean_z = sums_z / counts
 
-    elements = []
-    for slot, cell_idx in enumerate(keep):
-        cx, cy = uniq[cell_idx]
-        center = np.array([(cx + 0.5) * tile_size, (cy + 0.5) * tile_size,
-                           mean_z[cell_idx]])
-        row = np.concatenate([center, np.zeros(4)])
-        elements.append(SceneElement(
-            token_id=-1,
-            kind=KIND_GROUND,
-            boxes=np.tile(row, (T, 1)),
-            frame_valid=np.ones(T, dtype=bool),
-            source_id=int(cell_idx),
-        ))
+    # One (n_keep, T, 7) box array: cell centre x, y, mean z, zero size and
+    # heading, repeated over frames.
+    boxes = np.zeros((keep.shape[0], T, 7))
+    boxes[:, :, :2] = ((uniq[keep] + 0.5) * tile_size)[:, None, :]
+    boxes[:, :, 2] = mean_z[keep, None]
+    elements = [SceneElement(token_id=-1, kind=KIND_GROUND, boxes=rows,
+                             frame_valid=np.ones(T, dtype=bool),
+                             source_id=int(cell_idx))
+                for rows, cell_idx in zip(boxes, keep)]
 
     return elements, slot_of_cell[inverse]
 

@@ -139,7 +139,8 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     for box in bundle.agents:
         boxes_by_frame.setdefault(box.frame_index, []).append(box)
 
-    labels, agent_track, cluster_id, frame_boxes, cluster_size = [], [], [], [], []
+    labels, agent_track, cluster_id, cluster_points, cluster_size = ([], [], [],
+                                                                      [], [])
     for f, frame in enumerate(bundle.frames):
         lab, atr, cid = decompose.decompose_frame(
             frame.points, ground_masks[f], boxes_by_frame.get(f, []),
@@ -150,11 +151,15 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
         # One stable sort groups each cluster's points in their frame order.
         sizes = np.bincount(cid[cid >= 0])
         by_cluster = np.argsort(cid, kind="stable")[cid.size - sizes.sum():]
-        cluster_points = (np.split(frame.points[by_cluster],
-                                   np.cumsum(sizes)[:-1]) if sizes.size else [])
-        frame_boxes.append(np.reshape(
-            [decompose.fit_tight_box(pts) for pts in cluster_points], (-1, 7)))
+        cluster_points.append(frame.points[by_cluster])
         cluster_size.append(sizes)
+    # Every cluster of every frame, boxed in one call; frame f's cluster c is
+    # row cluster_base[f] + c of the flat cluster arrays.
+    cluster_base = np.cumsum([0] + [sizes.size for sizes in cluster_size])
+    cluster_size = np.concatenate([np.empty(0, dtype=np.int64), *cluster_size])
+    cluster_boxes = decompose.fit_tight_box(
+        np.concatenate([np.empty((0, 3)), *cluster_points]), cluster_size)
+    frame_boxes = np.split(cluster_boxes, cluster_base[1:-1])
     partition = decompose.PointPartition(labels=labels, agent_track=agent_track,
                                          cluster_id=cluster_id)
     timings["decompose"] += time.perf_counter() - t0
@@ -177,18 +182,14 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     ground_elements, tile_of_point = ground.tile_ground(
         xyz[is_ground], config.tile_size_m, config.n_elem_ground, T)
 
-    # Frame f's cluster c is row cluster_base[f] + c of the flat cluster
-    # arrays; each (track, frame) entry of the member table names one row.
-    cluster_base = np.cumsum([0] + [len(boxes) for boxes in frame_boxes])
+    # Each (track, frame) entry of the member table names one cluster row.
     member_track, member_frame = np.nonzero(members >= 0)
     member_row = cluster_base[member_frame] + members[member_track,
                                                       member_frame]
     openset_boxes = np.zeros((len(members), T, 7))
-    openset_boxes[member_track, member_frame] = np.concatenate(
-        [np.empty((0, 7)), *frame_boxes])[member_row]
-    openset_points = np.bincount(
-        member_track, np.concatenate([np.empty(0), *cluster_size])[member_row],
-        minlength=len(members))
+    openset_boxes[member_track, member_frame] = cluster_boxes[member_row]
+    openset_points = np.bincount(member_track, cluster_size[member_row],
+                                 minlength=len(members))
     openset_tracks = [SceneElement(token_id=-1, kind=KIND_OPENSET,
                                    boxes=boxes, frame_valid=valid, source_id=i)
                       for i, (boxes, valid) in enumerate(zip(openset_boxes,

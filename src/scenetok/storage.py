@@ -28,6 +28,7 @@ from .config import ClusterConfig, PipelineConfig, RansacConfig, TrackConfig
 from .errors import (
     BadJson,
     BadManifestField,
+    InvalidInput,
     IoFailure,
     ManifestMissingEntry,
     StorageError,
@@ -41,6 +42,7 @@ from .formats import (
     write_tensor_file,
 )
 from .fusion import FusionParams, init_fusion_params
+from .synthetic import SceneSpec
 
 MANIFEST_NAME = "manifest.json"
 
@@ -282,19 +284,19 @@ _SECTIONS = {"ransac": RansacConfig, "cluster": ClusterConfig,
 def _config_kwargs(raw, cls, path, section: str = "") -> dict:
     """Check one JSON object against a config dataclass's declared fields."""
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: {section or 'config'} must be a JSON object")
+        raise InvalidInput(f"{path}: {section or 'config'} must be a JSON object")
     declared = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for name, value in raw.items():
         field = f"{section}.{name}" if section else name
         if name not in declared:
-            raise ValueError(f"{path}: unknown config field {field}")
+            raise InvalidInput(f"{path}: unknown config field {field}")
         if name in _SECTIONS:
             value = _SECTIONS[name](**_config_kwargs(value, _SECTIONS[name],
                                                      path, name))
         elif (isinstance(value, bool)
               or not isinstance(value, _JSON_TYPES[declared[name]])):
-            raise ValueError(f"{path}: config field {field} must be "
+            raise InvalidInput(f"{path}: config field {field} must be "
                              f"{declared[name]}, got {json.dumps(value)}")
         kwargs[name] = value
     return kwargs
@@ -304,3 +306,8 @@ def load_pipeline_config(path) -> PipelineConfig:
     """Load a config file; fields not present keep their defaults."""
     raw = _load_json(path)
     return PipelineConfig(**_config_kwargs(raw, PipelineConfig, path))
+
+
+def load_scene_spec(path) -> SceneSpec:
+    """Load a synthetic scene spec, typed field by field as configs are."""
+    return SceneSpec(**_config_kwargs(_load_json(path), SceneSpec, path))

@@ -10,7 +10,6 @@ showing label L from camera k is one_hot(L) * (k + 1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -24,6 +23,7 @@ from .bundle import (
     normalize_heading,
 )
 from .decompose import LABEL_AGENT, LABEL_GROUND, LABEL_OPENSET, PointPartition
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,9 @@ class SceneSpec:
 
     def __post_init__(self):
         if self.D < 3:
-            raise ValueError("D must be >= 3 to hold the label channels")
+            raise InvalidInput("D must be >= 3 to hold the label channels")
         if self.T <= 0 or self.area_m <= 0:
-            raise ValueError("T and area_m must be > 0")
-
-    @staticmethod
-    def from_json(path) -> "SceneSpec":
-        with open(path) as fh:
-            return SceneSpec(**json.load(fh))
+            raise InvalidInput("T and area_m must be > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -81,7 +76,7 @@ def _place_centers(rng, n, area, margin, min_sep, max_tries=10_000):
     while len(centers) < n:
         tries += 1
         if tries > max_tries:
-            raise ValueError(
+            raise InvalidInput(
                 f"could not place {n} objects with separation {min_sep} in "
                 f"area {area}; enlarge the area or reduce the count")
         cand = rng.uniform(margin, area - margin, size=2)
@@ -154,6 +149,8 @@ def _render_feature_map(points, labels, R, t, fx, fy, cx, cy, res, D, camera_id)
 
 def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
     """Build one reproducible scene with per-point ground-truth labels."""
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     area = spec.area_m
 
@@ -258,7 +255,9 @@ def drop_agents(bundle: SceneBundle, ratio: float, seed: int) -> tuple[SceneBund
     Returns the ablated bundle and the sorted dropped track ids.
     """
     if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must be in [0, 1], got {ratio}")
+        raise InvalidInput(f"ratio must be in [0, 1], got {ratio}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     track_ids = sorted({b.track_id for b in bundle.agents})
     n_drop = int(math.floor(ratio * len(track_ids)))
     if n_drop == 0:

@@ -271,7 +271,7 @@ def test_criterion_09_geometry_oracles():
         n = int(rng.integers(4, 25))
         xy = rng.normal(size=(n, 2)) * rng.uniform(0.5, 4.0, size=2)
         pts = np.column_stack([xy, rng.normal(size=n)])
-        box = st.fit_tight_box(pts)
+        box = st.fit_tight_box(pts, [len(pts)])[0]
         area = box[3] * box[4]
 
         best = np.inf

@@ -123,6 +123,55 @@ def test_wrong_typed_config_exits_1(workdir, capsys, config, message):
     assert message in err and "Traceback" not in err
 
 
+_TOKENIZE = ["tokenize", "--scene", "{w}/nope", "--config", "{w}/cfg.json",
+             "--out", "{w}/x.tokens"]
+_SYNTH = ["synth", "--spec", "{w}/spec2.json", "--out", "{w}/s"]
+
+
+@pytest.mark.parametrize("command, written, message", [
+    (_TOKENIZE, dict(CONFIG, T=0), "T must be > 0"),
+    (_TOKENIZE, dict(CONFIG, seed=-1), "seed must be >= 0"),
+    (_TOKENIZE, dict(CONFIG, D=9), "D=9 not divisible by n_heads=2"),
+    (_SYNTH, dict(SPEC, D=2), "D must be >= 3"),
+    (_SYNTH, dict(SPEC, Q=1), "unknown config field Q"),
+    (_SYNTH, dict(SPEC, n_agents="3"), "config field n_agents must be int"),
+    (_SYNTH, dict(SPEC, n_agents=40, area_m=20.0), "could not place 43"),
+    (_SYNTH + ["--seed", "-1"], SPEC, "seed must be >= 0"),
+    (["ablate", "--scene", "{w}/scene", "--drop-agents", "1.5", "--out",
+      "{w}/a"], None, "ratio must be in [0, 1], got 1.5"),
+    (["bench", "--scene", "{w}/scene", "--reps", "0", "--config",
+      "{w}/config.json"], None, "repetitions must be > 0"),
+])
+def test_invalid_user_values_exit_1(workdir, capsys, command, written,
+                                    message):
+    # ``written`` is the content of the config or spec file the command reads.
+    cli_main(["synth", "--seed", "4", "--spec", str(workdir / "spec.json"),
+              "--out", str(workdir / "scene")])
+    for name in ("cfg.json", "spec2.json"):
+        (workdir / name).write_text(json.dumps(written))
+    capsys.readouterr()
+    assert cli_main([arg.format(w=workdir) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_value_error_inside_a_stage_propagates(workdir, monkeypatch):
+    from scenetok import decompose
+
+    scene_dir = workdir / "scene"
+    cli_main(["synth", "--seed", "4", "--spec", str(workdir / "spec.json"),
+              "--out", str(scene_dir)])
+
+    def broken(points, sizes):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(decompose, "fit_tight_box", broken)
+    with pytest.raises(ValueError, match="a bug, not bad input"):
+        cli_main(["tokenize", "--scene", str(scene_dir), "--config",
+                  str(workdir / "config.json"),
+                  "--out", str(workdir / "x.tokens")])
+
+
 def test_truncated_manifest_exits_2(workdir, capsys):
     scene_dir = workdir / "scene"
     cli_main(["synth", "--seed", "4", "--spec", str(workdir / "spec.json"),

@@ -1,7 +1,8 @@
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull
+import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from scenetok import cluster_open_set, extract_agent_elements, fit_tight_box
 from scenetok import decompose
@@ -31,7 +32,78 @@ def membership_oracle(point, b):
             and abs(d[2]) <= b.size[2] / 2)
 
 
+def extract_agent_elements_reference(points, boxes):
+    """Reference: every box tested against every point, in track order."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    owner = np.full(points.shape[0], -1, dtype=np.int64)
+    if points.shape[0] == 0 or not boxes:
+        return owner
+    best_dist = np.full(points.shape[0], np.inf)
+    for b in sorted(boxes, key=lambda b: b.track_id):
+        inside = points_in_box(points, b)
+        if not inside.any():
+            continue
+        dist = np.linalg.norm(points[inside] - b.center, axis=1)
+        idx = np.flatnonzero(inside)
+        better = dist < best_dist[idx]  # strict: ties keep the lower track_id
+        owner[idx[better]] = b.track_id
+        best_dist[idx[better]] = dist[better]
+    return owner
+
+
+def box_corners_and_faces(b):
+    """Corners, edge midpoints and face centres of an oriented box."""
+    signs = np.array([[i, j, k] for i in (-1, 0, 1) for j in (-1, 0, 1)
+                      for k in (-1, 0, 1)], dtype=float)
+    c, s = math.cos(b.heading), math.sin(b.heading)
+    R = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
+    return (signs * b.size / 2.0) @ R.T + b.center
+
+
 class TestAgentMembership:
+    def test_matches_reference_on_awkward_frames(self):
+        rng = np.random.default_rng(3)
+        equal = [box(track_id=7, center=(-1, 0, 0), size=(4, 4, 4)),
+                 box(track_id=3, center=(1, 0, 0), size=(4, 4, 4))]
+        rotated = [box(track_id=t, center=rng.uniform(-3, 3, 3),
+                       size=rng.uniform(0.5, 4, 3), heading=h)
+                   for t, h in zip((9, 2, 5, 4), (0.3, -2.9, math.pi / 2, 1.1))]
+        on_plane = np.column_stack([np.zeros(50), rng.uniform(-2, 2, (50, 2))])
+        frames = [
+            (np.concatenate([on_plane, rng.uniform(-3, 3, (200, 3))]), equal),
+            (np.concatenate([box_corners_and_faces(b) for b in equal]), equal),
+            (np.concatenate([*(box_corners_and_faces(b) for b in rotated),
+                             rng.uniform(-5, 5, (400, 3))]), rotated),
+            (np.concatenate([box_corners_and_faces(b) for b in rotated]),
+             rotated[::-1]),
+            (np.array([[2.0, 2.0, 2.0], [1.0, -2.0, 0.0], [3.0, 0.0, 2.0]]),
+             equal),  # corners and faces shared by both boxes
+            (rng.uniform(-3, 3, (20, 3)), []),
+            (np.empty((0, 3)), equal),
+        ]
+        for points, boxes in frames:
+            got = extract_agent_elements(points, boxes)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(
+                got, extract_agent_elements_reference(points, boxes))
+        owner = extract_agent_elements(on_plane, equal)
+        assert (owner == 3).all()  # equal distances: the lower track id
+
+    def test_scene_frames_match_reference(self, small_scene):
+        from scenetok import SceneSpec, generate_scene
+
+        full = generate_scene(11, SceneSpec(
+            n_agents=16, n_clutter=60, T=11, area_m=160.0, cameras=1, D=4,
+            ground_points_per_frame=3200, agent_points=60, clutter_points=40,
+            min_separation_m=6.0, feature_res=4))
+        for bundle in (small_scene.bundle, full.bundle):
+            for f, frame in enumerate(bundle.frames):
+                boxes = [b for b in bundle.agents if b.frame_index == f]
+                got = extract_agent_elements(frame.points, boxes)
+                assert (got >= 0).sum() > 0
+                np.testing.assert_array_equal(
+                    got, extract_agent_elements_reference(frame.points, boxes))
+
     def test_point_inside_axis_aligned_box(self):
         owner = extract_agent_elements(np.array([[0.5, 0.5, 0.5]]), [box()])
         assert owner.tolist() == [0]
@@ -234,25 +306,114 @@ def tie_prone_clouds():
     return clouds
 
 
+def fit_tight_box_reference(points):
+    """Reference: one cluster at a time, Qhull then one angle at a time."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    xy = points[:, :2]
+    try:
+        center2, length, width, heading = min_area_rect_loop(xy)
+    except (QhullError, ValueError):  # fewer than 3 points, or collinear
+        center2, length, width, heading = decompose._degenerate_rect(xy)
+    z_min, z_max = points[:, 2].min(), points[:, 2].max()
+    length = max(length, decompose.SIZE_FLOOR)
+    width = max(width, decompose.SIZE_FLOOR)
+    height = max(z_max - z_min, decompose.SIZE_FLOOR)
+    return np.array([center2[0], center2[1], (z_min + z_max) / 2.0,
+                     length, width, height, heading])
+
+
+def assert_boxes_match_reference(clouds):
+    """One batched call over all clouds equals the reference on each."""
+    sizes = [len(pts) for pts in clouds]
+    got = fit_tight_box(np.concatenate(clouds), sizes)
+    assert got.shape == (len(clouds), 7)
+    for pts, row in zip(clouds, got):
+        np.testing.assert_array_equal(row, fit_tight_box_reference(pts))
+
+
+def pipeline_clusters(bundle, config, monkeypatch):
+    """The clusters tokenize_bundle boxes, in its order, as separate arrays."""
+    from scenetok import tokenize_bundle
+
+    calls = []
+
+    def record(points, sizes):
+        calls.append((points, sizes))
+        return fit_tight_box(points, sizes)
+
+    monkeypatch.setattr(decompose, "fit_tight_box", record)
+    tokenize_bundle(bundle, config)
+    (points, sizes), = calls
+    return np.split(points, np.cumsum(sizes)[:-1]) if len(sizes) else []
+
+
 class TestTightBox:
-    def test_equals_per_angle_reference(self, monkeypatch):
-        clouds = tie_prone_clouds()
-        vectorised = [fit_tight_box(pts) for pts in clouds]
-        monkeypatch.setattr(decompose, "_min_area_rect", min_area_rect_loop)
-        for pts, got in zip(clouds, vectorised):
-            np.testing.assert_array_equal(got, fit_tight_box(pts))
+    def test_equals_per_angle_reference(self):
+        assert_boxes_match_reference(tie_prone_clouds())
+
+    def test_scene_clusters_equal_reference(self, monkeypatch, small_scene,
+                                            small_config):
+        from scenetok import PipelineConfig, SceneSpec, generate_scene
+
+        full = generate_scene(11, SceneSpec(
+            n_agents=16, n_clutter=60, T=11, area_m=160.0, cameras=2, D=8,
+            ground_points_per_frame=3200, agent_points=60, clutter_points=40,
+            min_separation_m=6.0, feature_res=8))
+        for bundle, config in ((small_scene.bundle, small_config),
+                               (full.bundle, PipelineConfig(D=8))):
+            clouds = pipeline_clusters(bundle, config, monkeypatch)
+            assert len(clouds) > 10
+            assert_boxes_match_reference(clouds)
+
+    def test_awkward_clusters_equal_reference(self):
+        rng = np.random.default_rng(12)
+        line = np.column_stack([np.linspace(0, 2, 9), np.linspace(0, 1, 9),
+                                np.zeros(9)])
+        jittered = line + [100.0, 50.0, 0.0]
+        jittered[:, :2] += rng.uniform(-1e-13, 1e-13, (9, 2))
+        with pytest.raises(QhullError):
+            ConvexHull(jittered[:, :2])
+        clouds = [
+            np.array([[2.0, 3.0, 1.0]]),                          # 1 point
+            np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]),         # 2 points
+            np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 2.0]]),
+            rng.normal(size=(40, 3)),
+            np.repeat(rng.normal(size=(6, 3)), 3, axis=0),        # duplicates
+            np.full((5, 3), 7.0),                                 # one point x5
+            line,                                                 # collinear
+            line[:, [1, 0, 2]],
+            np.column_stack([np.zeros(6), np.arange(6.0), np.ones(6)]),
+            jittered,                                             # Qhull raises
+            np.concatenate([rng.normal(size=(30, 3)),
+                            rng.normal(size=(30, 3))[:5]]),
+        ]
+        assert_boxes_match_reference(clouds)
+        for pts in clouds:  # and each cluster alone
+            np.testing.assert_array_equal(fit_tight_box(pts, [len(pts)])[0],
+                                          fit_tight_box_reference(pts))
+
+    def test_no_clusters(self):
+        boxes = fit_tight_box(np.empty((0, 3)), [])
+        assert boxes.shape == (0, 7)
+
+    def test_sizes_must_cover_the_points(self):
+        pts = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="zero points"):
+            fit_tight_box(pts, [4, 0])
+        with pytest.raises(ValueError, match="sum to 3"):
+            fit_tight_box(pts, [1, 2])
 
     def test_square_prism(self):
         pts = np.array([[1, 1, 0], [1, -1, 0], [-1, 1, 1], [-1, -1, 1],
                         [1, 1, 1], [1, -1, 1], [-1, 1, 0], [-1, -1, 0]],
                        dtype=float)
-        b = fit_tight_box(pts)
+        b = fit_tight_box(pts, [len(pts)])[0]
         np.testing.assert_allclose(b[:3], [0, 0, 0.5], atol=1e-12)
         np.testing.assert_allclose(b[3:6], [2, 2, 1], atol=1e-12)
         assert b[6] == 0.0  # square tie broken to heading 0
 
     def test_single_point_floor(self):
-        b = fit_tight_box(np.array([[2.0, 3.0, 1.0]]))
+        b = fit_tight_box(np.array([[2.0, 3.0, 1.0]]), [1])[0]
         np.testing.assert_allclose(b, [2, 3, 1, 0.05, 0.05, 0.05, 0])
 
     def test_rotated_unit_square_tie_breaks_to_lower_heading(self):
@@ -261,7 +422,7 @@ class TestTightBox:
         R = np.array([[c, -s], [s, c]])
         corners = np.array([[0.5, 0.5], [0.5, -0.5], [-0.5, 0.5], [-0.5, -0.5]])
         pts = np.column_stack([corners @ R.T, np.zeros(4)])
-        b = fit_tight_box(pts)
+        b = fit_tight_box(pts, [len(pts)])[0]
         # square: both edge directions give the same area; lower heading wins
         assert abs(b[6] - theta) < 1e-6
         np.testing.assert_allclose(b[3:5], [1.0, 1.0], atol=1e-9)
@@ -274,7 +435,7 @@ class TestTightBox:
         corners = np.array([[1.0, 0.4], [1.0, -0.4], [-1.0, 0.4], [-1.0, -0.4]])
         xy = corners @ R.T
         pts = np.column_stack([xy, np.zeros(4)])
-        b = fit_tight_box(pts)
+        b = fit_tight_box(pts, [len(pts)])[0]
         assert abs(b[6] - theta) < 1e-6
         np.testing.assert_allclose(b[3:5], [2.0, 0.8], atol=1e-9)
 
@@ -282,7 +443,7 @@ class TestTightBox:
         rng = np.random.default_rng(5)
         for _ in range(20):
             pts = rng.normal(size=(30, 3))
-            b = fit_tight_box(pts)
+            b = fit_tight_box(pts, [len(pts)])[0]
             aabb = ((pts[:, 0].max() - pts[:, 0].min())
                     * (pts[:, 1].max() - pts[:, 1].min()))
             assert b[3] * b[4] <= aabb + 1e-9
@@ -291,13 +452,13 @@ class TestTightBox:
         rng = np.random.default_rng(6)
         for _ in range(25):
             pts = rng.normal(size=(rng.integers(4, 15), 3)) * [3, 1, 1]
-            b = fit_tight_box(pts)
+            b = fit_tight_box(pts, [len(pts)])[0]
             assert abs(b[3] * b[4] - min_rect_area_oracle(pts[:, :2])) < 1e-9
 
     def test_collinear_cluster(self):
         pts = np.column_stack([np.linspace(0, 2, 9), np.linspace(0, 2, 9),
                                np.zeros(9)])
-        b = fit_tight_box(pts)
+        b = fit_tight_box(pts, [len(pts)])[0]
         assert abs(b[6] - math.pi / 4) < 1e-9
         np.testing.assert_allclose(b[3], 2 * math.sqrt(2), atol=1e-9)
         assert b[4] == 0.05  # floored width

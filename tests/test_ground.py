@@ -6,7 +6,7 @@ from scenetok.bundle import KIND_GROUND, SceneElement
 from scenetok.config import RansacConfig
 from scenetok.errors import DegenerateInput
 from scenetok.ground import (GroundPlane, _canonicalize, _least_squares_plane,
-                             tile_cells)
+                             lexicographic_order, tile_cells)
 
 CFG = RansacConfig()
 
@@ -158,6 +158,36 @@ def test_tied_layers_keep_the_earliest_sample():
     assert len(set(in_layer)) > 1  # the tie is real
     np.testing.assert_allclose(plane.normal, [0.0, 0.0, 1.0], atol=1e-12)
     assert -plane.offset == pytest.approx(in_layer[0], abs=1e-12)
+
+
+def _order_cases():
+    rng = np.random.default_rng(21)
+    grid = rng.integers(-2, 3, (500, 3)).astype(float)
+    signed_zeros = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 1.0], [0.0, -0.0, 0.0],
+                             [-0.0, 0.0, -0.0], [-0.0, -1.0, 3.0], [1.0, 0.0, 0.0],
+                             [0.0, 0.0, 0.0]])
+    nans = rng.normal(size=(40, 3))
+    nans[rng.integers(0, 40, 15), rng.integers(0, 3, 15)] = np.nan
+    nans[5:9, 0] = np.nan
+    return [
+        ("random", rng.normal(size=(1000, 3))),
+        ("integer_grid", grid),
+        ("duplicate_rows", np.repeat(rng.normal(size=(30, 3)), 4, axis=0)[
+            rng.permutation(120)]),
+        ("signed_zeros", signed_zeros),
+        ("nan", nans),
+        ("empty", np.empty((0, 3))),
+        ("one_point", np.array([[3.0, -1.0, 2.0]])),
+    ]
+
+
+@pytest.mark.parametrize("name, pts", _order_cases(),
+                         ids=[name for name, _ in _order_cases()])
+def test_lexicographic_order_equals_lexsort(name, pts):
+    got = lexicographic_order(pts)
+    want = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 def test_two_points_degenerate():

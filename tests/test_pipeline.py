@@ -212,13 +212,15 @@ def compact_reference(bundle, config):
 
     Re-runs every stage up to projection and returns (P_xyz, P_ind, F_pts,
     labels, elements) with the labels of dropped points set to
-    LABEL_DISCARDED.  Each open-set track's boxes and point count are
+    LABEL_DISCARDED.  Each cluster is boxed on its own by the per-cluster
+    reference fit, and each open-set track's boxes and point count are
     gathered cluster by cluster from the tracker's member table.
     """
     from scenetok import decompose, ground, projection, tracking
     from scenetok.bundle import SceneElement
     from scenetok.compact import downsample
     from scenetok.pipeline import _group_agent_tracks, assign_token_ids
+    from test_decompose import fit_tight_box_reference
 
     T = config.T
     if sum(f.points.shape[0] for f in bundle.frames) >= 3:
@@ -238,7 +240,7 @@ def compact_reference(bundle, config):
         cluster_id.append(cid)
         clusters = range(cid.max(initial=-1) + 1)
         frame_boxes.append(np.array(
-            [decompose.fit_tight_box(frame.points[cid == c])
+            [fit_tight_box_reference(frame.points[cid == c])
              for c in clusters]).reshape(-1, 7))
         frame_sizes.append([int((cid == c).sum()) for c in clusters])
     members = tracking.track_open_set(frame_boxes, T, config.track)

@@ -60,3 +60,39 @@ def test_tracking_counters_match_the_scene(monkeypatch, small_scene,
     assert clusters > len(openset) > 0
     assert counts["tracking.detections"] == clusters
     assert counts["tracking.tracks"] == len(openset)
+
+
+def test_decompose_spans_per_scene_and_per_frame(monkeypatch, small_scene,
+                                                 small_config):
+    # perfbench attributes box fitting and agent membership to the decompose
+    # stage: one batched box fit per scene, one membership call per frame.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from scenetok import pipeline
+
+    tracer = spans.Tracer()
+    tracer.install(0)
+    try:
+        pipeline.tokenize_bundle(small_scene.bundle, small_config)
+    finally:
+        tracer.uninstall()
+    _, _, calls = tracer.op_times(0)
+    n_frames = len(small_scene.bundle.frames)
+    assert calls["decompose.fit_tight_box"] == 1
+    assert calls["decompose.extract_agent_elements"] == n_frames
+    assert calls["decompose.decompose_frame"] == n_frames
+
+    by_name = {}
+    for _, name, parent, start, end in tracer.spans:
+        by_name.setdefault(name, []).append((parent, start, end))
+    stage_start = max(end for _, _, end in by_name["ground.fit_and_segment"])
+    stage_end = min(start for _, start, _ in by_name["tracking.track_open_set"])
+    names = [span[1] for span in tracer.spans]
+    for name, parent_name in (("decompose.fit_tight_box",
+                               "pipeline.tokenize_bundle"),
+                              ("decompose.extract_agent_elements",
+                               "decompose.decompose_frame")):
+        for parent, start, end in by_name[name]:
+            assert names[parent] == parent_name
+            assert stage_start <= start <= end <= stage_end

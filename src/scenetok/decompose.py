@@ -24,15 +24,8 @@ LABEL_DISCARDED = 3
 
 SIZE_FLOOR = 0.05  # minimum box edge, meters
 
-# A monotone-chain cross product with |cross| <= _HULL_RTOL * R * L, where L
-# is the cluster's largest xy extent and R its largest |x| or |y| plus L,
-# sends the cluster to Qhull.  Above that, the chain's hull is the vertex
-# cycle Qhull returns; near it, rounding can make the two disagree.
-_HULL_RTOL = 1e-9
 # Float64 entries per (clusters, angles, vertices) projection block (2 MB).
 _FOLD_BUFFER = 1 << 18
-# Turns a chain step tests at once before it tests the deeper ones.
-_POP_WIDTH = 4
 
 
 @dataclass
@@ -221,107 +214,6 @@ def _degenerate_rect(xy: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     return mid, length, width, heading
 
 
-def _monotone_chains(xy: np.ndarray, sizes: np.ndarray
-                     ) -> tuple[np.ndarray, ...]:
-    """Convex hulls of clusters stored back to back, all built at once.
-
-    Andrew's monotone chain (Andrew 1979, Inf. Process. Lett. 9(5)): step i
-    offers every cluster with more than i points its i-th point in (x, y)
-    order to its lower chain and in reverse order to its upper chain, and
-    each chain pops while its top two points and the offered one do not
-    turn left.  A step computes the turns after 0 to _POP_WIDTH - 1 pops
-    together, then all deeper turns of the chains that popped that many,
-    and makes the same pops, and evaluates the same cross products, as the
-    one-point-at-a-time chain.  Clusters are ranked by size, largest first,
-    so the chains still running at step i are a leading slice, and each
-    chain keeps its stack in its own slice of one flat array.
-
-    Returns ``(hull_xy, first, n_vertices, exact)``: every cluster's
-    counter-clockwise hull cycle, back to back in ``hull_xy``, and per
-    cluster in input order where its cycle starts, its vertex count, and
-    whether the cycle is the one Qhull finds.  It is not when the chains
-    found fewer than 3 vertices, or evaluated a cross product with
-    |cross| <= _HULL_RTOL * R * L.
-    """
-    n = sizes.size
-    rank = np.argsort(-sizes, kind="stable")  # rank -> cluster
-    r_size = sizes[rank]
-    r_start = np.cumsum(r_size) - r_size
-    rank_of = np.empty(n, dtype=np.int64)
-    rank_of[rank] = np.arange(n)
-    # One lexsort by (cluster rank, x, y).
-    pts = xy[np.lexsort((xy[:, 1], xy[:, 0], np.repeat(rank_of, sizes)))]
-
-    extent = (np.maximum.reduceat(pts, r_start)
-              - np.minimum.reduceat(pts, r_start)).max(axis=1)
-    reach = np.maximum.reduceat(np.abs(pts).max(axis=1), r_start) + extent
-    tol = np.repeat(_HULL_RTOL * reach * extent, 2)
-
-    # Step i offers chain 2r, the lower chain of the rank-r cluster, its
-    # i-th point in (x, y) order, and chain 2r + 1, its upper chain, its
-    # i-th point from the end.  The offers are stored step after step.
-    running = 2 * (n - np.searchsorted(r_size[::-1], np.arange(r_size[0]),
-                                       side="right"))
-    step_start = np.cumsum(running) - running
-    step = np.repeat(np.arange(running.size), running)
-    chain = np.arange(step.size) - step_start[step]
-    r = chain // 2
-    offer = r_start[r] + np.where(chain % 2 == 1, r_size[r] - 1 - step, step)
-    # Points as complex x + iy: one gather per stack read.
-    offered = pts[offer, 0] + 1j * pts[offer, 1]
-
-    # Each chain's stack is a slice of one array.  The slices start past as
-    # many slots as the largest stack holds, so turns read below an emptied
-    # stack still index inside the array.
-    c_size = np.repeat(r_size, 2)
-    base = np.cumsum(c_size) - c_size + r_size[0] + 2
-    stack = np.zeros(base[-1] + c_size[-1], dtype=complex)
-    end = base.copy()  # one past each chain's top point
-    near = np.zeros(2 * n, dtype=bool)
-
-    def pop_count(chains, q, width):
-        """Pop the chains' stacks for the offered points q.
-
-        Column j holds the turn tested after j pops, for j up to ``width``;
-        the last column stops every chain that pops all ``width`` before it.
-        """
-        after = np.arange(1, width + 2)
-        top = end[chains, None] - after  # top point after j pops
-        dead = top <= base[chains, None]  # fewer than 2 points left
-        a, o = stack[top], stack[top - 1]
-        cross = (np.conj(a - o) * (q[:, None] - o)).imag
-        stop = cross > 0
-        stop |= dead
-        stop[:, -1] = True
-        pops = stop.argmax(axis=1)
-        small = np.abs(cross) <= tol[chains, None]
-        if small.any():  # flag only turns the chain tests: up to the stop
-            near[chains] |= ((small > dead)
-                             & (after <= pops[:, None] + 1)).any(axis=1)
-        end[chains] -= pops
-        return pops
-
-    for i, m in enumerate(running):
-        q = offered[step_start[i]:step_start[i] + m]
-        if i >= 2:  # every running stack holds at least 2 points
-            more = np.flatnonzero(pop_count(slice(m), q, _POP_WIDTH) == _POP_WIDTH)
-            if more.size:  # test down to the bottom of the deepest stack
-                pop_count(more, q[more], int((end[more] - base[more]).max()))
-        stack[end[:m]] = q
-        end[:m] += 1
-
-    # A hull is its lower chain then its upper chain, each without its last
-    # point, which starts the other: in the order the chains are stored.
-    keep = end - base - 1
-    hull = stack[np.repeat(base, keep) + np.arange(keep.sum())
-                 - np.repeat(np.cumsum(keep) - keep, keep)]
-    n_vertices = keep.reshape(n, 2).sum(axis=1)
-    first = np.cumsum(n_vertices) - n_vertices
-    exact = (n_vertices >= 3) & ~near.reshape(n, 2).any(axis=1)
-    return (np.column_stack([hull.real, hull.imag]),
-            first[rank_of], n_vertices[rank_of], exact[rank_of])
-
-
 def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
     """Tightest 7-float boxes (center 3, size 3, heading), one per cluster.
 
@@ -334,13 +226,11 @@ def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
     All sizes are floored at SIZE_FLOOR so degenerate clusters still make
     usable boxes.
 
-    The hulls of all clusters come from one batched monotone chain.  A
-    cluster whose chain finds fewer than 3 vertices, or evaluates a cross
-    product with |cross| <= 1e-9 * R * L (L: its largest xy extent, R: its
-    largest |x| or |y| plus L), takes its hull from Qhull instead, and
-    when Qhull fails too (fewer than 3 points, or collinear) its principal
-    direction gives the rectangle.  The result for each cluster does not
-    depend on the other clusters in the call.
+    Each cluster's hull comes from Qhull; a cluster Qhull cannot hull
+    (fewer than 3 points, or collinear) gets its rectangle from its
+    principal direction.  One padded projection then fits the rectangles
+    of all hulls together (``_min_area_rects``).  The result for each
+    cluster does not depend on the other clusters in the call.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
@@ -354,15 +244,24 @@ def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
         return np.empty((0, 7))
 
     start = np.cumsum(sizes) - sizes
-    xy = points[:, :2]
-    hull_xy, first, n_vertices, exact = _monotone_chains(xy, sizes)
-
     center, length = np.empty((n, 2)), np.empty(n)
     width, heading = np.empty(n), np.empty(n)
     rect = (center, length, width, heading)
-    # Rows by hull size, in blocks whose padded projection fits the buffer.
-    rows = np.flatnonzero(exact)
-    rows = rows[np.argsort(n_vertices[rows], kind="stable")]
+    hulls, hulled = [], []
+    for c, cluster_xy in enumerate(np.split(points[:, :2], start[1:])):
+        try:
+            hulls.append(cluster_xy[ConvexHull(cluster_xy).vertices])
+            hulled.append(c)
+        except (QhullError, ValueError):  # fewer than 3 points, or collinear
+            for out, value in zip(rect, _degenerate_rect(cluster_xy)):
+                out[c] = value
+
+    hulled = np.array(hulled, dtype=np.int64)
+    n_vertices = np.array([len(h) for h in hulls], dtype=np.int64)
+    first = np.cumsum(n_vertices) - n_vertices
+    hull_xy = np.concatenate(hulls) if hulls else np.empty((0, 2))
+    # Hulls by size, in blocks whose padded projection fits the buffer.
+    rows = np.argsort(n_vertices, kind="stable")
     while rows.size:
         cost = np.arange(1, rows.size + 1) * n_vertices[rows] ** 2
         k = max(1, np.searchsorted(cost, _FOLD_BUFFER, side="right"))
@@ -371,16 +270,7 @@ def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
         hull = hull_xy[first[block, None]
                        + np.minimum(np.arange(h[-1]), h[:, None] - 1)]
         for out, value in zip(rect, _min_area_rects(hull, h)):
-            out[block] = value
-    for c in np.flatnonzero(~exact):
-        cluster_xy = xy[start[c]:start[c] + sizes[c]]
-        try:
-            hull = cluster_xy[ConvexHull(cluster_xy).vertices]
-            value = [r[0] for r in _min_area_rects(hull[None], np.array([len(hull)]))]
-        except (QhullError, ValueError):  # fewer than 3 points, or collinear
-            value = _degenerate_rect(cluster_xy)
-        for out, v in zip(rect, value):
-            out[c] = v
+            out[hulled[block]] = value
 
     z_min = np.minimum.reduceat(points[:, 2], start)
     z_max = np.maximum.reduceat(points[:, 2], start)

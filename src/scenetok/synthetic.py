@@ -54,6 +54,13 @@ class SceneSpec:
             raise InvalidInput("D must be >= 3 to hold the label channels")
         if self.T <= 0 or self.area_m <= 0:
             raise InvalidInput("T and area_m must be > 0")
+        if self.feature_res <= 0:
+            raise InvalidInput("feature_res must be > 0")
+        for name in ("n_agents", "n_clutter", "cameras",
+                     "ground_points_per_frame", "agent_points",
+                     "clutter_points"):
+            if getattr(self, name) < 0:
+                raise InvalidInput(f"{name} must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

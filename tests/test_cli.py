@@ -136,6 +136,14 @@ _SYNTH = ["synth", "--spec", "{w}/spec2.json", "--out", "{w}/s"]
     (_SYNTH, dict(SPEC, Q=1), "unknown config field Q"),
     (_SYNTH, dict(SPEC, n_agents="3"), "config field n_agents must be int"),
     (_SYNTH, dict(SPEC, n_agents=40, area_m=20.0), "could not place 43"),
+    (_SYNTH, dict(SPEC, n_agents=-1), "n_agents must be >= 0"),
+    (_SYNTH, dict(SPEC, n_clutter=-1), "n_clutter must be >= 0"),
+    (_SYNTH, dict(SPEC, cameras=-1), "cameras must be >= 0"),
+    (_SYNTH, dict(SPEC, ground_points_per_frame=-1),
+     "ground_points_per_frame must be >= 0"),
+    (_SYNTH, dict(SPEC, agent_points=-1), "agent_points must be >= 0"),
+    (_SYNTH, dict(SPEC, clutter_points=-1), "clutter_points must be >= 0"),
+    (_SYNTH, dict(SPEC, feature_res=0), "feature_res must be > 0"),
     (_SYNTH + ["--seed", "-1"], SPEC, "seed must be >= 0"),
     (["ablate", "--scene", "{w}/scene", "--drop-agents", "1.5", "--out",
       "{w}/a"], None, "ratio must be in [0, 1], got 1.5"),

@@ -392,6 +392,16 @@ class TestTightBox:
             np.testing.assert_array_equal(fit_tight_box(pts, [len(pts)])[0],
                                           fit_tight_box_reference(pts))
 
+    def test_large_cluster_among_small_ones_equals_reference(self):
+        rng = np.random.default_rng(13)
+        clouds = [rng.normal(size=(5000, 3)) * [20, 4, 2]]
+        clouds += [rng.normal(size=(int(rng.integers(1, 60)), 3)) + 30 * k
+                   for k in range(100)]
+        clouds.insert(50, np.column_stack([rng.uniform(0, 40, 3000),
+                                           rng.uniform(0, 0.2, 3000),
+                                           rng.uniform(0, 3, 3000)]))
+        assert_boxes_match_reference(clouds)
+
     def test_no_clusters(self):
         boxes = fit_tight_box(np.empty((0, 3)), [])
         assert boxes.shape == (0, 7)

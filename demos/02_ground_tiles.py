@@ -9,7 +9,8 @@ the cells with the most points win.
 
 import numpy as np
 
-from scenetok import fit_ground_plane, segment_ground, tile_ground
+from scenetok import (PipelineConfig, assign_token_ids, fit_ground_plane,
+                      segment_ground, tile_ground)
 from scenetok.config import RansacConfig
 
 rng = np.random.default_rng(0)
@@ -29,23 +30,23 @@ print(f"ground mask: {mask.sum()} points ({mask.mean():.1%}); "
       f"clutter correctly excluded: {(~mask[8000:]).mean():.1%}")
 
 ground_pts = cloud[mask]
-elements, tile_of_point = tile_ground(ground_pts, tile_size=10.0,
-                                      max_tiles=256, T=11)
-print(f"\n{len(elements)} tiles at 10 m x 10 m:")
-sizes = np.bincount(tile_of_point[tile_of_point >= 0], minlength=len(elements))
-for slot, el in enumerate(elements):
-    cx, cy, cz = el.boxes[0, :3]
-    print(f"  tile at ({cx:5.1f}, {cy:5.1f}), mean z {cz:+.3f}, "
-          f"{sizes[slot]} points")
+boxes, counts, cell_of_point = tile_ground(ground_pts, tile_size=10.0, T=11)
+print(f"\n{len(boxes)} tiles at 10 m x 10 m:")
+for box, n in zip(boxes, counts):
+    cx, cy, cz = box[0, :3]
+    print(f"  tile at ({cx:5.1f}, {cy:5.1f}), mean z {cz:+.3f}, {n} points")
 
 # every tile repeats one identical row across the 11 frames
-el = elements[0]
-assert (el.boxes == el.boxes[0]).all() and el.frame_valid.all()
+assert (boxes == boxes[:, :1]).all()
+assert (np.bincount(cell_of_point) == counts).all()
 print("each tile's box row is identical across all frames "
-      f"(e.g. {el.boxes[0].round(2)})")
+      f"(e.g. {boxes[0, 0].round(2)})")
 
-# budget rule: ask for at most 4 tiles, densest cells win
-few, idx = tile_ground(ground_pts, tile_size=10.0, max_tiles=4, T=1)
-dropped = int((idx < 0).sum())
-print(f"\nwith a 4-tile budget: kept {len(few)} tiles, "
+# budget rule: with at most 4 ground elements, the densest cells win (the
+# lower cell index on a tie); the pipeline applies it in assign_token_ids
+_, _, keep = assign_token_ids(np.empty(0, dtype=np.int64), np.zeros((0, 1, 7)),
+                              np.zeros((0, 1), dtype=bool), np.empty(0),
+                              counts, PipelineConfig(T=1, n_elem_ground=4))
+dropped = int(counts.sum() - counts[keep].sum())
+print(f"\nwith a 4-tile budget: kept {len(keep)} tiles, "
       f"{dropped} points fell in dropped cells")

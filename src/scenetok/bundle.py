@@ -128,13 +128,24 @@ class SceneElement:
         self.frame_valid = np.asarray(self.frame_valid, dtype=bool)
 
 
+def element_views(kind: np.ndarray, boxes: np.ndarray, frame_valid: np.ndarray,
+                  source_id: np.ndarray) -> list[SceneElement]:
+    """One SceneElement per row of an element table; the token id is the row."""
+    return [SceneElement(token_id=row, kind=KIND_NAMES[code], boxes=b,
+                         frame_valid=v, source_id=s)
+            for row, (code, b, v, s) in enumerate(zip(
+                kind.tolist(), boxes, frame_valid, source_id.tolist()))]
+
+
 @dataclass
 class TokenizedScene:
     """The compacted model input.
 
     ``P_ind`` columns are (frame id, token id).  Rows of ``F_pts`` whose
     ``F_pts_valid`` is false are exactly zero.  The number of points per
-    frame is variable; only the per-kind totals are budgeted.
+    frame is variable; only the per-kind totals are budgeted.  Row i of the
+    element table (``B``, ``elem_valid``, ``kind``, ``source_id``) is token
+    id i.
     """
 
     P_xyz: np.ndarray       # (N_pts, 3)
@@ -143,7 +154,12 @@ class TokenizedScene:
     F_pts_valid: np.ndarray  # (N_pts,) bool
     B: np.ndarray           # (N_elem, T, 7)
     elem_valid: np.ndarray  # (N_elem, T) bool
-    elements: list[SceneElement]
+    kind: np.ndarray        # (N_elem,) int64 KIND_CODES
+    source_id: np.ndarray   # (N_elem,) int64
+
+    @property
+    def elements(self) -> list[SceneElement]:
+        return element_views(self.kind, self.B, self.elem_valid, self.source_id)
 
     @property
     def n_pts(self) -> int:
@@ -160,12 +176,18 @@ class TokenizedScene:
 
 @dataclass
 class SceneTokens:
-    """Final output: one fused D-vector per scene element."""
+    """Final output: one fused D-vector per scene element; row i is token i."""
 
     F_elem: np.ndarray  # (N_elem, D)
-    elements: list[SceneElement]
+    kind: np.ndarray  # (N_elem,) int64 KIND_CODES
+    source_id: np.ndarray  # (N_elem,) int64
     frame_valid: np.ndarray  # (N_elem, T) bool
     boxes: np.ndarray        # (N_elem, T, 7)
+
+    @property
+    def elements(self) -> list[SceneElement]:
+        return element_views(self.kind, self.boxes, self.frame_valid,
+                             self.source_id)
 
 
 def normalize_heading(h):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import bench_tokenize
-from .bundle import KIND_AGENT, KIND_GROUND, KIND_OPENSET
+from .bundle import KIND_CODES
 from .config import PipelineConfig
 from .errors import (
     BudgetMismatch,
@@ -93,7 +93,7 @@ def _tokenize_one(scene_dir: str, out_path: str, config: PipelineConfig,
     bundle = read_scene_bundle(scene_dir, config)
     result = tokenize_bundle(bundle, config, params=params, validate=False)
     write_tokens(out_path, result.tokens)
-    print(f"{scene_dir}: {len(result.scene.elements)} elements, "
+    print(f"{scene_dir}: {result.scene.n_elem} elements, "
           f"{result.scene.n_pts} points -> {out_path}")
 
 
@@ -142,10 +142,10 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_inspect(args) -> int:
     tokens = read_tokens(args.tokens)
-    print(f"{args.tokens}: {len(tokens.elements)} elements, "
-          f"D={tokens.F_elem.shape[1] if tokens.F_elem.ndim == 2 else 0}")
-    for kind in (KIND_AGENT, KIND_OPENSET, KIND_GROUND):
-        sel = np.array([el.kind == kind for el in tokens.elements], dtype=bool)
+    print(f"{args.tokens}: {tokens.kind.size} elements, "
+          f"D={tokens.F_elem.shape[1]}")
+    for kind, code in KIND_CODES.items():
+        sel = tokens.kind == code
         count = int(sel.sum())
         if count == 0:
             print(f"  {kind:>8}: 0")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundle import KIND_CODES, KIND_OPENSET, SceneElement, TokenizedScene
+from .bundle import KIND_CODES, KIND_OPENSET, TokenizedScene
 from .config import PipelineConfig
 from .errors import BudgetMismatch
 from .pooling import cell_index, segment_sum
@@ -33,36 +33,32 @@ def downsample(pool_size: int, budget: int, seed: int) -> np.ndarray:
 
 def build_tokenized_scene(P_xyz: np.ndarray, P_ind: np.ndarray,
                           F_pts: np.ndarray, F_pts_valid: np.ndarray,
-                          elements: list[SceneElement],
+                          B: np.ndarray, elem_valid: np.ndarray,
+                          kind: np.ndarray, source_id: np.ndarray,
                           config: PipelineConfig) -> TokenizedScene:
     """Assemble the compacted tensors from the downsampled points.
 
     ``P_ind`` rows are (frame id, token id) and ``F_pts`` rows are aligned
-    with ``P_xyz``.  Raises BudgetMismatch if any kind's points exceed its
-    budget (totals only reach the configured N_pts when every kind
-    saturates its budget) or if ``F_pts`` is not row-aligned.
+    with ``P_xyz``; the element table (``B``, ``elem_valid``, ``kind``,
+    ``source_id``) has one row per token id.  Raises BudgetMismatch if any
+    kind's points exceed its budget (totals only reach the configured N_pts
+    when every kind saturates its budget) or if ``F_pts`` is not
+    row-aligned.
     """
-    codes = np.array([KIND_CODES[el.kind] for el in elements], dtype=np.int64)
-    counts = np.bincount(codes[P_ind[:, 1]], minlength=len(KIND_CODES))
+    counts = np.bincount(kind[P_ind[:, 1]], minlength=len(KIND_CODES))
     budgets = (config.n_pts_agent, config.n_pts_openset, config.n_pts_ground)
-    for kind, code in KIND_CODES.items():  # codes 0, 1, 2 index budgets
+    for name, code in KIND_CODES.items():  # codes 0, 1, 2 index budgets
         if counts[code] > budgets[code]:
-            raise BudgetMismatch(f"{kind} pool has {counts[code]} points, "
+            raise BudgetMismatch(f"{name} pool has {counts[code]} points, "
                                  f"budget is {budgets[code]}")
     if F_pts.shape[0] != P_xyz.shape[0]:
         raise BudgetMismatch(
             f"F_pts has {F_pts.shape[0]} rows for {P_xyz.shape[0]} points")
 
-    n_elem = len(elements)
-    B = np.zeros((n_elem, config.T, 7))
-    elem_valid = np.zeros((n_elem, config.T), dtype=bool)
-    for el in elements:
-        B[el.token_id] = el.boxes
-        elem_valid[el.token_id] = el.frame_valid
-
     return TokenizedScene(P_xyz=P_xyz, P_ind=np.asarray(P_ind, dtype=np.int64),
                           F_pts=F_pts, F_pts_valid=F_pts_valid,
-                          B=B, elem_valid=elem_valid, elements=elements)
+                          B=B, elem_valid=elem_valid, kind=kind,
+                          source_id=source_id)
 
 
 def pool_image_features(F_pts: np.ndarray, F_pts_valid: np.ndarray,

@@ -79,7 +79,11 @@ class _Reader:
         dtype = _DTYPE_CODES[code]
         nbytes = math.prod(shape) * dtype.itemsize  # Python ints: no wrap
         payload = self.take(nbytes)
-        return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        try:  # a zero dimension lets the others be any u64
+            return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:
+            raise ShapeHeaderMismatch(
+                f"{self.path}: shape {shape} is too large ({exc})") from exc
 
 
 def _check_header(reader: _Reader, kind: bytes):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundle import KIND_GROUND, SceneElement
 from .config import PipelineConfig, RansacConfig
 from .errors import DegenerateInput
 
@@ -167,24 +166,24 @@ def tile_cells(points_xy: np.ndarray, tile_size: float) -> np.ndarray:
     return np.floor(points_xy / tile_size).astype(np.int64)
 
 
-def tile_ground(points: np.ndarray, tile_size: float, max_tiles: int,
-                T: int) -> tuple[list[SceneElement], np.ndarray]:
-    """Tile merged ground points into at most ``max_tiles`` elements.
+def tile_ground(points: np.ndarray, tile_size: float,
+                T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tile merged ground points into one box per occupied cell.
 
-    The grid is anchored at the world origin.  Each occupied cell becomes
-    one element positioned at (cell center x, cell center y, mean z of its
-    points) with zero size and heading, valid in every frame.  If occupied
-    cells exceed the budget the cells with the most points win (ties broken
-    by lexicographic cell index).
+    The grid is anchored at the world origin.  Cells are ordered
+    lexicographically by (cx, cy) index.  Each cell's box sits at (cell
+    center x, cell center y, mean z of its points) with zero size and
+    heading, repeated in every frame; the element budget is applied later,
+    by ``pipeline.assign_token_ids``.
 
-    Returns ``(elements, tile_index)`` where ``tile_index[i]`` is the
-    element's position in the returned list for point i, or -1 if the
-    point's cell was dropped.  Token ids are assigned later.
+    Returns ``(boxes, counts, cell_of_point)``: (n_cells, T, 7) boxes,
+    (n_cells,) int64 point counts, and each point's cell.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
     if n == 0:
-        return [], np.empty(0, dtype=np.int64)
+        return (np.zeros((0, T, 7)), np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.int64))
 
     cells = tile_cells(points[:, :2], tile_size)
     # Group equal cells: sort lexicographically by (cx, cy), then split at
@@ -201,30 +200,12 @@ def tile_ground(points: np.ndarray, tile_size: float, max_tiles: int,
     inverse[order] = np.cumsum(run_start) - 1
     counts = np.diff(starts, append=n)
 
-    keep = np.arange(uniq.shape[0])
-    if uniq.shape[0] > max_tiles:
-        # Most points first; uniq is sorted lexicographically, so a stable
-        # sort on -count keeps the lexicographic tie order.
-        keep = np.argsort(-counts, kind="stable")[:max_tiles]
-        keep = np.sort(keep)
-
-    slot_of_cell = np.full(uniq.shape[0], -1, dtype=np.int64)
-    slot_of_cell[keep] = np.arange(keep.shape[0])
-
-    sums_z = np.bincount(inverse, weights=points[:, 2], minlength=uniq.shape[0])
-    mean_z = sums_z / counts
-
-    # One (n_keep, T, 7) box array: cell centre x, y, mean z, zero size and
-    # heading, repeated over frames.
-    boxes = np.zeros((keep.shape[0], T, 7))
-    boxes[:, :, :2] = ((uniq[keep] + 0.5) * tile_size)[:, None, :]
-    boxes[:, :, 2] = mean_z[keep, None]
-    elements = [SceneElement(token_id=-1, kind=KIND_GROUND, boxes=rows,
-                             frame_valid=np.ones(T, dtype=bool),
-                             source_id=int(cell_idx))
-                for rows, cell_idx in zip(boxes, keep)]
-
-    return elements, slot_of_cell[inverse]
+    mean_z = np.bincount(inverse, weights=points[:, 2],
+                         minlength=uniq.shape[0]) / counts
+    boxes = np.zeros((uniq.shape[0], T, 7))
+    boxes[:, :, :2] = ((uniq + 0.5) * tile_size)[:, None, :]
+    boxes[:, :, 2] = mean_z[:, None]
+    return boxes, counts, inverse
 
 
 def fit_and_segment(bundle_frames, config: PipelineConfig) -> tuple[GroundPlane, list[np.ndarray]]:

@@ -14,16 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import compact, decompose, ground, projection, tracking
-from .bundle import (
-    KIND_AGENT,
-    KIND_CODES,
-    KIND_OPENSET,
-    SceneBundle,
-    SceneElement,
-    SceneTokens,
-    TokenizedScene,
-    validate_bundle,
-)
+from .bundle import SceneBundle, SceneTokens, TokenizedScene, validate_bundle
 from .config import PipelineConfig
 from .errors import BudgetOverflowWarning, ShapeMismatch
 from .fusion import FusionParams, encode_geometry, fuse_scene
@@ -42,76 +33,55 @@ class TokenizeResult:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _group_agent_tracks(agents, T: int) -> dict[int, SceneElement]:
-    """One (T, 7) box tensor + validity mask per agent track."""
-    tracks: dict[int, SceneElement] = {}
-    for box in agents:
-        el = tracks.get(box.track_id)
-        if el is None:
-            el = SceneElement(token_id=-1, kind=KIND_AGENT,
-                              boxes=np.zeros((T, 7)),
-                              frame_valid=np.zeros(T, dtype=bool),
-                              source_id=box.track_id)
-            tracks[box.track_id] = el
-        el.boxes[box.frame_index] = box.row()
-        el.frame_valid[box.frame_index] = True
-    return tracks
+def _keep_largest(counts: np.ndarray, budget: int) -> np.ndarray:
+    """Indices of the ``budget`` largest counts, ascending; the lower index
+    wins a tie."""
+    if counts.size <= budget:
+        return np.arange(counts.size)
+    return np.sort(np.argsort(-counts, kind="stable")[:budget])
 
 
-def assign_token_ids(agent_tracks: dict[int, SceneElement],
-                     openset_tracks: list[SceneElement],
-                     openset_points: np.ndarray,
-                     ground_elements: list[SceneElement],
-                     config: PipelineConfig,
-                     ) -> tuple[list[SceneElement], np.ndarray, np.ndarray]:
-    """Order elements into token-id blocks: agents, open-set, then ground.
+def assign_token_ids(agent_ids: np.ndarray, agent_boxes: np.ndarray,
+                     agent_valid: np.ndarray, openset_points: np.ndarray,
+                     ground_points: np.ndarray, config: PipelineConfig,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the three element budgets to a scene's candidate blocks.
 
-    Over-budget agents are dropped farthest-from-origin first; over-budget
-    open-set tracks are dropped smallest by ``openset_points`` (each
-    track's point count) first.  Returns the retained elements (token ids
-    set) plus two int64 token maps, -1 where dropped: one indexed by agent
-    rank in ``sorted(agent_tracks)``, one by open-set track index.
+    The blocks are the agent tracks (ascending ``agent_ids``, with (n, T, 7)
+    boxes and (n, T) validity), the open-set tracks and the occupied ground
+    cells (each with its point count).  Over budget, the agents nearest the
+    origin (mean box-centre distance over valid frames) are kept, and the
+    tracks and cells with the most points, the lower index on a tie.
+    Agent and open-set drops warn; ground drops are silent.  Returns the
+    kept rows of each block, ascending, in token order.
     """
-    agent_ids = sorted(agent_tracks)
-    agent_rank = list(range(len(agent_ids)))
-    if len(agent_ids) > config.n_elem_agent:
-        def mean_dist(r):
-            el = agent_tracks[agent_ids[r]]
-            centers = el.boxes[el.frame_valid, :3]
-            return float(np.linalg.norm(centers, axis=1).mean())
-        ranked = sorted(agent_rank, key=lambda r: (mean_dist(r), r))
-        kept = ranked[:config.n_elem_agent]
-        dropped = [agent_ids[r] for r in sorted(set(agent_rank) - set(kept))]
-        warnings.warn(
-            f"agent budget {config.n_elem_agent} exceeded by {len(dropped)}; "
-            f"dropped farthest tracks {dropped}", BudgetOverflowWarning)
-        agent_rank = sorted(kept)
+    keep_agent = np.arange(agent_ids.size)
+    if agent_ids.size > config.n_elem_agent:
+        centre_dist = np.linalg.norm(agent_boxes[:, :, :3], axis=2)
+        n_valid = agent_valid.sum(axis=1)
+        mean_dist = np.empty(agent_ids.size)
+        # Tracks with the same number of valid frames are averaged as one
+        # contiguous block, so each mean sums its distances in the order a
+        # per-track ``mean()`` does.
+        for k in np.unique(n_valid):
+            rows = np.flatnonzero(n_valid == k)
+            mean_dist[rows] = centre_dist[rows][agent_valid[rows]].reshape(
+                -1, k).mean(axis=1)
+        keep_agent = np.sort(np.argsort(mean_dist, kind="stable")
+                             [:config.n_elem_agent])
+    keep_openset = _keep_largest(openset_points, config.n_elem_openset)
 
-    track_idx = list(range(len(openset_tracks)))
-    if len(track_idx) > config.n_elem_openset:
-        ranked = sorted(track_idx, key=lambda i: (-openset_points[i], i))
-        kept = ranked[:config.n_elem_openset]
-        dropped = sorted(set(track_idx) - set(kept))
-        warnings.warn(
-            f"open-set budget {config.n_elem_openset} exceeded by "
-            f"{len(dropped)}; dropped smallest tracks {dropped}",
-            BudgetOverflowWarning)
-        track_idx = sorted(kept)
-
-    elements: list[SceneElement] = []
-    agent_token = np.full(len(agent_ids), -1, dtype=np.int64)
-    for r in agent_rank:
-        agent_token[r] = len(elements)
-        elements.append(agent_tracks[agent_ids[r]])
-    openset_token = np.full(len(openset_tracks), -1, dtype=np.int64)
-    for i in track_idx:
-        openset_token[i] = len(elements)
-        elements.append(openset_tracks[i])
-    elements.extend(ground_elements)
-    for token_id, el in enumerate(elements):
-        el.token_id = token_id
-
-    return elements, agent_token, openset_token
+    for name, budget, rule, ids, keep in (
+            ("agent", config.n_elem_agent, "farthest", agent_ids, keep_agent),
+            ("open-set", config.n_elem_openset, "smallest",
+             np.arange(openset_points.size), keep_openset)):
+        if keep.size < ids.size:
+            dropped = np.delete(ids, keep).tolist()
+            warnings.warn(f"{name} budget {budget} exceeded by "
+                          f"{len(dropped)}; dropped {rule} tracks {dropped}",
+                          BudgetOverflowWarning)
+    return (keep_agent, keep_openset,
+            _keep_largest(ground_points, config.n_elem_ground))
 
 
 def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
@@ -178,9 +148,19 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
         np.concatenate([np.empty(0, dtype=np.int64), *per_frame])
         for per_frame in (labels, agent_track, cluster_id))
 
-    is_ground = lab == decompose.LABEL_GROUND
-    ground_elements, tile_of_point = ground.tile_ground(
-        xyz[is_ground], config.tile_size_m, config.n_elem_ground, T)
+    # The candidate element table, in token-block order: agent tracks by
+    # ascending track id, open-set tracks by index, every occupied ground
+    # cell.  Block b holds kind code b.
+    box_track = np.array([box.track_id for box in bundle.agents],
+                         dtype=np.int64)
+    box_frame = np.array([box.frame_index for box in bundle.agents],
+                         dtype=np.int64)
+    agent_ids, agent_rank = np.unique(box_track, return_inverse=True)
+    agent_boxes = np.zeros((agent_ids.size, T, 7))
+    agent_boxes[agent_rank, box_frame] = np.array(
+        [box.row() for box in bundle.agents]).reshape(-1, 7)
+    agent_valid = np.zeros((agent_ids.size, T), dtype=bool)
+    agent_valid[agent_rank, box_frame] = True
 
     # Each (track, frame) entry of the member table names one cluster row.
     member_track, member_frame = np.nonzero(members >= 0)
@@ -190,29 +170,38 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     openset_boxes[member_track, member_frame] = cluster_boxes[member_row]
     openset_points = np.bincount(member_track, cluster_size[member_row],
                                  minlength=len(members))
-    openset_tracks = [SceneElement(token_id=-1, kind=KIND_OPENSET,
-                                   boxes=boxes, frame_valid=valid, source_id=i)
-                      for i, (boxes, valid) in enumerate(zip(openset_boxes,
-                                                             members >= 0))]
 
-    agent_tracks = _group_agent_tracks(bundle.agents, T)
-    elements, agent_token, openset_token = assign_token_ids(
-        agent_tracks, openset_tracks, openset_points, ground_elements, config)
-    ground_token_base = len(elements) - len(ground_elements)
-    cluster_token = np.full(cluster_base[-1], -1, dtype=np.int64)
-    cluster_token[member_row] = openset_token[member_track]
+    is_ground = lab == decompose.LABEL_GROUND
+    ground_boxes, ground_points, cell_of_point = ground.tile_ground(
+        xyz[is_ground], config.tile_size_m, T)
 
-    token = np.full(lab.size, -1, dtype=np.int64)
-    token[is_ground] = np.where(tile_of_point >= 0,
-                                ground_token_base + tile_of_point, -1)
-    # Every agent point's track id is one of the bundle's, so its rank
-    # among them indexes the agent token map.
+    blocks = (agent_ids.size, len(members), ground_points.size)
+    block_base = np.cumsum((0,) + blocks)
+    kept = np.concatenate([base + keep for base, keep in zip(
+        block_base, assign_token_ids(agent_ids, agent_boxes, agent_valid,
+                                     openset_points, ground_points, config))])
+    B = np.concatenate([agent_boxes, openset_boxes, ground_boxes])[kept]
+    elem_valid = np.concatenate([agent_valid, members >= 0,
+                                 np.ones((blocks[2], T), dtype=bool)])[kept]
+    kind = np.repeat(np.arange(3), blocks)[kept]
+    source_id = np.concatenate([agent_ids, np.arange(blocks[1]),
+                                np.arange(blocks[2])])[kept]
+
+    # Each point's candidate row (-1: none) is looked up in one row -> token
+    # map, whose extra last entry sends row -1 to token -1.
+    token_of_row = np.full(block_base[-1] + 1, -1, dtype=np.int64)
+    token_of_row[kept] = np.arange(kept.size)
+    cluster_row = np.full(cluster_base[-1], -1, dtype=np.int64)
+    cluster_row[member_row] = block_base[1] + member_track
+    point_row = np.full(lab.size, -1, dtype=np.int64)
+    point_row[is_ground] = block_base[2] + cell_of_point
+    # Every agent point's track id is one of the bundle's.
     is_agent = lab == decompose.LABEL_AGENT
-    token[is_agent] = agent_token[np.searchsorted(sorted(agent_tracks),
-                                                  point_track[is_agent])]
+    point_row[is_agent] = np.searchsorted(agent_ids, point_track[is_agent])
     is_open = lab == decompose.LABEL_OPENSET
-    token[is_open] = cluster_token[cluster_base[point_frame[is_open]]
-                                   + point_cluster[is_open]]
+    point_row[is_open] = cluster_row[cluster_base[point_frame[is_open]]
+                                     + point_cluster[is_open]]
+    token = token_of_row[point_row]
     lab[token < 0] = decompose.LABEL_DISCARDED
     partition.labels = np.split(lab, np.cumsum(n_points))[:-1]
 
@@ -237,10 +226,10 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
 
     t0 = time.perf_counter()
     scene = compact.build_tokenized_scene(P_xyz, P_ind, F_pts, F_pts_valid,
-                                          elements, config)
-    kinds = np.array([KIND_CODES[el.kind] for el in elements], dtype=np.int64)
+                                          B, elem_valid, kind, source_id,
+                                          config)
     F_img, F_img_valid = compact.pool_image_features(
-        scene.F_pts, scene.F_pts_valid, scene.P_ind, kinds, scene.n_elem, T)
+        scene.F_pts, scene.F_pts_valid, scene.P_ind, kind, scene.n_elem, T)
     timings["compact"] += time.perf_counter() - t0
 
     tokens = None
@@ -252,7 +241,7 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
                 f"(T={config.T}, D={config.D})")
         F_geo = encode_geometry(scene.P_xyz, scene.P_ind, scene.B, params)
         F_elem = fuse_scene(F_img, F_geo, params, scene.elem_valid)
-        tokens = SceneTokens(F_elem=F_elem, elements=elements,
+        tokens = SceneTokens(F_elem=F_elem, kind=kind, source_id=source_id,
                              frame_valid=scene.elem_valid, boxes=scene.B)
     timings["fuse"] += time.perf_counter() - t0
 

@@ -14,13 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import (
-    KIND_CODES,
     KIND_NAMES,
     AgentBox,
     CameraFrame,
     PointCloudFrame,
     SceneBundle,
-    SceneElement,
     SceneTokens,
     validate_bundle,
 )
@@ -206,15 +204,14 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
 
 
 def write_tokens(path, tokens: SceneTokens) -> None:
-    """Write F_elem plus element metadata as one tensor container."""
-    elements = tokens.elements
+    """Write F_elem plus the element table as one tensor container."""
     tensors = {
         "f_elem": tokens.F_elem,
-        "token_id": np.array([el.token_id for el in elements], dtype=np.int64),
-        "kind": np.array([KIND_CODES[el.kind] for el in elements], dtype=np.uint8),
+        "token_id": np.arange(tokens.kind.shape[0], dtype=np.int64),
+        "kind": tokens.kind.astype(np.uint8),
         "frame_valid": tokens.frame_valid.astype(np.uint8),
         "boxes": tokens.boxes.astype(np.float64),
-        "source_id": np.array([el.source_id for el in elements], dtype=np.int64),
+        "source_id": tokens.source_id.astype(np.int64),
     }
     try:
         write_tensor_file(path, tensors)
@@ -222,25 +219,50 @@ def write_tokens(path, tokens: SceneTokens) -> None:
         raise IoFailure(f"failed to write tokens at {path}: {exc}") from exc
 
 
+def _is_int(array: np.ndarray) -> bool:
+    return array.dtype.kind in "iu"
+
+
 def read_tokens(path) -> SceneTokens:
+    """Read a token file: one table row per token id 0..n-1.
+
+    A missing tensor raises ManifestMissingEntry; a tensor of another shape,
+    a non-float ``f_elem`` or ``boxes``, a non-integer ``token_id``, ``kind``
+    or ``source_id``, token ids out of order or an unknown kind code raise
+    StorageError.
+    """
     t = read_tensor_file(path)
     for key in ("f_elem", "token_id", "kind", "frame_valid", "boxes"):
         if key not in t:
             raise ManifestMissingEntry(f"{path}: token file missing tensor {key!r}")
-    n = t["token_id"].shape[0]
-    unknown = sorted(set(t["kind"].tolist()) - set(KIND_NAMES))
+    f_elem, token_id, kind, valid, boxes = (
+        t[key] for key in ("f_elem", "token_id", "kind", "frame_valid",
+                           "boxes"))
+    n = token_id.shape[0] if token_id.ndim == 1 else -1
+    T = boxes.shape[1] if boxes.ndim == 3 else -1
+    source = t.get("source_id", np.full(max(n, 0), -1, dtype=np.int64))
+    for name, array, ok, want in (
+            ("token_id", token_id, n >= 0 and _is_int(token_id)
+             and np.array_equal(token_id, np.arange(n)), "0..n-1"),
+            ("f_elem", f_elem, f_elem.ndim == 2 and f_elem.shape[0] == n
+             and f_elem.dtype.kind == "f", "(n, D) floats"),
+            ("kind", kind, kind.shape == (n,) and _is_int(kind),
+             "(n,) integers"),
+            ("boxes", boxes, boxes.shape == (n, T, 7)
+             and boxes.dtype.kind == "f", "(n, T, 7) floats"),
+            ("frame_valid", valid, valid.shape == (n, T), "(n, T)"),
+            ("source_id", source, source.shape == (n,) and _is_int(source),
+             "(n,) integers")):
+        if not ok:
+            raise StorageError(f"{path}: tensor {name} must be {want} with "
+                               f"n = len(token_id), got {array.dtype} "
+                               f"array of shape {array.shape}")
+    unknown = sorted(set(kind.tolist()) - set(KIND_NAMES))
     if unknown:
         raise StorageError(f"{path}: unknown element kind code {unknown[0]}")
-    source = t.get("source_id", np.full(n, -1, dtype=np.int64))
-    elements = [SceneElement(token_id=int(t["token_id"][i]),
-                             kind=KIND_NAMES[int(t["kind"][i])],
-                             boxes=t["boxes"][i],
-                             frame_valid=t["frame_valid"][i].astype(bool),
-                             source_id=int(source[i]))
-                for i in range(n)]
-    return SceneTokens(F_elem=t["f_elem"], elements=elements,
-                       frame_valid=t["frame_valid"].astype(bool),
-                       boxes=t["boxes"])
+    return SceneTokens(F_elem=f_elem, kind=kind.astype(np.int64),
+                       source_id=source.astype(np.int64),
+                       frame_valid=valid.astype(bool), boxes=boxes)
 
 
 def write_fusion_params(path, params: FusionParams) -> None:
@@ -256,19 +278,47 @@ def write_fusion_params(path, params: FusionParams) -> None:
 
 
 def read_fusion_params(path) -> FusionParams:
+    """Read a checkpoint; every tensor must have the shape and dtype that
+    ``init_fusion_params`` gives for its metadata and ``f_temporal`` dtype.
+
+    The tensors that carry T, D and hidden are checked before the template
+    is built, so the template is never much larger than the file.
+    """
     t = read_tensor_file(path, kind=KIND_PARAMS)
     for key in ("meta.T", "meta.D", "meta.hidden", "meta.n_heads", "f_temporal"):
         if key not in t:
             raise ManifestMissingEntry(f"{path}: checkpoint missing tensor {key!r}")
-    params = init_fusion_params(T=int(t["meta.T"][0]), D=int(t["meta.D"][0]),
-                                hidden=int(t["meta.hidden"][0]),
-                                n_heads=int(t["meta.n_heads"][0]),
-                                dtype=t["f_temporal"].dtype)
-    for name in params.tensors():
-        if name not in t:
-            raise ManifestMissingEntry(f"{path}: checkpoint missing tensor {name!r}")
+    meta = {}
+    for key in ("T", "D", "hidden", "n_heads"):
+        value = t[f"meta.{key}"]
+        if value.shape != (1,) or not _is_int(value) or value[0] <= 0:
+            raise StorageError(f"{path}: meta.{key} must be one positive "
+                               f"integer, got {value.dtype} {value.tolist()}")
+        meta[key] = int(value[0])
+    if meta["D"] % meta["n_heads"]:
+        raise StorageError(f"{path}: meta.D={meta['D']} not divisible by "
+                           f"meta.n_heads={meta['n_heads']}")
+    dtype = t["f_temporal"].dtype
+    if dtype.kind != "f":
+        raise StorageError(f"{path}: f_temporal must be float32 or float64, "
+                           f"got {dtype}")
+    T, D, hidden = meta["T"], meta["D"], meta["hidden"]
+    for name, shape in (("f_temporal", (T, D)), ("time.wq", (D, D)),
+                        ("mlp_f.w2", (D, hidden))):
+        _check_param(path, t, name, shape, dtype)
+    params = init_fusion_params(dtype=dtype, **meta)
+    for name, template in params.tensors().items():
+        _check_param(path, t, name, template.shape, template.dtype)
         params.set_tensor(name, t[name])
     return params
+
+
+def _check_param(path, t, name: str, shape: tuple, dtype) -> None:
+    if name not in t:
+        raise ManifestMissingEntry(f"{path}: checkpoint missing tensor {name!r}")
+    if t[name].shape != shape or t[name].dtype != dtype:
+        raise StorageError(f"{path}: tensor {name} must be {np.dtype(dtype)} "
+                           f"{shape}, got {t[name].dtype} {t[name].shape}")
 
 
 def save_pipeline_config(path, config: PipelineConfig) -> None:

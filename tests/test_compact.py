@@ -39,6 +39,15 @@ def _element(token_id, kind, T, row=None):
                         frame_valid=valid)
 
 
+def _table(elements, T):
+    """The element table (B, elem_valid, kind, source_id) of ``elements``,
+    one row per element in list order."""
+    return (np.array([el.boxes for el in elements]).reshape(-1, T, 7),
+            np.array([el.frame_valid for el in elements]).reshape(-1, T),
+            np.array([KIND_CODES[el.kind] for el in elements], dtype=np.int64),
+            np.array([el.source_id for el in elements], dtype=np.int64))
+
+
 class TestBuildTokenizedScene:
     def make_config(self, **kw):
         defaults = dict(T=3, D=2, n_elem_agent=4, n_elem_openset=4,
@@ -53,7 +62,7 @@ class TestBuildTokenizedScene:
         scene = build_tokenized_scene(np.zeros((3, 3)),
                                       np.zeros((3, 2), dtype=np.int64),
                                       np.zeros((3, 2)), np.ones(3, dtype=bool),
-                                      elements, config)
+                                      *_table(elements, config.T), config)
         assert scene.P_ind.tolist() == [[0, 0], [0, 0], [0, 0]]
         assert scene.n_elem == 1 and scene.n_pts == 3
 
@@ -63,7 +72,7 @@ class TestBuildTokenizedScene:
         scene = build_tokenized_scene(np.zeros((0, 3)),
                                       np.zeros((0, 2), dtype=np.int64),
                                       np.zeros((0, 2)), np.zeros(0, dtype=bool),
-                                      elements, config)
+                                      *_table(elements, config.T), config)
         assert scene.n_pts == 0
         assert scene.elem_valid[0].all()
         np.testing.assert_allclose(scene.B[0, 0], [5, 5, 1, 1, 1, 1, 0])
@@ -81,10 +90,10 @@ class TestBuildTokenizedScene:
                                match=f"{kind} pool has 3 points"):
                 build_tokenized_scene(np.zeros((3, 3)), P_ind,
                                       np.zeros((3, 2)), np.ones(3, dtype=bool),
-                                      elements, config)
+                                      *_table(elements, config.T), config)
             build_tokenized_scene(np.zeros((2, 3)), P_ind[:2],
                                   np.zeros((2, 2)), np.ones(2, dtype=bool),
-                                  elements, config)
+                                  *_table(elements, config.T), config)
 
     def test_misaligned_feature_rows_rejected(self):
         config = self.make_config()
@@ -93,7 +102,7 @@ class TestBuildTokenizedScene:
             build_tokenized_scene(np.zeros((3, 3)),
                                   np.zeros((3, 2), dtype=np.int64),
                                   np.zeros((2, 2)), np.ones(2, dtype=bool),
-                                  elements, config)
+                                  *_table(elements, config.T), config)
 
     def test_gather_reconstitutes_per_element_sets(self):
         rng = np.random.default_rng(0)
@@ -115,8 +124,8 @@ class TestBuildTokenizedScene:
                     zip(range(5), [KIND_AGENT, KIND_AGENT, KIND_OPENSET,
                                    KIND_GROUND, KIND_GROUND])]
         scene = build_tokenized_scene(P_xyz, P_ind, np.zeros((total, 2)),
-                                      np.ones(total, dtype=bool), elements,
-                                      config)
+                                      np.ones(total, dtype=bool),
+                                      *_table(elements, T), config)
         for token, pts in expected.items():
             got = scene.P_xyz[scene.P_ind[:, 1] == token]
             assert sorted(map(tuple, got)) == sorted(pts)

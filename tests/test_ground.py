@@ -3,8 +3,9 @@ import pytest
 
 from scenetok import fit_ground_plane, segment_ground, tile_ground
 from scenetok.bundle import KIND_GROUND, SceneElement
-from scenetok.config import RansacConfig
+from scenetok.config import PipelineConfig, RansacConfig
 from scenetok.errors import DegenerateInput
+from scenetok.pipeline import assign_token_ids
 from scenetok.ground import (GroundPlane, _canonicalize, _least_squares_plane,
                              lexicographic_order, tile_cells)
 
@@ -230,8 +231,39 @@ def test_segment_ground_matches_bruteforce_distance():
     np.testing.assert_array_equal(segment_ground(pts, plane, 0.25), expected)
 
 
+def budgeted_tiles(points, tile_size, max_tiles, T):
+    """Tiles after the ground budget, in the form tiling once returned:
+    (kept tiles as SceneElements, each point's tile index or -1).
+
+    ``tile_ground`` boxes every occupied cell and ``assign_token_ids``
+    applies the budget, with no agent or open-set candidates.
+    """
+    boxes, counts, cell_of_point = tile_ground(points, tile_size, T)
+    _, _, keep = assign_token_ids(
+        np.empty(0, dtype=np.int64), np.zeros((0, T, 7)),
+        np.zeros((0, T), dtype=bool), np.empty(0), counts,
+        PipelineConfig(T=T, n_elem_ground=max_tiles))
+    slot_of_cell = np.full(counts.size, -1, dtype=np.int64)
+    slot_of_cell[keep] = np.arange(keep.size)
+    elements = [SceneElement(token_id=-1, kind=KIND_GROUND, boxes=boxes[cell],
+                             frame_valid=np.ones(T, dtype=bool),
+                             source_id=int(cell)) for cell in keep]
+    return elements, slot_of_cell[cell_of_point]
+
+
+def test_tile_counts_and_cells():
+    rng = np.random.default_rng(5)
+    pts = np.column_stack([rng.uniform(-40, 40, (500, 2)), np.zeros(500)])
+    boxes, counts, cell_of_point = tile_ground(pts, 10.0, T=2)
+    assert boxes.shape == (counts.size, 2, 7) and counts.dtype == np.int64
+    np.testing.assert_array_equal(np.bincount(cell_of_point), counts)
+    np.testing.assert_array_equal(
+        boxes[cell_of_point, 0, :2],
+        (tile_cells(pts[:, :2], 10.0) + 0.5) * 10.0)
+
+
 def test_tile_single_point():
-    elements, idx = tile_ground(np.array([[3.0, 4.0, 0.0]]), 10.0, 256, T=3)
+    elements, idx = budgeted_tiles(np.array([[3.0, 4.0, 0.0]]), 10.0, 256, T=3)
     assert len(elements) == 1
     np.testing.assert_allclose(elements[0].boxes[0, :3], [5.0, 5.0, 0.0])
     assert (elements[0].boxes[:, 3:] == 0).all()
@@ -243,7 +275,7 @@ def test_tile_bands_match_bruteforce_enumeration():
     rng = np.random.default_rng(3)
     pts = np.column_stack([rng.uniform(0, 25, 400), rng.uniform(0, 5, 400),
                            np.zeros(400)])
-    elements, idx = tile_ground(pts, 10.0, 256, T=1)
+    elements, idx = budgeted_tiles(pts, 10.0, 256, T=1)
     # oracle: enumerate occupied cells directly
     cells = {(int(np.floor(x / 10)), int(np.floor(y / 10)))
              for x, y in pts[:, :2]}
@@ -254,14 +286,14 @@ def test_tile_bands_match_bruteforce_enumeration():
 
 
 def test_tile_empty():
-    elements, idx = tile_ground(np.empty((0, 3)), 10.0, 256, T=2)
+    elements, idx = budgeted_tiles(np.empty((0, 3)), 10.0, 256, T=2)
     assert elements == [] and idx.size == 0
 
 
 def test_tiles_disjoint_and_cover():
     rng = np.random.default_rng(4)
     pts = np.column_stack([rng.uniform(-40, 40, (2000, 2)), np.zeros(2000)])
-    elements, idx = tile_ground(pts, 10.0, 256, T=1)
+    elements, idx = budgeted_tiles(pts, 10.0, 256, T=1)
     assert (idx >= 0).all()  # under budget: every point belongs to one tile
     counts = np.bincount(idx, minlength=len(elements))
     assert counts.sum() == 2000
@@ -276,7 +308,7 @@ def test_tile_budget_keeps_most_points():
         np.tile([[31.0, 1.0, 0.0]], (2, 1)),
         np.tile([[41.0, 1.0, 0.0]], (1, 1)),
     ])
-    elements, idx = tile_ground(pts, 10.0, 2, T=1)
+    elements, idx = budgeted_tiles(pts, 10.0, 2, T=1)
     assert len(elements) == 2
     kept_centers = {tuple(e.boxes[0, :2]) for e in elements}
     assert kept_centers == {(5.0, 5.0), (15.0, 5.0)}
@@ -286,8 +318,8 @@ def test_tile_budget_keeps_most_points():
 def test_grid_equivariance_under_tile_multiple_shift():
     rng = np.random.default_rng(6)
     pts = np.column_stack([rng.uniform(0, 30, (300, 2)), np.zeros(300)])
-    base, _ = tile_ground(pts, 10.0, 256, T=1)
-    shifted, _ = tile_ground(pts + np.array([20.0, -10.0, 0.0]), 10.0, 256, T=1)
+    base, _ = budgeted_tiles(pts, 10.0, 256, T=1)
+    shifted, _ = budgeted_tiles(pts + np.array([20.0, -10.0, 0.0]), 10.0, 256, T=1)
     base_centers = sorted(tuple(e.boxes[0, :2]) for e in base)
     shift_centers = sorted((cx + 20.0, cy - 10.0) for cx, cy in base_centers)
     assert shift_centers == sorted(tuple(e.boxes[0, :2]) for e in shifted)
@@ -343,7 +375,7 @@ def _tile_cases():
 @pytest.mark.parametrize("name,pts,max_tiles", _tile_cases(),
                          ids=[c[0] for c in _tile_cases()])
 def test_tile_matches_unique_reference(name, pts, max_tiles):
-    got, got_idx = tile_ground(pts, 10.0, max_tiles, T=3)
+    got, got_idx = budgeted_tiles(pts, 10.0, max_tiles, T=3)
     want, want_idx = tile_reference(pts, 10.0, max_tiles, T=3)
     np.testing.assert_array_equal(got_idx, want_idx)
     assert len(got) == len(want)

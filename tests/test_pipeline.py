@@ -44,13 +44,37 @@ class TestAssignTokenIds:
                             boxes=np.zeros((T, 7)),
                             frame_valid=np.ones(T, dtype=bool))
 
-    def test_two_agents_one_cluster_one_tile_ordering(self):
+    @staticmethod
+    def _assign(agent_tracks, openset_tracks, openset_points,
+                ground_elements, config):
+        """The element-list form of ``assign_token_ids`` over its block call:
+        (kept elements with token ids set, a token map by agent rank in
+        ``sorted(agent_tracks)``, a token map by open-set track index)."""
         from scenetok.pipeline import assign_token_ids
 
+        T = config.T
+        agents = [agent_tracks[t] for t in sorted(agent_tracks)]
+        keep = assign_token_ids(
+            np.array(sorted(agent_tracks), dtype=np.int64),
+            np.array([el.boxes for el in agents]).reshape(-1, T, 7),
+            np.array([el.frame_valid for el in agents]).reshape(-1, T),
+            np.asarray(openset_points), np.zeros(len(ground_elements)),
+            config)
+        elements, token_maps = [], []
+        for block, kept in zip((agents, openset_tracks, ground_elements), keep):
+            token_map = np.full(len(block), -1, dtype=np.int64)
+            token_map[kept] = len(elements) + np.arange(kept.size)
+            token_maps.append(token_map)
+            elements += [block[i] for i in kept]
+        for token_id, el in enumerate(elements):
+            el.token_id = token_id
+        return elements, token_maps[0], token_maps[1]
+
+    def test_two_agents_one_cluster_one_tile_ordering(self):
         config = PipelineConfig(T=3, D=4, n_elem_agent=4, n_elem_openset=4,
                                 n_elem_ground=4, n_pts_ground=10,
                                 n_pts_agent=10, n_pts_openset=10)
-        elements, agent_token, openset_token = assign_token_ids(
+        elements, agent_token, openset_token = self._assign(
             {7: self._agent(7), 3: self._agent(3)}, [self._track(0)],
             np.array([5]), [self._tile()], config)
         assert [el.kind for el in elements] == ["agent", "agent", "open-set",
@@ -64,13 +88,12 @@ class TestAssignTokenIds:
 
     def test_openset_overflow_drops_16_smallest_of_400(self):
         from scenetok.errors import BudgetOverflowWarning
-        from scenetok.pipeline import assign_token_ids
 
         config = PipelineConfig(T=3, D=4, n_pts_ground=10, n_pts_agent=10,
                                 n_pts_openset=10)  # default budget 384
         tracks = [self._track(i) for i in range(400)]
         with pytest.warns(BudgetOverflowWarning) as record:
-            elements, _, openset_token = assign_token_ids(
+            elements, _, openset_token = self._assign(
                 {}, tracks, 1000 + np.arange(400), [], config)
         assert len(elements) == 384
         # the 16 smallest tracks are indices 0..15 (point counts ascend)
@@ -78,6 +101,45 @@ class TestAssignTokenIds:
         assert dropped == list(range(16))
         assert str(dropped) in str(record[0].message)
         assert openset_token[16:].tolist() == list(range(384))
+
+    def test_budgets_match_per_element_reference(self):
+        import warnings
+
+        from scenetok.bundle import SceneElement
+
+        rng = np.random.default_rng(8)
+        T = 11
+        config = PipelineConfig(T=T, D=4, n_elem_agent=12, n_elem_openset=20,
+                                n_pts_ground=10, n_pts_agent=10,
+                                n_pts_openset=10)
+        for _ in range(30):
+            agent_tracks = {}
+            for track_id in rng.choice(1000, rng.integers(0, 30),
+                                       replace=False).tolist():
+                valid = rng.random(T) < rng.random()
+                valid[rng.integers(T)] = True
+                agent_tracks[track_id] = SceneElement(
+                    token_id=-1, kind="agent",
+                    boxes=rng.normal(0, 30, (T, 7)) * valid[:, None],
+                    frame_valid=valid, source_id=track_id)
+            if agent_tracks:  # a copied track ties on mean distance
+                copy = agent_tracks[min(agent_tracks)]
+                agent_tracks[1000] = SceneElement(
+                    token_id=-1, kind="agent", boxes=copy.boxes.copy(),
+                    frame_valid=copy.frame_valid.copy(), source_id=1000)
+            n_open = int(rng.integers(0, 40))
+            tracks = [self._track(i, T) for i in range(n_open)]
+            points = rng.integers(1, 5, n_open).astype(float)  # many ties
+            runs = []
+            for assign in (assign_token_ids_reference, self._assign):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    elements, agent_token, openset_token = assign(
+                        agent_tracks, tracks, points, [], config)
+                runs.append(([(el.kind, el.source_id) for el in elements],
+                             agent_token.tolist(), openset_token.tolist(),
+                             [str(w.message) for w in caught]))
+            assert runs[0] == runs[1]
 
 
 def test_union_of_token_point_sets_is_exact_partition(small_scene,
@@ -207,20 +269,92 @@ def test_float32_params_write_float32_tokens(small_scene, small_config,
     assert read_tokens(path).F_elem.dtype == np.float32
 
 
+def group_agent_tracks_reference(agents, T):
+    """One (T, 7) box tensor + validity mask per agent track, by track id:
+    the per-box grouping the agent candidate table replaced."""
+    from scenetok.bundle import SceneElement
+
+    tracks = {}
+    for box in agents:
+        el = tracks.get(box.track_id)
+        if el is None:
+            el = SceneElement(token_id=-1, kind="agent",
+                              boxes=np.zeros((T, 7)),
+                              frame_valid=np.zeros(T, dtype=bool),
+                              source_id=box.track_id)
+            tracks[box.track_id] = el
+        el.boxes[box.frame_index] = box.row()
+        el.frame_valid[box.frame_index] = True
+    return tracks
+
+
+def assign_token_ids_reference(agent_tracks, openset_tracks, openset_points,
+                               ground_elements, config):
+    """Per-element token assignment: the agent and open-set budgets applied
+    with Python sorts, then token ids set on each kept element.
+
+    Returns the kept elements plus int64 token maps (-1 where dropped) by
+    agent rank in ``sorted(agent_tracks)`` and by open-set track index.
+    """
+    import warnings
+
+    agent_ids = sorted(agent_tracks)
+    agent_rank = list(range(len(agent_ids)))
+    if len(agent_ids) > config.n_elem_agent:
+        def mean_dist(r):
+            el = agent_tracks[agent_ids[r]]
+            centers = el.boxes[el.frame_valid, :3]
+            return float(np.linalg.norm(centers, axis=1).mean())
+        ranked = sorted(agent_rank, key=lambda r: (mean_dist(r), r))
+        kept = ranked[:config.n_elem_agent]
+        dropped = [agent_ids[r] for r in sorted(set(agent_rank) - set(kept))]
+        warnings.warn(
+            f"agent budget {config.n_elem_agent} exceeded by {len(dropped)}; "
+            f"dropped farthest tracks {dropped}", BudgetOverflowWarning)
+        agent_rank = sorted(kept)
+
+    track_idx = list(range(len(openset_tracks)))
+    if len(track_idx) > config.n_elem_openset:
+        ranked = sorted(track_idx, key=lambda i: (-openset_points[i], i))
+        kept = ranked[:config.n_elem_openset]
+        dropped = sorted(set(track_idx) - set(kept))
+        warnings.warn(
+            f"open-set budget {config.n_elem_openset} exceeded by "
+            f"{len(dropped)}; dropped smallest tracks {dropped}",
+            BudgetOverflowWarning)
+        track_idx = sorted(kept)
+
+    elements = []
+    agent_token = np.full(len(agent_ids), -1, dtype=np.int64)
+    for r in agent_rank:
+        agent_token[r] = len(elements)
+        elements.append(agent_tracks[agent_ids[r]])
+    openset_token = np.full(len(openset_tracks), -1, dtype=np.int64)
+    for i in track_idx:
+        openset_token[i] = len(elements)
+        elements.append(openset_tracks[i])
+    elements.extend(ground_elements)
+    for token_id, el in enumerate(elements):
+        el.token_id = token_id
+    return elements, agent_token, openset_token
+
+
 def compact_reference(bundle, config):
     """The per-frame, per-kind pool assembly that the flat pass replaced.
 
     Re-runs every stage up to projection and returns (P_xyz, P_ind, F_pts,
     labels, elements) with the labels of dropped points set to
     LABEL_DISCARDED.  Each cluster is boxed on its own by the per-cluster
-    reference fit, and each open-set track's boxes and point count are
-    gathered cluster by cluster from the tracker's member table.
+    reference fit, each open-set track's boxes and point count are
+    gathered cluster by cluster from the tracker's member table, the ground
+    is tiled under its budget by the ``np.unique`` reference, and elements
+    are grouped and given token ids one by one.
     """
     from scenetok import decompose, ground, projection, tracking
     from scenetok.bundle import SceneElement
     from scenetok.compact import downsample
-    from scenetok.pipeline import _group_agent_tracks, assign_token_ids
     from test_decompose import fit_tight_box_reference
+    from test_ground import tile_reference
 
     T = config.T
     if sum(f.points.shape[0] for f in bundle.frames) >= 3:
@@ -258,11 +392,11 @@ def compact_reference(bundle, config):
 
     ground_pts = [frame.points[labels[f] == LABEL_GROUND]
                   for f, frame in enumerate(bundle.frames)]
-    ground_elements, tile_of_point = ground.tile_ground(
+    ground_elements, tile_of_point = tile_reference(
         np.concatenate(ground_pts, axis=0), config.tile_size_m,
         config.n_elem_ground, T)
-    agent_tracks = _group_agent_tracks(bundle.agents, T)
-    elements, agent_rank_token, openset_token = assign_token_ids(
+    agent_tracks = group_agent_tracks_reference(bundle.agents, T)
+    elements, agent_rank_token, openset_token = assign_token_ids_reference(
         agent_tracks, openset_tracks, np.array(openset_points),
         ground_elements, config)
     agent_token = dict(zip(sorted(agent_tracks), agent_rank_token.tolist()))

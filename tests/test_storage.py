@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from scenetok import (
     PipelineConfig,
@@ -24,12 +26,20 @@ from scenetok.errors import (
     BadMagic,
     BadManifestField,
     ManifestMissingEntry,
+    SceneTokError,
     ShapeHeaderMismatch,
     StorageError,
     VersionUnsupported,
 )
 from scenetok.cli import cli_main
-from scenetok.formats import read_blob, read_tensor_file, write_blob, write_tensor_file
+from scenetok.formats import (
+    KIND_PARAMS,
+    KIND_TOKENS,
+    read_blob,
+    read_tensor_file,
+    write_blob,
+    write_tensor_file,
+)
 
 
 def dir_bytes(root):
@@ -263,7 +273,8 @@ def small_tokens(n_elem=3, T=2, D=4):
                              source_id=i * 10)
                 for i in range(n_elem)]
     return SceneTokens(F_elem=rng.normal(size=(n_elem, D)),
-                       elements=elements,
+                       kind=np.array([KIND_CODES[e.kind] for e in elements]),
+                       source_id=np.array([e.source_id for e in elements]),
                        frame_valid=np.stack([e.frame_valid for e in elements]),
                        boxes=np.stack([e.boxes for e in elements]))
 
@@ -289,7 +300,9 @@ class TestTokensIO:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_token_file(self, tmp_path):
-        tokens = SceneTokens(F_elem=np.zeros((0, 8)), elements=[],
+        tokens = SceneTokens(F_elem=np.zeros((0, 8)),
+                             kind=np.empty(0, dtype=np.int64),
+                             source_id=np.empty(0, dtype=np.int64),
                              frame_valid=np.zeros((0, 3), dtype=bool),
                              boxes=np.zeros((0, 3, 7)))
         path = tmp_path / "empty.tokens"
@@ -328,6 +341,50 @@ class TestTokensIO:
         assert cli_main(["inspect", "--tokens", str(path)]) == 2
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, change", [
+        ("kind", lambda a: a[:2]),
+        ("boxes", lambda a: a[:2]),
+        ("kind", lambda a: a[:, None]),
+        ("f_elem", lambda a: a[:, 0]),
+        ("token_id", lambda a: a[::-1]),
+        ("token_id", lambda a: a[:, None]),
+        ("kind", lambda a: a.astype(np.float32)),
+        ("boxes", lambda a: a[:, :, :6]),
+        ("frame_valid", lambda a: a[:, :1]),
+        ("source_id", lambda a: a[:2]),
+        ("f_elem", lambda a: a.astype(np.int32)),
+        ("boxes", lambda a: a.astype(np.int64)),
+    ], ids=["short_kind", "short_boxes", "2d_kind", "1d_f_elem",
+            "token_id_order", "2d_token_id", "float_kind", "box_width",
+            "frame_valid_T", "short_source_id", "int_f_elem", "int_boxes"])
+    def test_malformed_table_is_storage_error(self, tmp_path, capsys, name,
+                                              change):
+        path = tmp_path / "t.tokens"
+        write_tokens(path, small_tokens())
+        raw = read_tensor_file(path)
+        raw[name] = np.ascontiguousarray(change(raw[name]))
+        write_tensor_file(path, raw)
+        with pytest.raises(StorageError, match=rf"t\.tokens: tensor {name} "):
+            read_tokens(path)
+        assert cli_main(["inspect", "--tokens", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"tensor {name} must be" in err and "Traceback" not in err
+
+    def test_absent_source_id_reads_as_minus_one(self, tmp_path):
+        path = tmp_path / "t.tokens"
+        write_tokens(path, small_tokens())
+        raw = read_tensor_file(path)
+        del raw["source_id"]
+        write_tensor_file(path, raw)
+        assert read_tokens(path).source_id.tolist() == [-1, -1, -1]
+
+    def test_empty_array_with_oversized_shape_is_storage_error(self, tmp_path):
+        path = tmp_path / "t.tokens"
+        write_tokens(path, small_tokens())
+        path.write_bytes(set_shape(path.read_bytes(), (3, 4), (0, 2**63)))
+        with pytest.raises(ShapeHeaderMismatch, match="too large"):
+            read_tensor_file(path)
+
     def test_overflowing_shape_is_storage_error(self, tmp_path, capsys):
         path = tmp_path / "t.tokens"
         tokens = small_tokens()
@@ -364,6 +421,86 @@ class TestParamsIO:
         write_tokens(path, tokens)
         with pytest.raises(BadMagic):
             read_fusion_params(path)
+
+
+    @pytest.mark.parametrize("name, change, message", [
+        ("mlp_f.w1", lambda a: a[:, :2], "tensor mlp_f.w1 must be float32"),
+        ("time.wq", lambda a: a.astype(np.float64),
+         "tensor time.wq must be float32"),
+        ("elem.bo", lambda a: a[None], "tensor elem.bo must be"),
+        ("meta.n_heads", lambda a: a * 0, "meta.n_heads must be one positive"),
+        ("meta.T", lambda a: -a, "meta.T must be one positive"),
+        ("meta.hidden", lambda a: a.astype(np.float64),
+         "meta.hidden must be one positive"),
+        ("meta.D", lambda a: np.concatenate([a, a]),
+         "meta.D must be one positive"),
+        ("meta.n_heads", lambda a: a + 1, "not divisible by meta.n_heads=3"),
+        ("meta.D", lambda a: a + 2**40, "tensor f_temporal must be"),
+        ("meta.hidden", lambda a: a + 2**40, "tensor mlp_f.w2 must be"),
+        ("f_temporal", lambda a: a.astype(np.int32),
+         "f_temporal must be float32 or float64"),
+    ], ids=["w1_shape", "wq_dtype", "bo_ndim", "zero_heads", "negative_T",
+            "float_hidden", "two_D", "heads_divide_D", "huge_D",
+            "huge_hidden", "int_f_temporal"])
+    def test_tensor_off_template_is_storage_error(self, tmp_path, capsys,
+                                                  name, change, message):
+        path = tmp_path / "p.ckpt"
+        write_fusion_params(path, init_fusion_params(
+            T=3, D=8, hidden=6, n_heads=2, dtype=np.float32))
+        raw = read_tensor_file(path, kind=KIND_PARAMS)
+        raw[name] = np.ascontiguousarray(change(raw[name]))
+        write_tensor_file(path, raw, kind=KIND_PARAMS)
+        with pytest.raises(StorageError, match=message):
+            read_fusion_params(path)
+        assert cli_main(["tokenize", "--scene", str(tmp_path / "scene"),
+                         "--out", str(tmp_path / "t.tokens"),
+                         "--params", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message.split()[0] in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory):
+    """A valid token file and a valid float32 checkpoint to corrupt."""
+    root = tmp_path_factory.mktemp("fuzz")
+    write_tokens(root / "base.tokens", small_tokens())
+    write_fusion_params(root / "base.ckpt", init_fusion_params(
+        T=2, D=4, hidden=3, n_heads=2, dtype=np.float32))
+    return root
+
+
+_READERS = {"tokens": (read_tokens, KIND_TOKENS),
+            "ckpt": (read_fusion_params, KIND_PARAMS)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(suffix=hs.sampled_from(sorted(_READERS)),
+       how=hs.sampled_from(["truncate", "flip", "swap"]), data=hs.data())
+def test_readers_raise_only_scenetok_errors(reader_inputs, suffix, how, data):
+    """Truncated, byte-flipped or tensor-swapped files end in a typed error
+    (or read, when the corruption leaves a valid file)."""
+    reader, kind = _READERS[suffix]
+    base = reader_inputs / f"base.{suffix}"
+    path = reader_inputs / f"case.{suffix}"
+    raw = base.read_bytes()
+    if how == "truncate":
+        path.write_bytes(raw[:data.draw(hs.integers(0, len(raw) - 1))])
+    elif how == "flip":
+        flipped = bytearray(raw)
+        for pos in data.draw(hs.lists(hs.integers(0, len(raw) - 1),
+                                      min_size=1, max_size=4)):
+            flipped[pos] ^= data.draw(hs.integers(1, 255))
+        path.write_bytes(bytes(flipped))
+    else:
+        tensors = read_tensor_file(base, kind=kind)
+        a, b = data.draw(hs.lists(hs.sampled_from(sorted(tensors)),
+                                  min_size=2, max_size=2, unique=True))
+        tensors[a], tensors[b] = tensors[b], tensors[a]
+        write_tensor_file(path, tensors, kind=kind)
+    try:
+        reader(path)
+    except SceneTokError:
+        pass
 
 
 class TestConfigIO:

@@ -35,12 +35,10 @@ from .decompose import (
 )
 from .fusion import (
     FusionParams,
-    attn_along_axis,
     encode_geometry,
     fuse_scene,
     grad_check,
     init_fusion_params,
-    zero_attention_output,
 )
 from .ground import GroundPlane, fit_ground_plane, segment_ground, tile_ground
 from .pipeline import TokenizeResult, assign_token_ids, tokenize_bundle

@@ -43,32 +43,22 @@ class PointPartition:
     cluster_id: list[np.ndarray]
 
 
-def points_in_box(points: np.ndarray, box: AgentBox) -> np.ndarray:
-    """Membership mask for one oriented box; boundaries are inclusive."""
-    d = points - box.center
-    c, s = np.cos(box.heading), np.sin(box.heading)
-    # rotate by -heading about z
-    x = c * d[:, 0] + s * d[:, 1]
-    y = -s * d[:, 0] + c * d[:, 1]
-    z = d[:, 2]
-    half = box.size / 2.0
-    return (np.abs(x) <= half[0]) & (np.abs(y) <= half[1]) & (np.abs(z) <= half[2])
-
-
 def extract_agent_elements(points: np.ndarray, boxes: list[AgentBox]) -> np.ndarray:
     """Assign each point to at most one agent box.
 
     Returns the owning track_id per point, -1 for points outside every box.
-    Boundaries are inclusive, as in ``points_in_box``.  A point inside
-    several boxes goes to the box with the nearest center; ties go to the
-    lower track_id, and boxes with equal track_ids keep their input order.
+    A point is inside a box when its offset from the center, rotated by
+    -heading about z, is within half the size on every axis; boundaries are
+    inclusive.  A point inside several boxes goes to the box with the
+    nearest center; ties go to the lower track_id, and boxes with equal
+    track_ids keep their input order.
 
     Candidates come from one ``cKDTree.query_ball_point`` over the points,
     at each box's half-diagonal widened by 1e-9 relative + 1e-9 absolute, so
     rounding cannot lose a point the oriented test keeps.  The oriented test
-    runs on the candidate (point, box) pairs only, rounded as
-    ``points_in_box`` rounds it, and one lexsort by point, center distance
-    and track rank picks each point's owner.
+    runs on the candidate (point, box) pairs only, with one scalar cos/sin
+    per box, and one lexsort by point, center distance and track rank picks
+    each point's owner.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     owner = np.full(points.shape[0], -1, dtype=np.int64)
@@ -78,7 +68,7 @@ def extract_agent_elements(points: np.ndarray, boxes: list[AgentBox]) -> np.ndar
     boxes = sorted(boxes, key=lambda b: b.track_id)  # list index = track rank
     center = np.array([b.center for b in boxes])
     half = np.array([b.size for b in boxes]) / 2.0
-    # One scalar cos/sin per box, as points_in_box takes them.
+    # One scalar cos/sin per box, broadcast over its candidate points.
     cos_sin = np.array([(np.cos(b.heading), np.sin(b.heading)) for b in boxes])
     radius = np.linalg.norm(half, axis=1)
     # A sliding-midpoint tree builds faster, and one query per box is all

@@ -1,6 +1,5 @@
 from .gradcheck import compare_grads, finite_difference_grads, grad_check
 from .network import (
-    attn_along_axis,
     encode_geometry,
     fuse_scene,
     fusion_forward,
@@ -11,14 +10,12 @@ from .params import (
     FusionParams,
     MlpParams,
     init_fusion_params,
-    zero_attention_output,
 )
 
 __all__ = [
     "AttentionBlockParams",
     "FusionParams",
     "MlpParams",
-    "attn_along_axis",
     "compare_grads",
     "encode_geometry",
     "finite_difference_grads",
@@ -27,5 +24,4 @@ __all__ = [
     "fusion_loss_and_grads",
     "grad_check",
     "init_fusion_params",
-    "zero_attention_output",
 ]

@@ -22,6 +22,8 @@ from .layers import (
     matmul_rows,
     mlp2_backward,
     mlp2_forward,
+    relu_backward,
+    relu_forward,
     softmax_backward,
 )
 from .params import AttentionBlockParams, FusionParams
@@ -33,34 +35,76 @@ from .params import AttentionBlockParams, FusionParams
 def _pooled_point_forward(P_xyz, P_ind, params, n_elem):
     """Mean-pooled MLP_f features per (element, frame) cell, with cache.
 
-    Pooling is ``M @ phi`` with the one-hot (cells x points) matrix ``M``,
-    which the cache keeps for the backward pass.
+    Pooling is ``M @ rows`` with the one-hot (cells x points) matrix ``M``,
+    which the cache keeps for the backward pass.  Empty cells are exact
+    zeros.
+
+    The second layer of MLP_f is affine, so a cell's mean of
+    ``relu(h) @ W2.T + b2`` equals ``mean(relu(h)) @ W2.T + b2`` in exact
+    arithmetic.  The pool runs on the narrower side of ``W2``:
+
+    - ``hidden < D``: the first layer and the ReLU run per point, the
+      ``hidden``-wide activations are pooled, each non-empty cell's mean is
+      rounded once to ``params.dtype``, and ``W2``, ``b2`` run on the
+      non-empty cells only.  The cache is ``(x, h_pre, M, counts, mean_h)``.
+    - ``hidden >= D``: the whole MLP runs per point and its D-wide output is
+      pooled.  The cache is ``(mlp_cache, M, counts)``.
     """
-    phi, mlp_cache = mlp2_forward(P_xyz.astype(params.dtype), params.mlp_f)
-    sums, counts, M = segment_sum(phi, cell_index(P_ind, params.T),
-                                  n_elem * params.T)
-    pooled = np.zeros_like(sums)
+    cells = cell_index(P_ind, params.T)
+    n_cells = n_elem * params.T
+    x = P_xyz.astype(params.dtype)
+    if params.hidden >= params.D:
+        phi, mlp_cache = mlp2_forward(x, params.mlp_f)
+        sums, counts, M = segment_sum(phi, cells, n_cells)
+        pooled = np.zeros_like(sums)
+        nz = counts > 0
+        pooled[nz] = sums[nz] / counts[nz, None]
+        pooled = pooled.reshape(n_elem, params.T, params.D).astype(params.dtype)
+        return pooled, (mlp_cache, M, counts)
+
+    p = params.mlp_f
+    h_pre, _ = linear_forward(x, p.w1, p.b1)
+    h, _ = relu_forward(h_pre)
+    sums, counts, M = segment_sum(h, cells, n_cells)
     nz = counts > 0
-    pooled[nz] = sums[nz] / counts[nz, None]
-    pooled = pooled.reshape(n_elem, params.T, params.D).astype(params.dtype)
-    return pooled, (mlp_cache, M, counts)
+    mean_h = (sums[nz] / counts[nz, None]).astype(params.dtype)
+    y, _ = linear_forward(mean_h, p.w2, p.b2)
+    pooled = np.zeros((n_cells, params.D), dtype=params.dtype)
+    pooled[nz] = y
+    return (pooled.reshape(n_elem, params.T, params.D),
+            (x, h_pre, M, counts, mean_h))
 
 
 def _pooled_point_backward(g, cache, params, n_elem):
-    """Adjoint of the mean pool: ``M.T @ (g / count)`` back to the points.
+    """Adjoint of ``_pooled_point_forward``, on the side the forward pooled.
 
-    ``g / count`` is rounded to ``params.dtype`` before the product: each
-    point has exactly one nonzero in ``M``, so this is the same rounding as
-    after it, without a float64 (points x D) intermediate.
+    The pool's adjoint is ``M.T @ (g / count)``.  ``g / count`` is rounded
+    to ``params.dtype`` before the product: each point has exactly one
+    nonzero in ``M``, so this is the same rounding as after it, without a
+    float64 (points x width) intermediate.  When ``hidden < D``, ``g`` first
+    goes back through ``W2`` on the non-empty cells, so the pooled
+    gradient is ``hidden`` wide.
     """
-    mlp_cache, M, counts = cache
-    scale = np.zeros(counts.shape[0])
+    g = g.reshape(n_elem * params.T, params.D)
+    if params.hidden >= params.D:
+        mlp_cache, M, counts = cache
+        scale = np.zeros(counts.shape[0])
+        nz = counts > 0
+        scale[nz] = 1.0 / counts[nz]
+        g_cell = g * scale[:, None]
+        _, grads = mlp2_backward(M.T @ g_cell.astype(params.dtype), mlp_cache,
+                                 params.mlp_f)
+        return grads
+
+    x, h_pre, M, counts, mean_h = cache
+    p = params.mlp_f
     nz = counts > 0
-    scale[nz] = 1.0 / counts[nz]
-    g_cell = g.reshape(n_elem * params.T, params.D) * scale[:, None]
-    _, grads = mlp2_backward(M.T @ g_cell.astype(params.dtype), mlp_cache,
-                             params.mlp_f)
-    return grads
+    dmean, dw2, db2 = linear_backward(g[nz], mean_h, p.w2)
+    g_cell = np.zeros((counts.shape[0], params.hidden), dtype=params.dtype)
+    g_cell[nz] = dmean / counts[nz, None]
+    dh_pre = relu_backward(M.T @ g_cell, h_pre)
+    _, dw1, db1 = linear_backward(dh_pre, x, p.w1)
+    return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
 def encode_geometry(P_xyz: np.ndarray, P_ind: np.ndarray, B: np.ndarray,
@@ -178,30 +222,6 @@ def _attention_bwd(g, X, block: AttentionBlockParams, cache):
     return dX, grads
 
 
-def attn_along_axis(F: np.ndarray, axis: str, block: AttentionBlockParams,
-                    key_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head self-attention along one axis of an (N_elem, T, D) tensor.
-
-    ``axis`` is "time" or "element"; the other axis is treated as batch.
-    ``key_mask`` is (N_elem, T), true for valid slots.  Returns the fused
-    tensor and the attention weights (rows over valid keys sum to 1; rows
-    with no valid key are all zero and pass the input through).
-    """
-    F = np.asarray(F)
-    if F.ndim != 3:
-        raise ShapeMismatch(f"expected (N_elem, T, D), got {F.shape}")
-    if key_mask.shape != F.shape[:2]:
-        raise ShapeMismatch(
-            f"mask shape {key_mask.shape} does not match {F.shape[:2]}")
-    if axis == "time":
-        out, weights, _ = _attention_fwd(F, block, key_mask)
-        return out, weights
-    if axis == "element":
-        out, weights, _ = _attention_fwd(F.transpose(1, 0, 2), block, key_mask.T)
-        return out.transpose(1, 0, 2), weights
-    raise ValueError(f"axis must be 'time' or 'element', got {axis!r}")
-
-
 # ---------------------------------------------------------------------------
 # fusion
 
@@ -214,7 +234,7 @@ def _masked_time_mean_fwd(X, elem_valid):
     return out, counts
 
 
-def _masked_time_mean_bwd(g, elem_valid, counts, T):
+def _masked_time_mean_bwd(g, elem_valid, counts):
     scale = np.zeros(counts.shape[0], dtype=g.dtype)
     nz = counts > 0
     scale[nz] = 1.0 / counts[nz]
@@ -244,7 +264,7 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid):
 
 def _fuse_bwd(dF_elem, cache, params: FusionParams, elem_valid):
     X0, cache_t, X1, X1e, cache_e, counts = cache
-    dX2 = _masked_time_mean_bwd(dF_elem, elem_valid, counts, params.T)
+    dX2 = _masked_time_mean_bwd(dF_elem, elem_valid, counts)
     dX2e = dX2.transpose(1, 0, 2)
     dX1e, grads_e = _attention_bwd(dX2e, X1e, params.elem_block, cache_e)
     dX1 = dX1e.transpose(1, 0, 2)

@@ -142,11 +142,3 @@ def init_fusion_params(T: int, D: int, hidden: int = 64, n_heads: int = 2,
         elem_block=_init_block(D, n_heads, rng, dtype),
     )
 
-
-def zero_attention_output(params: FusionParams) -> FusionParams:
-    """Residual-only mode: both attention blocks contribute exactly zero."""
-    p = params.copy()
-    for block in (p.time_block, p.elem_block):
-        block.wo = np.zeros_like(block.wo)
-        block.bo = np.zeros_like(block.bo)
-    return p

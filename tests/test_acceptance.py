@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import scenetok as st
+from fusion_helpers import attn_along_axis, zero_attention_output
 from scenetok.compact import pool_image_features
 from scenetok.decompose import (
     LABEL_AGENT,
@@ -20,7 +21,6 @@ from scenetok.fusion import (
     fusion_forward,
     grad_check,
     init_fusion_params,
-    zero_attention_output,
 )
 
 
@@ -156,8 +156,8 @@ def test_criterion_05_fusion_contract(toy_fusion_inputs):
     F_img, elem_valid = t["F_img"], t["elem_valid"]
     F_geo = st.encode_geometry(t["P_xyz"], t["P_ind"], t["B"], params)
 
-    _, w = st.attn_along_axis(F_img + F_geo, "time", params.time_block,
-                              elem_valid)
+    _, w = attn_along_axis(F_img + F_geo, "time", params.time_block,
+                           elem_valid)
     sums = w.sum(axis=-1)
     row_ok = np.abs(sums[elem_valid.any(axis=1)] - 1.0).max() < 1e-9
 

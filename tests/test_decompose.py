@@ -13,8 +13,19 @@ from scenetok.decompose import (
     LABEL_GROUND,
     LABEL_OPENSET,
     decompose_frame,
-    points_in_box,
 )
+
+
+def points_in_box(points, box):
+    """Membership mask for one oriented box; boundaries are inclusive."""
+    d = points - box.center
+    c, s = np.cos(box.heading), np.sin(box.heading)
+    # rotate by -heading about z
+    x = c * d[:, 0] + s * d[:, 1]
+    y = -s * d[:, 0] + c * d[:, 1]
+    z = d[:, 2]
+    half = box.size / 2.0
+    return (np.abs(x) <= half[0]) & (np.abs(y) <= half[1]) & (np.abs(z) <= half[2])
 
 
 def box(track_id=0, center=(0, 0, 0), size=(2, 2, 2), heading=0.0):

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fusion_helpers import attn_along_axis, zero_attention_output
 from scenetok.errors import ShapeMismatch
 from scenetok.fusion import (
-    attn_along_axis,
     compare_grads,
     encode_geometry,
     finite_difference_grads,
@@ -14,9 +14,10 @@ from scenetok.fusion import (
     fusion_loss_and_grads,
     grad_check,
     init_fusion_params,
-    zero_attention_output,
 )
-from scenetok.fusion.layers import LN_EPS, masked_softmax, softmax_backward
+from scenetok.fusion import network
+from scenetok.fusion.layers import (LN_EPS, masked_softmax, relu_backward,
+                                    softmax_backward)
 
 
 def toy_params(T=3, D=8, hidden=8, seed=1):
@@ -350,6 +351,140 @@ class TestPointPoolBackward:
         for name in want:
             assert got[name].dtype == want[name].dtype
             np.testing.assert_array_equal(got[name], want[name])
+
+
+class TestPoolFirstPath:
+    """``hidden < D``: the point branch pools before its second layer."""
+
+    @staticmethod
+    def wide_params(dtype=np.float64):
+        return init_fusion_params(T=3, D=16, hidden=4, n_heads=2, seed=1,
+                                  dtype=dtype)
+
+    @staticmethod
+    def wide_inputs(t):
+        rng = np.random.default_rng(11)
+        return dict(t, D=16, F_img=rng.normal(size=(t["n_elem"], t["T"], 16)))
+
+    def test_per_cell_oracle(self, toy_fusion_inputs):
+        t = toy_fusion_inputs
+        params = self.wide_params()
+        F_geo = encode_geometry(t["P_xyz"], t["P_ind"], t["B"], params)
+
+        phi = mlp_ref(t["P_xyz"], params.mlp_f)
+        expected = np.zeros((t["n_elem"], t["T"], 16))
+        for e in range(t["n_elem"]):
+            for fr in range(t["T"]):
+                rows = np.flatnonzero((t["P_ind"][:, 1] == e)
+                                      & (t["P_ind"][:, 0] == fr))
+                if rows.size:
+                    expected[e, fr] = phi[rows].mean(axis=0)
+                expected[e, fr] += mlp_ref(t["B"][e, fr], params.mlp_c)
+        assert np.abs(F_geo - expected).max() < 1e-9
+
+    def test_grad_check(self, toy_fusion_inputs):
+        t = self.wide_inputs(toy_fusion_inputs)
+        err = grad_check(self.wide_params(), t["P_xyz"], t["P_ind"], t["B"],
+                         t["F_img"], t["elem_valid"])
+        assert err < 1e-6
+
+    def test_backward_equals_per_cell_reference(self, toy_fusion_inputs,
+                                                monkeypatch):
+        t = toy_fusion_inputs
+        params = self.wide_params()
+        p = params.mlp_f
+        n_elem, T = t["n_elem"], t["T"]
+        _, cache = network._pooled_point_forward(t["P_xyz"], t["P_ind"],
+                                                 params, n_elem)
+        g = np.random.default_rng(8).normal(size=(n_elem, T, 16))
+        seen = []
+
+        def spy(dh, h_pre):
+            seen.append(dh)
+            return relu_backward(dh, h_pre)
+
+        monkeypatch.setattr(network, "relu_backward", spy)
+        got = network._pooled_point_backward(g, cache, params, n_elem)
+
+        h_pre = t["P_xyz"] @ p.w1.T + p.b1
+        h = np.maximum(h_pre, 0.0)
+        dw2 = np.zeros_like(p.w2)
+        db2 = np.zeros_like(p.b2)
+        dh = np.zeros_like(h)
+        for e in range(n_elem):
+            for fr in range(T):
+                rows = np.flatnonzero((t["P_ind"][:, 1] == e)
+                                      & (t["P_ind"][:, 0] == fr))
+                if rows.size == 0:
+                    continue
+                dw2 += np.outer(g[e, fr], h[rows].mean(axis=0))
+                db2 += g[e, fr]
+                dh[rows] = g[e, fr] @ p.w2 / rows.size
+        dh_pre = dh * (h_pre > 0)
+        want = {"w1": dh_pre.T @ t["P_xyz"], "b1": dh_pre.sum(axis=0),
+                "w2": dw2, "b2": db2}
+        assert len(seen) == 1
+        np.testing.assert_allclose(seen[0], dh, rtol=1e-12, atol=1e-14)
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12,
+                                       atol=1e-14)
+
+    @pytest.mark.parametrize("D,hidden", [(16, 4), (8, 8), (8, 64)])
+    def test_segment_sum_pools_the_narrower_side(self, toy_fusion_inputs,
+                                                 monkeypatch, D, hidden):
+        t = toy_fusion_inputs
+        widths = []
+        segment_sum = network.segment_sum
+
+        def recording(values, *args, **kwargs):
+            widths.append(values.shape[1])
+            return segment_sum(values, *args, **kwargs)
+
+        monkeypatch.setattr(network, "segment_sum", recording)
+        params = init_fusion_params(T=t["T"], D=D, hidden=hidden, n_heads=2)
+        encode_geometry(t["P_xyz"], t["P_ind"], t["B"], params)
+        assert widths == [min(D, hidden)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_cells_are_exact_zeros(self, toy_fusion_inputs, dtype):
+        t = toy_fusion_inputs
+        params = self.wide_params(dtype)
+        # empty cells: element 1 at frame 2, and two elements with no points
+        keep = ~((t["P_ind"][:, 1] == 1) & (t["P_ind"][:, 0] == 2))
+        P_ind = t["P_ind"][keep]
+        n_elem = t["n_elem"] + 2
+        pooled, _ = network._pooled_point_forward(t["P_xyz"][keep], P_ind,
+                                                  params, n_elem)
+        occupied = np.zeros((n_elem, t["T"]), dtype=bool)
+        occupied[P_ind[:, 1], P_ind[:, 0]] = True
+        assert pooled.dtype == dtype
+        assert (~occupied).any() and occupied.any()
+        assert (pooled[~occupied] == 0).all()
+        assert (pooled[occupied] != 0).any(axis=-1).all()
+
+    def test_float32_gradients_keep_dtype(self, toy_fusion_inputs):
+        t = self.wide_inputs(toy_fusion_inputs)
+        params = self.wide_params(np.float32)
+        _, grads = fusion_loss_and_grads(params, t["P_xyz"], t["P_ind"],
+                                         t["B"], t["F_img"], t["elem_valid"])
+        assert grads.keys() == params.tensors().keys()
+        assert all(g.dtype == np.float32 for g in grads.values())
+
+    def test_float32_token_files_are_byte_identical(self, small_scene,
+                                                    small_config, tmp_path):
+        from scenetok import tokenize_bundle, write_tokens
+
+        params = init_fusion_params(T=small_config.T, D=small_config.D,
+                                    hidden=4, seed=2, dtype=np.float32)
+        assert params.hidden < params.D
+        paths = [tmp_path / "a.tok", tmp_path / "b.tok"]
+        for path in paths:
+            result = tokenize_bundle(small_scene.bundle, small_config,
+                                     params=params)
+            assert result.tokens.F_elem.dtype == np.float32
+            write_tokens(path, result.tokens)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

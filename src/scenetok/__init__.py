@@ -11,7 +11,6 @@ from .bundle import (
     KIND_AGENT,
     KIND_GROUND,
     KIND_OPENSET,
-    AgentBox,
     CameraFrame,
     PointCloudFrame,
     SceneBundle,

@@ -75,37 +75,27 @@ class CameraFrame:
 
 
 @dataclass
-class AgentBox:
-    """A perception box for one agent at one frame.
-
-    ``center`` is (3,), ``size`` is (length, width, height), heading is a
-    single radian scalar in [-pi, pi) measured about +z.
-    """
-
-    track_id: int
-    frame_index: int
-    center: np.ndarray
-    size: np.ndarray
-    heading: float
-    label: str = ""
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        self.size = np.asarray(self.size, dtype=np.float64).reshape(3)
-        self.heading = float(self.heading)
-
-    def row(self) -> np.ndarray:
-        """The 7-float box row: center(3), size(3), heading."""
-        return np.concatenate([self.center, self.size, [self.heading]])
-
-
-@dataclass
 class SceneBundle:
-    """Raw multi-frame input: point clouds, agent boxes, camera feature maps."""
+    """Raw multi-frame input: point clouds, camera feature maps, agent boxes.
+
+    The agent boxes are one table, a row per box in manifest order:
+    ``agent_track``, ``agent_frame`` (n,) int64; ``agent_box`` (n, 7)
+    float64 rows of center, size (length, width, height) and heading (radians
+    about +z, in [-pi, pi)); ``agent_label`` (n,) objects, kept as given.
+    """
 
     frames: list[PointCloudFrame]
     cameras: list[CameraFrame] = field(default_factory=list)
-    agents: list[AgentBox] = field(default_factory=list)
+    agent_track: np.ndarray = ()
+    agent_frame: np.ndarray = ()
+    agent_box: np.ndarray = ()
+    agent_label: np.ndarray = ()
+
+    def __post_init__(self):
+        self.agent_track = np.asarray(self.agent_track, dtype=np.int64).reshape(-1)
+        self.agent_frame = np.asarray(self.agent_frame, dtype=np.int64).reshape(-1)
+        self.agent_box = np.asarray(self.agent_box, dtype=np.float64).reshape(-1, 7)
+        self.agent_label = np.asarray(self.agent_label, dtype=object).reshape(-1)
 
 
 @dataclass
@@ -229,28 +219,35 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
             problems.append(FrameCountMismatch(
                 f"camera {cam.camera_id}: frame_index {cam.frame_index} outside [0, {config.T})"))
 
-    seen: set[tuple[int, int]] = set()
-    for box in bundle.agents:
-        key = (box.track_id, box.frame_index)
-        if key in seen:
-            problems.append(DuplicateTrackFrame(
-                f"track {box.track_id} appears twice in frame {box.frame_index}"))
-        seen.add(key)
-        if not (np.isfinite(box.center).all() and np.isfinite(box.size).all()
-                and math.isfinite(box.heading)):
-            problems.append(NonFiniteCoordinate(
-                f"track {box.track_id} frame {box.frame_index}: non-finite box attribute"))
-            continue
-        if (box.size <= 0).any():
-            problems.append(BundleValidationError(
-                f"track {box.track_id} frame {box.frame_index}: non-positive size"))
-        if not (-math.pi <= box.heading < math.pi):
-            problems.append(BundleValidationError(
-                f"track {box.track_id} frame {box.frame_index}: "
-                f"heading {box.heading} outside [-pi, pi)"))
-        if not (0 <= box.frame_index < config.T):
-            problems.append(FrameCountMismatch(
-                f"track {box.track_id}: frame_index {box.frame_index} outside [0, {config.T})"))
+    track, frame, box = bundle.agent_track, bundle.agent_frame, bundle.agent_box
+    lengths = (track.size, frame.size, box.shape[0], bundle.agent_label.size)
+    if len(set(lengths)) > 1:
+        problems.append(BundleValidationError(
+            f"agent columns track, frame, box, label differ in length: {lengths}"))
+        return problems
+    # A row repeats a (track, frame) pair unless it is the pair's first row.
+    duplicate = np.ones(track.size, dtype=bool)
+    duplicate[np.unique(np.stack([track, frame], axis=1), axis=0,
+                        return_index=True)[1]] = False
+    finite = np.isfinite(box).all(axis=1)
+    heading = box[:, 6]
+    # One column per check, in the order a row reports them; a row with a
+    # non-finite attribute reports nothing after that.
+    failed = np.stack([duplicate, ~finite,
+                       finite & (box[:, 3:6] <= 0).any(axis=1),
+                       finite & ~((-math.pi <= heading) & (heading < math.pi)),
+                       finite & ~((0 <= frame) & (frame < config.T))], axis=1)
+    for row, check in zip(*np.nonzero(failed)):
+        t, f, h = track[row].item(), frame[row].item(), heading[row].item()
+        error, message = (
+            (DuplicateTrackFrame, f"track {t} appears twice in frame {f}"),
+            (NonFiniteCoordinate, f"track {t} frame {f}: non-finite box attribute"),
+            (BundleValidationError, f"track {t} frame {f}: non-positive size"),
+            (BundleValidationError,
+             f"track {t} frame {f}: heading {h} outside [-pi, pi)"),
+            (FrameCountMismatch,
+             f"track {t}: frame_index {f} outside [0, {config.T})"))[check]
+        problems.append(error(message))
 
     return problems
 

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: tokenize, synth, ablate, inspect, bench.  Exit codes: 0 on
-success, 1 on validation errors, 2 on I/O and usage errors.
+success, 1 on validation errors, 2 on I/O and usage errors.  tokenize prints
+one outcome line per scene, goes on past a failed one, names the failed
+scenes and exits with the worst scene's code.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .synthetic import SceneSpec, drop_agents, generate_scene
 
 _VALIDATION_ERRORS = (BundleValidationError, BudgetMismatch, DimensionMismatch,
                       ShapeMismatch, DegenerateInput, InvalidInput)
+_FAILURES = (*_VALIDATION_ERRORS, StorageError, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,13 +91,25 @@ def _default_params(config: PipelineConfig):
                               dtype=np.float32)
 
 
-def _tokenize_one(scene_dir: str, out_path: str, config: PipelineConfig,
-                  params: FusionParams) -> None:
-    bundle = read_scene_bundle(scene_dir, config)
-    result = tokenize_bundle(bundle, config, params=params, validate=False)
-    write_tokens(out_path, result.tokens)
-    print(f"{scene_dir}: {result.scene.n_elem} elements, "
-          f"{result.scene.n_pts} points -> {out_path}")
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and message of a validation (1) or I/O (2) error."""
+    if isinstance(exc, _VALIDATION_ERRORS):
+        return 1, f"error: {exc}"
+    return 2, f"i/o error: {exc}"
+
+
+def _tokenize_one(job: tuple) -> tuple[int, str]:
+    """Tokenize one scene: (exit code, outcome line)."""
+    scene_dir, out_path, config, params = job
+    try:
+        bundle = read_scene_bundle(scene_dir, config)
+        result = tokenize_bundle(bundle, config, params=params, validate=False)
+        write_tokens(out_path, result.tokens)
+    except _FAILURES as exc:
+        code, message = _failure(exc)
+        return code, f"{scene_dir}: {message}"
+    return 0, (f"{scene_dir}: {result.scene.n_elem} elements, "
+               f"{result.scene.n_pts} points -> {out_path}")
 
 
 def _cmd_tokenize(args) -> int:
@@ -103,21 +118,28 @@ def _cmd_tokenize(args) -> int:
               else _default_params(config))
     scenes = args.scene
     if len(scenes) == 1:
-        _tokenize_one(scenes[0], args.out, config, params)
-        return 0
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [(s, str(out_dir / (Path(s).name + ".tokens")), config, params)
-            for s in scenes]
-    if args.jobs > 1:
+        jobs = [(scenes[0], args.out, config, params)]
+    else:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        jobs = [(s, str(out_dir / (Path(s).name + ".tokens")), config, params)
+                for s in scenes]
+    if min(args.jobs, len(jobs)) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(args.jobs) as pool:
-            pool.starmap(_tokenize_one, jobs)
+            outcomes = pool.map(_tokenize_one, jobs)
     else:
-        for job in jobs:
-            _tokenize_one(*job)
-    return 0
+        outcomes = map(_tokenize_one, jobs)
+    codes = []
+    for code, line in outcomes:
+        print(line, file=sys.stderr if code else sys.stdout)
+        codes.append(code)
+    failed = [scene for scene, code in zip(scenes, codes) if code]
+    if failed:
+        print(f"error: {len(failed)} of {len(scenes)} scenes failed: "
+              f"{' '.join(failed)}", file=sys.stderr)
+    return max(codes)
 
 
 def _cmd_synth(args) -> int:
@@ -136,7 +158,7 @@ def _cmd_ablate(args) -> int:
     ablated, dropped = drop_agents(bundle, args.drop_agents, args.seed)
     write_scene_bundle(args.out, ablated)
     print(f"removed {len(dropped)} of "
-          f"{len({b.track_id for b in bundle.agents})} agent tracks: {dropped}")
+          f"{np.unique(bundle.agent_track).size} agent tracks: {dropped}")
     return 0
 
 
@@ -180,12 +202,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (StorageError, OSError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
+    except _FAILURES as exc:
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 def main() -> None:

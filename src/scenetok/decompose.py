@@ -13,7 +13,6 @@ from itertools import chain
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .bundle import AgentBox
 from .ground import lexicographic_order
 
 # Per-point label codes.
@@ -43,39 +42,41 @@ class PointPartition:
     cluster_id: list[np.ndarray]
 
 
-def extract_agent_elements(points: np.ndarray, boxes: list[AgentBox]) -> np.ndarray:
+def extract_agent_elements(points: np.ndarray, track_ids: np.ndarray,
+                           boxes: np.ndarray) -> np.ndarray:
     """Assign each point to at most one agent box.
 
-    Returns the owning track_id per point, -1 for points outside every box.
-    A point is inside a box when its offset from the center, rotated by
-    -heading about z, is within half the size on every axis; boundaries are
-    inclusive.  A point inside several boxes goes to the box with the
-    nearest center; ties go to the lower track_id, and boxes with equal
-    track_ids keep their input order.
+    ``track_ids`` (n,) and ``boxes`` (n, 7: center, size, heading) are one
+    frame's rows of the agent table.  Returns the owning track_id per
+    point, -1 for points outside every box.  A point is inside a box when
+    its offset from the center, rotated by -heading about z, is within half
+    the size on every axis; boundaries are inclusive.  A point inside
+    several boxes goes to the box with the nearest center; ties go to the
+    lower track_id, and boxes with equal track_ids keep their input order.
 
     Candidates come from one ``cKDTree.query_ball_point`` over the points,
     at each box's half-diagonal widened by 1e-9 relative + 1e-9 absolute, so
     rounding cannot lose a point the oriented test keeps.  The oriented test
-    runs on the candidate (point, box) pairs only, with one scalar cos/sin
-    per box, and one lexsort by point, center distance and track rank picks
+    runs on the candidate (point, box) pairs only, with one cos/sin per
+    box, and one lexsort by point, center distance and track rank picks
     each point's owner.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     owner = np.full(points.shape[0], -1, dtype=np.int64)
-    if owner.size == 0 or not boxes:
+    if owner.size == 0 or len(track_ids) == 0:
         return owner
 
-    boxes = sorted(boxes, key=lambda b: b.track_id)  # list index = track rank
-    center = np.array([b.center for b in boxes])
-    half = np.array([b.size for b in boxes]) / 2.0
-    # One scalar cos/sin per box, broadcast over its candidate points.
-    cos_sin = np.array([(np.cos(b.heading), np.sin(b.heading)) for b in boxes])
+    by_track = np.argsort(track_ids, kind="stable")  # row = track rank
+    track_id, boxes = track_ids[by_track], boxes[by_track]
+    center, half = boxes[:, :3], boxes[:, 3:6] / 2.0
+    # One cos/sin per box, broadcast over its candidate points.
+    cos_sin = np.column_stack([np.cos(boxes[:, 6]), np.sin(boxes[:, 6])])
     radius = np.linalg.norm(half, axis=1)
     # A sliding-midpoint tree builds faster, and one query per box is all
     # it serves.
     tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
     hits = tree.query_ball_point(center, radius * (1 + 1e-9) + 1e-9)
-    box = np.repeat(np.arange(len(boxes)), [len(h) for h in hits])
+    box = np.repeat(np.arange(track_id.size), [len(h) for h in hits])
     pt = np.fromiter(chain.from_iterable(hits), dtype=np.int64, count=box.size)
 
     d = points[pt] - center[box]
@@ -92,7 +93,6 @@ def extract_agent_elements(points: np.ndarray, boxes: list[AgentBox]) -> np.ndar
     pt, box = pt[order], box[order]
     first = np.ones(pt.size, dtype=bool)
     np.not_equal(pt[1:], pt[:-1], out=first[1:])
-    track_id = np.array([b.track_id for b in boxes], dtype=np.int64)
     owner[pt[first]] = track_id[box[first]]
     return owner
 
@@ -271,10 +271,11 @@ def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
 
 
 def decompose_frame(points: np.ndarray, ground_mask: np.ndarray,
-                    boxes: list[AgentBox], radius: float,
+                    track_ids: np.ndarray, boxes: np.ndarray, radius: float,
                     min_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label one frame's points: ground, agent, open-set, or discarded.
 
+    ``track_ids`` and ``boxes`` are the frame's rows of the agent table.
     Ground wins over boxes; agent boxes claim the non-ground points they
     contain; connected components over the residual produce open-set
     clusters, with undersized components discarded.
@@ -287,7 +288,7 @@ def decompose_frame(points: np.ndarray, ground_mask: np.ndarray,
     labels[ground_mask] = LABEL_GROUND
 
     rest = ~ground_mask
-    owner = extract_agent_elements(points[rest], boxes)
+    owner = extract_agent_elements(points[rest], track_ids, boxes)
     rest_idx = np.flatnonzero(rest)
     agent_sel = rest_idx[owner >= 0]
     labels[agent_sel] = LABEL_AGENT

@@ -105,16 +105,14 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     timings["ground"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    boxes_by_frame: dict[int, list] = {}
-    for box in bundle.agents:
-        boxes_by_frame.setdefault(box.frame_index, []).append(box)
-
     labels, agent_track, cluster_id, cluster_points, cluster_size = ([], [], [],
                                                                       [], [])
     for f, frame in enumerate(bundle.frames):
+        rows = bundle.agent_frame == f
         lab, atr, cid = decompose.decompose_frame(
-            frame.points, ground_masks[f], boxes_by_frame.get(f, []),
-            config.cluster.radius_m, config.cluster.min_points)
+            frame.points, ground_masks[f], bundle.agent_track[rows],
+            bundle.agent_box[rows], config.cluster.radius_m,
+            config.cluster.min_points)
         labels.append(lab)
         agent_track.append(atr)
         cluster_id.append(cid)
@@ -151,16 +149,11 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     # The candidate element table, in token-block order: agent tracks by
     # ascending track id, open-set tracks by index, every occupied ground
     # cell.  Block b holds kind code b.
-    box_track = np.array([box.track_id for box in bundle.agents],
-                         dtype=np.int64)
-    box_frame = np.array([box.frame_index for box in bundle.agents],
-                         dtype=np.int64)
-    agent_ids, agent_rank = np.unique(box_track, return_inverse=True)
+    agent_ids, agent_rank = np.unique(bundle.agent_track, return_inverse=True)
     agent_boxes = np.zeros((agent_ids.size, T, 7))
-    agent_boxes[agent_rank, box_frame] = np.array(
-        [box.row() for box in bundle.agents]).reshape(-1, 7)
+    agent_boxes[agent_rank, bundle.agent_frame] = bundle.agent_box
     agent_valid = np.zeros((agent_ids.size, T), dtype=bool)
-    agent_valid[agent_rank, box_frame] = True
+    agent_valid[agent_rank, bundle.agent_frame] = True
 
     # Each (track, frame) entry of the member table names one cluster row.
     member_track, member_frame = np.nonzero(members >= 0)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .bundle import (
     KIND_NAMES,
-    AgentBox,
     CameraFrame,
     PointCloudFrame,
     SceneBundle,
@@ -77,13 +76,15 @@ def write_scene_bundle(path, bundle: SceneBundle) -> None:
             "valid": bool(cam.valid),
         } for cam in bundle.cameras],
         "agents": [{
-            "track_id": box.track_id,
-            "frame_index": box.frame_index,
-            "center": box.center.tolist(),
-            "size": box.size.tolist(),
-            "heading": box.heading,
-            "label": box.label,
-        } for box in bundle.agents],
+            "track_id": track,
+            "frame_index": frame,
+            "center": box[:3],
+            "size": box[3:6],
+            "heading": box[6],
+            "label": label,
+        } for track, frame, box, label in zip(
+            bundle.agent_track.tolist(), bundle.agent_frame.tolist(),
+            bundle.agent_box.tolist(), bundle.agent_label.tolist())],
     }
     try:
         text = json.dumps(manifest, indent=2) + "\n"
@@ -187,17 +188,22 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
             translation=_manifest_get(entry, "translation", "camera entry"),
             valid=_manifest_get(entry, "valid", "camera entry", True)))
 
-    agents = []
-    for entry in _manifest_get(manifest, "agents", str(manifest_path)):
-        agents.append(AgentBox(
-            track_id=_manifest_get(entry, "track_id", "agent entry"),
-            frame_index=_manifest_get(entry, "frame_index", "agent entry"),
-            center=_manifest_get(entry, "center", "agent entry"),
-            size=_manifest_get(entry, "size", "agent entry"),
-            heading=_manifest_get(entry, "heading", "agent entry"),
-            label=_manifest_get(entry, "label", "agent entry", "")))
+    agents = _manifest_get(manifest, "agents", str(manifest_path))
 
-    bundle = SceneBundle(frames=frames, cameras=cameras, agents=agents)
+    def column(key: str, default=None) -> list:
+        return [_manifest_get(entry, key, "agent entry", default)
+                for entry in agents]
+
+    try:
+        bundle = SceneBundle(
+            frames=frames, cameras=cameras, agent_track=column("track_id"),
+            agent_frame=column("frame_index"),
+            agent_box=np.column_stack([column("center"), column("size"),
+                                       column("heading")]),
+            agent_label=column("label", ""))
+    except OverflowError as exc:  # a JSON number beyond int64 or float64
+        raise BadManifestField(f"{manifest_path}: agent entry value out of "
+                               f"range ({exc})") from exc
     if config is not None:
         validate_bundle(bundle, config)
     return bundle

@@ -11,12 +11,11 @@ showing label L from camera k is one_hot(L) * (k + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundle import (
-    AgentBox,
     CameraFrame,
     PointCloudFrame,
     SceneBundle,
@@ -61,9 +60,6 @@ class SceneSpec:
                      "clutter_points"):
             if getattr(self, name) < 0:
                 raise InvalidInput(f"{name} must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -186,7 +182,7 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
     clutter_centers = np.column_stack([
         clutter_xy, np.full(spec.n_clutter, spec.clutter_z_m)])
 
-    frames, agents = [], []
+    frames, box_track, box_frame, box_rows = [], [], [], []
     labels, agent_track, cluster_id = [], [], []
     point_sets_per_frame = []
 
@@ -210,9 +206,9 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
             lab_parts.append(np.full(spec.agent_points, LABEL_AGENT, dtype=np.int64))
             track_parts.append(np.full(spec.agent_points, a["track_id"], dtype=np.int64))
             cid_parts.append(np.full(spec.agent_points, -1, dtype=np.int64))
-            agents.append(AgentBox(track_id=a["track_id"], frame_index=f,
-                                   center=center, size=a["size"],
-                                   heading=a["heading"], label="vehicle"))
+            box_track.append(a["track_id"])
+            box_frame.append(f)
+            box_rows.append([*center, *a["size"], a["heading"]])
 
         for j in range(spec.n_clutter):
             blob = clutter_centers[j] + _sample_ball(rng, spec.clutter_radius_m,
@@ -245,7 +241,9 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
                                        cx=cx, cy=cy, rotation=R,
                                        translation=t))
 
-    bundle = SceneBundle(frames=frames, cameras=cameras, agents=agents)
+    bundle = SceneBundle(frames=frames, cameras=cameras, agent_track=box_track,
+                         agent_frame=box_frame, agent_box=box_rows,
+                         agent_label=["vehicle"] * len(box_track))
     truth = PointPartition(labels=labels, agent_track=agent_track,
                            cluster_id=cluster_id)
     return SyntheticScene(bundle=bundle, truth=truth, spec=spec,
@@ -265,14 +263,13 @@ def drop_agents(bundle: SceneBundle, ratio: float, seed: int) -> tuple[SceneBund
         raise InvalidInput(f"ratio must be in [0, 1], got {ratio}")
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
-    track_ids = sorted({b.track_id for b in bundle.agents})
-    n_drop = int(math.floor(ratio * len(track_ids)))
-    if n_drop == 0:
-        return SceneBundle(frames=bundle.frames, cameras=bundle.cameras,
-                           agents=list(bundle.agents)), []
+    track_ids = np.unique(bundle.agent_track)
+    n_drop = int(math.floor(ratio * track_ids.size))
     rng = np.random.default_rng(seed)
     dropped = sorted(rng.choice(track_ids, size=n_drop, replace=False).tolist())
-    dropped_set = set(dropped)
-    kept = [b for b in bundle.agents if b.track_id not in dropped_set]
+    keep = ~np.isin(bundle.agent_track, dropped)
     return SceneBundle(frames=bundle.frames, cameras=bundle.cameras,
-                       agents=kept), dropped
+                       agent_track=bundle.agent_track[keep],
+                       agent_frame=bundle.agent_frame[keep],
+                       agent_box=bundle.agent_box[keep],
+                       agent_label=bundle.agent_label[keep]), dropped

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from scenetok import PipelineConfig, SceneBundle, PointCloudFrame, validate_bundle
-from scenetok.bundle import AgentBox, CameraFrame, normalize_heading
+from scenetok.bundle import CameraFrame, check_bundle, normalize_heading
 from scenetok.errors import (
     BadRotation,
+    BundleValidationError,
     DuplicateTrackFrame,
     FrameCountMismatch,
     NonFiniteCoordinate,
@@ -30,9 +35,9 @@ def test_clean_bundle_accepted():
                       fx=1, fy=1, cx=2, cy=2,
                       rotation=np.eye(3), translation=np.zeros(3))
     bundle = SceneBundle(frames=_frames(3), cameras=[cam],
-                         agents=[AgentBox(track_id=0, frame_index=0,
-                                          center=[0, 0, 0], size=[1, 1, 1],
-                                          heading=0.5)])
+                         agent_track=[0], agent_frame=[0],
+                         agent_box=[[0, 0, 0, 1, 1, 1, 0.5]],
+                         agent_label=[""])
     assert validate_bundle(bundle, config) is bundle
 
 
@@ -64,23 +69,88 @@ def test_bad_rotation_rejected():
 
 def test_duplicate_track_frame_rejected():
     config = PipelineConfig(T=1)
-    box = dict(center=[0, 0, 0], size=[1, 1, 1], heading=0.0)
-    agents = [AgentBox(track_id=3, frame_index=0, **box),
-              AgentBox(track_id=3, frame_index=0, **box)]
+    agents = dict(agent_track=[3, 3], agent_frame=[0, 0],
+                  agent_box=[[0, 0, 0, 1, 1, 1, 0.0]] * 2,
+                  agent_label=["", ""])
     with pytest.raises(DuplicateTrackFrame):
-        validate_bundle(SceneBundle(frames=_frames(1), agents=agents), config)
+        validate_bundle(SceneBundle(frames=_frames(1), **agents), config)
 
 
 def test_all_violations_reported():
     config = PipelineConfig(T=2)
     frames = _frames(2)
     frames[0].points[0, 0] = np.inf
-    box = dict(center=[0, 0, 0], size=[1, 1, 1], heading=0.0)
-    agents = [AgentBox(track_id=1, frame_index=0, **box),
-              AgentBox(track_id=1, frame_index=0, **box)]
+    agents = dict(agent_track=[1, 1], agent_frame=[0, 0],
+                  agent_box=[[0, 0, 0, 1, 1, 1, 0.0]] * 2,
+                  agent_label=["", ""])
     with pytest.raises(NonFiniteCoordinate) as exc:
-        validate_bundle(SceneBundle(frames=frames, agents=agents), config)
+        validate_bundle(SceneBundle(frames=frames, **agents), config)
     assert len(exc.value.violations) == 2
+
+
+def check_agents_reference(bundle, T):
+    """The per-box agent checks that the array checks replaced."""
+    problems = []
+    seen = set()
+    for track_id, frame_index, row in zip(bundle.agent_track.tolist(),
+                                          bundle.agent_frame.tolist(),
+                                          bundle.agent_box.tolist()):
+        center, size, heading = np.array(row[:3]), np.array(row[3:6]), row[6]
+        key = (track_id, frame_index)
+        if key in seen:
+            problems.append(DuplicateTrackFrame(
+                f"track {track_id} appears twice in frame {frame_index}"))
+        seen.add(key)
+        if not (np.isfinite(center).all() and np.isfinite(size).all()
+                and math.isfinite(heading)):
+            problems.append(NonFiniteCoordinate(
+                f"track {track_id} frame {frame_index}: non-finite box attribute"))
+            continue
+        if (size <= 0).any():
+            problems.append(BundleValidationError(
+                f"track {track_id} frame {frame_index}: non-positive size"))
+        if not (-math.pi <= heading < math.pi):
+            problems.append(BundleValidationError(
+                f"track {track_id} frame {frame_index}: "
+                f"heading {heading} outside [-pi, pi)"))
+        if not (0 <= frame_index < T):
+            problems.append(FrameCountMismatch(
+                f"track {track_id}: frame_index {frame_index} outside [0, {T})"))
+    return problems
+
+
+_BOX_VALUES = hs.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, math.pi, -math.pi,
+                               -3.5, np.nextafter(math.pi, 0), np.nan,
+                               np.inf, -np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=hs.lists(hs.tuples(hs.integers(0, 3), hs.integers(-2, 4),
+                               hs.lists(_BOX_VALUES, min_size=7, max_size=7)),
+                     max_size=12))
+def test_agent_checks_match_per_box_reference(rows):
+    T = 3
+    bundle = SceneBundle(frames=_frames(T),
+                         agent_track=[r[0] for r in rows],
+                         agent_frame=[r[1] for r in rows],
+                         agent_box=[r[2] for r in rows],
+                         agent_label=[""] * len(rows))
+    got = check_bundle(bundle, PipelineConfig(T=T))
+    want = check_agents_reference(bundle, T)
+    assert [(type(p), str(p)) for p in got] == [(type(p), str(p))
+                                                for p in want]
+
+
+def test_agent_columns_of_unequal_length_rejected():
+    bundle = SceneBundle(frames=_frames(1), agent_track=[0, 1],
+                         agent_frame=[0],
+                         agent_box=[[0, 0, 0, 1, 1, 1, 0.0]] * 2,
+                         agent_label=["", ""])
+    with pytest.raises(BundleValidationError) as exc:
+        validate_bundle(bundle, PipelineConfig(T=1))
+    assert exc.value.violations == [
+        "agent columns track, frame, box, label differ in length: "
+        "(2, 1, 2, 2)"]
 
 
 def test_normalize_heading_range():

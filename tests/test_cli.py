@@ -272,6 +272,39 @@ def test_multi_scene_tokenize(workdir):
         assert (par_dir / name).read_bytes() == (out_dir / name).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fault, code", [("not json", 2), ("wrong T", 1)])
+def test_multi_scene_tokenize_reports_every_scene(workdir, capsys, jobs,
+                                                  fault, code):
+    good, bad = workdir / "a", workdir / "bad"
+    for d in (good, bad):
+        cli_main(["synth", "--seed", "1", "--spec",
+                  str(workdir / "spec.json"), "--out", str(d)])
+    manifest = bad / "manifest.json"
+    if fault == "not json":
+        manifest.write_text("{")
+    else:  # one frame fewer than the config's T
+        doc = json.loads(manifest.read_text())
+        doc["frames"].pop()
+        manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out_dir = workdir / "tokens"
+    assert cli_main(["tokenize", "--scene", str(bad), str(good), "--config",
+                     str(workdir / "config.json"), "--out", str(out_dir),
+                     "--jobs", jobs]) == code
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.tokens"]
+    captured = capsys.readouterr()
+    n_elem = read_tokens(out_dir / "a.tokens").kind.size
+    (line,) = captured.out.splitlines()
+    assert line.startswith(f"{good}: {n_elem} elements, ")
+    assert line.endswith(f" points -> {out_dir / 'a.tokens'}")
+    err = captured.err.splitlines()
+    assert len(err) == 2 and "Traceback" not in captured.err
+    assert err[0].startswith(f"{bad}: " + ("i/o error: " if code == 2
+                                            else "error: "))
+    assert err[1] == f"error: 1 of 2 scenes failed: {bad}"
+
+
 @pytest.mark.parametrize("with_checkpoint", [True, False])
 def test_multi_scene_tokenize_loads_params_once(workdir, monkeypatch,
                                                 with_checkpoint):

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from scipy.spatial import ConvexHull, QhullError
 
 from scenetok import cluster_open_set, extract_agent_elements, fit_tight_box
 from scenetok import decompose
-from scenetok.bundle import AgentBox
 from scenetok.decompose import (
     LABEL_AGENT,
     LABEL_DISCARDED,
@@ -28,9 +28,25 @@ def points_in_box(points, box):
     return (np.abs(x) <= half[0]) & (np.abs(y) <= half[1]) & (np.abs(z) <= half[2])
 
 
+Box = namedtuple("Box", "track_id center size heading")
+
+
 def box(track_id=0, center=(0, 0, 0), size=(2, 2, 2), heading=0.0):
-    return AgentBox(track_id=track_id, frame_index=0, center=center,
-                    size=size, heading=heading)
+    return Box(track_id, np.asarray(center, dtype=np.float64),
+               np.asarray(size, dtype=np.float64), float(heading))
+
+
+def table(boxes):
+    """The (track ids, (n, 7) box rows) agent table of a list of boxes."""
+    return (np.array([b.track_id for b in boxes], dtype=np.int64),
+            np.array([[*b.center, *b.size, b.heading]
+                      for b in boxes]).reshape(-1, 7))
+
+
+def boxes_of(track_ids, rows):
+    """The boxes of an agent table, one per row."""
+    return [box(t, r[:3], r[3:6], r[6]) for t, r in zip(track_ids.tolist(),
+                                                      rows)]
 
 
 def membership_oracle(point, b):
@@ -93,11 +109,11 @@ class TestAgentMembership:
             (np.empty((0, 3)), equal),
         ]
         for points, boxes in frames:
-            got = extract_agent_elements(points, boxes)
+            got = extract_agent_elements(points, *table(boxes))
             assert got.dtype == np.int64
             np.testing.assert_array_equal(
                 got, extract_agent_elements_reference(points, boxes))
-        owner = extract_agent_elements(on_plane, equal)
+        owner = extract_agent_elements(on_plane, *table(equal))
         assert (owner == 3).all()  # equal distances: the lower track id
 
     def test_scene_frames_match_reference(self, small_scene):
@@ -109,25 +125,29 @@ class TestAgentMembership:
             min_separation_m=6.0, feature_res=4))
         for bundle in (small_scene.bundle, full.bundle):
             for f, frame in enumerate(bundle.frames):
-                boxes = [b for b in bundle.agents if b.frame_index == f]
-                got = extract_agent_elements(frame.points, boxes)
+                rows = bundle.agent_frame == f
+                track_ids = bundle.agent_track[rows]
+                boxes = bundle.agent_box[rows]
+                got = extract_agent_elements(frame.points, track_ids, boxes)
                 assert (got >= 0).sum() > 0
                 np.testing.assert_array_equal(
-                    got, extract_agent_elements_reference(frame.points, boxes))
+                    got, extract_agent_elements_reference(
+                        frame.points, boxes_of(track_ids, boxes)))
 
     def test_point_inside_axis_aligned_box(self):
-        owner = extract_agent_elements(np.array([[0.5, 0.5, 0.5]]), [box()])
+        owner = extract_agent_elements(np.array([[0.5, 0.5, 0.5]]),
+                                       *table([box()]))
         assert owner.tolist() == [0]
 
     def test_rotated_box_long_axis_along_y(self):
         b = box(size=(4, 1, 2), heading=math.pi / 2)
         p = np.array([[0.4, 1.5, 0.0]])
         assert membership_oracle(p[0], b)
-        assert extract_agent_elements(p, [b]).tolist() == [0]
+        assert extract_agent_elements(p, *table([b])).tolist() == [0]
 
     def test_boundary_point_is_inside(self):
         assert extract_agent_elements(np.array([[1.0, 0.0, 0.0]]),
-                                      [box()]).tolist() == [0]
+                                      *table([box()])).tolist() == [0]
 
     def test_overlap_resolved_by_nearest_center_then_track_id(self):
         b1 = box(track_id=5, center=(0, 0, 0), size=(4, 4, 4))
@@ -135,13 +155,14 @@ class TestAgentMembership:
         pts = np.array([[0.9, 0.0, 0.0],   # nearer b2
                         [0.1, 0.0, 0.0],   # nearer b1
                         [0.5, 0.0, 0.0]])  # tie -> lower track_id
-        assert extract_agent_elements(pts, [b1, b2]).tolist() == [2, 5, 2]
+        assert extract_agent_elements(pts, *table([b1, b2])).tolist() == [
+            2, 5, 2]
 
     def test_matches_oracle_on_random_points(self):
         rng = np.random.default_rng(0)
         b = box(center=(1.0, -2.0, 0.5), size=(3.0, 1.5, 2.0), heading=0.7)
         pts = rng.uniform(-4, 4, (300, 3))
-        owner = extract_agent_elements(pts, [b])
+        owner = extract_agent_elements(pts, *table([b]))
         expected = np.array([0 if membership_oracle(p, b) else -1 for p in pts])
         np.testing.assert_array_equal(owner, expected)
 
@@ -155,9 +176,8 @@ class TestAgentMembership:
         c, s = math.cos(dtheta), math.sin(dtheta)
         R = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
         shift = np.array([5.0, -3.0, 1.0])
-        moved = AgentBox(track_id=0, frame_index=0,
-                         center=R @ b.center + shift, size=b.size,
-                         heading=b.heading + dtheta)
+        moved = box(track_id=0, center=R @ b.center + shift, size=b.size,
+                    heading=b.heading + dtheta)
         after = points_in_box(pts @ R.T + shift, moved)
         np.testing.assert_array_equal(before, after)
 
@@ -496,8 +516,8 @@ class TestDecomposeFrame:
         ])
         ground_mask = np.abs(pts[:, 2]) <= 0.2
         boxes = [box(track_id=1, center=(5, 5, 1), size=(3, 3, 3))]
-        labels, tracks, clusters = decompose_frame(pts, ground_mask, boxes,
-                                                   0.5, 3)
+        labels, tracks, clusters = decompose_frame(pts, ground_mask,
+                                                   *table(boxes), 0.5, 3)
         assert set(labels.tolist()) <= {LABEL_GROUND, LABEL_AGENT,
                                         LABEL_OPENSET, LABEL_DISCARDED}
         assert (labels == LABEL_GROUND).sum() == 200
@@ -510,5 +530,6 @@ class TestDecomposeFrame:
     def test_ground_wins_over_box(self):
         pts = np.array([[0.0, 0.0, 0.05]])
         ground_mask = np.array([True])
-        labels, _, _ = decompose_frame(pts, ground_mask, [box()], 0.5, 1)
+        labels, _, _ = decompose_frame(pts, ground_mask, *table([box()]),
+                                       0.5, 1)
         assert labels.tolist() == [LABEL_GROUND]

@@ -269,22 +269,24 @@ def test_float32_params_write_float32_tokens(small_scene, small_config,
     assert read_tokens(path).F_elem.dtype == np.float32
 
 
-def group_agent_tracks_reference(agents, T):
+def group_agent_tracks_reference(bundle, T):
     """One (T, 7) box tensor + validity mask per agent track, by track id:
     the per-box grouping the agent candidate table replaced."""
     from scenetok.bundle import SceneElement
 
     tracks = {}
-    for box in agents:
-        el = tracks.get(box.track_id)
+    for track_id, frame_index, row in zip(bundle.agent_track.tolist(),
+                                          bundle.agent_frame.tolist(),
+                                          bundle.agent_box):
+        el = tracks.get(track_id)
         if el is None:
             el = SceneElement(token_id=-1, kind="agent",
                               boxes=np.zeros((T, 7)),
                               frame_valid=np.zeros(T, dtype=bool),
-                              source_id=box.track_id)
-            tracks[box.track_id] = el
-        el.boxes[box.frame_index] = box.row()
-        el.frame_valid[box.frame_index] = True
+                              source_id=track_id)
+            tracks[track_id] = el
+        el.boxes[frame_index] = row
+        el.frame_valid[frame_index] = True
     return tracks
 
 
@@ -365,10 +367,11 @@ def compact_reference(bundle, config):
     labels, agent_track, cluster_id, frame_boxes, frame_sizes = ([], [], [],
                                                                   [], [])
     for f, frame in enumerate(bundle.frames):
+        rows = bundle.agent_frame == f
         lab, atr, cid = decompose.decompose_frame(
-            frame.points, ground_masks[f],
-            [b for b in bundle.agents if b.frame_index == f],
-            config.cluster.radius_m, config.cluster.min_points)
+            frame.points, ground_masks[f], bundle.agent_track[rows],
+            bundle.agent_box[rows], config.cluster.radius_m,
+            config.cluster.min_points)
         labels.append(lab)
         agent_track.append(atr)
         cluster_id.append(cid)
@@ -395,7 +398,7 @@ def compact_reference(bundle, config):
     ground_elements, tile_of_point = tile_reference(
         np.concatenate(ground_pts, axis=0), config.tile_size_m,
         config.n_elem_ground, T)
-    agent_tracks = group_agent_tracks_reference(bundle.agents, T)
+    agent_tracks = group_agent_tracks_reference(bundle, T)
     elements, agent_rank_token, openset_token = assign_token_ids_reference(
         agent_tracks, openset_tracks, np.array(openset_points),
         ground_elements, config)

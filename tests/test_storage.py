@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as hs
 
 from scenetok import (
     PipelineConfig,
+    SceneSpec,
     generate_scene,
     init_fusion_params,
     load_pipeline_config,
@@ -46,11 +48,12 @@ def dir_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
-def set_manifest_field(root, section, key, value):
-    """Set ``key`` of the first entry of one manifest section to ``value``."""
+def set_manifest_field(root, section, key, value, entry=0):
+    """Set ``key`` of one entry (the first by default) of one manifest
+    section to ``value``."""
     path = root / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest[section][0][key] = value
+    manifest[section][entry][key] = value
     path.write_text(json.dumps(manifest))
 
 
@@ -145,11 +148,11 @@ class TestAtomicWrites:
         write_scene_bundle(d, small_scene.bundle)
         before = dir_bytes(d)
         # The manifest is serialised, and fails, before the first blob write.
-        agents = list(small_scene.bundle.agents)
-        agents[-1] = dataclasses.replace(agents[-1], label=object())
+        labels = small_scene.bundle.agent_label.copy()
+        labels[-1] = object()
         with pytest.raises(BadManifestField, match="not JSON serializable"):
             write_scene_bundle(d, dataclasses.replace(small_scene.bundle,
-                                                      agents=agents))
+                                                      agent_label=labels))
         assert dir_bytes(d) == before
 
     def test_failed_manifest_keeps_other_scene(self, tmp_path, small_spec,
@@ -158,18 +161,21 @@ class TestAtomicWrites:
         write_scene_bundle(d, small_scene.bundle)  # seed 7
         before = dir_bytes(d)
         other = generate_scene(8, small_spec).bundle
-        agents = list(other.agents)
-        agents[0] = dataclasses.replace(agents[0], label=object())
+        labels = other.agent_label.copy()
+        labels[0] = object()
         with pytest.raises(BadManifestField, match="not JSON serializable"):
-            write_scene_bundle(d, dataclasses.replace(other, agents=agents))
+            write_scene_bundle(d, dataclasses.replace(other,
+                                                      agent_label=labels))
         assert dir_bytes(d) == before
         back = read_scene_bundle(d)
         for got, want in zip(back.frames, small_scene.bundle.frames,
                              strict=True):
             np.testing.assert_array_equal(got.points, want.points)
-        assert [(a.track_id, a.frame_index, a.heading) for a in back.agents] \
-            == [(a.track_id, a.frame_index, a.heading)
-                for a in small_scene.bundle.agents]
+        want = small_scene.bundle
+        assert [back.agent_track.tolist(), back.agent_frame.tolist(),
+                back.agent_box[:, 6].tolist()] \
+            == [want.agent_track.tolist(), want.agent_frame.tolist(),
+                want.agent_box[:, 6].tolist()]
 
     def test_failed_config_keeps_old_file(self, tmp_path, small_config):
         path = tmp_path / "cfg.json"
@@ -220,6 +226,9 @@ class TestBundleIO:
         ("agents", "center", [1, 2]),
         ("cameras", "rotation", [[1.0]]),
         ("cameras", "translation", ["a", "b", "c"]),
+        ("agents", "frame_index", 1.5),
+        ("agents", "size", "abc"),
+        ("agents", "label", 5),
     ])
     def test_wrong_typed_field_names_it(self, tmp_path, small_scene,
                                         section, key, value):
@@ -229,6 +238,65 @@ class TestBundleIO:
         with pytest.raises(BadManifestField,
                            match=f"field {key} must be .*, got "):
             read_scene_bundle(d)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("track_id", "1", 'field track_id must be int, got "1"'),
+        ("frame_index", 1.5, "field frame_index must be int, got 1.5"),
+        ("center", [1, 2], "field center must be float[3], got [1, 2]"),
+        ("size", [1, 2, True],
+         "field size must be float[3], got [1, 2, true]"),
+        ("heading", None, "field heading must be float, got null"),
+        ("label", 5, "field label must be str, got 5"),
+    ])
+    def test_wrong_typed_field_in_last_agent_entry(self, tmp_path,
+                                                   small_scene, key, value,
+                                                   message):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        set_manifest_field(d, "agents", key, value, entry=-1)
+        with pytest.raises(BadManifestField) as exc:
+            read_scene_bundle(d)
+        assert str(exc.value) == f"agent entry: {message}"
+
+    def test_missing_key_in_last_agent_entry(self, tmp_path, small_scene):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        manifest = json.loads((d / "manifest.json").read_text())
+        del manifest["agents"][-1]["heading"]
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ManifestMissingEntry) as exc:
+            read_scene_bundle(d)
+        assert str(exc.value) == "agent entry: missing key 'heading'"
+
+    @pytest.mark.parametrize("key, value", [
+        ("track_id", 2**70), ("frame_index", -2**70),
+        ("center", [10**400, 0, 0])])
+    def test_out_of_range_agent_number(self, tmp_path, small_scene, key,
+                                       value):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        set_manifest_field(d, "agents", key, value, entry=-1)
+        with pytest.raises(BadManifestField, match="agent entry value out "
+                                                   "of range"):
+            read_scene_bundle(d)
+
+    def test_integer_valued_numbers_written_back_as_floats(self, tmp_path,
+                                                           small_scene):
+        # A bundle whose first box has center (1, 2, 3) and heading 0 writes
+        # them as 1.0, 2.0, 3.0 and 0.0; a manifest hand-edited to JSON
+        # integers reads back to the same bundle, and so to the same bytes.
+        box = small_scene.bundle.agent_box.copy()
+        box[0, :3], box[0, 6] = (1, 2, 3), 0
+        d1, d2 = tmp_path / "one", tmp_path / "two"
+        write_scene_bundle(d1, dataclasses.replace(small_scene.bundle,
+                                                   agent_box=box))
+        written = dir_bytes(d1)
+        assert b'"heading": 0.0' in written["manifest.json"]
+        set_manifest_field(d1, "agents", "heading", 0)
+        set_manifest_field(d1, "agents", "center", [1, 2, 3])
+        assert b'"heading": 0,' in (d1 / "manifest.json").read_bytes()
+        write_scene_bundle(d2, read_scene_bundle(d1))
+        assert dir_bytes(d2) == written
 
     def test_absent_optional_fields_take_defaults(self, tmp_path,
                                                   small_scene):
@@ -243,7 +311,7 @@ class TestBundleIO:
         cam = bundle.cameras[0]
         assert (cam.fx, cam.fy, cam.cx, cam.cy, cam.valid) == (1.0, 1.0, 0.0,
                                                                0.0, True)
-        assert bundle.agents[0].label == ""
+        assert bundle.agent_label[0] == ""
 
     def test_entry_that_is_not_an_object(self, tmp_path, small_scene):
         d = tmp_path / "scene"
@@ -482,23 +550,94 @@ def test_readers_raise_only_scenetok_errors(reader_inputs, suffix, how, data):
     reader, kind = _READERS[suffix]
     base = reader_inputs / f"base.{suffix}"
     path = reader_inputs / f"case.{suffix}"
-    raw = base.read_bytes()
-    if how == "truncate":
-        path.write_bytes(raw[:data.draw(hs.integers(0, len(raw) - 1))])
-    elif how == "flip":
-        flipped = bytearray(raw)
-        for pos in data.draw(hs.lists(hs.integers(0, len(raw) - 1),
-                                      min_size=1, max_size=4)):
-            flipped[pos] ^= data.draw(hs.integers(1, 255))
-        path.write_bytes(bytes(flipped))
-    else:
+    if how == "swap":
         tensors = read_tensor_file(base, kind=kind)
         a, b = data.draw(hs.lists(hs.sampled_from(sorted(tensors)),
                                   min_size=2, max_size=2, unique=True))
         tensors[a], tensors[b] = tensors[b], tensors[a]
         write_tensor_file(path, tensors, kind=kind)
+    else:
+        path.write_bytes(corrupt_bytes(base.read_bytes(), how, data))
     try:
         reader(path)
+    except SceneTokError:
+        pass
+
+
+def corrupt_bytes(raw: bytes, how: str, data) -> bytes:
+    """``raw`` truncated, or with 1-4 bytes flipped."""
+    if how == "truncate":
+        return raw[:data.draw(hs.integers(0, len(raw) - 1))]
+    flipped = bytearray(raw)
+    for pos in data.draw(hs.lists(hs.integers(0, len(raw) - 1),
+                                  min_size=1, max_size=4)):
+        flipped[pos] ^= data.draw(hs.integers(1, 255))
+    return bytes(flipped)
+
+
+_JSON_VALUES = [None, True, 0, -1, 7, 1.5, "x", "", [], {}, [1, 2],
+                [1.0, 2.0, 3.0], [[1.0, 0.0, 0.0]] * 3]
+
+
+def swap_json_type(raw: bytes, section, data) -> bytes:
+    """``raw`` JSON with one value of one object replaced by a value of
+    another JSON type: a value of an entry of ``section``, or a top-level
+    value when ``section`` is None."""
+    doc = json.loads(raw)
+    entry = doc if section is None else data.draw(hs.sampled_from(
+        doc[section]))
+    key = data.draw(hs.sampled_from(sorted(entry)))
+    entry[key] = data.draw(hs.sampled_from(
+        [v for v in _JSON_VALUES if type(v) is not type(entry[key])]))
+    return json.dumps(doc, indent=2).encode()
+
+
+@pytest.fixture(scope="module")
+def bundle_inputs(tmp_path_factory):
+    """A small valid scene bundle, blob and pipeline config to corrupt."""
+    root = tmp_path_factory.mktemp("fuzz_bundle")
+    spec = SceneSpec(n_agents=2, n_clutter=1, T=2, area_m=30.0, cameras=1,
+                     D=4, ground_points_per_frame=30, agent_points=10,
+                     clutter_points=10, feature_res=4)
+    write_scene_bundle(root / "base", generate_scene(3, spec).bundle)
+    write_blob(root / "base.bin", np.arange(12.0).reshape(4, 3))
+    save_pipeline_config(root / "base.json", PipelineConfig(T=2, D=4))
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=hs.sampled_from(["manifest.json", "points_f001.bin",
+                               "cam00_f000.bin", "blob", "config"]),
+       how=hs.sampled_from(["truncate", "flip", "swap"]), data=hs.data())
+def test_bundle_blob_and_config_readers_raise_only_scenetok_errors(
+        bundle_inputs, target, how, data):
+    """A truncated or byte-flipped bundle file, blob or config, or a JSON
+    value of another type in an agent entry or a config, ends in a typed
+    error (or reads, when the corruption leaves a valid input)."""
+    root = bundle_inputs
+    if target == "blob":
+        base, path = root / "base.bin", root / "case.bin"
+        read = read_blob
+    elif target == "config":
+        base, path = root / "base.json", root / "case.json"
+        read = load_pipeline_config
+    else:
+        case = root / "case"
+        shutil.copytree(root / "base", case, dirs_exist_ok=True)
+        base, path = case / target, case / target
+
+        def read(_):
+            return read_scene_bundle(case, PipelineConfig(T=2, D=4))
+    raw = base.read_bytes()
+    if how != "swap":
+        path.write_bytes(corrupt_bytes(raw, how, data))
+    elif target in ("manifest.json", "config"):
+        path.write_bytes(swap_json_type(
+            raw, "agents" if target == "manifest.json" else None, data))
+    else:
+        path.write_bytes(raw)
+    try:
+        read(path)
     except SceneTokError:
         pass
 

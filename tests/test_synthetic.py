@@ -12,7 +12,8 @@ from scenetok import (
 
 
 def bundles_equal(a, b):
-    if len(a.frames) != len(b.frames) or len(a.agents) != len(b.agents):
+    if (len(a.frames) != len(b.frames)
+            or a.agent_track.size != b.agent_track.size):
         return False
     for fa, fb in zip(a.frames, b.frames):
         if not np.array_equal(fa.points, fb.points):
@@ -22,13 +23,9 @@ def bundles_equal(a, b):
                 and np.array_equal(ca.rotation, cb.rotation)
                 and np.array_equal(ca.translation, cb.translation)):
             return False
-    for xa, xb in zip(a.agents, b.agents):
-        if not (xa.track_id == xb.track_id and xa.frame_index == xb.frame_index
-                and np.array_equal(xa.center, xb.center)
-                and np.array_equal(xa.size, xb.size)
-                and xa.heading == xb.heading):
-            return False
-    return True
+    return (np.array_equal(a.agent_track, b.agent_track)
+            and np.array_equal(a.agent_frame, b.agent_frame)
+            and np.array_equal(a.agent_box, b.agent_box))
 
 
 def test_same_seed_bit_identical(small_spec):
@@ -58,8 +55,10 @@ def test_agent_kinematics_by_construction():
                      min_speed=1.0, max_speed=1.0, dt_s=0.1)
     scene = generate_scene(5, spec)
     boxes = {}
-    for b in scene.bundle.agents:
-        boxes.setdefault(b.track_id, {})[b.frame_index] = b.center
+    for track_id, frame_index, row in zip(scene.bundle.agent_track.tolist(),
+                                          scene.bundle.agent_frame.tolist(),
+                                          scene.bundle.agent_box):
+        boxes.setdefault(track_id, {})[frame_index] = row[:3]
     for track in boxes.values():
         for f in range(1, 11):
             step = np.linalg.norm(track[f] - track[f - 1])
@@ -100,7 +99,7 @@ class TestDropAgents:
         out1, d1 = drop_agents(scene.bundle, 0.5, seed=9)
         out2, d2 = drop_agents(scene.bundle, 0.5, seed=9)
         assert len(d1) == 5 and d1 == d2
-        assert len({b.track_id for b in out1.agents}) == 5
+        assert np.unique(out1.agent_track).size == 5
 
     def test_points_never_touched(self, small_scene):
         out, _ = drop_agents(small_scene.bundle, 0.5, seed=0)

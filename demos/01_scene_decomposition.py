@@ -24,7 +24,7 @@ scene = generate_scene(42, spec)
 result = tokenize_bundle(scene.bundle, config)
 
 print(f"scene: T={spec.T}, "
-      f"{sum(f.points.shape[0] for f in scene.bundle.frames)} points total")
+      f"{scene.bundle.points.shape[0]} points total")
 print(f"fitted ground plane: normal={result.plane.normal.round(6)}, "
       f"offset={result.plane.offset:.4f}, inliers={result.plane.inlier_count}")
 
@@ -56,7 +56,7 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    pts = scene.bundle.frames[0].points
+    pts = scene.bundle.points[:scene.bundle.frame_size[0]]
     lab = result.partition.labels[0]
     fig, ax = plt.subplots(figsize=(7, 7))
     for code, color, size in ((LABEL_GROUND, "0.8", 1), (LABEL_AGENT, "tab:red", 4),

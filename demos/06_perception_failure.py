@@ -28,7 +28,7 @@ def kind_counts(result):
 
 print("ratio  dropped  agent-tokens  open-set-tokens  ground-tokens  points")
 c = kind_counts(base)
-n_pts = sum(f.points.shape[0] for f in scene.bundle.frames)
+n_pts = scene.bundle.points.shape[0]
 print(f" 0.0        0  {c['agent']:12d}  {c['open-set']:15d}  "
       f"{c['ground']:13d}  {n_pts}")
 
@@ -36,7 +36,7 @@ for ratio in (0.1, 0.3, 0.5):
     ablated, dropped = drop_agents(scene.bundle, ratio, seed=4)
     result = tokenize_bundle(ablated, config)
     c = kind_counts(result)
-    n_pts = sum(f.points.shape[0] for f in ablated.frames)
+    n_pts = ablated.points.shape[0]
     print(f" {ratio:.1f}  {len(dropped):7d}  {c['agent']:12d}  "
           f"{c['open-set']:15d}  {c['ground']:13d}  {n_pts}")
 

@@ -12,7 +12,6 @@ from .bundle import (
     KIND_GROUND,
     KIND_OPENSET,
     CameraFrame,
-    PointCloudFrame,
     SceneBundle,
     SceneElement,
     SceneTokens,

@@ -30,17 +30,6 @@ KIND_NAMES = {code: name for name, code in KIND_CODES.items()}
 
 
 @dataclass
-class PointCloudFrame:
-    """One LiDAR sweep: ``points`` is (N, 3) float world coordinates in meters."""
-
-    frame_index: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-
-
-@dataclass
 class CameraFrame:
     """One camera's feature map for one frame.
 
@@ -78,13 +67,17 @@ class CameraFrame:
 class SceneBundle:
     """Raw multi-frame input: point clouds, camera feature maps, agent boxes.
 
-    The agent boxes are one table, a row per box in manifest order:
+    The LiDAR sweeps are one table: ``points`` (N, 3) float64 world
+    coordinates in meters, frames back to back in time order, and
+    ``frame_size`` (T,) int64, each frame's point count (0 allowed).  The
+    agent boxes are one table, a row per box in manifest order:
     ``agent_track``, ``agent_frame`` (n,) int64; ``agent_box`` (n, 7)
     float64 rows of center, size (length, width, height) and heading (radians
     about +z, in [-pi, pi)); ``agent_label`` (n,) objects, kept as given.
     """
 
-    frames: list[PointCloudFrame]
+    points: np.ndarray = ()
+    frame_size: np.ndarray = ()
     cameras: list[CameraFrame] = field(default_factory=list)
     agent_track: np.ndarray = ()
     agent_frame: np.ndarray = ()
@@ -92,6 +85,8 @@ class SceneBundle:
     agent_label: np.ndarray = ()
 
     def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        self.frame_size = np.asarray(self.frame_size, dtype=np.int64).reshape(-1)
         self.agent_track = np.asarray(self.agent_track, dtype=np.int64).reshape(-1)
         self.agent_frame = np.asarray(self.agent_frame, dtype=np.int64).reshape(-1)
         self.agent_box = np.asarray(self.agent_box, dtype=np.float64).reshape(-1, 7)
@@ -189,19 +184,23 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
     """Collect every invariant violation in ``bundle`` without raising."""
     problems: list[BundleValidationError] = []
 
-    if len(bundle.frames) != config.T:
+    size, points = bundle.frame_size, bundle.points
+    if size.size != config.T:
         problems.append(FrameCountMismatch(
-            f"bundle has {len(bundle.frames)} frames, config expects T={config.T}"))
-    for pos, frame in enumerate(bundle.frames):
-        if frame.frame_index != pos:
-            problems.append(FrameCountMismatch(
-                f"frame at position {pos} has frame_index {frame.frame_index}; "
-                "frames must be time-ordered 0..T-1"))
-        bad = ~np.isfinite(frame.points)
-        if bad.any():
-            row = int(np.argwhere(bad.any(axis=1))[0, 0])
-            problems.append(NonFiniteCoordinate(
-                f"frame {frame.frame_index}: non-finite point coordinate at row {row}"))
+            f"bundle has {size.size} frames, config expects T={config.T}"))
+    if (size < 0).any() or size.sum() != points.shape[0]:
+        problems.append(BundleValidationError(
+            f"frame_size {size.tolist()} must be non-negative and sum to "
+            f"the {points.shape[0]} points"))
+        return problems
+    # The first non-finite row of each frame, counted within the frame.
+    start = np.cumsum(size) - size
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    frame, first = np.unique(np.searchsorted(start, bad, side="right") - 1,
+                             return_index=True)
+    for f, row in zip(frame.tolist(), (bad[first] - start[frame]).tolist()):
+        problems.append(NonFiniteCoordinate(
+            f"frame {f}: non-finite point coordinate at row {row}"))
 
     for cam in bundle.cameras:
         err = np.abs(cam.rotation.T @ cam.rotation - np.eye(3)).max()
@@ -209,9 +208,11 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
             problems.append(BadRotation(
                 f"camera {cam.camera_id} frame {cam.frame_index}: "
                 f"rotation not orthonormal (|R^T R - I| = {err:.3g})"))
-        if cam.height <= 0 or cam.width <= 0:
+        shape = cam.feature_map.shape
+        if len(shape) != 3 or 0 in shape[:2]:
             problems.append(BundleValidationError(
-                f"camera {cam.camera_id} frame {cam.frame_index}: empty feature map"))
+                f"camera {cam.camera_id} frame {cam.frame_index}: feature map "
+                f"must be a non-empty (H, W, D) array, got shape {shape}"))
         elif not np.isfinite(cam.feature_map).all():
             problems.append(NonFiniteCoordinate(
                 f"camera {cam.camera_id} frame {cam.frame_index}: non-finite feature values"))

@@ -146,7 +146,7 @@ def _cmd_synth(args) -> int:
     spec = load_scene_spec(args.spec) if args.spec else SceneSpec()
     scene = generate_scene(args.seed, spec)
     write_scene_bundle(args.out, scene.bundle)
-    n_pts = sum(f.points.shape[0] for f in scene.bundle.frames)
+    n_pts = scene.bundle.points.shape[0]
     print(f"wrote {args.out}: T={spec.T}, {n_pts} points, "
           f"{spec.n_agents} agents, {spec.n_clutter} clutter blobs, "
           f"{spec.cameras} cameras")

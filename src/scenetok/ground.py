@@ -208,10 +208,8 @@ def tile_ground(points: np.ndarray, tile_size: float,
     return boxes, counts, inverse
 
 
-def fit_and_segment(bundle_frames, config: PipelineConfig) -> tuple[GroundPlane, list[np.ndarray]]:
-    """Fit one plane on all frames merged, then mask each frame against it."""
-    merged = np.concatenate([f.points for f in bundle_frames], axis=0)
-    plane = fit_ground_plane(merged, config.ransac, seed=config.seed)
-    masks = [segment_ground(f.points, plane, config.ransac.inlier_threshold_m)
-             for f in bundle_frames]
-    return plane, masks
+def fit_and_segment(points: np.ndarray,
+                    config: PipelineConfig) -> tuple[GroundPlane, np.ndarray]:
+    """Fit one plane on all frames' points together; mask every point."""
+    plane = fit_ground_plane(points, config.ransac, seed=config.seed)
+    return plane, segment_ground(points, plane, config.ransac.inlier_threshold_m)

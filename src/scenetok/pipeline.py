@@ -95,41 +95,39 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     T = config.T
 
     t0 = time.perf_counter()
-    total_points = sum(f.points.shape[0] for f in bundle.frames)
-    if total_points >= 3:
-        plane, ground_masks = ground.fit_and_segment(bundle.frames, config)
+    # Every point attribute is one flat column over the scene's point table.
+    xyz, frame_size = bundle.points, bundle.frame_size
+    frame_end = np.cumsum(frame_size)
+    if xyz.shape[0] >= 3:
+        plane, ground_mask = ground.fit_and_segment(xyz, config)
     else:
-        plane = None
-        ground_masks = [np.zeros(f.points.shape[0], dtype=bool)
-                        for f in bundle.frames]
+        plane, ground_mask = None, np.zeros(xyz.shape[0], dtype=bool)
     timings["ground"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    labels, agent_track, cluster_id, cluster_points, cluster_size = ([], [], [],
-                                                                      [], [])
-    for f, frame in enumerate(bundle.frames):
+    point_frame = np.repeat(np.arange(frame_size.size), frame_size)
+    lab, point_track, point_cluster = (
+        np.empty(xyz.shape[0], dtype=np.int64) for _ in range(3))
+    n_clusters = np.zeros(frame_size.size, dtype=np.int64)
+    for f, (lo, hi) in enumerate(zip(frame_end - frame_size, frame_end)):
         rows = bundle.agent_frame == f
-        lab, atr, cid = decompose.decompose_frame(
-            frame.points, ground_masks[f], bundle.agent_track[rows],
-            bundle.agent_box[rows], config.cluster.radius_m,
-            config.cluster.min_points)
-        labels.append(lab)
-        agent_track.append(atr)
-        cluster_id.append(cid)
-        # One stable sort groups each cluster's points in their frame order.
-        sizes = np.bincount(cid[cid >= 0])
-        by_cluster = np.argsort(cid, kind="stable")[cid.size - sizes.sum():]
-        cluster_points.append(frame.points[by_cluster])
-        cluster_size.append(sizes)
-    # Every cluster of every frame, boxed in one call; frame f's cluster c is
-    # row cluster_base[f] + c of the flat cluster arrays.
-    cluster_base = np.cumsum([0] + [sizes.size for sizes in cluster_size])
-    cluster_size = np.concatenate([np.empty(0, dtype=np.int64), *cluster_size])
+        lab[lo:hi], point_track[lo:hi], point_cluster[lo:hi] = (
+            decompose.decompose_frame(
+                xyz[lo:hi], ground_mask[lo:hi], bundle.agent_track[rows],
+                bundle.agent_box[rows], config.cluster.radius_m,
+                config.cluster.min_points))
+        n_clusters[f] = point_cluster[lo:hi].max(initial=-1) + 1
+    # Frame f's cluster c is row cluster_base[f] + c of the scene's clusters.
+    # One stable sort by that row groups each cluster's points in frame
+    # order, and every cluster is boxed in one call.
+    cluster_base = np.concatenate([[0], np.cumsum(n_clusters)])
+    is_open = lab == decompose.LABEL_OPENSET
+    open_row = cluster_base[point_frame[is_open]] + point_cluster[is_open]
+    cluster_size = np.bincount(open_row, minlength=cluster_base[-1])
     cluster_boxes = decompose.fit_tight_box(
-        np.concatenate([np.empty((0, 3)), *cluster_points]), cluster_size)
+        xyz[np.flatnonzero(is_open)[np.argsort(open_row, kind="stable")]],
+        cluster_size)
     frame_boxes = np.split(cluster_boxes, cluster_base[1:-1])
-    partition = decompose.PointPartition(labels=labels, agent_track=agent_track,
-                                         cluster_id=cluster_id)
     timings["decompose"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -137,15 +135,6 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     timings["track"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # Every point attribute as one flat array, in frame order.
-    n_points = [frame.points.shape[0] for frame in bundle.frames]
-    xyz = np.concatenate([np.empty((0, 3))]
-                         + [frame.points for frame in bundle.frames])
-    point_frame = np.repeat(np.arange(len(n_points)), n_points)
-    lab, point_track, point_cluster = (
-        np.concatenate([np.empty(0, dtype=np.int64), *per_frame])
-        for per_frame in (labels, agent_track, cluster_id))
-
     # The candidate element table, in token-block order: agent tracks by
     # ascending track id, open-set tracks by index, every occupied ground
     # cell.  Block b holds kind code b.
@@ -191,12 +180,12 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     # Every agent point's track id is one of the bundle's.
     is_agent = lab == decompose.LABEL_AGENT
     point_row[is_agent] = np.searchsorted(agent_ids, point_track[is_agent])
-    is_open = lab == decompose.LABEL_OPENSET
-    point_row[is_open] = cluster_row[cluster_base[point_frame[is_open]]
-                                     + point_cluster[is_open]]
+    point_row[is_open] = cluster_row[open_row]
     token = token_of_row[point_row]
     lab[token < 0] = decompose.LABEL_DISCARDED
-    partition.labels = np.split(lab, np.cumsum(n_points))[:-1]
+    partition = decompose.PointPartition(*(
+        np.split(column, frame_end[:-1])
+        for column in (lab, point_track, point_cluster)))
 
     keep = []
     for offset, (code, budget) in enumerate(

@@ -16,7 +16,6 @@ import numpy as np
 from .bundle import (
     KIND_NAMES,
     CameraFrame,
-    PointCloudFrame,
     SceneBundle,
     SceneTokens,
     validate_bundle,
@@ -25,9 +24,11 @@ from .config import ClusterConfig, PipelineConfig, RansacConfig, TrackConfig
 from .errors import (
     BadJson,
     BadManifestField,
+    FrameCountMismatch,
     InvalidInput,
     IoFailure,
     ManifestMissingEntry,
+    ShapeHeaderMismatch,
     StorageError,
 )
 from .formats import (
@@ -62,10 +63,9 @@ def write_scene_bundle(path, bundle: SceneBundle) -> None:
     root = Path(path)
     manifest = {
         "format_version": 1,
-        "frame_count": len(bundle.frames),
-        "frames": [{"frame_index": frame.frame_index,
-                    "points": _frame_blob(frame.frame_index)}
-                   for frame in bundle.frames],
+        "frame_count": bundle.frame_size.size,
+        "frames": [{"frame_index": f, "points": _frame_blob(f)}
+                   for f in range(bundle.frame_size.size)],
         "cameras": [{
             "camera_id": cam.camera_id,
             "frame_index": cam.frame_index,
@@ -92,8 +92,9 @@ def write_scene_bundle(path, bundle: SceneBundle) -> None:
         raise BadManifestField(f"cannot write bundle at {path}: {exc}") from exc
     try:
         root.mkdir(parents=True, exist_ok=True)
-        for frame, entry in zip(bundle.frames, manifest["frames"]):
-            write_blob(root / entry["points"], frame.points.astype("<f8"))
+        frames = np.split(bundle.points, np.cumsum(bundle.frame_size)[:-1])
+        for points, entry in zip(frames, manifest["frames"]):
+            write_blob(root / entry["points"], points.astype("<f8"))
         for cam, entry in zip(bundle.cameras, manifest["cameras"]):
             write_blob(root / entry["feature_map"], cam.feature_map)
         with _replace_on_success(root / MANIFEST_NAME) as fh:
@@ -154,32 +155,48 @@ def _manifest_get(entry, key: str, context: str, default=None):
 
 
 def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle:
-    """Read a bundle directory; validates invariants when a config is given."""
+    """Read a bundle directory; validates invariants when a config is given.
+
+    Frames must be numbered 0..T-1, in any order (FrameCountMismatch), point
+    blobs (N, 3) and feature maps 3-D (ShapeHeaderMismatch)."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         raise ManifestMissingEntry(f"no {MANIFEST_NAME} in {root}")
     manifest = _load_json(manifest_path)
 
-    def blob(name: str) -> np.ndarray:
+    def blob(name: str, ok, want: str) -> np.ndarray:
         blob_path = root / name
         if not blob_path.exists():
             raise ManifestMissingEntry(f"manifest references absent file {blob_path}")
-        return read_blob(blob_path)
+        array = read_blob(blob_path)
+        if not ok(array.shape):
+            raise ShapeHeaderMismatch(f"{blob_path}: must be {want}, got "
+                                      f"shape {array.shape}")
+        return array
 
     frames = []
     for entry in _manifest_get(manifest, "frames", str(manifest_path)):
-        frames.append(PointCloudFrame(
-            frame_index=_manifest_get(entry, "frame_index", "frame entry"),
-            points=blob(_manifest_get(entry, "points", "frame entry"))))
-    frames.sort(key=lambda f: f.frame_index)
+        frames.append((
+            _manifest_get(entry, "frame_index", "frame entry"),
+            blob(_manifest_get(entry, "points", "frame entry"),
+                 lambda shape: len(shape) == 2 and shape[1] == 3,
+                 "(N, 3) points")))
+    frames.sort(key=lambda frame: frame[0])
+    for pos, (index, _) in enumerate(frames):
+        if index != pos:
+            raise FrameCountMismatch(
+                f"frame at position {pos} has frame_index {index}; "
+                "frames must be time-ordered 0..T-1")
 
     cameras = []
     for entry in _manifest_get(manifest, "cameras", str(manifest_path)):
         cameras.append(CameraFrame(
             camera_id=_manifest_get(entry, "camera_id", "camera entry"),
             frame_index=_manifest_get(entry, "frame_index", "camera entry"),
-            feature_map=blob(_manifest_get(entry, "feature_map", "camera entry")),
+            feature_map=blob(_manifest_get(entry, "feature_map", "camera entry"),
+                             lambda shape: len(shape) == 3,
+                             "an (H, W, D) feature map"),
             fx=_manifest_get(entry, "fx", "camera entry", 1.0),
             fy=_manifest_get(entry, "fy", "camera entry", 1.0),
             cx=_manifest_get(entry, "cx", "camera entry", 0.0),
@@ -196,7 +213,10 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
 
     try:
         bundle = SceneBundle(
-            frames=frames, cameras=cameras, agent_track=column("track_id"),
+            points=np.concatenate([np.empty((0, 3))]
+                                  + [points for _, points in frames]),
+            frame_size=[points.shape[0] for _, points in frames],
+            cameras=cameras, agent_track=column("track_id"),
             agent_frame=column("frame_index"),
             agent_box=np.column_stack([column("center"), column("size"),
                                        column("heading")]),
@@ -350,8 +370,7 @@ def _config_kwargs(raw, cls, path, section: str = "") -> dict:
         if name in _SECTIONS:
             value = _SECTIONS[name](**_config_kwargs(value, _SECTIONS[name],
                                                      path, name))
-        elif (isinstance(value, bool)
-              or not isinstance(value, _JSON_TYPES[declared[name]])):
+        elif not _json_is(value, declared[name]):
             raise InvalidInput(f"{path}: config field {field} must be "
                              f"{declared[name]}, got {json.dumps(value)}")
         kwargs[name] = value

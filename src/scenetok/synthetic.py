@@ -17,7 +17,6 @@ import numpy as np
 
 from .bundle import (
     CameraFrame,
-    PointCloudFrame,
     SceneBundle,
     normalize_heading,
 )
@@ -182,19 +181,15 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
     clutter_centers = np.column_stack([
         clutter_xy, np.full(spec.n_clutter, spec.clutter_z_m)])
 
-    frames, box_track, box_frame, box_rows = [], [], [], []
+    frame_points, box_track, box_frame, box_rows = [], [], [], []
     labels, agent_track, cluster_id = [], [], []
-    point_sets_per_frame = []
 
     for f in range(spec.T):
-        parts, lab_parts, track_parts, cid_parts = [], [], [], []
+        parts = []  # (points, label, agent track id, cluster id) per object
 
         gxy = rng.uniform(0.0, area, size=(spec.ground_points_per_frame, 2))
         gz = spec.slope * gxy[:, 0]
-        parts.append(np.column_stack([gxy, gz]))
-        lab_parts.append(np.full(len(gxy), LABEL_GROUND, dtype=np.int64))
-        track_parts.append(np.full(len(gxy), -1, dtype=np.int64))
-        cid_parts.append(np.full(len(gxy), -1, dtype=np.int64))
+        parts.append((np.column_stack([gxy, gz]), LABEL_GROUND, -1, -1))
 
         for a in agent_specs:
             center = a["start"] + a["velocity"] * (f * spec.dt_s)
@@ -202,10 +197,7 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
             shell = _sample_box_shell(rng, a["size"], spec.agent_points) * 0.999
             c, s = math.cos(a["heading"]), math.sin(a["heading"])
             rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            parts.append(shell @ rot.T + center)
-            lab_parts.append(np.full(spec.agent_points, LABEL_AGENT, dtype=np.int64))
-            track_parts.append(np.full(spec.agent_points, a["track_id"], dtype=np.int64))
-            cid_parts.append(np.full(spec.agent_points, -1, dtype=np.int64))
+            parts.append((shell @ rot.T + center, LABEL_AGENT, a["track_id"], -1))
             box_track.append(a["track_id"])
             box_frame.append(f)
             box_rows.append([*center, *a["size"], a["heading"]])
@@ -213,17 +205,14 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
         for j in range(spec.n_clutter):
             blob = clutter_centers[j] + _sample_ball(rng, spec.clutter_radius_m,
                                                      spec.clutter_points)
-            parts.append(blob)
-            lab_parts.append(np.full(spec.clutter_points, LABEL_OPENSET, dtype=np.int64))
-            track_parts.append(np.full(spec.clutter_points, -1, dtype=np.int64))
-            cid_parts.append(np.full(spec.clutter_points, j, dtype=np.int64))
+            parts.append((blob, LABEL_OPENSET, -1, j))
 
-        points = np.concatenate(parts, axis=0)
-        frames.append(PointCloudFrame(frame_index=f, points=points))
-        labels.append(np.concatenate(lab_parts))
-        agent_track.append(np.concatenate(track_parts))
-        cluster_id.append(np.concatenate(cid_parts))
-        point_sets_per_frame.append(points)
+        points, label, track, cluster = zip(*parts)
+        sizes = [len(p) for p in points]
+        frame_points.append(np.concatenate(points, axis=0))
+        labels.append(np.repeat(np.array(label, dtype=np.int64), sizes))
+        agent_track.append(np.repeat(np.array(track, dtype=np.int64), sizes))
+        cluster_id.append(np.repeat(np.array(cluster, dtype=np.int64), sizes))
 
     cameras = []
     cam_center = np.array([area / 2.0, area / 2.0, 1.8])
@@ -234,14 +223,16 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
         yaw = 2.0 * math.pi * k / max(spec.cameras, 1)
         R, t = _camera_pose(yaw, cam_center)
         for f in range(spec.T):
-            fm = _render_feature_map(point_sets_per_frame[f], labels[f],
+            fm = _render_feature_map(frame_points[f], labels[f],
                                      R, t, fx, fy, cx, cy, res, spec.D, k)
             cameras.append(CameraFrame(camera_id=k, frame_index=f,
                                        feature_map=fm, fx=fx, fy=fy,
                                        cx=cx, cy=cy, rotation=R,
                                        translation=t))
 
-    bundle = SceneBundle(frames=frames, cameras=cameras, agent_track=box_track,
+    bundle = SceneBundle(points=np.concatenate(frame_points),
+                         frame_size=[len(points) for points in frame_points],
+                         cameras=cameras, agent_track=box_track,
                          agent_frame=box_frame, agent_box=box_rows,
                          agent_label=["vehicle"] * len(box_track))
     truth = PointPartition(labels=labels, agent_track=agent_track,
@@ -268,7 +259,8 @@ def drop_agents(bundle: SceneBundle, ratio: float, seed: int) -> tuple[SceneBund
     rng = np.random.default_rng(seed)
     dropped = sorted(rng.choice(track_ids, size=n_drop, replace=False).tolist())
     keep = ~np.isin(bundle.agent_track, dropped)
-    return SceneBundle(frames=bundle.frames, cameras=bundle.cameras,
+    return SceneBundle(points=bundle.points, frame_size=bundle.frame_size,
+                       cameras=bundle.cameras,
                        agent_track=bundle.agent_track[keep],
                        agent_frame=bundle.agent_frame[keep],
                        agent_box=bundle.agent_box[keep],

@@ -52,7 +52,7 @@ def test_criterion_01_partition_invariant():
         scene = st.generate_scene(seed, small_spec())
         result = st.tokenize_bundle(scene.bundle, config)
         for f, lab in enumerate(result.partition.labels):
-            n = scene.bundle.frames[f].points.shape[0]
+            n = scene.bundle.frame_size[f]
             if lab.shape[0] != n:
                 violations += 1
             if not np.isin(lab, [LABEL_GROUND, LABEL_AGENT, LABEL_OPENSET,
@@ -315,14 +315,14 @@ def test_criterion_10_ablation_mechanics():
                                n_pts_agent=8000, n_pts_openset=20_000)
     base = st.tokenize_bundle(scene.bundle, config)
     base_open = sum(el.kind == "open-set" for el in base.scene.elements)
-    base_points = sum(f.points.shape[0] for f in scene.bundle.frames)
+    base_points = scene.bundle.points.shape[0]
 
     ok = True
     detail = []
     for ratio in (0.1, 0.3, 0.5):
         ablated, dropped = st.drop_agents(scene.bundle, ratio, seed=2)
         exact = len(dropped) == int(np.floor(ratio * 10))
-        points_kept = sum(f.points.shape[0] for f in ablated.frames) == base_points
+        points_kept = ablated.points.shape[0] == base_points
         result = st.tokenize_bundle(ablated, config)
         n_open = sum(el.kind == "open-set" for el in result.scene.elements)
         grows = n_open >= base_open

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from scenetok import PipelineConfig, SceneBundle, PointCloudFrame, validate_bundle
+from scenetok import PipelineConfig, SceneBundle, validate_bundle
 from scenetok.bundle import CameraFrame, check_bundle, normalize_heading
 from scenetok.errors import (
     BadRotation,
@@ -17,15 +17,16 @@ from scenetok.errors import (
 
 
 def _frames(T, n=4):
+    """Point table columns for T frames of n points each."""
     rng = np.random.default_rng(0)
-    return [PointCloudFrame(frame_index=f, points=rng.normal(size=(n, 3)))
-            for f in range(T)]
+    return dict(points=rng.normal(size=(T * n, 3)), frame_size=[n] * T)
 
 
 def test_empty_bundle_frame_count_mismatch():
     config = PipelineConfig(T=11)
     with pytest.raises(FrameCountMismatch):
-        validate_bundle(SceneBundle(frames=[]), config)
+        validate_bundle(SceneBundle(points=np.empty((0, 3)), frame_size=[]),
+                        config)
 
 
 def test_clean_bundle_accepted():
@@ -34,7 +35,7 @@ def test_clean_bundle_accepted():
                       feature_map=np.zeros((4, 4, 256)),
                       fx=1, fy=1, cx=2, cy=2,
                       rotation=np.eye(3), translation=np.zeros(3))
-    bundle = SceneBundle(frames=_frames(3), cameras=[cam],
+    bundle = SceneBundle(**_frames(3), cameras=[cam],
                          agent_track=[0], agent_frame=[0],
                          agent_box=[[0, 0, 0, 1, 1, 1, 0.5]],
                          agent_label=[""])
@@ -43,16 +44,16 @@ def test_clean_bundle_accepted():
 
 def test_validation_idempotent():
     config = PipelineConfig(T=2)
-    bundle = SceneBundle(frames=_frames(2))
+    bundle = SceneBundle(**_frames(2))
     assert validate_bundle(validate_bundle(bundle, config), config) is bundle
 
 
 def test_nan_point_names_frame_and_row():
     config = PipelineConfig(T=2)
     frames = _frames(2)
-    frames[1].points[2, 1] = np.nan
+    frames["points"][4 + 2, 1] = np.nan
     with pytest.raises(NonFiniteCoordinate) as exc:
-        validate_bundle(SceneBundle(frames=frames), config)
+        validate_bundle(SceneBundle(**frames), config)
     assert "frame 1" in str(exc.value)
     assert "row 2" in str(exc.value)
 
@@ -64,7 +65,7 @@ def test_bad_rotation_rejected():
                       fx=1, fy=1, cx=1, cy=1,
                       rotation=np.eye(3) * 1.5, translation=np.zeros(3))
     with pytest.raises(BadRotation):
-        validate_bundle(SceneBundle(frames=_frames(1), cameras=[cam]), config)
+        validate_bundle(SceneBundle(**_frames(1), cameras=[cam]), config)
 
 
 def test_duplicate_track_frame_rejected():
@@ -73,18 +74,18 @@ def test_duplicate_track_frame_rejected():
                   agent_box=[[0, 0, 0, 1, 1, 1, 0.0]] * 2,
                   agent_label=["", ""])
     with pytest.raises(DuplicateTrackFrame):
-        validate_bundle(SceneBundle(frames=_frames(1), **agents), config)
+        validate_bundle(SceneBundle(**_frames(1), **agents), config)
 
 
 def test_all_violations_reported():
     config = PipelineConfig(T=2)
     frames = _frames(2)
-    frames[0].points[0, 0] = np.inf
+    frames["points"][0, 0] = np.inf
     agents = dict(agent_track=[1, 1], agent_frame=[0, 0],
                   agent_box=[[0, 0, 0, 1, 1, 1, 0.0]] * 2,
                   agent_label=["", ""])
     with pytest.raises(NonFiniteCoordinate) as exc:
-        validate_bundle(SceneBundle(frames=frames, **agents), config)
+        validate_bundle(SceneBundle(**frames, **agents), config)
     assert len(exc.value.violations) == 2
 
 
@@ -130,7 +131,7 @@ _BOX_VALUES = hs.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, math.pi, -math.pi,
                      max_size=12))
 def test_agent_checks_match_per_box_reference(rows):
     T = 3
-    bundle = SceneBundle(frames=_frames(T),
+    bundle = SceneBundle(**_frames(T),
                          agent_track=[r[0] for r in rows],
                          agent_frame=[r[1] for r in rows],
                          agent_box=[r[2] for r in rows],
@@ -142,7 +143,7 @@ def test_agent_checks_match_per_box_reference(rows):
 
 
 def test_agent_columns_of_unequal_length_rejected():
-    bundle = SceneBundle(frames=_frames(1), agent_track=[0, 1],
+    bundle = SceneBundle(**_frames(1), agent_track=[0, 1],
                          agent_frame=[0],
                          agent_box=[[0, 0, 0, 1, 1, 1, 0.0]] * 2,
                          agent_label=["", ""])
@@ -169,3 +170,74 @@ def test_config_invariants():
     cfg = PipelineConfig()
     assert cfg.n_elem == 768
     assert cfg.n_pts == 65536
+
+
+def check_points_reference(frames, T):
+    """The per-frame point checks that the point table's checks replaced;
+    ``frames`` holds each frame's (n, 3) points, frame_index = position."""
+    problems = []
+    if len(frames) != T:
+        problems.append(FrameCountMismatch(
+            f"bundle has {len(frames)} frames, config expects T={T}"))
+    for frame_index, points in enumerate(frames):
+        bad = ~np.isfinite(points)
+        if bad.any():
+            row = int(np.argwhere(bad.any(axis=1))[0, 0])
+            problems.append(NonFiniteCoordinate(
+                f"frame {frame_index}: non-finite point coordinate at row {row}"))
+    return problems
+
+
+_COORDS = hs.sampled_from([0.0, 1.5, -2.0, np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames=hs.lists(hs.lists(hs.tuples(_COORDS, _COORDS, _COORDS),
+                                max_size=5), max_size=6),
+       T=hs.integers(1, 6))
+def test_point_checks_match_per_frame_reference(frames, T):
+    """Empty frames and non-finite rows in several frames give the
+    violations of the per-frame checks, in the same order."""
+    frames = [np.array(rows, dtype=np.float64).reshape(-1, 3)
+              for rows in frames]
+    bundle = SceneBundle(points=np.concatenate([np.empty((0, 3)), *frames]),
+                         frame_size=[len(points) for points in frames])
+    got = check_bundle(bundle, PipelineConfig(T=T))
+    want = check_points_reference(frames, T)
+    assert [(type(p), str(p)) for p in got] == [(type(p), str(p))
+                                                for p in want]
+
+
+@pytest.mark.parametrize("frame_size, message", [
+    ([4, 5], "frame_size [4, 5] must be non-negative and sum to the 8 points"),
+    ([10, -2],
+     "frame_size [10, -2] must be non-negative and sum to the 8 points"),
+])
+def test_frame_sizes_that_do_not_split_the_points(frame_size, message):
+    """One violation, and no per-frame, camera or agent check after it."""
+    frames = _frames(2)
+    frames["points"][0, 0] = np.nan
+    cam = CameraFrame(camera_id=0, frame_index=5,
+                      feature_map=np.zeros((2, 2, 4)), fx=1, fy=1, cx=1, cy=1,
+                      rotation=np.eye(3), translation=np.zeros(3))
+    bundle = SceneBundle(points=frames["points"], frame_size=frame_size,
+                         cameras=[cam], agent_track=[0], agent_frame=[9],
+                         agent_box=[[0, 0, 0, 1, 1, 1, 0.0]])
+    with pytest.raises(BundleValidationError) as exc:
+        validate_bundle(bundle, PipelineConfig(T=2))
+    assert type(exc.value) is BundleValidationError
+    assert exc.value.violations == [message]
+
+
+@pytest.mark.parametrize("shape", [(16,), (4, 4), (2, 2, 2, 4), (0, 4, 4),
+                                   (4, 0, 4)])
+def test_empty_or_not_3d_feature_map_is_a_validation_error(shape):
+    cam = CameraFrame(camera_id=1, frame_index=0,
+                      feature_map=np.zeros(shape), fx=1, fy=1, cx=1, cy=1,
+                      rotation=np.eye(3), translation=np.zeros(3))
+    with pytest.raises(BundleValidationError) as exc:
+        validate_bundle(SceneBundle(**_frames(1), cameras=[cam]),
+                        PipelineConfig(T=1))
+    assert exc.value.violations == [
+        f"camera 1 frame 0: feature map must be a non-empty (H, W, D) array, "
+        f"got shape {shape}"]

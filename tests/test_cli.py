@@ -359,3 +359,45 @@ def test_bad_params_file_exits_2(workdir, capsys, n_scenes):
     err = capsys.readouterr().err
     assert "i/o error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blob, shape", [
+    ("points_f000.bin", (75, 2)), ("points_f000.bin", (5, 2)),
+    ("cam00_f000.bin", (16,))])
+def test_blob_of_another_shape_exits_2(workdir, capsys, blob, shape):
+    scene_dir = workdir / "scene"
+    cli_main(["synth", "--seed", "4", "--spec", str(workdir / "spec.json"),
+              "--out", str(scene_dir)])
+    write_blob(scene_dir / blob, np.zeros(shape))
+    capsys.readouterr()
+    code = cli_main(["tokenize", "--scene", str(scene_dir), "--config",
+                     str(workdir / "config.json"),
+                     "--out", str(workdir / "x.tokens")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{blob}: must be" in err and "Traceback" not in err
+    assert not (workdir / "x.tokens").exists()
+
+
+@pytest.mark.parametrize("indices", [[0, 2], [0, 0]])
+@pytest.mark.parametrize("command", [
+    ["tokenize", "--config", "{w}/config.json", "--out", "{w}/x.tokens"],
+    ["ablate", "--drop-agents", "0.5", "--out", "{w}/ablated"]])
+def test_frame_index_gap_or_repeat_exits_1(workdir, capsys, indices, command):
+    scene_dir = workdir / "scene"
+    cli_main(["synth", "--seed", "4", "--spec", str(workdir / "spec.json"),
+              "--out", str(scene_dir)])
+    manifest_path = scene_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["frames"] = manifest["frames"][:2]
+    for entry, frame_index in zip(manifest["frames"], indices):
+        entry["frame_index"] = frame_index
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = cli_main(command[:1] + ["--scene", str(scene_dir)]
+                    + [arg.format(w=workdir) for arg in command[1:]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert (f"frame at position 1 has frame_index {indices[1]}; frames must "
+            "be time-ordered 0..T-1") in err
+    assert "Traceback" not in err

@@ -124,15 +124,16 @@ class TestAgentMembership:
             ground_points_per_frame=3200, agent_points=60, clutter_points=40,
             min_separation_m=6.0, feature_res=4))
         for bundle in (small_scene.bundle, full.bundle):
-            for f, frame in enumerate(bundle.frames):
+            frames = np.split(bundle.points, np.cumsum(bundle.frame_size)[:-1])
+            for f, points in enumerate(frames):
                 rows = bundle.agent_frame == f
                 track_ids = bundle.agent_track[rows]
                 boxes = bundle.agent_box[rows]
-                got = extract_agent_elements(frame.points, track_ids, boxes)
+                got = extract_agent_elements(points, track_ids, boxes)
                 assert (got >= 0).sum() > 0
                 np.testing.assert_array_equal(
                     got, extract_agent_elements_reference(
-                        frame.points, boxes_of(track_ids, boxes)))
+                        points, boxes_of(track_ids, boxes)))
 
     def test_point_inside_axis_aligned_box(self):
         owner = extract_agent_elements(np.array([[0.5, 0.5, 0.5]]),

@@ -3,7 +3,6 @@ import pytest
 
 from scenetok import (
     PipelineConfig,
-    PointCloudFrame,
     SceneBundle,
     SceneSpec,
     drop_agents,
@@ -219,9 +218,7 @@ def test_empty_scene_no_crash():
     config = PipelineConfig(T=3, D=4, n_elem_agent=2, n_elem_openset=2,
                             n_elem_ground=2, n_pts_ground=10, n_pts_agent=10,
                             n_pts_openset=10)
-    bundle = SceneBundle(frames=[PointCloudFrame(frame_index=f,
-                                                 points=np.empty((0, 3)))
-                                 for f in range(3)])
+    bundle = SceneBundle(points=np.empty((0, 3)), frame_size=[0, 0, 0])
     result = tokenize_bundle(bundle, config)
     assert result.scene.n_pts == 0
     assert result.scene.n_elem == 0
@@ -359,17 +356,20 @@ def compact_reference(bundle, config):
     from test_ground import tile_reference
 
     T = config.T
-    if sum(f.points.shape[0] for f in bundle.frames) >= 3:
-        _, ground_masks = ground.fit_and_segment(bundle.frames, config)
+    split = np.cumsum(bundle.frame_size)[:-1]
+    frames = np.split(bundle.points, split)
+    if bundle.points.shape[0] >= 3:
+        _, ground_mask = ground.fit_and_segment(bundle.points, config)
+        ground_masks = np.split(ground_mask, split)
     else:
-        ground_masks = [np.zeros(f.points.shape[0], dtype=bool)
-                        for f in bundle.frames]
+        ground_masks = [np.zeros(points.shape[0], dtype=bool)
+                        for points in frames]
     labels, agent_track, cluster_id, frame_boxes, frame_sizes = ([], [], [],
                                                                   [], [])
-    for f, frame in enumerate(bundle.frames):
+    for f, points in enumerate(frames):
         rows = bundle.agent_frame == f
         lab, atr, cid = decompose.decompose_frame(
-            frame.points, ground_masks[f], bundle.agent_track[rows],
+            points, ground_masks[f], bundle.agent_track[rows],
             bundle.agent_box[rows], config.cluster.radius_m,
             config.cluster.min_points)
         labels.append(lab)
@@ -377,7 +377,7 @@ def compact_reference(bundle, config):
         cluster_id.append(cid)
         clusters = range(cid.max(initial=-1) + 1)
         frame_boxes.append(np.array(
-            [fit_tight_box_reference(frame.points[cid == c])
+            [fit_tight_box_reference(points[cid == c])
              for c in clusters]).reshape(-1, 7))
         frame_sizes.append([int((cid == c).sum()) for c in clusters])
     members = tracking.track_open_set(frame_boxes, T, config.track)
@@ -393,8 +393,8 @@ def compact_reference(bundle, config):
                                            source_id=i))
         openset_points.append(n_points)
 
-    ground_pts = [frame.points[labels[f] == LABEL_GROUND]
-                  for f, frame in enumerate(bundle.frames)]
+    ground_pts = [points[labels[f] == LABEL_GROUND]
+                  for f, points in enumerate(frames)]
     ground_elements, tile_of_point = tile_reference(
         np.concatenate(ground_pts, axis=0), config.tile_size_m,
         config.n_elem_ground, T)
@@ -414,7 +414,7 @@ def compact_reference(bundle, config):
     pool_parts = {kind: ([], [], []) for kind in ("agent", "open-set",
                                                   "ground")}
     ground_offset = 0
-    for f, frame in enumerate(bundle.frames):
+    for f, points in enumerate(frames):
         lab = labels[f]
         token = np.full(lab.shape[0], -1, dtype=np.int64)
         g_sel = lab == LABEL_GROUND
@@ -432,7 +432,7 @@ def compact_reference(bundle, config):
             sel = (lab == code) & (token >= 0)
             if sel.any():
                 xs, fs, ts = pool_parts[kind]
-                xs.append(frame.points[sel])
+                xs.append(points[sel])
                 fs.append(np.full(int(sel.sum()), f, dtype=np.int64))
                 ts.append(token[sel])
 
@@ -485,10 +485,13 @@ def _compaction_case(name, small_scene, small_config):
         return small_scene.bundle, dataclasses.replace(
             small_config, n_pts_agent=90, n_pts_openset=70, n_pts_ground=300)
     assert name == "pointless_frame"
-    frames = list(small_scene.bundle.frames)
-    frames[2] = PointCloudFrame(frame_index=2, points=np.empty((0, 3)))
-    return (dataclasses.replace(small_scene.bundle, frames=frames),
-            dataclasses.replace(small_config, n_pts_ground=500))
+    bundle = small_scene.bundle
+    end = np.cumsum(bundle.frame_size)
+    size = bundle.frame_size.copy()
+    size[2] = 0
+    return (dataclasses.replace(
+        bundle, points=np.delete(bundle.points, np.s_[end[1]:end[2]], axis=0),
+        frame_size=size), dataclasses.replace(small_config, n_pts_ground=500))
 
 
 @pytest.mark.filterwarnings("ignore::scenetok.errors.BudgetOverflowWarning")

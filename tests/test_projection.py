@@ -48,10 +48,9 @@ def build_point_features_reference(points, frame_ids, cameras, D,
 
 
 def scene_points(bundle):
-    points = np.concatenate([f.points for f in bundle.frames])
-    frame_ids = np.concatenate([np.full(f.points.shape[0], f.frame_index)
-                                for f in bundle.frames])
-    return points, frame_ids
+    frame_ids = np.repeat(np.arange(bundle.frame_size.size),
+                          bundle.frame_size)
+    return bundle.points, frame_ids
 
 
 def make_camera(camera_id=0, frame_index=0, res=(100, 100), D=4,

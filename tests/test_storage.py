@@ -27,6 +27,7 @@ from scenetok.bundle import KIND_CODES, SceneElement, SceneTokens
 from scenetok.errors import (
     BadMagic,
     BadManifestField,
+    FrameCountMismatch,
     ManifestMissingEntry,
     SceneTokError,
     ShapeHeaderMismatch,
@@ -168,10 +169,9 @@ class TestAtomicWrites:
                                                       agent_label=labels))
         assert dir_bytes(d) == before
         back = read_scene_bundle(d)
-        for got, want in zip(back.frames, small_scene.bundle.frames,
-                             strict=True):
-            np.testing.assert_array_equal(got.points, want.points)
         want = small_scene.bundle
+        np.testing.assert_array_equal(back.frame_size, want.frame_size)
+        np.testing.assert_array_equal(back.points, want.points)
         assert [back.agent_track.tolist(), back.agent_frame.tolist(),
                 back.agent_box[:, 6].tolist()] \
             == [want.agent_track.tolist(), want.agent_frame.tolist(),
@@ -199,12 +199,82 @@ class TestBundleIO:
         write_scene_bundle(d2, back)
         assert dir_bytes(d1) == dir_bytes(d2)
 
+    def test_round_trip_with_empty_frame_bit_exact(self, tmp_path,
+                                                   small_scene):
+        bundle = small_scene.bundle
+        end = np.cumsum(bundle.frame_size)
+        size = bundle.frame_size.copy()
+        size[2] = 0
+        bundle = dataclasses.replace(
+            bundle, points=np.delete(bundle.points, np.s_[end[1]:end[2]],
+                                     axis=0), frame_size=size)
+        d1 = tmp_path / "one"
+        d2 = tmp_path / "two"
+        write_scene_bundle(d1, bundle)
+        back = read_scene_bundle(d1)
+        assert back.frame_size.tolist() == size.tolist()
+        write_scene_bundle(d2, back)
+        assert dir_bytes(d1) == dir_bytes(d2)
+        assert read_blob(d1 / "points_f002.bin").shape == (0, 3)
+
+    @pytest.mark.parametrize("shape", [(75, 2), (5, 2), (150,), (50, 3, 1)])
+    def test_point_blob_of_another_shape(self, tmp_path, small_scene, shape):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        write_blob(d / "points_f000.bin",
+                   np.arange(float(np.prod(shape))).reshape(shape))
+        with pytest.raises(ShapeHeaderMismatch) as exc:
+            read_scene_bundle(d)
+        assert str(exc.value).endswith(
+            f"points_f000.bin: must be (N, 3) points, got shape {shape}")
+
+    @pytest.mark.parametrize("shape", [(16,), (32, 8), (1, 32, 32, 8)])
+    def test_feature_map_blob_of_another_rank(self, tmp_path, small_scene,
+                                              shape):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        write_blob(d / "cam01_f003.bin", np.zeros(shape, dtype=np.float32))
+        with pytest.raises(ShapeHeaderMismatch) as exc:
+            read_scene_bundle(d)
+        assert str(exc.value).endswith(
+            f"cam01_f003.bin: must be an (H, W, D) feature map, got shape "
+            f"{shape}")
+
+    @pytest.mark.parametrize("indices, pos, index", [
+        ([0, 2, 3, 4, 5], 1, 2), ([0, 0, 2, 3, 4], 1, 0),
+        ([4, 3, 2, 1, 1], 0, 1)])
+    def test_frame_index_gap_or_repeat(self, tmp_path, small_scene,
+                                       small_config, indices, pos, index):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        for entry, frame_index in enumerate(indices):
+            set_manifest_field(d, "frames", "frame_index", frame_index, entry)
+        message = (f"frame at position {pos} has frame_index {index}; "
+                   "frames must be time-ordered 0..T-1")
+        for config in (None, small_config):
+            with pytest.raises(FrameCountMismatch) as exc:
+                read_scene_bundle(d, config)
+            assert str(exc.value) == message
+
+    def test_frame_entries_read_in_frame_index_order(self, tmp_path,
+                                                     small_scene):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        path = d / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["frames"].reverse()
+        path.write_text(json.dumps(manifest))
+        back = read_scene_bundle(d)
+        np.testing.assert_array_equal(back.frame_size,
+                                      small_scene.bundle.frame_size)
+        np.testing.assert_array_equal(back.points, small_scene.bundle.points)
+
     def test_read_validates_with_config(self, tmp_path, small_scene,
                                         small_config):
         d = tmp_path / "scene"
         write_scene_bundle(d, small_scene.bundle)
         bundle = read_scene_bundle(d, small_config)
-        assert len(bundle.frames) == small_config.T
+        assert bundle.frame_size.size == small_config.T
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ManifestMissingEntry):
@@ -605,15 +675,34 @@ def bundle_inputs(tmp_path_factory):
     return root
 
 
-@settings(max_examples=300, deadline=None)
+def reshaped_blob(raw_path, data) -> np.ndarray:
+    """The blob at ``raw_path`` with its payload in a drawn shape, of its
+    own rank or another."""
+    array = read_blob(raw_path)
+    n = array.size
+    shape = data.draw(hs.sampled_from(
+        [array.shape, (n,), (1, *array.shape), (*array.shape, 1)]
+        + [(n // k, k) for k in (1, 2, 3, 4) if n % k == 0]))
+    return array.reshape(shape)
+
+
+# Blob shapes the bundle reader must reject with ShapeHeaderMismatch.
+_BAD_BLOB_SHAPE = {"points_f001.bin": lambda s: len(s) != 2 or s[1] != 3,
+                   "cam00_f000.bin": lambda s: len(s) != 3}
+
+
+@settings(max_examples=400, deadline=None)
 @given(target=hs.sampled_from(["manifest.json", "points_f001.bin",
                                "cam00_f000.bin", "blob", "config"]),
-       how=hs.sampled_from(["truncate", "flip", "swap"]), data=hs.data())
+       how=hs.sampled_from(["truncate", "flip", "swap", "reshape"]),
+       data=hs.data())
 def test_bundle_blob_and_config_readers_raise_only_scenetok_errors(
         bundle_inputs, target, how, data):
-    """A truncated or byte-flipped bundle file, blob or config, or a JSON
-    value of another type in an agent entry or a config, ends in a typed
-    error (or reads, when the corruption leaves a valid input)."""
+    """A truncated or byte-flipped bundle file, blob or config, a JSON
+    value of another type in an agent entry or a config, or a blob whose
+    payload has another shape, ends in a typed error (or reads, when the
+    corruption leaves a valid input).  A bundle blob of the wrong rank or
+    width always ends in ShapeHeaderMismatch."""
     root = bundle_inputs
     if target == "blob":
         base, path = root / "base.bin", root / "case.bin"
@@ -629,11 +718,18 @@ def test_bundle_blob_and_config_readers_raise_only_scenetok_errors(
         def read(_):
             return read_scene_bundle(case, PipelineConfig(T=2, D=4))
     raw = base.read_bytes()
-    if how != "swap":
+    if how in ("truncate", "flip"):
         path.write_bytes(corrupt_bytes(raw, how, data))
-    elif target in ("manifest.json", "config"):
+    elif how == "swap" and target in ("manifest.json", "config"):
         path.write_bytes(swap_json_type(
             raw, "agents" if target == "manifest.json" else None, data))
+    elif how == "reshape" and base.suffix == ".bin":
+        array = reshaped_blob(base, data)
+        write_blob(path, array)
+        if target in _BAD_BLOB_SHAPE and _BAD_BLOB_SHAPE[target](array.shape):
+            with pytest.raises(ShapeHeaderMismatch):
+                read(path)
+            return
     else:
         path.write_bytes(raw)
     try:

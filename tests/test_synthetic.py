@@ -12,12 +12,11 @@ from scenetok import (
 
 
 def bundles_equal(a, b):
-    if (len(a.frames) != len(b.frames)
+    if (not np.array_equal(a.frame_size, b.frame_size)
             or a.agent_track.size != b.agent_track.size):
         return False
-    for fa, fb in zip(a.frames, b.frames):
-        if not np.array_equal(fa.points, fb.points):
-            return False
+    if not np.array_equal(a.points, b.points):
+        return False
     for ca, cb in zip(a.cameras, b.cameras):
         if not (np.array_equal(ca.feature_map, cb.feature_map)
                 and np.array_equal(ca.rotation, cb.rotation)
@@ -66,8 +65,8 @@ def test_agent_kinematics_by_construction():
 
 
 def test_truth_labels_cover_every_point(small_scene):
-    for f, frame in enumerate(small_scene.bundle.frames):
-        assert small_scene.truth.labels[f].shape[0] == frame.points.shape[0]
+    for f, size in enumerate(small_scene.bundle.frame_size):
+        assert small_scene.truth.labels[f].shape[0] == size
 
 
 def test_feature_maps_encode_camera_and_label(small_scene):
@@ -103,8 +102,8 @@ class TestDropAgents:
 
     def test_points_never_touched(self, small_scene):
         out, _ = drop_agents(small_scene.bundle, 0.5, seed=0)
-        before = sum(f.points.shape[0] for f in small_scene.bundle.frames)
-        after = sum(f.points.shape[0] for f in out.frames)
+        before = small_scene.bundle.points.shape[0]
+        after = out.points.shape[0]
         assert before == after
 
     def test_dropped_agents_become_open_set(self, small_scene, small_config):

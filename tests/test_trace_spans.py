@@ -78,7 +78,7 @@ def test_decompose_spans_per_scene_and_per_frame(monkeypatch, small_scene,
     finally:
         tracer.uninstall()
     _, _, calls = tracer.op_times(0)
-    n_frames = len(small_scene.bundle.frames)
+    n_frames = small_scene.bundle.frame_size.size
     assert calls["decompose.fit_tight_box"] == 1
     assert calls["decompose.extract_agent_elements"] == n_frames
     assert calls["decompose.decompose_frame"] == n_frames

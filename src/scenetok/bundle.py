@@ -180,6 +180,39 @@ def normalize_heading(h):
     return np.mod(np.asarray(h) + math.pi, 2.0 * math.pi) - math.pi
 
 
+def _frame_size_error(bundle: SceneBundle) -> BundleValidationError | None:
+    size, n_points = bundle.frame_size, bundle.points.shape[0]
+    if (size < 0).any() or size.sum() != n_points:
+        return BundleValidationError(
+            f"frame_size {size.tolist()} must be non-negative and sum to "
+            f"the {n_points} points")
+    return None
+
+
+def _agent_length_error(bundle: SceneBundle) -> BundleValidationError | None:
+    lengths = (bundle.agent_track.size, bundle.agent_frame.size,
+               bundle.agent_box.shape[0], bundle.agent_label.size)
+    if len(set(lengths)) > 1:
+        return BundleValidationError(
+            f"agent columns track, frame, box, label differ in length: {lengths}")
+    return None
+
+
+def check_tables(bundle: SceneBundle) -> None:
+    """Raise BundleValidationError unless the point and agent tables agree.
+
+    ``frame_size`` must be non-negative and sum to ``len(points)``, and the
+    four agent columns must have one length.  Needs no config, so a bundle
+    writer can run it before it writes anything.
+    """
+    problems = [e for e in (_frame_size_error(bundle),
+                            _agent_length_error(bundle)) if e is not None]
+    if problems:
+        head = problems[0]
+        head.violations = [str(p) for p in problems]
+        raise head
+
+
 def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleValidationError]:
     """Collect every invariant violation in ``bundle`` without raising."""
     problems: list[BundleValidationError] = []
@@ -188,10 +221,9 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
     if size.size != config.T:
         problems.append(FrameCountMismatch(
             f"bundle has {size.size} frames, config expects T={config.T}"))
-    if (size < 0).any() or size.sum() != points.shape[0]:
-        problems.append(BundleValidationError(
-            f"frame_size {size.tolist()} must be non-negative and sum to "
-            f"the {points.shape[0]} points"))
+    table_error = _frame_size_error(bundle)
+    if table_error is not None:
+        problems.append(table_error)
         return problems
     # The first non-finite row of each frame, counted within the frame.
     start = np.cumsum(size) - size
@@ -221,10 +253,9 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
                 f"camera {cam.camera_id}: frame_index {cam.frame_index} outside [0, {config.T})"))
 
     track, frame, box = bundle.agent_track, bundle.agent_frame, bundle.agent_box
-    lengths = (track.size, frame.size, box.shape[0], bundle.agent_label.size)
-    if len(set(lengths)) > 1:
-        problems.append(BundleValidationError(
-            f"agent columns track, frame, box, label differ in length: {lengths}"))
+    table_error = _agent_length_error(bundle)
+    if table_error is not None:
+        problems.append(table_error)
         return problems
     # A row repeats a (track, frame) pair unless it is the pair's first row.
     duplicate = np.ones(track.size, dtype=bool)

@@ -85,22 +85,18 @@ def layernorm_backward(g, cache, gamma):
     return dx, dgamma, dbeta
 
 
-def masked_softmax(logits, key_valid):
-    """Softmax over the last axis with invalid keys excluded.
+def masked_softmax(logits):
+    """Softmax over the last axis, computed in ``logits``, which is returned.
 
-    ``key_valid`` is (B, L) and broadcasts over head and query axes.  Rows
-    with zero valid keys come out all-zero rather than NaN.
+    Every key is valid: the fusion block gathers the valid slots of each
+    attention group before it calls this, so nothing is masked.  The name
+    is kept because it is the span name perfbench traces
+    (``fusion.masked_softmax``).
     """
-    mask = key_valid[:, None, None, :]
-    w = np.where(mask, logits, -np.inf)
-    m = w.max(axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    w -= m
-    np.exp(w, out=w)
-    s = w.sum(axis=-1, keepdims=True)
-    # A row with s == 0 has no valid key and is already all zero.
-    np.divide(w, s, out=w, where=s > 0)
-    return w
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def softmax_backward(g, w):

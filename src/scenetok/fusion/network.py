@@ -153,14 +153,32 @@ def _encode_geometry_bwd(dF_geo, cache, params):
 # ---------------------------------------------------------------------------
 # axial attention
 
-def _attention_fwd(X, block: AttentionBlockParams, key_valid):
-    """Pre-norm residual attention along the middle axis of X (B, L, D).
+def _slot_groups(sizes, order=None):
+    """Row-index matrices of the attention groups, one per group length.
 
-    Slots with key_valid False are excluded as keys.  When a row of the
-    batch has no valid key at all, its attention contribution is zero and
-    the output equals the input.
+    Group i holds the ``sizes[i]`` rows that follow the earlier groups in
+    ``order`` (default: the row order itself).  Groups of one length are
+    stacked into one ``(groups, length)`` matrix, so each length runs as
+    one batch; empty groups have no rows and are left out.
     """
-    B, L, D = X.shape
+    starts = np.cumsum(sizes) - sizes
+    mats = []
+    for L in np.unique(sizes[sizes > 0]):
+        idx = starts[sizes == L][:, None] + np.arange(L)
+        mats.append(idx if order is None else order[idx])
+    return mats
+
+
+def _attention_fwd(X, block: AttentionBlockParams, groups):
+    """Pre-norm residual attention among the rows of each group of X (n, D).
+
+    ``groups`` is a list of ``(g, L)`` row-index matrices that together
+    cover every row exactly once (see ``_slot_groups``); a row attends to
+    the L rows of its own group, all of them valid keys.  Returns the
+    output rows, the per-group attention weights ``(g, heads, L, L)`` and
+    the cache.
+    """
+    D = X.shape[1]
     h = block.n_heads
     dh = D // h
     scale = 1.0 / dh ** 0.5
@@ -169,49 +187,58 @@ def _attention_fwd(X, block: AttentionBlockParams, key_valid):
     K = matmul_rows(Y, block.wk.T)
     V, _ = linear_forward(Y, block.wv, block.bv)
 
-    def split(Z):
-        return Z.reshape(B, L, h, dh).transpose(0, 2, 1, 3)
-
-    Qh, Kh, Vh = split(Q), split(K), split(V)
-    logits = Qh @ Kh.transpose(0, 1, 3, 2)
-    logits *= scale
-    weights = masked_softmax(logits, key_valid)
-    ctx_h = weights @ Vh
-    ctx = ctx_h.transpose(0, 2, 1, 3).reshape(B, L, D)
-    A, _ = linear_forward(ctx, block.wo, block.bo)
-    any_valid = key_valid.any(axis=1)
-    A = np.where(any_valid[:, None, None], A, 0.0)
-    out = X + A
-    cache = (Y, ln_cache, Qh, Kh, Vh, weights, ctx, any_valid)
+    ctx = np.empty_like(Q)
+    weights = []
+    for idx in groups:
+        logits = _split_heads(Q[idx], h) @ \
+            _split_heads(K[idx], h).transpose(0, 1, 3, 2)
+        logits *= scale
+        w = masked_softmax(logits)
+        ctx[idx] = _merge_heads(w @ _split_heads(V[idx], h))
+        weights.append(w)
+    out, _ = linear_forward(ctx, block.wo, block.bo)
+    out += X
+    cache = (Y, ln_cache, Q, K, V, groups, weights, ctx)
     return out, weights, cache
 
 
-def _attention_bwd(g, X, block: AttentionBlockParams, cache):
-    Y, ln_cache, Qh, Kh, Vh, weights, ctx, any_valid = cache
-    B, L, D = X.shape
+def _split_heads(Z, h):
+    """(g, L, D) -> (g, heads, L, D / heads)."""
+    g, L, D = Z.shape
+    return Z.reshape(g, L, h, D // h).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(Zh):
+    """(g, heads, L, dh) -> (g, L, heads * dh)."""
+    g, h, L, dh = Zh.shape
+    return Zh.transpose(0, 2, 1, 3).reshape(g, L, h * dh)
+
+
+def _attention_bwd(g, block: AttentionBlockParams, cache):
+    Y, ln_cache, Q, K, V, groups, weights, ctx = cache
+    D = g.shape[1]
     h = block.n_heads
-    dh = D // h
-    scale = 1.0 / dh ** 0.5
+    scale = 1.0 / (D // h) ** 0.5
 
-    dA = np.where(any_valid[:, None, None], g, 0.0)
-    dctx, dwo, dbo = linear_backward(dA, ctx, block.wo)
-    dctx_h = dctx.reshape(B, L, h, dh).transpose(0, 2, 1, 3)
+    dctx, dwo, dbo = linear_backward(g, ctx, block.wo)
+    dQ = np.empty_like(Q)
+    dK = np.empty_like(K)
+    dV = np.empty_like(V)
+    for idx, w in zip(groups, weights):
+        dctx_h = _split_heads(dctx[idx], h)
+        dweights = dctx_h @ _split_heads(V[idx], h).transpose(0, 1, 3, 2)
+        dV[idx] = _merge_heads(w.transpose(0, 1, 3, 2) @ dctx_h)
+        dlogits = softmax_backward(dweights, w)
+        dQh = dlogits @ _split_heads(K[idx], h)
+        dQh *= scale
+        dQ[idx] = _merge_heads(dQh)
+        dKh = dlogits.transpose(0, 1, 3, 2) @ _split_heads(Q[idx], h)
+        dKh *= scale
+        dK[idx] = _merge_heads(dKh)
 
-    dweights = dctx_h @ Vh.transpose(0, 1, 3, 2)
-    dVh = weights.transpose(0, 1, 3, 2) @ dctx_h
-    dlogits = softmax_backward(dweights, weights)
-    dQh = dlogits @ Kh
-    dQh *= scale
-    dKh = dlogits.transpose(0, 1, 3, 2) @ Qh
-    dKh *= scale
-
-    def merge(Zh):
-        return Zh.transpose(0, 2, 1, 3).reshape(B, L, D)
-
-    dQ, dK, dV = merge(dQh), merge(dKh), merge(dVh)
     dYq, dwq, dbq = linear_backward(dQ, Y, block.wq)
     dYk = matmul_rows(dK, block.wk)
-    dwk = dK.reshape(-1, D).T @ Y.reshape(-1, D)
+    dwk = dK.T @ Y
     dYv, dwv, dbv = linear_backward(dV, Y, block.wv)
     dY = dYq + dYk + dYv
     dX_ln, dgamma, dbeta = layernorm_backward(dY, ln_cache, block.ln_gamma)
@@ -242,6 +269,15 @@ def _masked_time_mean_bwd(g, elem_valid, counts):
 
 
 def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid):
+    """Fusion forward on the valid (element, frame) slots only.
+
+    The valid slots of ``X0`` are gathered once into a compact table of
+    rows in element-major order.  Time attention runs within each
+    element's valid frames, element attention within each frame's valid
+    elements (in element order).  The result is scattered back into a zero
+    ``(n_elem, T, D)`` array for the masked time-mean, so invalid slots
+    never reach ``F_elem``.
+    """
     if F_img.shape != F_geo.shape:
         raise ShapeMismatch(f"F_img {F_img.shape} vs F_geo {F_geo.shape}")
     n_elem, T, D = F_img.shape
@@ -253,22 +289,31 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid):
 
     X0 = F_img.astype(params.dtype) + F_geo.astype(params.dtype) \
         + params.f_temporal[None, :, :]
-    X1, w_t, cache_t = _attention_fwd(X0, params.time_block, elem_valid)
-    X1e = X1.transpose(1, 0, 2)
-    X2e, w_e, cache_e = _attention_fwd(X1e, params.elem_block, elem_valid.T)
-    X2 = X2e.transpose(1, 0, 2)
+    slots = np.flatnonzero(elem_valid.ravel())
+    time_groups = _slot_groups(elem_valid.sum(axis=1))
+    elem_groups = _slot_groups(elem_valid.sum(axis=0),
+                               np.argsort(slots % T, kind="stable"))
+    # Each step rebinds x, so only the rows the next step reads stay alive.
+    x = X0.reshape(-1, D)[slots]
+    del X0
+    x, _, cache_t = _attention_fwd(x, params.time_block, time_groups)
+    x, _, cache_e = _attention_fwd(x, params.elem_block, elem_groups)
+    X2 = np.zeros((n_elem, T, D), dtype=x.dtype)
+    X2.reshape(-1, D)[slots] = x
+    del x
     F_elem, counts = _masked_time_mean_fwd(X2, elem_valid)
-    cache = (X0, cache_t, X1, X1e, cache_e, counts)
-    return F_elem, (w_t, w_e), cache
+    return F_elem, (slots, cache_t, cache_e, counts)
 
 
 def _fuse_bwd(dF_elem, cache, params: FusionParams, elem_valid):
-    X0, cache_t, X1, X1e, cache_e, counts = cache
+    slots, cache_t, cache_e, counts = cache
+    n_elem, T = elem_valid.shape
     dX2 = _masked_time_mean_bwd(dF_elem, elem_valid, counts)
-    dX2e = dX2.transpose(1, 0, 2)
-    dX1e, grads_e = _attention_bwd(dX2e, X1e, params.elem_block, cache_e)
-    dX1 = dX1e.transpose(1, 0, 2)
-    dX0, grads_t = _attention_bwd(dX1, X0, params.time_block, cache_t)
+    dx2 = dX2.reshape(n_elem * T, -1)[slots]
+    dx1, grads_e = _attention_bwd(dx2, params.elem_block, cache_e)
+    dx0, grads_t = _attention_bwd(dx1, params.time_block, cache_t)
+    dX0 = np.zeros_like(dX2)
+    dX0.reshape(n_elem * T, -1)[slots] = dx0
     grads = {f"elem.{k}": v for k, v in grads_e.items()}
     grads.update({f"time.{k}": v for k, v in grads_t.items()})
     grads["f_temporal"] = dX0.sum(axis=0)
@@ -279,25 +324,30 @@ def fuse_scene(F_img: np.ndarray, F_geo: np.ndarray, params: FusionParams,
                elem_valid: np.ndarray) -> np.ndarray:
     """Fuse image + geometry + temporal features into one vector per element.
 
-    Adds the three inputs, attends along time then along elements (invalid
-    slots masked out as keys), and mean-pools each element over its valid
-    frames.  Elements with no valid frame come out as zero rows.
+    Adds the three inputs, attends along time then along elements among the
+    valid slots only, and mean-pools each element over its valid frames.
+    Values at invalid slots never reach the output, and elements with no
+    valid frame come out as zero rows.
     """
-    F_elem, _, _ = _fuse_fwd(F_img, F_geo, params, elem_valid)
+    F_elem, _ = _fuse_fwd(F_img, F_geo, params, elem_valid)
     return F_elem
 
 
 def fusion_forward(params: FusionParams, P_xyz, P_ind, B, F_img, elem_valid):
-    """Full forward: geometry encoding then spatial-temporal fusion."""
+    """Full forward: geometry encoding then spatial-temporal fusion.
+
+    Returns ``(F_elem, geo_cache, fuse_cache)``; the caches feed the
+    backward pass.
+    """
     F_geo, geo_cache = _encode_geometry_fwd(P_xyz, P_ind, B, params)
-    F_elem, weights, fuse_cache = _fuse_fwd(F_img, F_geo, params, elem_valid)
-    return F_elem, weights, (geo_cache, fuse_cache)
+    F_elem, fuse_cache = _fuse_fwd(F_img, F_geo, params, elem_valid)
+    return F_elem, geo_cache, fuse_cache
 
 
 def fusion_loss_and_grads(params: FusionParams, P_xyz, P_ind, B, F_img,
                           elem_valid):
     """Scalar loss sum(F_elem^2) plus analytic gradients for every tensor."""
-    F_elem, _, (geo_cache, fuse_cache) = fusion_forward(
+    F_elem, geo_cache, fuse_cache = fusion_forward(
         params, P_xyz, P_ind, B, F_img, elem_valid)
     loss = float((F_elem ** 2).sum())
     dF_elem = 2.0 * F_elem

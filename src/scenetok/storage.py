@@ -18,6 +18,7 @@ from .bundle import (
     CameraFrame,
     SceneBundle,
     SceneTokens,
+    check_tables,
     validate_bundle,
 )
 from .config import ClusterConfig, PipelineConfig, RansacConfig, TrackConfig
@@ -56,10 +57,13 @@ def _camera_blob(camera_id: int, frame_index: int) -> str:
 def write_scene_bundle(path, bundle: SceneBundle) -> None:
     """Write one scene as a directory of manifest + blobs.
 
-    The manifest is serialised before the first blob is written, so a field
-    that JSON cannot hold raises BadManifestField and leaves the directory
-    as it was.
+    The point and agent tables are checked and the manifest is serialised
+    before the first blob is written, so a ``frame_size`` that does not
+    split the points, agent columns of unequal length
+    (BundleValidationError) or a field that JSON cannot hold
+    (BadManifestField) leave the directory as it was.
     """
+    check_tables(bundle)
     root = Path(path)
     manifest = {
         "format_version": 1,

@@ -4,7 +4,7 @@ import numpy as np
 
 from scenetok.errors import ShapeMismatch
 from scenetok.fusion import AttentionBlockParams, FusionParams
-from scenetok.fusion.network import _attention_fwd
+from scenetok.fusion.network import _attention_fwd, _slot_groups
 
 
 def attn_along_axis(F: np.ndarray, axis: str, block: AttentionBlockParams,
@@ -12,9 +12,11 @@ def attn_along_axis(F: np.ndarray, axis: str, block: AttentionBlockParams,
     """Multi-head self-attention along one axis of an (N_elem, T, D) tensor.
 
     ``axis`` is "time" or "element"; the other axis is treated as batch.
-    ``key_mask`` is (N_elem, T), true for valid slots.  Returns the fused
-    tensor and the attention weights (rows over valid keys sum to 1; rows
-    with no valid key are all zero and pass the input through).
+    ``key_mask`` is (N_elem, T), true for valid slots.  Valid slots attend
+    to the valid slots of their batch row; invalid slots pass their input
+    through.  Returns the fused tensor and the attention weights scattered
+    into a zero (batch, heads, L, L) array: a valid query's row over the
+    valid keys sums to 1, and every other entry is 0.
     """
     F = np.asarray(F)
     if F.ndim != 3:
@@ -23,12 +25,29 @@ def attn_along_axis(F: np.ndarray, axis: str, block: AttentionBlockParams,
         raise ShapeMismatch(
             f"mask shape {key_mask.shape} does not match {F.shape[:2]}")
     if axis == "time":
-        out, weights, _ = _attention_fwd(F, block, key_mask)
-        return out, weights
+        X, mask = F, key_mask
+    elif axis == "element":
+        X, mask = F.transpose(1, 0, 2), key_mask.T
+    else:
+        raise ValueError(f"axis must be 'time' or 'element', got {axis!r}")
+    B, L, D = X.shape
+    rows = X.reshape(B * L, D)
+    slots = np.flatnonzero(mask.ravel())
+    groups = _slot_groups(mask.sum(axis=1))
+    x, group_weights, _ = _attention_fwd(rows[slots], block, groups)
+    out = rows.copy()
+    out[slots] = x
+    out = out.reshape(B, L, D)
+    weights = np.zeros((B, block.n_heads, L, L), dtype=x.dtype)
+    heads = np.arange(block.n_heads)[None, :, None, None]
+    for idx, w in zip(groups, group_weights):
+        batch = slots[idx[:, 0]] // L
+        pos = slots[idx] % L
+        weights[batch[:, None, None, None], heads, pos[:, None, :, None],
+                pos[:, None, None, :]] = w
     if axis == "element":
-        out, weights, _ = _attention_fwd(F.transpose(1, 0, 2), block, key_mask.T)
-        return out.transpose(1, 0, 2), weights
-    raise ValueError(f"axis must be 'time' or 'element', got {axis!r}")
+        out = out.transpose(1, 0, 2)
+    return out, weights
 
 
 def zero_attention_output(params: FusionParams) -> FusionParams:

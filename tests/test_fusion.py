@@ -267,6 +267,79 @@ class TestFuseScene:
                        t["elem_valid"])
 
 
+class TestRaggedValidity:
+    """Elements valid in some frames only: several group lengths per axis."""
+
+    @staticmethod
+    def params(dtype=np.float64):
+        return toy_params(T=4).astype(dtype)
+
+    def test_fixture_runs_several_group_lengths(self, ragged_fusion_inputs):
+        valid = ragged_fusion_inputs["elem_valid"]
+        for sizes in (valid.sum(axis=1), valid.sum(axis=0)):
+            mats = network._slot_groups(sizes)
+            assert len(mats) > 1 and max(m.shape[0] for m in mats) > 1
+            assert sorted(np.concatenate([m.ravel() for m in mats])) == \
+                list(range(valid.sum()))
+
+    def test_matches_straight_line_reference(self, ragged_fusion_inputs):
+        t = ragged_fusion_inputs
+        params = self.params()
+        F_geo = encode_geometry(t["P_xyz"], t["P_ind"], t["B"], params)
+        out = fuse_scene(t["F_img"], F_geo, params, t["elem_valid"])
+        expected = fuse_ref(t["F_img"], F_geo, params, t["elem_valid"])
+        assert np.abs(out - expected).max() < 1e-12
+        assert (out[0] == 0).all()  # element 0 has no valid frame
+
+    def test_grad_check(self, ragged_fusion_inputs):
+        t = ragged_fusion_inputs
+        err = grad_check(self.params(), t["P_xyz"], t["P_ind"], t["B"],
+                         t["F_img"], t["elem_valid"])
+        assert err < 1e-6
+
+    def test_bit_exact_reproducibility(self, ragged_fusion_inputs):
+        t = ragged_fusion_inputs
+        args = (t["P_xyz"], t["P_ind"], t["B"], t["F_img"], t["elem_valid"])
+        for dtype in (np.float32, np.float64):
+            params = self.params(dtype)
+            a = fusion_forward(params, *args)[0]
+            b = fusion_forward(params, *args)[0]
+            np.testing.assert_array_equal(a, b)
+            loss_a, grads_a = fusion_loss_and_grads(params, *args)
+            loss_b, grads_b = fusion_loss_and_grads(params, *args)
+            assert loss_a == loss_b
+            for name in grads_a:
+                np.testing.assert_array_equal(grads_a[name], grads_b[name])
+
+    def test_float32_close_to_float64(self, ragged_fusion_inputs):
+        t = ragged_fusion_inputs
+        args = (t["P_xyz"], t["P_ind"], t["B"], t["F_img"], t["elem_valid"])
+        F64 = fusion_forward(self.params(), *args)[0]
+        F32 = fusion_forward(self.params(np.float32), *args)[0]
+        assert F32.dtype == np.float32
+        ulp = np.spacing(np.float32(np.abs(F64).max()))
+        assert np.abs(F32 - F64).max() <= 4 * ulp
+        _, g64 = fusion_loss_and_grads(self.params(), *args)
+        _, g32 = fusion_loss_and_grads(self.params(np.float32), *args)
+        assert compare_grads(g32, g64) <= 2e-5
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, 1e7, -1e7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_invalid_slot_values_never_reach_output(self, ragged_fusion_inputs,
+                                                    fill, dtype):
+        t = ragged_fusion_inputs
+        params = self.params(dtype)
+        valid = t["elem_valid"][:, :, None]
+        F_img = t["F_img"].astype(dtype)
+        F_geo = encode_geometry(t["P_xyz"], t["P_ind"], t["B"], params)
+        base = fuse_scene(F_img, F_geo, params, t["elem_valid"])
+        for img, geo in ((np.where(valid, F_img, fill), F_geo),
+                         (F_img, np.where(valid, F_geo, fill))):
+            out = fuse_scene(img.astype(dtype), geo.astype(dtype), params,
+                             t["elem_valid"])
+            np.testing.assert_array_equal(out, base)
+
+
 class TestGradCheck:
     def test_linear_only_gradients_near_exact(self, toy_fusion_inputs):
         t = toy_fusion_inputs
@@ -303,10 +376,8 @@ class TestSoftmaxBackward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_in_place_equals_reference_bit_for_bit(self, dtype):
         rng = np.random.default_rng(9)
-        key_valid = rng.random((6, 7)) > 0.3
-        key_valid[0] = False  # a row with no valid key: all-zero weights
-        w = masked_softmax(rng.normal(size=(6, 2, 7, 7)).astype(dtype),
-                           key_valid)
+        w = masked_softmax(rng.normal(size=(6, 2, 7, 7)).astype(dtype))
+        w[0] = 0  # all-zero weights, as a query with no key would have
         g = rng.normal(size=w.shape).astype(dtype)
         want = w * (g - (g * w).sum(axis=-1, keepdims=True))
         got = softmax_backward(g.copy(), w)
@@ -512,10 +583,10 @@ class TestOutputsKeepParamsDtype:
         F_geo = encode_geometry(t["P_xyz"], t["P_ind"], t["B"], params)
         assert fuse_scene(t["F_img"], F_geo, params,
                           t["elem_valid"]).dtype == dtype
-        F_elem, (w_t, w_e), _ = fusion_forward(
+        F_elem, _, _ = fusion_forward(
             params, t["P_xyz"], t["P_ind"], t["B"], t["F_img"],
             t["elem_valid"])
-        assert F_elem.dtype == w_t.dtype == w_e.dtype == dtype
+        assert F_elem.dtype == dtype
 
     def test_every_gradient(self, toy_fusion_inputs, dtype):
         t = toy_fusion_inputs

@@ -27,6 +27,7 @@ from scenetok.bundle import KIND_CODES, SceneElement, SceneTokens
 from scenetok.errors import (
     BadMagic,
     BadManifestField,
+    BundleValidationError,
     FrameCountMismatch,
     ManifestMissingEntry,
     SceneTokError,
@@ -176,6 +177,39 @@ class TestAtomicWrites:
                 back.agent_box[:, 6].tolist()] \
             == [want.agent_track.tolist(), want.agent_frame.tolist(),
                 want.agent_box[:, 6].tolist()]
+
+    @pytest.mark.parametrize("frame_size", [[3, 3], [3, 8], [-1, 11]])
+    def test_frame_size_not_splitting_points_writes_nothing(self, tmp_path,
+                                                            small_scene,
+                                                            frame_size):
+        d = tmp_path / "scene"
+        bad = dataclasses.replace(small_scene.bundle,
+                                  points=np.zeros((10, 3)),
+                                  frame_size=frame_size)
+        with pytest.raises(BundleValidationError, match="frame_size"):
+            write_scene_bundle(d, bad)
+        assert not d.exists()
+
+    def test_unequal_agent_columns_keep_old_bundle(self, tmp_path,
+                                                   small_scene):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        before = dir_bytes(d)
+        bundle = small_scene.bundle
+        assert bundle.agent_track.size > 1
+        bad = dataclasses.replace(bundle, agent_frame=bundle.agent_frame[:1])
+        with pytest.raises(BundleValidationError, match="agent columns"):
+            write_scene_bundle(d, bad)
+        assert dir_bytes(d) == before
+
+    def test_table_errors_list_every_violation(self, tmp_path, small_scene):
+        bundle = small_scene.bundle
+        bad = dataclasses.replace(bundle, frame_size=bundle.frame_size + 1,
+                                  agent_label=bundle.agent_label[:-1])
+        with pytest.raises(BundleValidationError) as info:
+            write_scene_bundle(tmp_path / "scene", bad)
+        assert len(info.value.violations) == 2
+        assert not (tmp_path / "scene").exists()
 
     def test_failed_config_keeps_old_file(self, tmp_path, small_config):
         path = tmp_path / "cfg.json"

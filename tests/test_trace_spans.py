@@ -96,3 +96,29 @@ def test_decompose_spans_per_scene_and_per_frame(monkeypatch, small_scene,
         for parent, start, end in by_name[name]:
             assert names[parent] == parent_name
             assert stage_start <= start <= end <= stage_end
+
+
+def test_fusion_spans_record_calls(monkeypatch, ragged_fusion_inputs):
+    # perfbench names each fusion layer by the network function it wraps;
+    # a layer that stops calling through that name would read 0 calls.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from scenetok.fusion import init_fusion_params, network
+
+    t = ragged_fusion_inputs
+    params = init_fusion_params(T=t["T"], D=t["D"], hidden=8, n_heads=2,
+                                seed=1)
+    tracer = spans.Tracer()
+    tracer.install(0)
+    try:
+        network.fusion_loss_and_grads(params, t["P_xyz"], t["P_ind"], t["B"],
+                                      t["F_img"], t["elem_valid"])
+    finally:
+        tracer.uninstall()
+    _, _, calls = tracer.op_times(0)
+    for name in ("fusion.time_attn", "fusion.elem_attn",
+                 "fusion.masked_softmax", "fusion.time_mean",
+                 "fusion.backward"):
+        assert calls[name] > 0, name
+    assert calls["fusion.time_attn"] == calls["fusion.elem_attn"] == 1

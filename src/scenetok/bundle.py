@@ -16,10 +16,12 @@ from .config import PipelineConfig
 from .errors import (
     BadRotation,
     BundleValidationError,
+    DuplicateCameraFrame,
     DuplicateTrackFrame,
     FrameCountMismatch,
     NonFiniteCoordinate,
 )
+from .pooling import point_features
 
 # Element kinds, also the on-disk codebook.
 KIND_AGENT = "agent"
@@ -27,40 +29,6 @@ KIND_OPENSET = "open-set"
 KIND_GROUND = "ground"
 KIND_CODES = {KIND_AGENT: 0, KIND_OPENSET: 1, KIND_GROUND: 2}
 KIND_NAMES = {code: name for name, code in KIND_CODES.items()}
-
-
-@dataclass
-class CameraFrame:
-    """One camera's feature map for one frame.
-
-    Intrinsics are expressed at feature-map resolution (already scaled for
-    any image-to-feature downsampling).  ``rotation`` and ``translation``
-    map world coordinates into the camera frame: ``p_cam = R @ p + t``.
-    """
-
-    camera_id: int
-    frame_index: int
-    feature_map: np.ndarray  # (H', W', D)
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    rotation: np.ndarray  # (3, 3) world -> camera
-    translation: np.ndarray  # (3,)
-    valid: bool = True
-
-    def __post_init__(self):
-        self.feature_map = np.asarray(self.feature_map)
-        self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
-
-    @property
-    def height(self) -> int:
-        return self.feature_map.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.feature_map.shape[1]
 
 
 @dataclass
@@ -74,15 +42,32 @@ class SceneBundle:
     ``agent_track``, ``agent_frame`` (n,) int64; ``agent_box`` (n, 7)
     float64 rows of center, size (length, width, height) and heading (radians
     about +z, in [-pi, pi)); ``agent_label`` (n,) objects, kept as given.
+
+    The cameras are one table, a row per (camera, frame) feature map in
+    manifest order: ``camera_id``, ``camera_frame`` (C,) int64;
+    ``camera_intrinsics`` (C, 4) float64 fx, fy, cx, cy at feature-map
+    resolution; ``camera_rotation`` (C, 3, 3) and ``camera_translation``
+    (C, 3) float64 mapping world into camera coordinates,
+    ``p_cam = R @ p + t``; ``camera_valid`` (C,) bool; ``camera_size``
+    (C, 2) int64 map height and width.  ``pixel_features`` (pixels, D) holds
+    every map's pixels: camera c's (H, W) map, row-major, is rows
+    ``camera_base[c]`` to ``camera_base[c] + H * W``.
     """
 
     points: np.ndarray = ()
     frame_size: np.ndarray = ()
-    cameras: list[CameraFrame] = field(default_factory=list)
     agent_track: np.ndarray = ()
     agent_frame: np.ndarray = ()
     agent_box: np.ndarray = ()
     agent_label: np.ndarray = ()
+    camera_id: np.ndarray = ()
+    camera_frame: np.ndarray = ()
+    camera_intrinsics: np.ndarray = ()
+    camera_rotation: np.ndarray = ()
+    camera_translation: np.ndarray = ()
+    camera_valid: np.ndarray = ()
+    camera_size: np.ndarray = ()
+    pixel_features: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -91,6 +76,28 @@ class SceneBundle:
         self.agent_frame = np.asarray(self.agent_frame, dtype=np.int64).reshape(-1)
         self.agent_box = np.asarray(self.agent_box, dtype=np.float64).reshape(-1, 7)
         self.agent_label = np.asarray(self.agent_label, dtype=object).reshape(-1)
+        self.camera_id = np.asarray(self.camera_id, dtype=np.int64).reshape(-1)
+        self.camera_frame = np.asarray(self.camera_frame, dtype=np.int64).reshape(-1)
+        self.camera_intrinsics = np.asarray(self.camera_intrinsics,
+                                            dtype=np.float64).reshape(-1, 4)
+        self.camera_rotation = np.asarray(self.camera_rotation,
+                                          dtype=np.float64).reshape(-1, 3, 3)
+        self.camera_translation = np.asarray(self.camera_translation,
+                                             dtype=np.float64).reshape(-1, 3)
+        self.camera_valid = np.asarray(self.camera_valid, dtype=bool).reshape(-1)
+        self.camera_size = np.asarray(self.camera_size, dtype=np.int64).reshape(-1, 2)
+        self.pixel_features = np.asarray(self.pixel_features)
+
+    @property
+    def camera_base(self) -> np.ndarray:
+        """(C,) int64 first ``pixel_features`` row of each camera's map."""
+        n_pixels = self.camera_size.prod(axis=1)
+        return np.cumsum(n_pixels) - n_pixels
+
+    def feature_map(self, c: int) -> np.ndarray:
+        """Camera row ``c``'s (H, W, D) feature map, a view of the table."""
+        (h, w), base = self.camera_size[c].tolist(), int(self.camera_base[c])
+        return self.pixel_features[base:base + h * w].reshape(h, w, -1)
 
 
 @dataclass
@@ -126,21 +133,36 @@ def element_views(kind: np.ndarray, boxes: np.ndarray, frame_valid: np.ndarray,
 class TokenizedScene:
     """The compacted model input.
 
-    ``P_ind`` columns are (frame id, token id).  Rows of ``F_pts`` whose
-    ``F_pts_valid`` is false are exactly zero.  The number of points per
-    frame is variable; only the per-kind totals are budgeted.  Row i of the
-    element table (``B``, ``elem_valid``, ``kind``, ``source_id``) is token
-    id i.
+    ``P_ind`` columns are (frame id, token id).  A point's image feature is
+    read from the rows of ``features``, in the pipeline the bundle's pixel
+    table: ``pixel`` (N_pts,) names one row per point (-1: seen by no
+    camera), or (N_pts, K) names K rows that ``pixel_weight`` blends.
+    Without ``pixel``, row i of ``features`` is point i's.  The number of
+    points per frame is variable; only the per-kind totals are budgeted.
+    Row i of the element table (``B``, ``elem_valid``, ``kind``,
+    ``source_id``) is token id i.
     """
 
     P_xyz: np.ndarray       # (N_pts, 3)
     P_ind: np.ndarray       # (N_pts, 2) int64
-    F_pts: np.ndarray       # (N_pts, D)
+    features: np.ndarray    # (rows, D)
     F_pts_valid: np.ndarray  # (N_pts,) bool
     B: np.ndarray           # (N_elem, T, 7)
     elem_valid: np.ndarray  # (N_elem, T) bool
     kind: np.ndarray        # (N_elem,) int64 KIND_CODES
     source_id: np.ndarray   # (N_elem,) int64
+    pixel: np.ndarray | None = None         # (N_pts,) or (N_pts, K) int64
+    pixel_weight: np.ndarray | None = None  # (N_pts, K) float64
+
+    @property
+    def F_pts(self) -> np.ndarray:
+        """(N_pts, D) per-point image features, gathered on each call.
+
+        Rows whose ``F_pts_valid`` is false are exactly zero.  The dtype is
+        that of ``features``, at least float32.
+        """
+        return point_features(self.features, self.F_pts_valid, self.pixel,
+                              self.pixel_weight)
 
     @property
     def elements(self) -> list[SceneElement]:
@@ -198,15 +220,54 @@ def _agent_length_error(bundle: SceneBundle) -> BundleValidationError | None:
     return None
 
 
-def check_tables(bundle: SceneBundle) -> None:
-    """Raise BundleValidationError unless the point and agent tables agree.
+def _camera_table_errors(bundle: SceneBundle) -> list[BundleValidationError]:
+    """Camera columns of unequal length, empty maps, a pixel table that is
+    not (Σ H·W, D), and repeated (camera, frame) pairs."""
+    columns = (bundle.camera_id, bundle.camera_frame, bundle.camera_intrinsics,
+               bundle.camera_rotation, bundle.camera_translation,
+               bundle.camera_valid, bundle.camera_size)
+    lengths = tuple(len(column) for column in columns)
+    if len(set(lengths)) > 1:
+        return [BundleValidationError(
+            "camera columns id, frame, intrinsics, rotation, translation, "
+            f"valid, size differ in length: {lengths}")]
+    problems: list[BundleValidationError] = []
+    ids, frames, size = bundle.camera_id, bundle.camera_frame, bundle.camera_size
+    table = bundle.pixel_features
+    D = table.shape[1:] if table.ndim == 2 else ()
+    for c in np.flatnonzero((size <= 0).any(axis=1) | (0 in D)).tolist():
+        problems.append(BundleValidationError(
+            f"camera {ids[c]} frame {frames[c]}: feature map must be a "
+            f"non-empty (H, W, D) array, got shape {(*size[c].tolist(), *D)}"))
+    n_pixels = int(size.prod(axis=1).sum())
+    if table.ndim != 2 or len(table) != n_pixels:
+        problems.append(BundleValidationError(
+            f"pixel table must be ({n_pixels}, D) for the cameras' {n_pixels} "
+            f"pixels, got shape {table.shape}"))
+    # A row repeats a (camera, frame) pair unless it is the pair's first row.
+    repeat = np.ones(ids.size, dtype=bool)
+    repeat[np.unique(np.stack([ids, frames], axis=1), axis=0,
+                     return_index=True)[1]] = False
+    for c in np.flatnonzero(repeat).tolist():
+        problems.append(DuplicateCameraFrame(
+            f"camera {ids[c]} appears twice in frame {frames[c]}"))
+    return problems
 
-    ``frame_size`` must be non-negative and sum to ``len(points)``, and the
-    four agent columns must have one length.  Needs no config, so a bundle
-    writer can run it before it writes anything.
+
+def check_tables(bundle: SceneBundle) -> None:
+    """Raise BundleValidationError unless the point, agent and camera tables
+    agree.
+
+    ``frame_size`` must be non-negative and sum to ``len(points)``, the four
+    agent columns must have one length, and so must the camera columns;
+    every camera map must be non-empty, ``pixel_features`` must hold their
+    Σ H·W rows, and no (camera, frame) pair may repeat
+    (DuplicateCameraFrame).  Needs no config, so a bundle writer can run it
+    before it writes anything.
     """
     problems = [e for e in (_frame_size_error(bundle),
                             _agent_length_error(bundle)) if e is not None]
+    problems += _camera_table_errors(bundle)
     if problems:
         head = problems[0]
         head.violations = [str(p) for p in problems]
@@ -234,23 +295,22 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
         problems.append(NonFiniteCoordinate(
             f"frame {f}: non-finite point coordinate at row {row}"))
 
-    for cam in bundle.cameras:
-        err = np.abs(cam.rotation.T @ cam.rotation - np.eye(3)).max()
-        if not np.isfinite(err) or err > 1e-6:
+    camera_errors = _camera_table_errors(bundle)
+    problems += camera_errors
+    for c in range(0 if camera_errors else bundle.camera_id.size):
+        i, f = bundle.camera_id[c].item(), bundle.camera_frame[c].item()
+        R = bundle.camera_rotation[c]
+        err = np.abs(R.T @ R - np.eye(3)).max()
+        if not err <= 1e-6:
             problems.append(BadRotation(
-                f"camera {cam.camera_id} frame {cam.frame_index}: "
-                f"rotation not orthonormal (|R^T R - I| = {err:.3g})"))
-        shape = cam.feature_map.shape
-        if len(shape) != 3 or 0 in shape[:2]:
-            problems.append(BundleValidationError(
-                f"camera {cam.camera_id} frame {cam.frame_index}: feature map "
-                f"must be a non-empty (H, W, D) array, got shape {shape}"))
-        elif not np.isfinite(cam.feature_map).all():
+                f"camera {i} frame {f}: rotation not orthonormal "
+                f"(|R^T R - I| = {err:.3g})"))
+        if not np.isfinite(bundle.feature_map(c)).all():
             problems.append(NonFiniteCoordinate(
-                f"camera {cam.camera_id} frame {cam.frame_index}: non-finite feature values"))
-        if not (0 <= cam.frame_index < config.T):
+                f"camera {i} frame {f}: non-finite feature values"))
+        if not (0 <= f < config.T):
             problems.append(FrameCountMismatch(
-                f"camera {cam.camera_id}: frame_index {cam.frame_index} outside [0, {config.T})"))
+                f"camera {i}: frame_index {f} outside [0, {config.T})"))
 
     track, frame, box = bundle.agent_track, bundle.agent_frame, bundle.agent_box
     table_error = _agent_length_error(bundle)

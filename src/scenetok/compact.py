@@ -3,7 +3,8 @@
 Each kind's points (agent, open-set, ground merged across frames) are
 uniformly subsampled to their point budget and gathered into one cloud with
 a (frame id, token id) index per point; per-element image features are
-pooled per frame.  The number of points per frame is variable; only the
+pooled per frame, reading each point's camera pixel straight from the
+bundle's pixel table.  The number of points per frame is variable; only the
 per-kind totals are fixed.
 """
 
@@ -32,18 +33,23 @@ def downsample(pool_size: int, budget: int, seed: int) -> np.ndarray:
 
 
 def build_tokenized_scene(P_xyz: np.ndarray, P_ind: np.ndarray,
-                          F_pts: np.ndarray, F_pts_valid: np.ndarray,
+                          features: np.ndarray, F_pts_valid: np.ndarray,
                           B: np.ndarray, elem_valid: np.ndarray,
                           kind: np.ndarray, source_id: np.ndarray,
-                          config: PipelineConfig) -> TokenizedScene:
+                          config: PipelineConfig,
+                          pixel: np.ndarray | None = None,
+                          pixel_weight: np.ndarray | None = None,
+                          ) -> TokenizedScene:
     """Assemble the compacted tensors from the downsampled points.
 
-    ``P_ind`` rows are (frame id, token id) and ``F_pts`` rows are aligned
-    with ``P_xyz``; the element table (``B``, ``elem_valid``, ``kind``,
+    ``P_ind`` rows are (frame id, token id), aligned with ``P_xyz``, and
+    each point reads its image feature from ``features`` through ``pixel``
+    and ``pixel_weight`` (see TokenizedScene; without ``pixel``, one row
+    per point).  The element table (``B``, ``elem_valid``, ``kind``,
     ``source_id``) has one row per token id.  Raises BudgetMismatch if any
     kind's points exceed its budget (totals only reach the configured N_pts
-    when every kind saturates its budget) or if ``F_pts`` is not
-    row-aligned.
+    when every kind saturates its budget) or if the per-point feature rows
+    or pixel ids are not aligned with the points.
     """
     counts = np.bincount(kind[P_ind[:, 1]], minlength=len(KIND_CODES))
     budgets = (config.n_pts_agent, config.n_pts_openset, config.n_pts_ground)
@@ -51,31 +57,38 @@ def build_tokenized_scene(P_xyz: np.ndarray, P_ind: np.ndarray,
         if counts[code] > budgets[code]:
             raise BudgetMismatch(f"{name} pool has {counts[code]} points, "
                                  f"budget is {budgets[code]}")
-    if F_pts.shape[0] != P_xyz.shape[0]:
-        raise BudgetMismatch(
-            f"F_pts has {F_pts.shape[0]} rows for {P_xyz.shape[0]} points")
+    rows = features.shape[0] if pixel is None else pixel.shape[0]
+    if rows != P_xyz.shape[0]:
+        raise BudgetMismatch(f"F_pts has {rows} rows for {P_xyz.shape[0]} points")
 
     return TokenizedScene(P_xyz=P_xyz, P_ind=np.asarray(P_ind, dtype=np.int64),
-                          F_pts=F_pts, F_pts_valid=F_pts_valid,
+                          features=features, F_pts_valid=F_pts_valid,
                           B=B, elem_valid=elem_valid, kind=kind,
-                          source_id=source_id)
+                          source_id=source_id, pixel=pixel,
+                          pixel_weight=pixel_weight)
 
 
-def pool_image_features(F_pts: np.ndarray, F_pts_valid: np.ndarray,
+def pool_image_features(features: np.ndarray, F_pts_valid: np.ndarray,
                         P_ind: np.ndarray, kinds: np.ndarray,
-                        n_elem: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+                        n_elem: int, T: int,
+                        pixel: np.ndarray | None = None,
+                        pixel_weight: np.ndarray | None = None,
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Mean image feature per (element, frame) cell.
 
-    Only points with a valid image feature contribute: their row indices
-    are the columns of the one-hot pooling matrix, so the valid rows of
-    ``F_pts`` are pooled without being copied out.  Empty cells are zero and
-    invalid.  Open-set elements are additionally averaged over their
-    non-empty frames and the result broadcast to every frame slot, matching
-    the store-once temporal pooling of dynamic elements.
+    Only points with a valid image feature contribute.  Each reads its row
+    of ``features`` through ``pixel`` and ``pixel_weight`` (see
+    TokenizedScene; without ``pixel``, row i is point i's), gathered chunk
+    by chunk inside ``segment_sum``, so no per-point feature table is made.
+    Empty cells are zero and invalid.  Open-set elements are additionally
+    averaged over their non-empty frames and the result broadcast to every
+    frame slot, matching the store-once temporal pooling of dynamic
+    elements.
     """
-    D = F_pts.shape[1]
-    sums, counts, _ = segment_sum(F_pts, cell_index(P_ind, T), n_elem * T,
-                                  rows=np.flatnonzero(F_pts_valid))
+    D = features.shape[1]
+    sums, counts, _ = segment_sum(features, cell_index(P_ind, T), n_elem * T,
+                                  rows=np.flatnonzero(F_pts_valid),
+                                  pixel=pixel, weight=pixel_weight)
     F_img = np.zeros((n_elem * T, D))
     nonzero = counts > 0
     F_img[nonzero] = sums[nonzero] / counts[nonzero, None]

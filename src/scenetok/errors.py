@@ -31,6 +31,10 @@ class DuplicateTrackFrame(BundleValidationError):
     pass
 
 
+class DuplicateCameraFrame(BundleValidationError):
+    pass
+
+
 class FrameCountMismatch(BundleValidationError):
     pass
 

@@ -71,12 +71,14 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self) -> np.ndarray:
+    def array_header(self) -> tuple[tuple[int, ...], np.dtype]:
         code, ndim = self.unpack("<BB")
         if code not in _DTYPE_CODES:
             raise ShapeHeaderMismatch(f"{self.path}: unknown dtype code {code}")
-        shape = self.unpack(f"<{ndim}Q")
-        dtype = _DTYPE_CODES[code]
+        return self.unpack(f"<{ndim}Q"), _DTYPE_CODES[code]
+
+    def array(self) -> np.ndarray:
+        shape, dtype = self.array_header()
         nbytes = math.prod(shape) * dtype.itemsize  # Python ints: no wrap
         payload = self.take(nbytes)
         try:  # a zero dimension lets the others be any u64
@@ -139,6 +141,25 @@ def read_blob(path) -> np.ndarray:
         raise ShapeHeaderMismatch(
             f"{path}: {len(reader.data) - reader.pos} trailing bytes after payload")
     return array
+
+
+def read_blob_header(path) -> tuple[tuple[int, ...], np.dtype]:
+    """A blob's shape and dtype, read from its header alone.
+
+    Raises as ``read_blob`` does for a bad header, and ShapeHeaderMismatch
+    unless the file's size is the header plus the payload it declares.
+    """
+    with open(path, "rb") as fh:
+        # magic, kind, version, dtype code, ndim and at most 255 dimensions
+        reader = _Reader(fh.read(12 + 255 * 8), path)
+        size = os.fstat(fh.fileno()).st_size
+    _check_header(reader, KIND_BLOB)
+    shape, dtype = reader.array_header()
+    payload = math.prod(shape) * dtype.itemsize
+    if reader.pos + payload != size:
+        raise ShapeHeaderMismatch(f"{path}: header declares {payload} payload "
+                                  f"bytes, file has {size - reader.pos}")
+    return shape, dtype
 
 
 def write_tensor_file(path, tensors: dict[str, np.ndarray],

@@ -201,17 +201,18 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     timings["compact"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    F_pts, F_pts_valid = projection.build_point_features(
-        P_xyz, P_ind[:, 0], bundle.cameras, config.D,
+    table, pixel, weight, seen = projection.build_point_features(
+        P_xyz, P_ind[:, 0], bundle, config.D,
         interp=config.feature_interp, overlap=config.camera_overlap)
     timings["project"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scene = compact.build_tokenized_scene(P_xyz, P_ind, F_pts, F_pts_valid,
-                                          B, elem_valid, kind, source_id,
-                                          config)
+    scene = compact.build_tokenized_scene(P_xyz, P_ind, table, seen, B,
+                                          elem_valid, kind, source_id, config,
+                                          pixel=pixel, pixel_weight=weight)
     F_img, F_img_valid = compact.pool_image_features(
-        scene.F_pts, scene.F_pts_valid, scene.P_ind, kind, scene.n_elem, T)
+        scene.features, scene.F_pts_valid, scene.P_ind, kind, scene.n_elem, T,
+        pixel=scene.pixel, pixel_weight=scene.pixel_weight)
     timings["compact"] += time.perf_counter() - t0
 
     tokens = None

@@ -1,7 +1,10 @@
 """Segment pooling: group per-point features by (token id, frame id) cells.
 
 All pooling is one sparse one-hot matrix ``M`` (cells x points): the
-forward reduction is ``M @ X`` and its adjoint is ``M.T @ g``.
+forward reduction is ``M @ X`` and its adjoint is ``M.T @ g``.  A point's
+row of ``X`` may be read through a pixel id into a shared table instead
+(``gather_rows``), so image features are pooled straight from the camera
+pixel table and no per-point copy of them is made.
 """
 
 from __future__ import annotations
@@ -20,35 +23,82 @@ def cell_index(P_ind: np.ndarray, T: int) -> np.ndarray:
     return P_ind[:, 1] * T + P_ind[:, 0]
 
 
-def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
-                rows: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, sparse.csr_array]:
-    """Sum rows of ``values`` (N, D) into ``n_cells`` buckets.
+def gather_rows(values: np.ndarray, points: np.ndarray,
+                pixel: np.ndarray | None = None,
+                weight: np.ndarray | None = None) -> np.ndarray:
+    """The rows of ``values`` that the listed points read.
 
-    ``cell`` (N,) gives each row's bucket.  ``rows``, if given, lists the
-    rows that take part; only those rows are read.
+    Without ``pixel``, point i reads row i.  With ``pixel`` (N,), it reads
+    row ``pixel[i]``, in ``values``' dtype; with ``pixel`` and ``weight``
+    (N, K), the float64 weighted mean of its K rows ``pixel[i]``: the
+    products ``row * weight`` added in column order, then divided by the
+    point's weight sum.
+    """
+    rows = np.take(values, points if pixel is None else pixel[points], axis=0)
+    if weight is None:
+        return rows
+    w = weight[points]
+    out = rows[:, 0] * w[:, :1]
+    for k in range(1, w.shape[1]):
+        out += rows[:, k] * w[:, k:k + 1]
+    return out / w.sum(axis=1, keepdims=True)
+
+
+def point_features(values: np.ndarray, valid: np.ndarray,
+                   pixel: np.ndarray | None = None,
+                   weight: np.ndarray | None = None) -> np.ndarray:
+    """(N, D) per-point rows (``gather_rows``) in ``values``' dtype, at least
+    float32; rows whose ``valid`` is false are zero.  Blends are rounded
+    once to that dtype.  Gathers in chunks of about ``_POOL_BUFFER``
+    values."""
+    out = np.zeros((valid.shape[0], values.shape[1]),
+                   dtype=np.result_type(np.float32, values.dtype))
+    rows = np.flatnonzero(valid)
+    step = max(1, _POOL_BUFFER // max(values.shape[1] * _width(weight), 1))
+    for a in range(0, rows.size, step):
+        out[rows[a:a + step]] = gather_rows(values, rows[a:a + step], pixel,
+                                            weight)
+    return out
+
+
+def _width(weight: np.ndarray | None) -> int:
+    return 1 if weight is None else weight.shape[1]
+
+
+def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
+                rows: np.ndarray | None = None,
+                pixel: np.ndarray | None = None,
+                weight: np.ndarray | None = None,
+                ) -> tuple[np.ndarray, np.ndarray, sparse.csr_array]:
+    """Sum each point's row of ``values`` into ``n_cells`` buckets.
+
+    ``cell`` (N,) gives each point's bucket.  ``rows``, if given, lists the
+    points that take part.  A point's row is read by ``gather_rows``: row i
+    of ``values`` (N, D) for point i, or through ``pixel`` and ``weight``
+    from a shared table.
 
     Returns (sums (n_cells, D) float64, counts (n_cells,), M), where ``M`` is
-    the one-hot (n_cells, N) CSR matrix with ``sums = M @ values``.  ``M``
-    holds int8 ones and int32 indices, so the fusion cache that keeps it for
-    the backward pass stays small.
+    the one-hot (n_cells, N) CSR matrix of points, ``sums = M @ X`` for the
+    (N, D) rows ``X`` the points read.  ``M`` holds int8 ones and int32
+    indices, so the fusion cache that keeps it for the backward pass stays
+    small.
 
     Sums accumulate in float64 whatever the input dtype.  ``M``'s rows are
     walked in chunks of whole cells of about ``_POOL_BUFFER`` values: each
     chunk's points are gathered, widened to float64 and reduced by the
     chunk's slice of ``M``.  Each sum adds its points one at a time in
-    ascending row order, starting from 0.0: a sum equals a sequential
+    ascending point order, starting from 0.0: a sum equals a sequential
     float64 scatter-add in index order.
     """
     cell = np.asarray(cell, dtype=np.int32)
     rows = (np.arange(cell.shape[0], dtype=np.int32) if rows is None
             else np.asarray(rows, dtype=np.int32))
     M = sparse.csr_array((np.ones(rows.shape[0], dtype=np.int8), (cell[rows], rows)),
-                         shape=(n_cells, values.shape[0]))
+                         shape=(n_cells, cell.shape[0]))
     D = values.shape[1]
     sums = np.zeros((n_cells, D), dtype=np.float64)
     indptr = M.indptr
-    step = max(1, _POOL_BUFFER // max(D, 1))
+    step = max(1, _POOL_BUFFER // max(D * _width(weight), 1))
     c0 = 0
     while c0 < n_cells:
         a = int(indptr[c0])
@@ -59,7 +109,7 @@ def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
             local = sparse.csr_array(
                 (M.data[a:b], np.arange(b - a, dtype=np.int32), indptr[c0:c1 + 1] - a),
                 shape=(c1 - c0, b - a))
-            chunk = np.take(values, M.indices[a:b], axis=0)
+            chunk = gather_rows(values, M.indices[a:b], pixel, weight)
             sums[c0:c1] = local @ chunk.astype(np.float64, copy=False)
         c0 = c1
     return sums, np.diff(indptr).astype(np.int64), M

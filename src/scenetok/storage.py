@@ -15,7 +15,6 @@ import numpy as np
 
 from .bundle import (
     KIND_NAMES,
-    CameraFrame,
     SceneBundle,
     SceneTokens,
     check_tables,
@@ -36,6 +35,7 @@ from .formats import (
     KIND_PARAMS,
     _replace_on_success,
     read_blob,
+    read_blob_header,
     read_tensor_file,
     write_blob,
     write_tensor_file,
@@ -57,11 +57,13 @@ def _camera_blob(camera_id: int, frame_index: int) -> str:
 def write_scene_bundle(path, bundle: SceneBundle) -> None:
     """Write one scene as a directory of manifest + blobs.
 
-    The point and agent tables are checked and the manifest is serialised
-    before the first blob is written, so a ``frame_size`` that does not
-    split the points, agent columns of unequal length
-    (BundleValidationError) or a field that JSON cannot hold
-    (BadManifestField) leave the directory as it was.
+    The point, agent and camera tables are checked and the manifest is
+    serialised before the first blob is written, so a ``frame_size`` that
+    does not split the points, agent or camera columns of unequal length, a
+    pixel table that does not hold the camera maps, two maps of one
+    (camera, frame) pair (BundleValidationError) or a field that JSON cannot
+    hold (BadManifestField) leave the directory as it was.  Each camera map
+    is written in the pixel table's dtype.
     """
     check_tables(bundle)
     root = Path(path)
@@ -71,14 +73,19 @@ def write_scene_bundle(path, bundle: SceneBundle) -> None:
         "frames": [{"frame_index": f, "points": _frame_blob(f)}
                    for f in range(bundle.frame_size.size)],
         "cameras": [{
-            "camera_id": cam.camera_id,
-            "frame_index": cam.frame_index,
-            "feature_map": _camera_blob(cam.camera_id, cam.frame_index),
-            "fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy,
-            "rotation": cam.rotation.tolist(),
-            "translation": cam.translation.tolist(),
-            "valid": bool(cam.valid),
-        } for cam in bundle.cameras],
+            "camera_id": camera_id,
+            "frame_index": frame,
+            "feature_map": _camera_blob(camera_id, frame),
+            "fx": fx, "fy": fy, "cx": cx, "cy": cy,
+            "rotation": rotation,
+            "translation": translation,
+            "valid": valid,
+        } for camera_id, frame, (fx, fy, cx, cy), rotation, translation, valid
+            in zip(bundle.camera_id.tolist(), bundle.camera_frame.tolist(),
+                   bundle.camera_intrinsics.tolist(),
+                   bundle.camera_rotation.tolist(),
+                   bundle.camera_translation.tolist(),
+                   bundle.camera_valid.tolist())],
         "agents": [{
             "track_id": track,
             "frame_index": frame,
@@ -99,8 +106,8 @@ def write_scene_bundle(path, bundle: SceneBundle) -> None:
         frames = np.split(bundle.points, np.cumsum(bundle.frame_size)[:-1])
         for points, entry in zip(frames, manifest["frames"]):
             write_blob(root / entry["points"], points.astype("<f8"))
-        for cam, entry in zip(bundle.cameras, manifest["cameras"]):
-            write_blob(root / entry["feature_map"], cam.feature_map)
+        for c, entry in enumerate(manifest["cameras"]):
+            write_blob(root / entry["feature_map"], bundle.feature_map(c))
         with _replace_on_success(root / MANIFEST_NAME) as fh:
             fh.write(text.encode())
     except OSError as exc:
@@ -162,30 +169,33 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
     """Read a bundle directory; validates invariants when a config is given.
 
     Frames must be numbered 0..T-1, in any order (FrameCountMismatch), point
-    blobs (N, 3) and feature maps 3-D (ShapeHeaderMismatch)."""
+    blobs (N, 3) and feature maps 3-D with one channel count D
+    (ShapeHeaderMismatch).  The feature maps are read into one pixel table
+    of their common dtype, map by map, so the table is held once."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
         raise ManifestMissingEntry(f"no {MANIFEST_NAME} in {root}")
     manifest = _load_json(manifest_path)
 
-    def blob(name: str, ok, want: str) -> np.ndarray:
-        blob_path = root / name
-        if not blob_path.exists():
-            raise ManifestMissingEntry(f"manifest references absent file {blob_path}")
-        array = read_blob(blob_path)
-        if not ok(array.shape):
-            raise ShapeHeaderMismatch(f"{blob_path}: must be {want}, got "
-                                      f"shape {array.shape}")
-        return array
+    def blob_path(name: str) -> Path:
+        blob = root / name
+        if not blob.exists():
+            raise ManifestMissingEntry(f"manifest references absent file {blob}")
+        return blob
+
+    def check_shape(blob: Path, shape: tuple, ok: bool, want: str) -> None:
+        if not ok:
+            raise ShapeHeaderMismatch(f"{blob}: must be {want}, got shape {shape}")
 
     frames = []
     for entry in _manifest_get(manifest, "frames", str(manifest_path)):
-        frames.append((
-            _manifest_get(entry, "frame_index", "frame entry"),
-            blob(_manifest_get(entry, "points", "frame entry"),
-                 lambda shape: len(shape) == 2 and shape[1] == 3,
-                 "(N, 3) points")))
+        index = _manifest_get(entry, "frame_index", "frame entry")
+        blob = blob_path(_manifest_get(entry, "points", "frame entry"))
+        points = read_blob(blob)
+        check_shape(blob, points.shape,
+                    points.ndim == 2 and points.shape[1] == 3, "(N, 3) points")
+        frames.append((index, points))
     frames.sort(key=lambda frame: frame[0])
     for pos, (index, _) in enumerate(frames):
         if index != pos:
@@ -193,21 +203,39 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
                 f"frame at position {pos} has frame_index {index}; "
                 "frames must be time-ordered 0..T-1")
 
-    cameras = []
-    for entry in _manifest_get(manifest, "cameras", str(manifest_path)):
-        cameras.append(CameraFrame(
-            camera_id=_manifest_get(entry, "camera_id", "camera entry"),
-            frame_index=_manifest_get(entry, "frame_index", "camera entry"),
-            feature_map=blob(_manifest_get(entry, "feature_map", "camera entry"),
-                             lambda shape: len(shape) == 3,
-                             "an (H, W, D) feature map"),
-            fx=_manifest_get(entry, "fx", "camera entry", 1.0),
-            fy=_manifest_get(entry, "fy", "camera entry", 1.0),
-            cx=_manifest_get(entry, "cx", "camera entry", 0.0),
-            cy=_manifest_get(entry, "cy", "camera entry", 0.0),
-            rotation=_manifest_get(entry, "rotation", "camera entry"),
-            translation=_manifest_get(entry, "translation", "camera entry"),
-            valid=_manifest_get(entry, "valid", "camera entry", True)))
+    entries = _manifest_get(manifest, "cameras", str(manifest_path))
+
+    def camera(key: str, default=None) -> list:
+        return [_manifest_get(entry, key, "camera entry", default)
+                for entry in entries]
+
+    # Every map's header is read first, so the pixel table is allocated
+    # once and filled map by map.
+    blobs, shapes, dtypes = [], [], []
+    for name in camera("feature_map"):
+        blob = blob_path(name)
+        shape, dtype = read_blob_header(blob)
+        check_shape(blob, shape, len(shape) == 3, "an (H, W, D) feature map")
+        if shapes and shape[2] != shapes[0][2]:
+            raise ShapeHeaderMismatch(
+                f"{blob}: feature map has D={shape[2]}, but {blobs[0]} has "
+                f"D={shapes[0][2]}; the maps must share one D")
+        blobs.append(blob)
+        shapes.append(shape)
+        dtypes.append(dtype)
+    n_pixels = [h * w for h, w, _ in shapes]
+    try:
+        table = np.empty((sum(n_pixels), shapes[0][2] if shapes else 0),
+                         dtype=np.result_type(*dtypes) if dtypes else np.float64)
+    except ValueError as exc:
+        raise ShapeHeaderMismatch(f"{root}: feature maps too large ({exc})") from exc
+    base = 0
+    for blob, shape, n in zip(blobs, shapes, n_pixels):
+        feature_map = read_blob(blob)
+        if feature_map.shape != shape:
+            raise ShapeHeaderMismatch(f"{blob}: changed while being read")
+        table[base:base + n] = feature_map.reshape(n, shape[2])
+        base += n
 
     agents = _manifest_get(manifest, "agents", str(manifest_path))
 
@@ -220,14 +248,24 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
             points=np.concatenate([np.empty((0, 3))]
                                   + [points for _, points in frames]),
             frame_size=[points.shape[0] for _, points in frames],
-            cameras=cameras, agent_track=column("track_id"),
+            agent_track=column("track_id"),
             agent_frame=column("frame_index"),
             agent_box=np.column_stack([column("center"), column("size"),
                                        column("heading")]),
-            agent_label=column("label", ""))
+            agent_label=column("label", ""),
+            camera_id=camera("camera_id"),
+            camera_frame=camera("frame_index"),
+            camera_intrinsics=np.column_stack(
+                [camera("fx", 1.0), camera("fy", 1.0), camera("cx", 0.0),
+                 camera("cy", 0.0)]),
+            camera_rotation=camera("rotation"),
+            camera_translation=camera("translation"),
+            camera_valid=camera("valid", True),
+            camera_size=[shape[:2] for shape in shapes],
+            pixel_features=table)
     except OverflowError as exc:  # a JSON number beyond int64 or float64
-        raise BadManifestField(f"{manifest_path}: agent entry value out of "
-                               f"range ({exc})") from exc
+        raise BadManifestField(f"{manifest_path}: camera or agent entry value "
+                               f"out of range ({exc})") from exc
     if config is not None:
         validate_bundle(bundle, config)
     return bundle

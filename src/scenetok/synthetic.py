@@ -10,16 +10,13 @@ showing label L from camera k is one_hot(L) * (k + 1).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import (
-    CameraFrame,
-    SceneBundle,
-    normalize_heading,
-)
+from .bundle import SceneBundle, normalize_heading
 from .decompose import LABEL_AGENT, LABEL_GROUND, LABEL_OPENSET, PointPartition
 from .errors import InvalidInput
 
@@ -128,9 +125,9 @@ def _camera_pose(yaw: float, center: np.ndarray):
     return R, t
 
 
-def _render_feature_map(points, labels, R, t, fx, fy, cx, cy, res, D, camera_id):
-    """Z-buffered label splat: each cell takes the nearest point's label."""
-    fm = np.zeros((res, res, D), dtype=np.float32)
+def _render_feature_map(fm, points, labels, R, t, fx, fy, cx, cy, res, camera_id):
+    """Z-buffered label splat into the zeroed (res * res, D) pixel rows
+    ``fm``: each cell takes the nearest point's label."""
     p_cam = points @ R.T + t
     z = p_cam[:, 2]
     front = z > 1e-6
@@ -145,8 +142,7 @@ def _render_feature_map(points, labels, R, t, fx, fy, cx, cy, res, D, camera_id)
     order = np.argsort(depth, kind="stable")
     _, first = np.unique(cell[order], return_index=True)
     winner = order[first]  # nearest point per occupied cell
-    fm.reshape(res * res, D)[cell[winner], lab[winner]] = float(camera_id + 1)
-    return fm
+    fm[cell[winner], lab[winner]] = float(camera_id + 1)
 
 
 def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
@@ -214,27 +210,34 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
         agent_track.append(np.repeat(np.array(track, dtype=np.int64), sizes))
         cluster_id.append(np.repeat(np.array(cluster, dtype=np.int64), sizes))
 
-    cameras = []
+    # Camera k's map of frame f is camera row k * T + f.
+    n_cams = spec.cameras * spec.T
     cam_center = np.array([area / 2.0, area / 2.0, 1.8])
     res = spec.feature_res
     fx = fy = res / 2.0
     cx = cy = res / 2.0
-    for k in range(spec.cameras):
-        yaw = 2.0 * math.pi * k / max(spec.cameras, 1)
-        R, t = _camera_pose(yaw, cam_center)
-        for f in range(spec.T):
-            fm = _render_feature_map(frame_points[f], labels[f],
-                                     R, t, fx, fy, cx, cy, res, spec.D, k)
-            cameras.append(CameraFrame(camera_id=k, frame_index=f,
-                                       feature_map=fm, fx=fx, fy=fy,
-                                       cx=cx, cy=cy, rotation=R,
-                                       translation=t))
+    poses = [_camera_pose(2.0 * math.pi * k / spec.cameras, cam_center)
+             for k in range(spec.cameras)]
+    pixels = np.zeros((n_cams * res * res, spec.D), dtype=np.float32)
+    for c, fm in enumerate(pixels.reshape(n_cams, res * res, spec.D)):
+        k, f = divmod(c, spec.T)
+        _render_feature_map(fm, frame_points[f], labels[f], *poses[k],
+                            fx, fy, cx, cy, res, k)
 
     bundle = SceneBundle(points=np.concatenate(frame_points),
                          frame_size=[len(points) for points in frame_points],
-                         cameras=cameras, agent_track=box_track,
-                         agent_frame=box_frame, agent_box=box_rows,
-                         agent_label=["vehicle"] * len(box_track))
+                         agent_track=box_track, agent_frame=box_frame,
+                         agent_box=box_rows,
+                         agent_label=["vehicle"] * len(box_track),
+                         camera_id=np.repeat(np.arange(spec.cameras), spec.T),
+                         camera_frame=np.tile(np.arange(spec.T), spec.cameras),
+                         camera_intrinsics=[[fx, fy, cx, cy]] * n_cams,
+                         camera_rotation=[R for R, _ in poses for _ in range(spec.T)],
+                         camera_translation=[t for _, t in poses
+                                             for _ in range(spec.T)],
+                         camera_valid=np.ones(n_cams, dtype=bool),
+                         camera_size=[[res, res]] * n_cams,
+                         pixel_features=pixels)
     truth = PointPartition(labels=labels, agent_track=agent_track,
                            cluster_id=cluster_id)
     return SyntheticScene(bundle=bundle, truth=truth, spec=spec,
@@ -259,9 +262,7 @@ def drop_agents(bundle: SceneBundle, ratio: float, seed: int) -> tuple[SceneBund
     rng = np.random.default_rng(seed)
     dropped = sorted(rng.choice(track_ids, size=n_drop, replace=False).tolist())
     keep = ~np.isin(bundle.agent_track, dropped)
-    return SceneBundle(points=bundle.points, frame_size=bundle.frame_size,
-                       cameras=bundle.cameras,
-                       agent_track=bundle.agent_track[keep],
-                       agent_frame=bundle.agent_frame[keep],
-                       agent_box=bundle.agent_box[keep],
-                       agent_label=bundle.agent_label[keep]), dropped
+    return dataclasses.replace(
+        bundle, agent_track=bundle.agent_track[keep],
+        agent_frame=bundle.agent_frame[keep], agent_box=bundle.agent_box[keep],
+        agent_label=bundle.agent_label[keep]), dropped

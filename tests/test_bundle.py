@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from camera_helpers import camera_bundle
+
 from scenetok import PipelineConfig, SceneBundle, validate_bundle
-from scenetok.bundle import CameraFrame, check_bundle, normalize_heading
+from scenetok.bundle import check_bundle, check_tables, normalize_heading
 from scenetok.errors import (
     BadRotation,
     BundleValidationError,
+    DuplicateCameraFrame,
     DuplicateTrackFrame,
     FrameCountMismatch,
     NonFiniteCoordinate,
@@ -31,14 +34,11 @@ def test_empty_bundle_frame_count_mismatch():
 
 def test_clean_bundle_accepted():
     config = PipelineConfig(T=3)
-    cam = CameraFrame(camera_id=0, frame_index=0,
-                      feature_map=np.zeros((4, 4, 256)),
-                      fx=1, fy=1, cx=2, cy=2,
-                      rotation=np.eye(3), translation=np.zeros(3))
-    bundle = SceneBundle(**_frames(3), cameras=[cam],
-                         agent_track=[0], agent_frame=[0],
-                         agent_box=[[0, 0, 0, 1, 1, 1, 0.5]],
-                         agent_label=[""])
+    bundle = camera_bundle([np.zeros((4, 4, 256))],
+                           intrinsics=[[1, 1, 2, 2]], **_frames(3),
+                           agent_track=[0], agent_frame=[0],
+                           agent_box=[[0, 0, 0, 1, 1, 1, 0.5]],
+                           agent_label=[""])
     assert validate_bundle(bundle, config) is bundle
 
 
@@ -60,12 +60,10 @@ def test_nan_point_names_frame_and_row():
 
 def test_bad_rotation_rejected():
     config = PipelineConfig(T=1)
-    cam = CameraFrame(camera_id=0, frame_index=0,
-                      feature_map=np.zeros((2, 2, 256)),
-                      fx=1, fy=1, cx=1, cy=1,
-                      rotation=np.eye(3) * 1.5, translation=np.zeros(3))
+    bundle = camera_bundle([np.zeros((2, 2, 256))], rotation=[np.eye(3) * 1.5],
+                           **_frames(1))
     with pytest.raises(BadRotation):
-        validate_bundle(SceneBundle(**_frames(1), cameras=[cam]), config)
+        validate_bundle(bundle, config)
 
 
 def test_duplicate_track_frame_rejected():
@@ -217,12 +215,10 @@ def test_frame_sizes_that_do_not_split_the_points(frame_size, message):
     """One violation, and no per-frame, camera or agent check after it."""
     frames = _frames(2)
     frames["points"][0, 0] = np.nan
-    cam = CameraFrame(camera_id=0, frame_index=5,
-                      feature_map=np.zeros((2, 2, 4)), fx=1, fy=1, cx=1, cy=1,
-                      rotation=np.eye(3), translation=np.zeros(3))
-    bundle = SceneBundle(points=frames["points"], frame_size=frame_size,
-                         cameras=[cam], agent_track=[0], agent_frame=[9],
-                         agent_box=[[0, 0, 0, 1, 1, 1, 0.0]])
+    bundle = camera_bundle([np.zeros((2, 2, 4))], frame_index=[5],
+                           points=frames["points"], frame_size=frame_size,
+                           agent_track=[0], agent_frame=[9],
+                           agent_box=[[0, 0, 0, 1, 1, 1, 0.0]])
     with pytest.raises(BundleValidationError) as exc:
         validate_bundle(bundle, PipelineConfig(T=2))
     assert type(exc.value) is BundleValidationError
@@ -232,12 +228,76 @@ def test_frame_sizes_that_do_not_split_the_points(frame_size, message):
 @pytest.mark.parametrize("shape", [(16,), (4, 4), (2, 2, 2, 4), (0, 4, 4),
                                    (4, 0, 4)])
 def test_empty_or_not_3d_feature_map_is_a_validation_error(shape):
-    cam = CameraFrame(camera_id=1, frame_index=0,
-                      feature_map=np.zeros(shape), fx=1, fy=1, cx=1, cy=1,
-                      rotation=np.eye(3), translation=np.zeros(3))
+    """A pixel table that does not hold a 4 x 4 camera's (16, D) pixels."""
+    bundle = camera_bundle([np.zeros((4, 4, 4))], camera_id=[1], **_frames(1))
+    bundle.pixel_features = np.zeros(shape)
     with pytest.raises(BundleValidationError) as exc:
-        validate_bundle(SceneBundle(**_frames(1), cameras=[cam]),
-                        PipelineConfig(T=1))
+        validate_bundle(bundle, PipelineConfig(T=1))
     assert exc.value.violations == [
+        f"pixel table must be (16, D) for the cameras' 16 pixels, got shape "
+        f"{shape}"]
+
+
+@pytest.mark.parametrize("size, D", [((0, 4), 4), ((4, 0), 4), ((-1, -4), 4),
+                                     ((4, 4), 0)])
+def test_empty_feature_map_is_a_validation_error(size, D):
+    pixels = max(size[0] * size[1], 0)
+    bundle = SceneBundle(**_frames(1), camera_id=[1], camera_frame=[0],
+                         camera_intrinsics=[[1, 1, 0, 0]],
+                         camera_rotation=[np.eye(3)],
+                         camera_translation=[[0, 0, 0]], camera_valid=[True],
+                         camera_size=[size], pixel_features=np.zeros((pixels, D)))
+    with pytest.raises(BundleValidationError) as exc:
+        validate_bundle(bundle, PipelineConfig(T=1))
+    assert exc.value.violations[0] == (
         f"camera 1 frame 0: feature map must be a non-empty (H, W, D) array, "
-        f"got shape {shape}"]
+        f"got shape {(*size, D)}")
+
+
+def test_camera_columns_of_unequal_length_rejected():
+    bundle = camera_bundle([np.zeros((2, 2, 4))] * 2, **_frames(1))
+    bundle.camera_valid = np.ones(3, dtype=bool)
+    for check in (check_tables, lambda b: validate_bundle(b, PipelineConfig(T=1))):
+        with pytest.raises(BundleValidationError) as exc:
+            check(bundle)
+        assert exc.value.violations == [
+            "camera columns id, frame, intrinsics, rotation, translation, "
+            "valid, size differ in length: (2, 2, 2, 2, 2, 3, 2)"]
+
+
+def test_duplicate_camera_frame_rejected():
+    """Two maps of one (camera, frame) pair would be written to one blob;
+    both table checks name the repeat."""
+    bundle = camera_bundle([np.zeros((2, 2, 4)), np.ones((2, 2, 4)),
+                            np.zeros((3, 3, 4))], camera_id=[0, 1, 0],
+                           frame_index=[1, 1, 1], **_frames(2))
+    message = "camera 0 appears twice in frame 1"
+    with pytest.raises(DuplicateCameraFrame) as exc:
+        check_tables(bundle)
+    assert exc.value.violations == [message]
+    problems = check_bundle(bundle, PipelineConfig(T=2))
+    assert [(type(p), str(p)) for p in problems] == [
+        (DuplicateCameraFrame, message)]
+    with pytest.raises(DuplicateCameraFrame):
+        validate_bundle(bundle, PipelineConfig(T=2))
+
+
+def test_camera_checks_report_each_camera_in_order():
+    maps = [np.zeros((2, 3, 2)) for _ in range(4)]
+    maps[1][1, 2, 0] = np.nan
+    maps[2][0, 0, 1] = -np.inf
+    bundle = camera_bundle(maps, camera_id=[0, 1, 2, 3],
+                           frame_index=[0, 3, 1, -1],
+                           rotation=[np.eye(3), np.eye(3) * 2, np.eye(3),
+                                     np.full((3, 3), np.nan)],
+                           **_frames(3))
+    problems = check_bundle(bundle, PipelineConfig(T=3))
+    assert [(type(p), str(p)) for p in problems] == [
+        (BadRotation, "camera 1 frame 3: rotation not orthonormal "
+                      "(|R^T R - I| = 3)"),
+        (NonFiniteCoordinate, "camera 1 frame 3: non-finite feature values"),
+        (FrameCountMismatch, "camera 1: frame_index 3 outside [0, 3)"),
+        (NonFiniteCoordinate, "camera 2 frame 1: non-finite feature values"),
+        (BadRotation, "camera 3 frame -1: rotation not orthonormal "
+                      "(|R^T R - I| = nan)"),
+        (FrameCountMismatch, "camera 3: frame_index -1 outside [0, 3)")]

@@ -101,6 +101,23 @@ def test_corrupted_bundle_exits_1_with_diagnostic(workdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_duplicate_camera_entry_exits_1(workdir, capsys):
+    # a hand-edited manifest naming camera 0's frame-1 map twice
+    scene_dir = workdir / "scene"
+    cli_main(["synth", "--seed", "4", "--spec", str(workdir / "spec.json"),
+              "--out", str(scene_dir)])
+    path = scene_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["cameras"].append(dict(manifest["cameras"][1]))
+    path.write_text(json.dumps(manifest))
+    code = cli_main(["tokenize", "--scene", str(scene_dir), "--config",
+                     str(workdir / "config.json"),
+                     "--out", str(workdir / "x.tokens")])
+    assert code == 1
+    assert "camera 0 appears twice in frame 1" in capsys.readouterr().err
+    assert not (workdir / "x.tokens").exists()
+
+
 def test_missing_scene_exits_2(workdir, capsys):
     code = cli_main(["tokenize", "--scene", str(workdir / "nope"),
                      "--out", str(workdir / "x.tokens")])

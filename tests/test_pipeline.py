@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -349,7 +351,9 @@ def compact_reference(bundle, config):
     is tiled under its budget by the ``np.unique`` reference, and elements
     are grouped and given token ids one by one.
     """
-    from scenetok import decompose, ground, projection, tracking
+    from camera_helpers import build_point_features_reference
+
+    from scenetok import decompose, ground, tracking
     from scenetok.bundle import SceneElement
     from scenetok.compact import downsample
     from test_decompose import fit_tight_box_reference
@@ -452,8 +456,8 @@ def compact_reference(bundle, config):
     P_xyz = np.concatenate([p[0] for p in parts], axis=0)
     P_ind = np.stack([np.concatenate([p[1] for p in parts]),
                       np.concatenate([p[2] for p in parts])], axis=1)
-    F_pts, _ = projection.build_point_features(
-        P_xyz, P_ind[:, 0], bundle.cameras, config.D,
+    F_pts, _ = build_point_features_reference(
+        P_xyz, P_ind[:, 0], bundle, config.D,
         interp=config.feature_interp, overlap=config.camera_overlap)
     return P_xyz, P_ind, F_pts, labels, elements
 
@@ -519,3 +523,26 @@ def test_compaction_matches_per_frame_reference(case, small_scene,
             want.token_id, want.kind, want.source_id)
         np.testing.assert_array_equal(got.boxes, want.boxes)
         np.testing.assert_array_equal(got.frame_valid, want.frame_valid)
+
+
+def test_full_size_tokenize_builds_no_point_feature_table():
+    """Image features are pooled from the camera pixel table, so tokenizing
+    the full-size scene (65 536 points, D = 256) never holds an (N_pts, D)
+    table: one in float32 alone is 64 MB.  The tracemalloc peak of
+    ``tokenize_bundle`` without fusion measured 30.9 MB here; the build
+    that made one feature row per point peaked at 94.4 MB."""
+    spec = SceneSpec(n_agents=16, n_clutter=60, T=11, area_m=160.0,
+                     cameras=2, D=256, ground_points_per_frame=3200,
+                     agent_points=60, clutter_points=40, min_separation_m=6.0,
+                     feature_res=32)
+    bundle, config = generate_scene(100, spec).bundle, PipelineConfig()
+    tokenize_bundle(bundle, config)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        result = tokenize_bundle(bundle, config)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert result.scene.n_pts * config.D * 4 / 2**20 == 64.0
+    assert result.F_img_valid.any()
+    assert peak_mb < 40.0

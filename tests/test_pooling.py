@@ -132,3 +132,53 @@ class TestChunkedSegmentSum:
         finally:
             tracemalloc.stop()
         assert peak - sums.nbytes < n * d * 8 / 4
+
+
+class TestPixelGather:
+    """Rows read through pixel ids sum as the per-point rows they name."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pooling_cases(), hs.integers(1, 24), hs.data())
+    def test_pixel_ids_match_add_at_on_gathered_rows(self, case, buffer, data):
+        table, _, n_cells, _ = case
+        if table.shape[0] == 0:
+            return
+        n = data.draw(hs.integers(0, 30))
+        pixel = data.draw(hnp.arrays(np.int64, n, elements=hs.integers(
+            0, table.shape[0] - 1)))
+        cell = data.draw(hnp.arrays(np.int64, n, elements=hs.integers(
+            0, n_cells - 1)))
+        keep = data.draw(hnp.arrays(bool, n, elements=hs.booleans()))
+        rows = data.draw(hs.sampled_from([None, np.flatnonzero(keep)]))
+        with mock.patch.object(pooling, "_POOL_BUFFER", buffer):
+            sums, counts, M = segment_sum(table, cell, n_cells, rows=rows,
+                                          pixel=pixel)
+        ref_sums, ref_counts = add_at_reference(table[pixel], cell, n_cells,
+                                                rows)
+        assert_same_sums(sums, ref_sums)
+        np.testing.assert_array_equal(counts, ref_counts)
+        assert M.shape == (n_cells, n)
+
+    @pytest.mark.parametrize("buffer", [1, 5, 1 << 19])
+    def test_weighted_rows_are_weighted_means_in_point_order(self, buffer):
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(10, 2)).astype(np.float32)
+        pixel = rng.integers(0, 10, (12, 3))
+        weight = rng.uniform(0.0, 1.0, (12, 3))
+        weight[::4, 2] = 0.0  # an unused third entry
+        cell = rng.integers(0, 4, 12)
+        want = np.zeros((12, 2))
+        for i in range(12):
+            for k in range(3):
+                want[i] += table[pixel[i, k]] * weight[i, k]
+            want[i] /= weight[i].sum()
+        with mock.patch.object(pooling, "_POOL_BUFFER", buffer):
+            sums, counts, _ = segment_sum(table, cell, 4, pixel=pixel,
+                                          weight=weight)
+            features = pooling.point_features(table, cell != 3, pixel, weight)
+        ref_sums, ref_counts = add_at_reference(want, cell, 4, None)
+        assert_same_sums(sums, ref_sums)
+        np.testing.assert_array_equal(counts, ref_counts)
+        assert features.dtype == np.float32
+        np.testing.assert_array_equal(
+            features, np.where((cell != 3)[:, None], want, 0.0).astype(np.float32))

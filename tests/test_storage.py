@@ -23,11 +23,14 @@ from scenetok import (
     write_scene_bundle,
     write_tokens,
 )
+from camera_helpers import camera_bundle
+
 from scenetok.bundle import KIND_CODES, SceneElement, SceneTokens
 from scenetok.errors import (
     BadMagic,
     BadManifestField,
     BundleValidationError,
+    DuplicateCameraFrame,
     FrameCountMismatch,
     ManifestMissingEntry,
     SceneTokError,
@@ -211,6 +214,29 @@ class TestAtomicWrites:
         assert len(info.value.violations) == 2
         assert not (tmp_path / "scene").exists()
 
+    def test_duplicate_camera_frame_keeps_old_bundle(self, tmp_path,
+                                                     small_scene):
+        # Two maps of camera 1, frame 3 would both be written to
+        # cam01_f003.bin; the writer refuses before it writes anything.
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        before = dir_bytes(d)
+        bundle = small_scene.bundle
+        frame = bundle.camera_frame.copy()
+        first, second = np.flatnonzero((bundle.camera_id == 1)
+                                       & (frame >= 3))[:2]
+        frame[second] = frame[first]
+        bad = dataclasses.replace(bundle, camera_frame=frame)
+        with pytest.raises(DuplicateCameraFrame) as info:
+            write_scene_bundle(d, bad)
+        assert info.value.violations == [
+            f"camera 1 appears twice in frame {frame[first]}"]
+        assert dir_bytes(d) == before
+        assert not (tmp_path / "new").exists()
+        with pytest.raises(DuplicateCameraFrame):
+            write_scene_bundle(tmp_path / "new", bad)
+        assert not (tmp_path / "new").exists()
+
     def test_failed_config_keeps_old_file(self, tmp_path, small_config):
         path = tmp_path / "cfg.json"
         save_pipeline_config(path, small_config)
@@ -273,6 +299,53 @@ class TestBundleIO:
         assert str(exc.value).endswith(
             f"cam01_f003.bin: must be an (H, W, D) feature map, got shape "
             f"{shape}")
+
+    def test_camera_table_round_trip(self, tmp_path):
+        # maps of different sizes and dtypes: one float64 table, each map
+        # written back from its slice
+        rng = np.random.default_rng(2)
+        maps = [rng.normal(size=(3, 5, 4)).astype(np.float32),
+                rng.normal(size=(2, 2, 4)), rng.normal(size=(4, 1, 4))]
+        bundle = camera_bundle(
+            maps, camera_id=[0, 1, 0], frame_index=[0, 0, 1],
+            intrinsics=[[1.0, 2.0, 3.0, 4.0]] * 3,
+            translation=rng.normal(size=(3, 3)), valid=[True, False, True],
+            points=rng.normal(size=(6, 3)), frame_size=[3, 3])
+        d1, d2 = tmp_path / "one", tmp_path / "two"
+        write_scene_bundle(d1, bundle)
+        assert read_blob(d1 / "cam01_f000.bin").dtype == np.float64
+        back = read_scene_bundle(d1, PipelineConfig(T=2, D=4))
+        assert back.pixel_features.dtype == np.float64
+        np.testing.assert_array_equal(back.pixel_features,
+                                      bundle.pixel_features)
+        for key in ("camera_id", "camera_frame", "camera_intrinsics",
+                    "camera_rotation", "camera_translation", "camera_valid",
+                    "camera_size"):
+            np.testing.assert_array_equal(getattr(back, key),
+                                          getattr(bundle, key))
+        for c, fm in enumerate(maps):
+            np.testing.assert_array_equal(back.feature_map(c), fm)
+        write_scene_bundle(d2, back)
+        assert dir_bytes(d1) == dir_bytes(d2)
+
+    def test_feature_maps_of_different_D(self, tmp_path, small_scene):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        write_blob(d / "cam01_f003.bin", np.zeros((32, 32, 5), np.float32))
+        with pytest.raises(ShapeHeaderMismatch) as exc:
+            read_scene_bundle(d)
+        assert str(exc.value).endswith(
+            "cam01_f003.bin: feature map has D=5, but "
+            f"{d / 'cam00_f000.bin'} has D=8; the maps must share one D")
+
+    def test_feature_map_header_checked_against_file_size(self, tmp_path,
+                                                          small_scene):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        blob = d / "cam00_f002.bin"
+        blob.write_bytes(blob.read_bytes() + b"\0" * 4)
+        with pytest.raises(ShapeHeaderMismatch, match="payload bytes"):
+            read_scene_bundle(d)
 
     @pytest.mark.parametrize("indices, pos, index", [
         ([0, 2, 3, 4, 5], 1, 2), ([0, 0, 2, 3, 4], 1, 0),
@@ -412,9 +485,8 @@ class TestBundleIO:
         del manifest["agents"][0]["label"]
         (d / "manifest.json").write_text(json.dumps(manifest))
         bundle = read_scene_bundle(d)
-        cam = bundle.cameras[0]
-        assert (cam.fx, cam.fy, cam.cx, cam.cy, cam.valid) == (1.0, 1.0, 0.0,
-                                                               0.0, True)
+        assert bundle.camera_intrinsics[0].tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert bundle.camera_valid[0]
         assert bundle.agent_label[0] == ""
 
     def test_entry_that_is_not_an_object(self, tmp_path, small_scene):

@@ -17,11 +17,11 @@ def bundles_equal(a, b):
         return False
     if not np.array_equal(a.points, b.points):
         return False
-    for ca, cb in zip(a.cameras, b.cameras):
-        if not (np.array_equal(ca.feature_map, cb.feature_map)
-                and np.array_equal(ca.rotation, cb.rotation)
-                and np.array_equal(ca.translation, cb.translation)):
-            return False
+    if not (np.array_equal(a.pixel_features, b.pixel_features)
+            and np.array_equal(a.camera_size, b.camera_size)
+            and np.array_equal(a.camera_rotation, b.camera_rotation)
+            and np.array_equal(a.camera_translation, b.camera_translation)):
+        return False
     return (np.array_equal(a.agent_track, b.agent_track)
             and np.array_equal(a.agent_frame, b.agent_frame)
             and np.array_equal(a.agent_box, b.agent_box))
@@ -71,13 +71,14 @@ def test_truth_labels_cover_every_point(small_scene):
 
 def test_feature_maps_encode_camera_and_label(small_scene):
     # non-zero cells hold exactly one label channel at value camera_id + 1
-    for cam in small_scene.bundle.cameras:
-        fm = cam.feature_map
+    bundle = small_scene.bundle
+    for c, camera_id in enumerate(bundle.camera_id.tolist()):
+        fm = bundle.feature_map(c)
         occupied = fm.sum(axis=2) > 0
         if not occupied.any():
             continue
         vals = fm[occupied]
-        assert ((vals == 0) | (vals == cam.camera_id + 1)).all()
+        assert ((vals == 0) | (vals == camera_id + 1)).all()
         assert ((vals > 0).sum(axis=1) == 1).all()
 
 

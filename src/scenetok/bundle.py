@@ -30,6 +30,13 @@ KIND_GROUND = "ground"
 KIND_CODES = {KIND_AGENT: 0, KIND_OPENSET: 1, KIND_GROUND: 2}
 KIND_NAMES = {code: name for name, code in KIND_CODES.items()}
 
+# Largest |coordinate| in meters that validation accepts for points, agent
+# box centers and sizes, and camera translations.  Far larger values
+# overflow float32 in fusion (~3e38 m: NaN tokens) or float64 in neighbour
+# queries (~1e154 m).
+MAX_COORDINATE_M = 1e9
+_FAR = f"beyond {MAX_COORDINATE_M:.0e} m"
+
 
 @dataclass
 class SceneBundle:
@@ -286,14 +293,18 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
     if table_error is not None:
         problems.append(table_error)
         return problems
-    # The first non-finite row of each frame, counted within the frame.
+    # The first non-finite row of each frame, then the first row beyond the
+    # coordinate bound, counted within the frame.
     start = np.cumsum(size) - size
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    frame, first = np.unique(np.searchsorted(start, bad, side="right") - 1,
-                             return_index=True)
-    for f, row in zip(frame.tolist(), (bad[first] - start[frame]).tolist()):
-        problems.append(NonFiniteCoordinate(
-            f"frame {f}: non-finite point coordinate at row {row}"))
+    outside = np.flatnonzero(~(np.abs(points) <= MAX_COORDINATE_M).all(axis=1))
+    finite = np.isfinite(points[outside]).all(axis=1)
+    for bad, error, what in (
+            (outside[~finite], NonFiniteCoordinate, "non-finite point coordinate"),
+            (outside[finite], BundleValidationError, f"point coordinate {_FAR}")):
+        frame, first = np.unique(np.searchsorted(start, bad, side="right") - 1,
+                                 return_index=True)
+        for f, row in zip(frame.tolist(), (bad[first] - start[frame]).tolist()):
+            problems.append(error(f"frame {f}: {what} at row {row}"))
 
     camera_errors = _camera_table_errors(bundle)
     problems += camera_errors
@@ -305,6 +316,9 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
             problems.append(BadRotation(
                 f"camera {i} frame {f}: rotation not orthonormal "
                 f"(|R^T R - I| = {err:.3g})"))
+        if not (np.abs(bundle.camera_translation[c]) <= MAX_COORDINATE_M).all():
+            problems.append(BundleValidationError(
+                f"camera {i} frame {f}: translation non-finite or {_FAR}"))
         if not np.isfinite(bundle.feature_map(c)).all():
             problems.append(NonFiniteCoordinate(
                 f"camera {i} frame {f}: non-finite feature values"))
@@ -327,6 +341,7 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
     # non-finite attribute reports nothing after that.
     failed = np.stack([duplicate, ~finite,
                        finite & (box[:, 3:6] <= 0).any(axis=1),
+                       finite & (np.abs(box[:, :6]) > MAX_COORDINATE_M).any(axis=1),
                        finite & ~((-math.pi <= heading) & (heading < math.pi)),
                        finite & ~((0 <= frame) & (frame < config.T))], axis=1)
     for row, check in zip(*np.nonzero(failed)):
@@ -335,6 +350,8 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
             (DuplicateTrackFrame, f"track {t} appears twice in frame {f}"),
             (NonFiniteCoordinate, f"track {t} frame {f}: non-finite box attribute"),
             (BundleValidationError, f"track {t} frame {f}: non-positive size"),
+            (BundleValidationError,
+             f"track {t} frame {f}: center or size {_FAR}"),
             (BundleValidationError,
              f"track {t} frame {f}: heading {h} outside [-pi, pi)"),
             (FrameCountMismatch,

@@ -15,7 +15,7 @@ import numpy as np
 from .bundle import KIND_CODES, KIND_OPENSET, TokenizedScene
 from .config import PipelineConfig
 from .errors import BudgetMismatch
-from .pooling import cell_index, segment_sum
+from .pooling import cell_index, masked_mean, segment_sum
 
 
 def downsample(pool_size: int, budget: int, seed: int) -> np.ndarray:
@@ -86,9 +86,9 @@ def pool_image_features(features: np.ndarray, F_pts_valid: np.ndarray,
     elements.
     """
     D = features.shape[1]
-    sums, counts, _ = segment_sum(features, cell_index(P_ind, T), n_elem * T,
-                                  rows=np.flatnonzero(F_pts_valid),
-                                  pixel=pixel, weight=pixel_weight)
+    sums, counts = segment_sum(features, cell_index(P_ind, T), n_elem * T,
+                               rows=np.flatnonzero(F_pts_valid),
+                               pixel=pixel, weight=pixel_weight)
     F_img = np.zeros((n_elem * T, D))
     nonzero = counts > 0
     F_img[nonzero] = sums[nonzero] / counts[nonzero, None]
@@ -96,14 +96,9 @@ def pool_image_features(features: np.ndarray, F_pts_valid: np.ndarray,
     F_img_valid = nonzero.reshape(n_elem, T)
 
     openset = np.asarray(kinds) == KIND_CODES[KIND_OPENSET]
-    if openset.any():
-        valid_f = F_img_valid[openset]  # (n_open, T)
-        n_valid = valid_f.sum(axis=1)
-        avg = (F_img[openset] * valid_f[:, :, None]).sum(axis=1)
-        has = n_valid > 0
-        avg[has] /= n_valid[has, None]
-        F_img[openset] = avg[:, None, :]
-        F_img_valid[openset] = has[:, None]
+    avg, n_valid = masked_mean(F_img[openset], F_img_valid[openset])
+    F_img[openset] = avg[:, None, :]
+    F_img_valid[openset] = (n_valid > 0)[:, None]
     return F_img, F_img_valid
 
 

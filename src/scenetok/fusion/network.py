@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeMismatch
-from ..pooling import cell_index, segment_sum
+from ..pooling import cell_index, masked_mean, segment_sum
 from .layers import (
     layernorm_backward,
     layernorm_forward,
@@ -35,74 +35,58 @@ from .params import AttentionBlockParams, FusionParams
 def _pooled_point_forward(P_xyz, P_ind, params, n_elem):
     """Mean-pooled MLP_f features per (element, frame) cell, with cache.
 
-    Pooling is ``M @ rows`` with the one-hot (cells x points) matrix ``M``,
-    which the cache keeps for the backward pass.  Empty cells are exact
-    zeros.
-
     The second layer of MLP_f is affine, so a cell's mean of
     ``relu(h) @ W2.T + b2`` equals ``mean(relu(h)) @ W2.T + b2`` in exact
-    arithmetic.  The pool runs on the narrower side of ``W2``:
-
-    - ``hidden < D``: the first layer and the ReLU run per point, the
-      ``hidden``-wide activations are pooled, each non-empty cell's mean is
-      rounded once to ``params.dtype``, and ``W2``, ``b2`` run on the
-      non-empty cells only.  The cache is ``(x, h_pre, M, counts, mean_h)``.
-    - ``hidden >= D``: the whole MLP runs per point and its D-wide output is
-      pooled.  The cache is ``(mlp_cache, M, counts)``.
+    arithmetic.  The pool runs on the narrower side of ``W2``: the first
+    layer and the ReLU run per point, then ``W2``, ``b2`` run per point
+    before the pool when ``hidden >= D``, or on the non-empty cells after it
+    when ``hidden < D``.  Each non-empty cell's float64 mean is rounded once
+    to ``params.dtype``; empty cells are exact zeros.  The cache is
+    ``(x, h_pre, cells, counts, w2_input)``, where ``w2_input`` is what
+    ``W2`` read: the per-point activations or the per-cell means.
     """
-    cells = cell_index(P_ind, params.T)
-    n_cells = n_elem * params.T
-    x = P_xyz.astype(params.dtype)
-    if params.hidden >= params.D:
-        phi, mlp_cache = mlp2_forward(x, params.mlp_f)
-        sums, counts, M = segment_sum(phi, cells, n_cells)
-        pooled = np.zeros_like(sums)
-        nz = counts > 0
-        pooled[nz] = sums[nz] / counts[nz, None]
-        pooled = pooled.reshape(n_elem, params.T, params.D).astype(params.dtype)
-        return pooled, (mlp_cache, M, counts)
-
     p = params.mlp_f
+    pool_first = params.hidden < params.D
+    cells = cell_index(P_ind, params.T)
+    x = P_xyz.astype(params.dtype)
     h_pre, _ = linear_forward(x, p.w1, p.b1)
-    h, _ = relu_forward(h_pre)
-    sums, counts, M = segment_sum(h, cells, n_cells)
+    w2_input, _ = relu_forward(h_pre)
+    rows = w2_input if pool_first else linear_forward(w2_input, p.w2, p.b2)[0]
+    sums, counts = segment_sum(rows, cells, n_elem * params.T)
     nz = counts > 0
-    mean_h = (sums[nz] / counts[nz, None]).astype(params.dtype)
-    y, _ = linear_forward(mean_h, p.w2, p.b2)
-    pooled = np.zeros((n_cells, params.D), dtype=params.dtype)
-    pooled[nz] = y
+    mean = (sums[nz] / counts[nz, None]).astype(params.dtype)
+    if pool_first:
+        w2_input = mean
+        mean, _ = linear_forward(mean, p.w2, p.b2)
+    pooled = np.zeros((n_elem * params.T, params.D), dtype=params.dtype)
+    pooled[nz] = mean
     return (pooled.reshape(n_elem, params.T, params.D),
-            (x, h_pre, M, counts, mean_h))
+            (x, h_pre, cells, counts, w2_input))
 
 
 def _pooled_point_backward(g, cache, params, n_elem):
-    """Adjoint of ``_pooled_point_forward``, on the side the forward pooled.
+    """Adjoint of ``_pooled_point_forward``.
 
-    The pool's adjoint is ``M.T @ (g / count)``.  ``g / count`` is rounded
-    to ``params.dtype`` before the product: each point has exactly one
-    nonzero in ``M``, so this is the same rounding as after it, without a
-    float64 (points x width) intermediate.  When ``hidden < D``, ``g`` first
-    goes back through ``W2`` on the non-empty cells, so the pooled
-    gradient is ``hidden`` wide.
+    The pool's adjoint gathers each point's cell gradient times
+    ``1 / count``, rounded to ``params.dtype`` per cell before the gather;
+    empty cells are never gathered.  When ``hidden < D``, ``g`` first goes
+    back through ``W2`` on the non-empty cells, so the pooled gradient is
+    ``hidden`` wide.
     """
-    g = g.reshape(n_elem * params.T, params.D)
-    if params.hidden >= params.D:
-        mlp_cache, M, counts = cache
-        scale = np.zeros(counts.shape[0])
-        nz = counts > 0
-        scale[nz] = 1.0 / counts[nz]
-        g_cell = g * scale[:, None]
-        _, grads = mlp2_backward(M.T @ g_cell.astype(params.dtype), mlp_cache,
-                                 params.mlp_f)
-        return grads
-
-    x, h_pre, M, counts, mean_h = cache
+    x, h_pre, cells, counts, w2_input = cache
     p = params.mlp_f
-    nz = counts > 0
-    dmean, dw2, db2 = linear_backward(g[nz], mean_h, p.w2)
-    g_cell = np.zeros((counts.shape[0], params.hidden), dtype=params.dtype)
-    g_cell[nz] = dmean / counts[nz, None]
-    dh_pre = relu_backward(M.T @ g_cell, h_pre)
+    pool_first = params.hidden < params.D
+    g = g.reshape(n_elem * params.T, params.D)
+    scale = 1.0 / np.maximum(counts, 1)
+    if pool_first:
+        nz = counts > 0
+        dmean, dw2, db2 = linear_backward(g[nz], w2_input, p.w2)
+        g = np.zeros((counts.shape[0], params.hidden), dtype=params.dtype)
+        g[nz] = dmean
+    g_pts = (g * scale[:, None]).astype(params.dtype)[cells]
+    if not pool_first:
+        g_pts, dw2, db2 = linear_backward(g_pts, w2_input, p.w2)
+    dh_pre = relu_backward(g_pts, h_pre)
     _, dw1, db1 = linear_backward(dh_pre, x, p.w1)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
@@ -252,20 +236,8 @@ def _attention_bwd(g, block: AttentionBlockParams, cache):
 # ---------------------------------------------------------------------------
 # fusion
 
-def _masked_time_mean_fwd(X, elem_valid):
-    counts = elem_valid.sum(axis=1)
-    out = (X * elem_valid[:, :, None]).sum(axis=1)
-    nz = counts > 0
-    out[nz] /= counts[nz, None]
-    out[~nz] = 0.0
-    return out, counts
-
-
-def _masked_time_mean_bwd(g, elem_valid, counts):
-    scale = np.zeros(counts.shape[0], dtype=g.dtype)
-    nz = counts > 0
-    scale[nz] = 1.0 / counts[nz]
-    return g[:, None, :] * (elem_valid[:, :, None] * scale[:, None, None])
+# The span perfbench names ``fusion.time_mean`` wraps this module attribute.
+_masked_time_mean_fwd = masked_mean
 
 
 def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid):
@@ -308,11 +280,13 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid):
 def _fuse_bwd(dF_elem, cache, params: FusionParams, elem_valid):
     slots, cache_t, cache_e, counts = cache
     n_elem, T = elem_valid.shape
-    dX2 = _masked_time_mean_bwd(dF_elem, elem_valid, counts)
-    dx2 = dX2.reshape(n_elem * T, -1)[slots]
+    # A valid slot's gradient is its element's over the element's valid
+    # frames; an element with no valid frame has no slot to read it.
+    scale = (1.0 / np.maximum(counts, 1)).astype(dF_elem.dtype)
+    dx2 = (dF_elem * scale[:, None])[slots // T]
     dx1, grads_e = _attention_bwd(dx2, params.elem_block, cache_e)
     dx0, grads_t = _attention_bwd(dx1, params.time_block, cache_t)
-    dX0 = np.zeros_like(dX2)
+    dX0 = np.zeros((n_elem, T, dx0.shape[1]), dtype=dx0.dtype)
     dX0.reshape(n_elem * T, -1)[slots] = dx0
     grads = {f"elem.{k}": v for k, v in grads_e.items()}
     grads.update({f"time.{k}": v for k, v in grads_t.items()})

@@ -1,10 +1,10 @@
 """Segment pooling: group per-point features by (token id, frame id) cells.
 
-All pooling is one sparse one-hot matrix ``M`` (cells x points): the
-forward reduction is ``M @ X`` and its adjoint is ``M.T @ g``.  A point's
-row of ``X`` may be read through a pixel id into a shared table instead
-(``gather_rows``), so image features are pooled straight from the camera
-pixel table and no per-point copy of them is made.
+``segment_sum`` sums each cell's point rows; its adjoint is the gather
+``g[cell]``.  A point's row may be read through a pixel id into a shared
+table instead (``gather_rows``), so image features are pooled straight
+from the camera pixel table and no per-point copy of them is made.
+``masked_mean`` averages each element's rows over its valid frames.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
                 rows: np.ndarray | None = None,
                 pixel: np.ndarray | None = None,
                 weight: np.ndarray | None = None,
-                ) -> tuple[np.ndarray, np.ndarray, sparse.csr_array]:
+                ) -> tuple[np.ndarray, np.ndarray]:
     """Sum each point's row of ``values`` into ``n_cells`` buckets.
 
     ``cell`` (N,) gives each point's bucket.  ``rows``, if given, lists the
@@ -77,18 +77,16 @@ def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
     of ``values`` (N, D) for point i, or through ``pixel`` and ``weight``
     from a shared table.
 
-    Returns (sums (n_cells, D) float64, counts (n_cells,), M), where ``M`` is
-    the one-hot (n_cells, N) CSR matrix of points, ``sums = M @ X`` for the
-    (N, D) rows ``X`` the points read.  ``M`` holds int8 ones and int32
-    indices, so the fusion cache that keeps it for the backward pass stays
-    small.
+    Returns (sums (n_cells, D) float64, counts (n_cells,) int64): each
+    cell's sum of the rows its points read, and its number of points.
 
-    Sums accumulate in float64 whatever the input dtype.  ``M``'s rows are
-    walked in chunks of whole cells of about ``_POOL_BUFFER`` values: each
-    chunk's points are gathered, widened to float64 and reduced by the
-    chunk's slice of ``M``.  Each sum adds its points one at a time in
-    ascending point order, starting from 0.0: a sum equals a sequential
-    float64 scatter-add in index order.
+    Sums accumulate in float64 whatever the input dtype.  The one-hot
+    (n_cells, N) CSR matrix ``M`` of points is walked in chunks of whole
+    cells of about ``_POOL_BUFFER`` values: each chunk's points are
+    gathered, widened to float64 and reduced by the chunk's slice of ``M``.
+    Each sum adds its points one at a time in ascending point order,
+    starting from 0.0: a sum equals a sequential float64 scatter-add in
+    index order.
     """
     cell = np.asarray(cell, dtype=np.int32)
     rows = (np.arange(cell.shape[0], dtype=np.int32) if rows is None
@@ -112,4 +110,18 @@ def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
             chunk = gather_rows(values, M.indices[a:b], pixel, weight)
             sums[c0:c1] = local @ chunk.astype(np.float64, copy=False)
         c0 = c1
-    return sums, np.diff(indptr).astype(np.int64), M
+    return sums, np.diff(indptr).astype(np.int64)
+
+
+def masked_mean(X: np.ndarray, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of each row of ``X`` (n, T, D) over its ``valid`` (n, T) slots.
+
+    Returns (means (n, D), counts (n,)).  Invalid slots are multiplied by
+    zero, so they must be finite; a row with no valid slot has a zero mean.
+    """
+    counts = valid.sum(axis=1)
+    out = (X * valid[:, :, None]).sum(axis=1)
+    nz = counts > 0
+    out[nz] /= counts[nz, None]
+    out[~nz] = 0.0
+    return out, counts

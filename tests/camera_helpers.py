@@ -118,8 +118,8 @@ def pool_image_features_reference(F_pts, F_pts_valid, P_ind, kinds, n_elem,
     cell, open-set elements averaged over their non-empty frames and
     broadcast to every slot."""
     D = F_pts.shape[1]
-    sums, counts, _ = segment_sum(F_pts, cell_index(P_ind, T), n_elem * T,
-                                  rows=np.flatnonzero(F_pts_valid))
+    sums, counts = segment_sum(F_pts, cell_index(P_ind, T), n_elem * T,
+                               rows=np.flatnonzero(F_pts_valid))
     F_img = np.zeros((n_elem * T, D))
     nonzero = counts > 0
     F_img[nonzero] = sums[nonzero] / counts[nonzero, None]

@@ -1,10 +1,15 @@
 """Fusion-network helpers that only the tests use."""
 
 import numpy as np
+from scipy import sparse
 
 from scenetok.errors import ShapeMismatch
 from scenetok.fusion import AttentionBlockParams, FusionParams
+from scenetok.fusion.layers import (linear_backward, linear_forward,
+                                    mlp2_backward, mlp2_forward,
+                                    relu_backward, relu_forward)
 from scenetok.fusion.network import _attention_fwd, _slot_groups
+from scenetok.pooling import cell_index, segment_sum
 
 
 def attn_along_axis(F: np.ndarray, axis: str, block: AttentionBlockParams,
@@ -57,3 +62,71 @@ def zero_attention_output(params: FusionParams) -> FusionParams:
         block.wo = np.zeros_like(block.wo)
         block.bo = np.zeros_like(block.bo)
     return p
+
+
+# ---------------------------------------------------------------------------
+# the point branch as two paths, one per side of the width selection: the
+# reference that ``network._pooled_point_forward`` and its backward, which
+# run both sides on one path, are checked against
+
+def pooled_point_forward_reference(P_xyz, P_ind, params, n_elem):
+    """Mean-pooled MLP_f features per (element, frame) cell, with cache.
+
+    ``hidden >= D``: the whole MLP runs per point and its D-wide output is
+    pooled; the cache is ``(mlp_cache, M, counts)``.  ``hidden < D``: the
+    ``hidden``-wide activations are pooled, each non-empty cell's mean is
+    rounded once to ``params.dtype``, and ``W2``, ``b2`` run on the
+    non-empty cells only; the cache is ``(x, h_pre, M, counts, mean_h)``.
+    ``M`` is the one-hot (cells x points) pooling matrix.
+    """
+    cells = cell_index(P_ind, params.T)
+    n_cells = n_elem * params.T
+    M = sparse.csr_array((np.ones(cells.shape[0], dtype=np.int8),
+                          (cells, np.arange(cells.shape[0]))),
+                         shape=(n_cells, cells.shape[0]))
+    x = P_xyz.astype(params.dtype)
+    if params.hidden >= params.D:
+        phi, mlp_cache = mlp2_forward(x, params.mlp_f)
+        sums, counts = segment_sum(phi, cells, n_cells)
+        pooled = np.zeros_like(sums)
+        nz = counts > 0
+        pooled[nz] = sums[nz] / counts[nz, None]
+        pooled = pooled.reshape(n_elem, params.T, params.D).astype(params.dtype)
+        return pooled, (mlp_cache, M, counts)
+
+    p = params.mlp_f
+    h_pre, _ = linear_forward(x, p.w1, p.b1)
+    h, _ = relu_forward(h_pre)
+    sums, counts = segment_sum(h, cells, n_cells)
+    nz = counts > 0
+    mean_h = (sums[nz] / counts[nz, None]).astype(params.dtype)
+    y, _ = linear_forward(mean_h, p.w2, p.b2)
+    pooled = np.zeros((n_cells, params.D), dtype=params.dtype)
+    pooled[nz] = y
+    return (pooled.reshape(n_elem, params.T, params.D),
+            (x, h_pre, M, counts, mean_h))
+
+
+def pooled_point_backward_reference(g, cache, params, n_elem):
+    """Adjoint of ``pooled_point_forward_reference``: ``M.T @ (g / count)``,
+    with ``g`` first taken back through ``W2`` when ``hidden < D``."""
+    g = g.reshape(n_elem * params.T, params.D)
+    if params.hidden >= params.D:
+        mlp_cache, M, counts = cache
+        scale = np.zeros(counts.shape[0])
+        nz = counts > 0
+        scale[nz] = 1.0 / counts[nz]
+        g_cell = g * scale[:, None]
+        _, grads = mlp2_backward(M.T @ g_cell.astype(params.dtype), mlp_cache,
+                                 params.mlp_f)
+        return grads
+
+    x, h_pre, M, counts, mean_h = cache
+    p = params.mlp_f
+    nz = counts > 0
+    dmean, dw2, db2 = linear_backward(g[nz], mean_h, p.w2)
+    g_cell = np.zeros((counts.shape[0], params.hidden), dtype=params.dtype)
+    g_cell[nz] = dmean / counts[nz, None]
+    dh_pre = relu_backward(M.T @ g_cell, h_pre)
+    _, dw1, db1 = linear_backward(dh_pre, x, p.w1)
+    return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}

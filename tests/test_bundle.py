@@ -108,6 +108,10 @@ def check_agents_reference(bundle, T):
         if (size <= 0).any():
             problems.append(BundleValidationError(
                 f"track {track_id} frame {frame_index}: non-positive size"))
+        if (np.abs(np.array(row[:6])) > 1e9).any():
+            problems.append(BundleValidationError(
+                f"track {track_id} frame {frame_index}: center or size "
+                f"beyond 1e+09 m"))
         if not (-math.pi <= heading < math.pi):
             problems.append(BundleValidationError(
                 f"track {track_id} frame {frame_index}: "
@@ -120,7 +124,7 @@ def check_agents_reference(bundle, T):
 
 _BOX_VALUES = hs.sampled_from([0.5, 1.0, 2.0, 0.0, -1.0, math.pi, -math.pi,
                                -3.5, np.nextafter(math.pi, 0), np.nan,
-                               np.inf, -np.inf])
+                               np.inf, -np.inf, 1e9, -1e9, 2e9, -1e300])
 
 
 @settings(max_examples=300, deadline=None)
@@ -183,10 +187,18 @@ def check_points_reference(frames, T):
             row = int(np.argwhere(bad.any(axis=1))[0, 0])
             problems.append(NonFiniteCoordinate(
                 f"frame {frame_index}: non-finite point coordinate at row {row}"))
+    for frame_index, points in enumerate(frames):
+        far = (np.isfinite(points).all(axis=1)
+               & (np.abs(points) > 1e9).any(axis=1))
+        if far.any():
+            problems.append(BundleValidationError(
+                f"frame {frame_index}: point coordinate beyond 1e+09 m at row "
+                f"{int(np.argmax(far))}"))
     return problems
 
 
-_COORDS = hs.sampled_from([0.0, 1.5, -2.0, np.nan, np.inf, -np.inf])
+_COORDS = hs.sampled_from([0.0, 1.5, -2.0, np.nan, np.inf, -np.inf, 1e9,
+                           -1e9, np.nextafter(1e9, np.inf), -3e9, 1e300])
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,8 +206,9 @@ _COORDS = hs.sampled_from([0.0, 1.5, -2.0, np.nan, np.inf, -np.inf])
                                 max_size=5), max_size=6),
        T=hs.integers(1, 6))
 def test_point_checks_match_per_frame_reference(frames, T):
-    """Empty frames and non-finite rows in several frames give the
-    violations of the per-frame checks, in the same order."""
+    """Empty frames, non-finite rows and rows beyond the coordinate bound
+    in several frames give the violations of the per-frame checks, in the
+    same order."""
     frames = [np.array(rows, dtype=np.float64).reshape(-1, 3)
               for rows in frames]
     bundle = SceneBundle(points=np.concatenate([np.empty((0, 3)), *frames]),
@@ -301,3 +314,30 @@ def test_camera_checks_report_each_camera_in_order():
         (BadRotation, "camera 3 frame -1: rotation not orthonormal "
                       "(|R^T R - I| = nan)"),
         (FrameCountMismatch, "camera 3: frame_index -1 outside [0, 3)")]
+
+
+@pytest.mark.parametrize("scale", [1e39, 1e200])
+def test_huge_point_coordinates_listed_per_frame(small_spec, scale):
+    from scenetok import generate_scene
+
+    bundle = generate_scene(1, small_spec).bundle
+    bundle.points = bundle.points * scale
+    with pytest.raises(BundleValidationError) as exc:
+        validate_bundle(bundle, PipelineConfig(T=small_spec.T))
+    assert exc.value.violations == [
+        f"frame {f}: point coordinate beyond 1e+09 m at row 0"
+        for f in range(small_spec.T)]
+
+
+def test_camera_translations_within_the_coordinate_bound():
+    maps = [np.zeros((2, 3, 2)) for _ in range(4)]
+    bundle = camera_bundle(maps, translation=[[0.0, -1e9, 1e9],
+                                              [0.0, 0.0, 2e9],
+                                              [np.nan, 0.0, 0.0],
+                                              [-1e300, 0.0, 0.0]],
+                           **_frames(1))
+    problems = check_bundle(bundle, PipelineConfig(T=1))
+    assert [(type(p), str(p)) for p in problems] == [
+        (BundleValidationError,
+         f"camera {c} frame 0: translation non-finite or beyond 1e+09 m")
+        for c in (1, 2, 3)]

@@ -101,6 +101,25 @@ def test_corrupted_bundle_exits_1_with_diagnostic(workdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", [1e39, 1e200])
+def test_huge_coordinates_exit_1(workdir, capsys, scale):
+    """Points scaled far beyond the coordinate bound are a validation
+    error.  Unchecked, a 1e39 scale tokenizes into NaN tokens and a 1e200
+    scale overflows a neighbour query."""
+    scene_dir = workdir / "scene"
+    cli_main(["synth", "--seed", "1", "--spec", str(workdir / "spec.json"),
+              "--out", str(scene_dir)])
+    for path in scene_dir.glob("points_f*.bin"):
+        write_blob(path, read_blob(path) * scale)
+    code = cli_main(["tokenize", "--scene", str(scene_dir), "--config",
+                     str(workdir / "config.json"),
+                     "--out", str(workdir / "x.tokens")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "point coordinate beyond 1e+09 m" in err and "Traceback" not in err
+    assert not (workdir / "x.tokens").exists()
+
+
 def test_duplicate_camera_entry_exits_1(workdir, capsys):
     # a hand-edited manifest naming camera 0's frame-1 map twice
     scene_dir = workdir / "scene"

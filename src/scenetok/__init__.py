@@ -39,7 +39,7 @@ from .fusion import (
 )
 from .ground import GroundPlane, fit_ground_plane, segment_ground, tile_ground
 from .pipeline import TokenizeResult, assign_token_ids, tokenize_bundle
-from .projection import build_point_features, pixel_weights, project_points
+from .projection import build_point_features, pixel_index, project_points
 from .storage import (
     load_pipeline_config,
     read_fusion_params,

@@ -141,9 +141,8 @@ class TokenizedScene:
     """The compacted model input.
 
     ``P_ind`` columns are (frame id, token id).  A point's image feature is
-    read from the rows of ``features``, in the pipeline the bundle's pixel
-    table: ``pixel`` (N_pts,) names one row per point (-1: seen by no
-    camera), or (N_pts, K) names K rows that ``pixel_weight`` blends.
+    one row of ``features``, in the pipeline the bundle's pixel table:
+    ``pixel`` (N_pts,) names each point's row (-1: seen by no camera).
     Without ``pixel``, row i of ``features`` is point i's.  The number of
     points per frame is variable; only the per-kind totals are budgeted.
     Row i of the element table (``B``, ``elem_valid``, ``kind``,
@@ -158,8 +157,7 @@ class TokenizedScene:
     elem_valid: np.ndarray  # (N_elem, T) bool
     kind: np.ndarray        # (N_elem,) int64 KIND_CODES
     source_id: np.ndarray   # (N_elem,) int64
-    pixel: np.ndarray | None = None         # (N_pts,) or (N_pts, K) int64
-    pixel_weight: np.ndarray | None = None  # (N_pts, K) float64
+    pixel: np.ndarray | None = None  # (N_pts,) int64
 
     @property
     def F_pts(self) -> np.ndarray:
@@ -168,8 +166,7 @@ class TokenizedScene:
         Rows whose ``F_pts_valid`` is false are exactly zero.  The dtype is
         that of ``features``, at least float32.
         """
-        return point_features(self.features, self.F_pts_valid, self.pixel,
-                              self.pixel_weight)
+        return point_features(self.features, self.F_pts_valid, self.pixel)
 
     @property
     def elements(self) -> list[SceneElement]:
@@ -197,11 +194,6 @@ class SceneTokens:
     source_id: np.ndarray  # (N_elem,) int64
     frame_valid: np.ndarray  # (N_elem, T) bool
     boxes: np.ndarray        # (N_elem, T, 7)
-
-    @property
-    def elements(self) -> list[SceneElement]:
-        return element_views(self.kind, self.boxes, self.frame_valid,
-                             self.source_id)
 
 
 def normalize_heading(h):

@@ -44,6 +44,13 @@ _VALIDATION_ERRORS = (BundleValidationError, BudgetMismatch, DimensionMismatch,
 _FAILURES = (*_VALIDATION_ERRORS, StorageError, OSError)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="scenetok",
@@ -58,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="token file, or a directory when multiple scenes are given")
     t.add_argument("--params", metavar="FILE",
                    help="fusion checkpoint; defaults to a seeded initialization")
-    t.add_argument("--jobs", type=int, default=1,
+    t.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes when tokenizing multiple scenes")
 
     s = sub.add_parser("synth", help="generate a synthetic scene bundle")

@@ -38,18 +38,17 @@ def build_tokenized_scene(P_xyz: np.ndarray, P_ind: np.ndarray,
                           kind: np.ndarray, source_id: np.ndarray,
                           config: PipelineConfig,
                           pixel: np.ndarray | None = None,
-                          pixel_weight: np.ndarray | None = None,
                           ) -> TokenizedScene:
     """Assemble the compacted tensors from the downsampled points.
 
     ``P_ind`` rows are (frame id, token id), aligned with ``P_xyz``, and
-    each point reads its image feature from ``features`` through ``pixel``
-    and ``pixel_weight`` (see TokenizedScene; without ``pixel``, one row
-    per point).  The element table (``B``, ``elem_valid``, ``kind``,
-    ``source_id``) has one row per token id.  Raises BudgetMismatch if any
-    kind's points exceed its budget (totals only reach the configured N_pts
-    when every kind saturates its budget) or if the per-point feature rows
-    or pixel ids are not aligned with the points.
+    each point reads its image feature from row ``pixel[i]`` of
+    ``features`` (without ``pixel``, one row per point).  The element table
+    (``B``, ``elem_valid``, ``kind``, ``source_id``) has one row per token
+    id.  Raises BudgetMismatch if any kind's points exceed its budget
+    (totals only reach the configured N_pts when every kind saturates its
+    budget) or if the per-point feature rows or pixel ids are not aligned
+    with the points.
     """
     counts = np.bincount(kind[P_ind[:, 1]], minlength=len(KIND_CODES))
     budgets = (config.n_pts_agent, config.n_pts_openset, config.n_pts_ground)
@@ -64,21 +63,18 @@ def build_tokenized_scene(P_xyz: np.ndarray, P_ind: np.ndarray,
     return TokenizedScene(P_xyz=P_xyz, P_ind=np.asarray(P_ind, dtype=np.int64),
                           features=features, F_pts_valid=F_pts_valid,
                           B=B, elem_valid=elem_valid, kind=kind,
-                          source_id=source_id, pixel=pixel,
-                          pixel_weight=pixel_weight)
+                          source_id=source_id, pixel=pixel)
 
 
 def pool_image_features(features: np.ndarray, F_pts_valid: np.ndarray,
                         P_ind: np.ndarray, kinds: np.ndarray,
                         n_elem: int, T: int,
                         pixel: np.ndarray | None = None,
-                        pixel_weight: np.ndarray | None = None,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Mean image feature per (element, frame) cell.
 
-    Only points with a valid image feature contribute.  Each reads its row
-    of ``features`` through ``pixel`` and ``pixel_weight`` (see
-    TokenizedScene; without ``pixel``, row i is point i's), gathered chunk
+    Only points with a valid image feature contribute.  Each reads row
+    ``pixel[i]`` of ``features`` (without ``pixel``, row i), gathered chunk
     by chunk inside ``segment_sum``, so no per-point feature table is made.
     Empty cells are zero and invalid.  Open-set elements are additionally
     averaged over their non-empty frames and the result broadcast to every
@@ -88,7 +84,7 @@ def pool_image_features(features: np.ndarray, F_pts_valid: np.ndarray,
     D = features.shape[1]
     sums, counts = segment_sum(features, cell_index(P_ind, T), n_elem * T,
                                rows=np.flatnonzero(F_pts_valid),
-                               pixel=pixel, weight=pixel_weight)
+                               pixel=pixel)
     F_img = np.zeros((n_elem * T, D))
     nonzero = counts > 0
     F_img[nonzero] = sums[nonzero] / counts[nonzero, None]

@@ -97,12 +97,6 @@ class PipelineConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     track: TrackConfig = field(default_factory=TrackConfig)
     seed: int = 0
-    # "nearest" samples the feature cell under the projected point;
-    # "bilinear" interpolates the four neighbouring cells.
-    feature_interp: str = "nearest"
-    # "first" takes the lowest camera_id that sees the point; "mean"
-    # averages every camera that does.
-    camera_overlap: str = "first"
 
     def __post_init__(self):
         problems = []
@@ -115,10 +109,6 @@ class PipelineConfig:
             problems.append("tile_size_m must be > 0")
         if self.seed < 0:
             problems.append("seed must be >= 0")
-        if self.feature_interp not in ("nearest", "bilinear"):
-            problems.append("feature_interp must be 'nearest' or 'bilinear'")
-        if self.camera_overlap not in ("first", "mean"):
-            problems.append("camera_overlap must be 'first' or 'mean'")
         problems += self.ransac.validate()
         problems += self.cluster.validate()
         problems += self.track.validate()

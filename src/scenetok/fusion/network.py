@@ -159,8 +159,8 @@ def _attention_fwd(X, block: AttentionBlockParams, groups):
     ``groups`` is a list of ``(g, L)`` row-index matrices that together
     cover every row exactly once (see ``_slot_groups``); a row attends to
     the L rows of its own group, all of them valid keys.  Returns the
-    output rows, the per-group attention weights ``(g, heads, L, L)`` and
-    the cache.
+    output rows and the cache, which holds the per-group attention weights
+    ``(g, heads, L, L)`` at index 6.
     """
     D = X.shape[1]
     h = block.n_heads
@@ -182,8 +182,7 @@ def _attention_fwd(X, block: AttentionBlockParams, groups):
         weights.append(w)
     out, _ = linear_forward(ctx, block.wo, block.bo)
     out += X
-    cache = (Y, ln_cache, Q, K, V, groups, weights, ctx)
-    return out, weights, cache
+    return out, (Y, ln_cache, Q, K, V, groups, weights, ctx)
 
 
 def _split_heads(Z, h):
@@ -268,8 +267,8 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid):
     # Each step rebinds x, so only the rows the next step reads stay alive.
     x = X0.reshape(-1, D)[slots]
     del X0
-    x, _, cache_t = _attention_fwd(x, params.time_block, time_groups)
-    x, _, cache_e = _attention_fwd(x, params.elem_block, elem_groups)
+    x, cache_t = _attention_fwd(x, params.time_block, time_groups)
+    x, cache_e = _attention_fwd(x, params.elem_block, elem_groups)
     X2 = np.zeros((n_elem, T, D), dtype=x.dtype)
     X2.reshape(-1, D)[slots] = x
     del x

@@ -201,18 +201,17 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     timings["compact"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    table, pixel, weight, seen = projection.build_point_features(
-        P_xyz, P_ind[:, 0], bundle, config.D,
-        interp=config.feature_interp, overlap=config.camera_overlap)
+    table, pixel = projection.build_point_features(P_xyz, P_ind[:, 0],
+                                                   bundle, config.D)
     timings["project"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scene = compact.build_tokenized_scene(P_xyz, P_ind, table, seen, B,
+    scene = compact.build_tokenized_scene(P_xyz, P_ind, table, pixel >= 0, B,
                                           elem_valid, kind, source_id, config,
-                                          pixel=pixel, pixel_weight=weight)
+                                          pixel=pixel)
     F_img, F_img_valid = compact.pool_image_features(
         scene.features, scene.F_pts_valid, scene.P_ind, kind, scene.n_elem, T,
-        pixel=scene.pixel, pixel_weight=scene.pixel_weight)
+        pixel=scene.pixel)
     timings["compact"] += time.perf_counter() - t0
 
     tokens = None

@@ -24,58 +24,36 @@ def cell_index(P_ind: np.ndarray, T: int) -> np.ndarray:
 
 
 def gather_rows(values: np.ndarray, points: np.ndarray,
-                pixel: np.ndarray | None = None,
-                weight: np.ndarray | None = None) -> np.ndarray:
-    """The rows of ``values`` that the listed points read.
-
-    Without ``pixel``, point i reads row i.  With ``pixel`` (N,), it reads
-    row ``pixel[i]``, in ``values``' dtype; with ``pixel`` and ``weight``
-    (N, K), the float64 weighted mean of its K rows ``pixel[i]``: the
-    products ``row * weight`` added in column order, then divided by the
-    point's weight sum.
-    """
-    rows = np.take(values, points if pixel is None else pixel[points], axis=0)
-    if weight is None:
-        return rows
-    w = weight[points]
-    out = rows[:, 0] * w[:, :1]
-    for k in range(1, w.shape[1]):
-        out += rows[:, k] * w[:, k:k + 1]
-    return out / w.sum(axis=1, keepdims=True)
+                pixel: np.ndarray | None = None) -> np.ndarray:
+    """The rows of ``values`` that the listed points read: row i for point
+    i, or row ``pixel[i]`` when ``pixel`` (N,) is given."""
+    return np.take(values, points if pixel is None else pixel[points], axis=0)
 
 
 def point_features(values: np.ndarray, valid: np.ndarray,
-                   pixel: np.ndarray | None = None,
-                   weight: np.ndarray | None = None) -> np.ndarray:
+                   pixel: np.ndarray | None = None) -> np.ndarray:
     """(N, D) per-point rows (``gather_rows``) in ``values``' dtype, at least
-    float32; rows whose ``valid`` is false are zero.  Blends are rounded
-    once to that dtype.  Gathers in chunks of about ``_POOL_BUFFER``
-    values."""
+    float32; rows whose ``valid`` is false are zero.  Gathers in chunks of
+    about ``_POOL_BUFFER`` values."""
     out = np.zeros((valid.shape[0], values.shape[1]),
                    dtype=np.result_type(np.float32, values.dtype))
     rows = np.flatnonzero(valid)
-    step = max(1, _POOL_BUFFER // max(values.shape[1] * _width(weight), 1))
+    step = max(1, _POOL_BUFFER // max(values.shape[1], 1))
     for a in range(0, rows.size, step):
-        out[rows[a:a + step]] = gather_rows(values, rows[a:a + step], pixel,
-                                            weight)
+        out[rows[a:a + step]] = gather_rows(values, rows[a:a + step], pixel)
     return out
-
-
-def _width(weight: np.ndarray | None) -> int:
-    return 1 if weight is None else weight.shape[1]
 
 
 def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
                 rows: np.ndarray | None = None,
                 pixel: np.ndarray | None = None,
-                weight: np.ndarray | None = None,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum each point's row of ``values`` into ``n_cells`` buckets.
 
     ``cell`` (N,) gives each point's bucket.  ``rows``, if given, lists the
     points that take part.  A point's row is read by ``gather_rows``: row i
-    of ``values`` (N, D) for point i, or through ``pixel`` and ``weight``
-    from a shared table.
+    of ``values`` (N, D) for point i, or row ``pixel[i]`` of a shared
+    table.
 
     Returns (sums (n_cells, D) float64, counts (n_cells,) int64): each
     cell's sum of the rows its points read, and its number of points.
@@ -96,7 +74,7 @@ def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
     D = values.shape[1]
     sums = np.zeros((n_cells, D), dtype=np.float64)
     indptr = M.indptr
-    step = max(1, _POOL_BUFFER // max(D * _width(weight), 1))
+    step = max(1, _POOL_BUFFER // max(D, 1))
     c0 = 0
     while c0 < n_cells:
         a = int(indptr[c0])
@@ -107,7 +85,7 @@ def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
             local = sparse.csr_array(
                 (M.data[a:b], np.arange(b - a, dtype=np.int32), indptr[c0:c1 + 1] - a),
                 shape=(c1 - c0, b - a))
-            chunk = gather_rows(values, M.indices[a:b], pixel, weight)
+            chunk = gather_rows(values, M.indices[a:b], pixel)
             sums[c0:c1] = local @ chunk.astype(np.float64, copy=False)
         c0 = c1
     return sums, np.diff(indptr).astype(np.int64)

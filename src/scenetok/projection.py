@@ -1,10 +1,10 @@
 """Pinhole projection of world points into the camera pixel table.
 
-Each point is given the pixel row(s) of the bundle's ``pixel_features``
-table that its image feature is read from: by default the pixel under its
-projection in the first camera (ascending camera_id) of its frame whose map
-contains it, and -1 for a point outside every map.  No per-point feature
-row is built; pooling reads the table through these ids.
+Each point is given the one row of the bundle's ``pixel_features`` table
+that its image feature is read from: the pixel under its projection in the
+first camera (ascending camera_id) of its frame whose map contains it, and
+-1 for a point outside every map.  No per-point feature row is built;
+pooling reads the table through these ids.
 """
 
 from __future__ import annotations
@@ -38,68 +38,37 @@ def project_points(points: np.ndarray, bundle: SceneBundle,
     return np.stack([u, v], axis=1), in_view
 
 
-def pixel_weights(uv: np.ndarray, height: int, width: int,
-                  interp: str = "nearest") -> tuple[np.ndarray, np.ndarray]:
-    """Row-major pixel ids (n, K) and weights (n, K) for in-view coordinates.
-
-    "nearest" reads the cell under the point, (floor(v), floor(u)), with
-    weight 1 (K = 1); "bilinear" blends the four neighbouring cell centers
-    (edge-clamped), K = 4.
-    """
+def pixel_index(uv: np.ndarray, width: int) -> np.ndarray:
+    """Row-major pixel ids (n,) of in-view coordinates: the cell under each
+    point, (floor(v), floor(u))."""
     uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    if interp == "nearest":
-        col = np.floor(uv[:, 0]).astype(np.int64)
-        row = np.floor(uv[:, 1]).astype(np.int64)
-        return (row * width + col)[:, None], np.ones((uv.shape[0], 1))
-    if interp != "bilinear":
-        raise ValueError(f"unknown interpolation {interp!r}")
-
-    # cell centers sit at integer+0.5; shift so weights are cell-relative
-    x = uv[:, 0] - 0.5
-    y = uv[:, 1] - 0.5
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    fx = x - x0
-    fy = y - y0
-    cols = np.clip(np.stack([x0, x0 + 1, x0, x0 + 1], axis=1), 0, width - 1)
-    rows = np.clip(np.stack([y0, y0, y0 + 1, y0 + 1], axis=1), 0, height - 1)
-    weight = np.stack([(1 - fy) * (1 - fx), (1 - fy) * fx,
-                       fy * (1 - fx), fy * fx], axis=1)
-    return rows * width + cols, weight
+    col = np.floor(uv[:, 0]).astype(np.int64)
+    row = np.floor(uv[:, 1]).astype(np.int64)
+    return row * width + col
 
 
 def build_point_features(points: np.ndarray, frame_ids: np.ndarray,
                          bundle: SceneBundle, D: int,
-                         interp: str = "nearest", overlap: str = "first",
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None,
-                                    np.ndarray]:
-    """Find each point's image-feature rows in the camera pixel table.
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Find each point's image-feature row in the camera pixel table.
 
-    For each point, the valid cameras of its frame are evaluated in
-    ascending camera_id; "first" takes the first in-view camera's pixel,
-    "mean" averages all in-view cameras.
+    A point reads the pixel under its projection in the first valid camera
+    (ascending camera_id) of its frame that sees it.
 
-    Returns ``(table, pixel, weight, valid)``.  ``table`` is the bundle's
+    Returns ``(table, pixel)``.  ``table`` is the bundle's
     ``pixel_features``, or an empty float64 (0, D) table when no camera is
-    valid.  With "nearest" and one camera per point ("first", or "mean"
-    over frames of one camera), ``pixel`` (N,) is each point's table row
-    (-1: seen by no camera) and ``weight`` is None.  Otherwise ``pixel`` and
-    ``weight`` are (N, K), K/4 or K cameras' "bilinear" or "nearest" taps in
-    ascending camera_id: a point's feature is the weighted mean of its K
-    rows (``pooling.gather_rows``), each in-view camera's taps summing to
-    1; unused entries have row 0 and weight 0.  ``valid`` (N,) is true for
-    points that some camera sees.
+    valid.  ``pixel`` (N,) int64 is each point's table row, -1 for a point
+    that no camera sees, so ``pixel >= 0`` is the valid mask.
 
     Raises DimensionMismatch if a camera is valid and the feature maps'
     channel count differs from ``D``.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     frame_ids = np.asarray(frame_ids, dtype=np.int64).reshape(-1)
-    n = points.shape[0]
+    pixel = np.full(points.shape[0], -1, dtype=np.int64)
     cams = np.flatnonzero(bundle.camera_valid)
     if cams.size == 0:
-        return (np.zeros((0, D)), np.full(n, -1, dtype=np.int64), None,
-                np.zeros(n, dtype=bool))
+        return np.zeros((0, D)), pixel
     table = bundle.pixel_features
     if table.shape[1] != D:
         raise DimensionMismatch(f"feature maps have D={table.shape[1]}, "
@@ -109,30 +78,15 @@ def build_point_features(points: np.ndarray, frame_ids: np.ndarray,
     frames, first_cam, per_frame = np.unique(bundle.camera_frame[cams],
                                              return_index=True,
                                              return_counts=True)
-
-    taps = 1 if interp == "nearest" else 4
-    K = taps * (int(per_frame.max()) if overlap == "mean" else 1)
-    pixel = np.zeros((n, K), dtype=np.int64)
-    weight = np.zeros((n, K))
-    hits = np.zeros(n, dtype=np.int64)
-    base = bundle.camera_base
+    base, width = bundle.camera_base, bundle.camera_size[:, 1]
     for f, lo, count in zip(frames.tolist(), first_cam.tolist(),
                             per_frame.tolist()):
         sel = np.flatnonzero(frame_ids == f)
         for c in cams[lo:lo + count].tolist():
-            pending = sel[hits[sel] == 0] if overlap == "first" else sel
+            pending = sel[pixel[sel] < 0]
             if pending.size == 0:
                 break
             uv, in_view = project_points(points[pending], bundle, c)
-            take = pending[in_view]
-            rows, w = pixel_weights(uv[in_view], *bundle.camera_size[c].tolist(),
-                                    interp)
-            slots = hits[take, None] * taps + np.arange(taps)
-            pixel[take[:, None], slots] = base[c] + rows
-            weight[take[:, None], slots] = w
-            hits[take] += 1
-
-    valid = hits > 0
-    if K == 1:
-        return table, np.where(valid, pixel[:, 0], -1), None, valid
-    return table, pixel, weight, valid
+            pixel[pending[in_view]] = base[c] + pixel_index(uv[in_view],
+                                                            int(width[c]))
+    return table, pixel

@@ -37,41 +37,22 @@ def camera_bundle(maps, camera_id=None, frame_index=None, intrinsics=None,
         **bundle_kwargs)
 
 
-def sample_feature_reference(feature_map, uv, interp="nearest"):
-    """Feature vectors at in-view pixel coordinates: "nearest" reads
-    feature_map[floor(v), floor(u)]; "bilinear" blends the four
-    neighbouring cell centers (edge-clamped)."""
+def sample_feature_reference(feature_map, uv):
+    """Feature vectors at in-view pixel coordinates:
+    feature_map[floor(v), floor(u)]."""
     uv = np.asarray(uv, dtype=np.float64).reshape(-1, 2)
-    h, w = feature_map.shape[:2]
-    if interp == "nearest":
-        col = np.floor(uv[:, 0]).astype(np.int64)
-        row = np.floor(uv[:, 1]).astype(np.int64)
-        return feature_map[row, col]
-    x = uv[:, 0] - 0.5
-    y = uv[:, 1] - 0.5
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    fx = (x - x0)[:, None]
-    fy = (y - y0)[:, None]
-    x0c, x1c = np.clip(x0, 0, w - 1), np.clip(x0 + 1, 0, w - 1)
-    y0c, y1c = np.clip(y0, 0, h - 1), np.clip(y0 + 1, 0, h - 1)
-    return ((1 - fy) * ((1 - fx) * feature_map[y0c, x0c]
-                        + fx * feature_map[y0c, x1c])
-            + fy * ((1 - fx) * feature_map[y1c, x0c]
-                    + fx * feature_map[y1c, x1c]))
+    col = np.floor(uv[:, 0]).astype(np.int64)
+    row = np.floor(uv[:, 1]).astype(np.int64)
+    return feature_map[row, col]
 
 
-def build_point_features_reference(points, frame_ids, bundle, D,
-                                   interp="nearest", overlap="first",
-                                   dtype=None):
+def build_point_features_reference(points, frame_ids, bundle, D, dtype=None):
     """Per-point image features (N, D) and their valid mask.
 
     Each point takes the feature of the first valid camera (ascending
-    camera_id) of its frame whose map contains it ("first"), or the mean
-    over all of them ("mean"); unseen points get a zero row.  Rows are in
-    ``dtype``, by default the valid maps' dtype promoted to at least
-    float32 (float64 when no camera is valid); blends are computed in
-    float64 and rounded once.
+    camera_id) of its frame whose map contains it; unseen points get a zero
+    row.  Rows are in ``dtype``, by default the valid maps' dtype promoted
+    to at least float32 (float64 when no camera is valid).
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     frame_ids = np.asarray(frame_ids, dtype=np.int64).reshape(-1)
@@ -84,32 +65,20 @@ def build_point_features_reference(points, frame_ids, bundle, D,
     if dtype is None:
         dtype = (np.result_type(np.float32, bundle.pixel_features.dtype)
                  if by_frame else np.float64)
-    feats = np.zeros((n, D), dtype=np.float64 if overlap == "mean" else dtype)
+    feats = np.zeros((n, D), dtype=dtype)
     valid = np.zeros(n, dtype=bool)
-    hits = np.zeros(n, dtype=np.int64)
     for f, cams in by_frame.items():
         sel = np.flatnonzero(frame_ids == f)
         for c in cams:
-            pending = sel[~valid[sel]] if overlap == "first" else sel
+            pending = sel[~valid[sel]]
             if pending.size == 0:
                 break
             uv, in_view = project_points(points[pending], bundle, c)
             take = pending[in_view]
-            if take.size == 0:
-                continue
-            sampled = sample_feature_reference(bundle.feature_map(c),
-                                               uv[in_view], interp)
-            if overlap == "first":
-                feats[take] = sampled
-            else:
-                feats[take] += sampled
-                hits[take] += 1
+            feats[take] = sample_feature_reference(bundle.feature_map(c),
+                                                   uv[in_view])
             valid[take] = True
-    if overlap == "mean":
-        seen = hits > 0
-        feats[seen] /= hits[seen, None]
-    feats[~valid] = 0.0
-    return feats.astype(dtype, copy=False), valid
+    return feats, valid
 
 
 def pool_image_features_reference(F_pts, F_pts_valid, P_ind, kinds, n_elem,

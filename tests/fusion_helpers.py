@@ -39,7 +39,8 @@ def attn_along_axis(F: np.ndarray, axis: str, block: AttentionBlockParams,
     rows = X.reshape(B * L, D)
     slots = np.flatnonzero(mask.ravel())
     groups = _slot_groups(mask.sum(axis=1))
-    x, group_weights, _ = _attention_fwd(rows[slots], block, groups)
+    x, cache = _attention_fwd(rows[slots], block, groups)
+    group_weights = cache[6]
     out = rows.copy()
     out[slots] = x
     out = out.reshape(B, L, D)

@@ -33,7 +33,7 @@ def test_synth_then_tokenize_then_inspect(workdir, capsys):
     assert cli_main(["tokenize", "--scene", str(scene_dir), "--config",
                      str(workdir / "config.json"), "--out", str(tokens)]) == 0
     loaded = read_tokens(tokens)
-    assert 0 < len(loaded.elements) <= 8 + 16 + 64
+    assert 0 < loaded.kind.size <= 8 + 16 + 64
     assert loaded.F_elem.shape[1] == 8
 
     assert cli_main(["inspect", "--tokens", str(tokens)]) == 0
@@ -272,6 +272,37 @@ def test_truncated_config_exits_2(workdir, capsys):
 def test_usage_error_exits_2(capsys):
     assert cli_main(["frobnicate"]) == 2
     assert cli_main([]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(workdir, capsys, monkeypatch, jobs):
+    scene_dir = workdir / "scene"
+    cli_main(["synth", "--seed", "1", "--spec", str(workdir / "spec.json"),
+              "--out", str(scene_dir)])
+    capsys.readouterr()
+    read = []
+    monkeypatch.setattr("scenetok.cli.read_scene_bundle",
+                        lambda *args, **kwargs: read.append(args))
+    out = workdir / "x.tokens"
+    assert cli_main(["tokenize", "--scene", str(scene_dir), "--out", str(out),
+                     "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "Traceback" not in err
+    assert read == [] and not out.exists()
+
+
+def test_config_with_removed_pixel_fields_exits_1(workdir, capsys):
+    # a config file as older builds saved it, with the two pixel-sampling
+    # fields that no longer exist
+    path = workdir / "old.json"
+    path.write_text(json.dumps(dict(CONFIG, feature_interp="nearest",
+                                    camera_overlap="first")))
+    code = cli_main(["tokenize", "--scene", str(workdir / "nope"), "--config",
+                     str(path), "--out", str(workdir / "x.tokens")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown config field feature_interp" in err
+    assert "Traceback" not in err
 
 
 def test_bench_prints_all_stages(workdir, capsys):

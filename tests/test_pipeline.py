@@ -456,9 +456,8 @@ def compact_reference(bundle, config):
     P_xyz = np.concatenate([p[0] for p in parts], axis=0)
     P_ind = np.stack([np.concatenate([p[1] for p in parts]),
                       np.concatenate([p[2] for p in parts])], axis=1)
-    F_pts, _ = build_point_features_reference(
-        P_xyz, P_ind[:, 0], bundle, config.D,
-        interp=config.feature_interp, overlap=config.camera_overlap)
+    F_pts, _ = build_point_features_reference(P_xyz, P_ind[:, 0], bundle,
+                                              config.D)
     return P_xyz, P_ind, F_pts, labels, elements
 
 

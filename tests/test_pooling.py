@@ -158,27 +158,3 @@ class TestPixelGather:
         assert_same_sums(sums, ref_sums)
         np.testing.assert_array_equal(counts, ref_counts)
         assert counts.sum() == (n if rows is None else len(rows))
-
-    @pytest.mark.parametrize("buffer", [1, 5, 1 << 19])
-    def test_weighted_rows_are_weighted_means_in_point_order(self, buffer):
-        rng = np.random.default_rng(3)
-        table = rng.normal(size=(10, 2)).astype(np.float32)
-        pixel = rng.integers(0, 10, (12, 3))
-        weight = rng.uniform(0.0, 1.0, (12, 3))
-        weight[::4, 2] = 0.0  # an unused third entry
-        cell = rng.integers(0, 4, 12)
-        want = np.zeros((12, 2))
-        for i in range(12):
-            for k in range(3):
-                want[i] += table[pixel[i, k]] * weight[i, k]
-            want[i] /= weight[i].sum()
-        with mock.patch.object(pooling, "_POOL_BUFFER", buffer):
-            sums, counts = segment_sum(table, cell, 4, pixel=pixel,
-                                          weight=weight)
-            features = pooling.point_features(table, cell != 3, pixel, weight)
-        ref_sums, ref_counts = add_at_reference(want, cell, 4, None)
-        assert_same_sums(sums, ref_sums)
-        np.testing.assert_array_equal(counts, ref_counts)
-        assert features.dtype == np.float32
-        np.testing.assert_array_equal(
-            features, np.where((cell != 3)[:, None], want, 0.0).astype(np.float32))

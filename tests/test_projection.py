@@ -13,7 +13,7 @@ from scenetok import (
     SceneSpec,
     build_point_features,
     generate_scene,
-    pixel_weights,
+    pixel_index,
     project_points,
     tokenize_bundle,
 )
@@ -52,18 +52,17 @@ def cameras(*cams, **bundle_kwargs):
                          **bundle_kwargs)
 
 
-def features(points, frame_ids, bundle, D, interp="nearest", overlap="first"):
+def features(points, frame_ids, bundle, D):
     """(F_pts, valid) as the pipeline's scene gathers them on demand."""
-    table, pixel, weight, valid = build_point_features(
-        points, frame_ids, bundle, D, interp, overlap)
-    return point_features(table, valid, pixel, weight), valid
+    table, pixel = build_point_features(points, frame_ids, bundle, D)
+    valid = pixel >= 0
+    return point_features(table, valid, pixel), valid
 
 
-def sample(fm, uv, interp="nearest"):
-    """Feature vectors of ``fm`` at in-view ``uv`` through ``pixel_weights``."""
+def sample(fm, uv):
+    """Feature vectors of ``fm`` at in-view ``uv`` through ``pixel_index``."""
     h, w, d = fm.shape
-    rows, weight = pixel_weights(uv, h, w, interp)
-    return np.einsum("nk,nkd->nd", weight, fm.reshape(h * w, d)[rows])
+    return fm.reshape(h * w, d)[pixel_index(uv, w)]
 
 
 class TestProjectPoints:
@@ -119,23 +118,6 @@ class TestSampleFeature:
             expected = fm[int(np.floor(uv[k, 1])), int(np.floor(uv[k, 0]))]
             np.testing.assert_array_equal(out[k], expected)
 
-    def test_bilinear_constant_map_is_exact(self):
-        fm = np.full((6, 6, 2), 3.5)
-        out = sample(fm, np.array([[2.3, 4.7], [0.1, 0.1]]), interp="bilinear")
-        np.testing.assert_allclose(out, 3.5)
-
-    def test_bilinear_reproduces_linear_ramp(self):
-        # a map linear in u is interpolated exactly away from the edges
-        cols = np.arange(8, dtype=float) + 0.5  # cell-center u coordinates
-        fm = np.tile(cols[None, :, None], (8, 1, 1))
-        uv = np.array([[2.75, 3.0], [4.1, 6.9], [1.5, 1.5]])
-        out = sample(fm, uv, interp="bilinear")
-        np.testing.assert_allclose(out[:, 0], uv[:, 0], atol=1e-12)
-
-    def test_unknown_interpolation_rejected(self):
-        with pytest.raises(ValueError, match="unknown interpolation"):
-            pixel_weights(np.zeros((1, 2)), 2, 2, "cubic")
-
 
 class TestBuildPointFeatures:
     def test_unseen_point_is_zero_and_invalid(self):
@@ -162,13 +144,6 @@ class TestBuildPointFeatures:
         assert valid[0]
         np.testing.assert_allclose(feats[0], 1.0)  # lowest camera_id wins
 
-    def test_mean_overlap_mode(self):
-        bundle = cameras(make_camera(camera_id=0, fill=1.0),
-                         make_camera(camera_id=1, fill=3.0))
-        feats, _ = features(np.array([[0.0, 0.0, 5.0]]), np.array([0]),
-                            bundle, D=4, overlap="mean")
-        np.testing.assert_allclose(feats[0], 2.0)
-
     def test_invalid_camera_skipped(self):
         feats, valid = features(np.array([[0.0, 0.0, 5.0]]), np.array([0]),
                                 cameras(make_camera(fill=5.0, valid=False)),
@@ -194,13 +169,12 @@ class TestBuildPointFeatures:
                          make_camera(frame_index=1, res=(50, 20)))
         points = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 5.0],
                            [0.0, 0.0, -5.0]])
-        table, pixel, weight, valid = build_point_features(
-            points, np.array([0, 1, 1]), bundle, D=4)
-        assert table is bundle.pixel_features and weight is None
+        table, pixel = build_point_features(points, np.array([0, 1, 1]),
+                                            bundle, D=4)
+        assert table is bundle.pixel_features and pixel.dtype == np.int64
         # (u, v) = (50, 50): row 50 col 50 of the first map; row 50 of the
         # 50 x 20 map is outside it, so the second point is unseen
         assert pixel.tolist() == [50 * 100 + 50, -1, -1]
-        assert valid.tolist() == [True, False, False]
 
     @settings(max_examples=60, deadline=None)
     @given(hs.floats(-50, 50), hs.floats(-50, 50), hs.floats(-50, 50))
@@ -209,9 +183,8 @@ class TestBuildPointFeatures:
                                      cx=5.5, cy=2.5))
         uv, ok = project_points(np.array([[x, y, z]]), bundle, 0)
         if ok[0]:
-            for interp in ("nearest", "bilinear"):
-                rows, _ = pixel_weights(uv, 5, 11, interp)
-                assert ((0 <= rows) & (rows < 55)).all()
+            rows = pixel_index(uv, 11)
+            assert ((0 <= rows) & (rows < 55)).all()
             col = int(np.floor(uv[0, 0]))
             row = int(np.floor(uv[0, 1]))
             assert 0 <= col < 11 and 0 <= row < 5
@@ -243,26 +216,6 @@ class TestPointFeatureDtype:
         np.testing.assert_array_equal(valid, want_valid)
         np.testing.assert_array_equal(feats.astype(np.float64), want)
 
-    @pytest.mark.parametrize("interp, overlap", [("bilinear", "first"),
-                                                 ("nearest", "mean"),
-                                                 ("bilinear", "mean")])
-    def test_blends_round_once_to_map_dtype(self, interp, overlap):
-        # three overlapping cameras with random float32 maps: a float32
-        # running sum of three features rounds differently from one rounding
-        rng = np.random.default_rng(4)
-        bundle = cameras(*(
-            make_camera(camera_id=i, cx=50.0 + 7.3 * i, D=4,
-                        fill=rng.normal(size=(100, 100, 4)), dtype=np.float32)
-            for i in range(3)))
-        points = rng.uniform([-1.0, -1.0, 4.0], [1.0, 1.0, 9.0], (400, 3))
-        frame_ids = np.zeros(400, dtype=np.int64)
-        feats, valid = features(points, frame_ids, bundle, 4, interp, overlap)
-        want, want_valid = build_point_features_reference(
-            points, frame_ids, bundle, 4, interp, overlap, dtype=np.float64)
-        assert feats.dtype == np.float32 and valid.all()
-        np.testing.assert_array_equal(valid, want_valid)
-        np.testing.assert_array_equal(feats, want.astype(np.float32))
-
 
 # Camera layouts for the pooling reference: (maps, camera columns) builders
 # over a random generator, each with frames 0..2.
@@ -275,7 +228,7 @@ def _tie_prone(rng):
 
 def _overlapping(rng):
     # two cameras per frame with shifted principal points: both see most
-    # points, so "first" and "mean" differ
+    # points, so the lower camera_id must win
     return ([rng.normal(size=(6, 8, 5)).astype(np.float32) for _ in range(6)],
             dict(frame_index=[0, 0, 1, 1, 2, 2], camera_id=[4, 1] * 3,
                  intrinsics=[[4.0, 4.0, 4.0 + 0.7 * i, 3.0] for i in range(6)]))
@@ -333,21 +286,20 @@ class TestPixelPoolingMatchesPerPointReference:
     """The pipeline's pixel-id pooling against the per-point reference it
     replaced: one feature row per point, then pooled."""
 
-    def _run(self, layout, interp, overlap, seed=0):
+    def _run(self, layout, seed=0):
         rng = np.random.default_rng(seed)
         maps, columns = _LAYOUTS[layout](rng)
         columns.setdefault("intrinsics", [[4.0, 4.0, 4.0, 3.0]] * len(maps))
         bundle = camera_bundle(maps, **columns)
         points, P_ind, kinds = _points(rng, layout)
-        table, pixel, weight, valid = build_point_features(
-            points, P_ind[:, 0], bundle, 5, interp, overlap)
+        table, pixel = build_point_features(points, P_ind[:, 0], bundle, 5)
+        valid = pixel >= 0
         got = pool_image_features(table, valid, P_ind, kinds, 12, 3,
-                                  pixel=pixel, pixel_weight=weight)
+                                  pixel=pixel)
         return bundle, points, P_ind, kinds, valid, got
 
     def test_default_path_is_bit_identical(self, layout):
-        bundle, points, P_ind, kinds, valid, (F_img, ok) = self._run(
-            layout, "nearest", "first")
+        bundle, points, P_ind, kinds, valid, (F_img, ok) = self._run(layout)
         F_pts, want_valid = build_point_features_reference(
             points, P_ind[:, 0], bundle, 5)
         want, want_ok = pool_image_features_reference(F_pts, want_valid,
@@ -359,27 +311,6 @@ class TestPixelPoolingMatchesPerPointReference:
         if layout == "mixed":
             assert bundle.pixel_features.dtype == np.float64
             assert F_pts.dtype == np.float64
-
-    @pytest.mark.parametrize("interp, overlap", [("bilinear", "first"),
-                                                 ("nearest", "mean"),
-                                                 ("bilinear", "mean")])
-    def test_blends_are_bounded_by_a_float64_reference(self, layout, interp,
-                                                       overlap):
-        # Blends are pooled in float64 without rounding each point's blend
-        # to the map dtype, so they sit within float64 rounding of a
-        # float64 per-point build, and within float32 rounding of the
-        # build that rounded each point.
-        bundle, points, P_ind, kinds, valid, (F_img, ok) = self._run(
-            layout, interp, overlap)
-        for dtype, bound in ((np.float64, 1e-13), (None, 1e-6)):
-            F_pts, want_valid = build_point_features_reference(
-                points, P_ind[:, 0], bundle, 5, interp, overlap, dtype=dtype)
-            want, want_ok = pool_image_features_reference(
-                F_pts, want_valid, P_ind, kinds, 12, 3)
-            np.testing.assert_array_equal(valid, want_valid)
-            np.testing.assert_array_equal(ok, want_ok)
-            scale = max(1.0, float(np.abs(want).max()))
-            assert np.abs(F_img - want).max() <= bound * scale
 
 
 @pytest.mark.parametrize("seed", [1, 7])

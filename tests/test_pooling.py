@@ -158,3 +158,20 @@ class TestPixelGather:
         assert_same_sums(sums, ref_sums)
         np.testing.assert_array_equal(counts, ref_counts)
         assert counts.sum() == (n if rows is None else len(rows))
+
+    @pytest.mark.parametrize("buffer", [1, 5, 1 << 19])
+    def test_pixel_rows_are_table_rows_in_point_order(self, buffer):
+        rng = np.random.default_rng(3)
+        table = rng.normal(size=(10, 2)).astype(np.float32)
+        pixel = rng.integers(0, 10, 12)
+        cell = rng.integers(0, 4, 12)
+        want = table[pixel].astype(np.float64)
+        with mock.patch.object(pooling, "_POOL_BUFFER", buffer):
+            sums, counts = segment_sum(table, cell, 4, pixel=pixel)
+            features = pooling.point_features(table, cell != 3, pixel)
+        ref_sums, ref_counts = add_at_reference(want, cell, 4, None)
+        assert_same_sums(sums, ref_sums)
+        np.testing.assert_array_equal(counts, ref_counts)
+        assert features.dtype == np.float32
+        np.testing.assert_array_equal(
+            features, np.where((cell != 3)[:, None], table[pixel], 0.0))

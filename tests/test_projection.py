@@ -20,7 +20,8 @@ from scenetok import (
 from scenetok.bundle import KIND_CODES
 from scenetok.compact import pool_image_features
 from scenetok.errors import DimensionMismatch
-from scenetok.pooling import point_features
+from scenetok import pooling
+from scenetok.pooling import cell_index, point_features, segment_sum
 
 
 def scene_points(bundle):
@@ -107,6 +108,18 @@ class TestSampleFeature:
         fm = np.arange(16, dtype=float).reshape(4, 4, 1)
         out = sample(fm, np.array([[3.5, 0.2]]))
         assert out[0, 0] == fm[0, 3, 0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(hs.integers(1, 40), hs.integers(1, 40), hs.data())
+    def test_pixel_index_is_the_row_major_floor_cell(self, height, width,
+                                                     data):
+        u = data.draw(hs.floats(0.0, width, exclude_max=True))
+        v = data.draw(hs.floats(0.0, height, exclude_max=True))
+        got = pixel_index(np.array([[u, v]]), width)
+        assert got.dtype == np.int64
+        want = np.ravel_multi_index((int(np.floor(v)), int(np.floor(u))),
+                                    (height, width))
+        assert got.tolist() == [want]
 
     def test_matches_floor_indexing_oracle(self):
         rng = np.random.default_rng(0)
@@ -311,6 +324,59 @@ class TestPixelPoolingMatchesPerPointReference:
         if layout == "mixed":
             assert bundle.pixel_features.dtype == np.float64
             assert F_pts.dtype == np.float64
+
+    def test_pixel_ids_name_the_reference_rows(self, layout):
+        bundle, points, P_ind, _, _, _ = self._run(layout)
+        table, pixel = build_point_features(points, P_ind[:, 0], bundle, 5)
+        F_pts, want_valid = build_point_features_reference(
+            points, P_ind[:, 0], bundle, 5)
+        assert pixel.dtype == np.int64
+        assert (pixel[~want_valid] == -1).all()
+        np.testing.assert_array_equal(pixel >= 0, want_valid)
+        np.testing.assert_array_equal(table[pixel[want_valid]],
+                                      F_pts[want_valid])
+
+    def test_each_pixel_is_in_the_first_seeing_camera_of_its_frame(self,
+                                                                   layout):
+        bundle, points, P_ind, _, valid, _ = self._run(layout)
+        _, pixel = build_point_features(points, P_ind[:, 0], bundle, 5)
+        base = bundle.camera_base
+        area = bundle.camera_size.prod(axis=1)
+        owner = np.searchsorted(base, pixel[valid], side="right") - 1
+        frame = P_ind[valid, 0]
+        assert bundle.camera_valid[owner].all()
+        np.testing.assert_array_equal(bundle.camera_frame[owner], frame)
+        assert (pixel[valid] < base[owner] + area[owner]).all()
+        # no valid camera of the same frame with a lower camera_id sees it
+        seen = points[valid]
+        for c in np.flatnonzero(bundle.camera_valid).tolist():
+            _, in_view = project_points(seen, bundle, c)
+            earlier = ((bundle.camera_frame[c] == frame)
+                       & (bundle.camera_id[c] < bundle.camera_id[owner]))
+            assert not (in_view & earlier).any()
+
+    def test_point_features_equal_reference_rows(self, layout, monkeypatch):
+        monkeypatch.setattr(pooling, "_POOL_BUFFER", 7)  # chunks of 1 row
+        bundle, points, P_ind, _, valid, _ = self._run(layout)
+        table, pixel = build_point_features(points, P_ind[:, 0], bundle, 5)
+        F_pts, _ = build_point_features_reference(points, P_ind[:, 0],
+                                                  bundle, 5)
+        got = point_features(table, valid, pixel)
+        assert got.dtype == F_pts.dtype
+        np.testing.assert_array_equal(got, F_pts)
+
+    def test_pixel_sums_equal_per_point_row_sums(self, layout, monkeypatch):
+        monkeypatch.setattr(pooling, "_POOL_BUFFER", 23)
+        bundle, points, P_ind, _, valid, _ = self._run(layout)
+        table, pixel = build_point_features(points, P_ind[:, 0], bundle, 5)
+        F_pts, _ = build_point_features_reference(points, P_ind[:, 0],
+                                                  bundle, 5)
+        cell = cell_index(P_ind, 3)
+        rows = np.flatnonzero(valid)
+        got = segment_sum(table, cell, 36, rows=rows, pixel=pixel)
+        want = segment_sum(F_pts, cell, 36, rows=rows)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -862,6 +862,14 @@ class TestConfigIO:
         with pytest.raises(ValueError):
             load_pipeline_config(path)
 
+    @pytest.mark.parametrize("field", ["feature_interp", "camera_overlap"])
+    def test_removed_pixel_field_rejected(self, tmp_path, field):
+        # older builds saved these two pixel-sampling fields
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: "nearest", "T": 5}))
+        with pytest.raises(ValueError, match=f"unknown config field {field}"):
+            load_pipeline_config(path)
+
     def test_unknown_nested_field_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"ransac": {"iterations": 9}}\n')  # typo
@@ -873,6 +881,7 @@ class TestConfigIO:
         ('{"ransac": {"iters": null}}', "ransac.iters"),
         ('{"tile_size_m": true}', "tile_size_m"),
         ('{"T": 11.0}', "T"),
+        ('{"cluster": {"radius_m": "0.5"}}', "cluster.radius_m"),
     ])
     def test_wrong_typed_value_rejected(self, tmp_path, text, field):
         path = tmp_path / "cfg.json"

@@ -142,31 +142,34 @@ class TokenizedScene:
 
     ``P_ind`` columns are (frame id, token id).  A point's image feature is
     one row of ``features``, in the pipeline the bundle's pixel table:
-    ``pixel`` (N_pts,) names each point's row (-1: seen by no camera).
-    Without ``pixel``, row i of ``features`` is point i's.  The number of
-    points per frame is variable; only the per-kind totals are budgeted.
-    Row i of the element table (``B``, ``elem_valid``, ``kind``,
-    ``source_id``) is token id i.
+    ``pixel`` (N_pts,) names each point's row, or is -1 for a point that no
+    camera sees.  The number of points per frame is variable; only the
+    per-kind totals are budgeted.  Row i of the element table (``B``,
+    ``elem_valid``, ``kind``, ``source_id``) is token id i.
     """
 
     P_xyz: np.ndarray       # (N_pts, 3)
     P_ind: np.ndarray       # (N_pts, 2) int64
     features: np.ndarray    # (rows, D)
-    F_pts_valid: np.ndarray  # (N_pts,) bool
+    pixel: np.ndarray       # (N_pts,) int64, -1 = unseen
     B: np.ndarray           # (N_elem, T, 7)
     elem_valid: np.ndarray  # (N_elem, T) bool
     kind: np.ndarray        # (N_elem,) int64 KIND_CODES
     source_id: np.ndarray   # (N_elem,) int64
-    pixel: np.ndarray | None = None  # (N_pts,) int64
+
+    @property
+    def F_pts_valid(self) -> np.ndarray:
+        """(N_pts,) bool: the points that read an image feature."""
+        return self.pixel >= 0
 
     @property
     def F_pts(self) -> np.ndarray:
         """(N_pts, D) per-point image features, gathered on each call.
 
-        Rows whose ``F_pts_valid`` is false are exactly zero.  The dtype is
+        Rows of points whose ``pixel`` is -1 are exactly zero.  The dtype is
         that of ``features``, at least float32.
         """
-        return point_features(self.features, self.F_pts_valid, self.pixel)
+        return point_features(self.features, self.pixel)
 
     @property
     def elements(self) -> list[SceneElement]:

@@ -33,22 +33,20 @@ def downsample(pool_size: int, budget: int, seed: int) -> np.ndarray:
 
 
 def build_tokenized_scene(P_xyz: np.ndarray, P_ind: np.ndarray,
-                          features: np.ndarray, F_pts_valid: np.ndarray,
+                          features: np.ndarray, pixel: np.ndarray,
                           B: np.ndarray, elem_valid: np.ndarray,
                           kind: np.ndarray, source_id: np.ndarray,
-                          config: PipelineConfig,
-                          pixel: np.ndarray | None = None,
-                          ) -> TokenizedScene:
+                          config: PipelineConfig) -> TokenizedScene:
     """Assemble the compacted tensors from the downsampled points.
 
     ``P_ind`` rows are (frame id, token id), aligned with ``P_xyz``, and
-    each point reads its image feature from row ``pixel[i]`` of
-    ``features`` (without ``pixel``, one row per point).  The element table
-    (``B``, ``elem_valid``, ``kind``, ``source_id``) has one row per token
-    id.  Raises BudgetMismatch if any kind's points exceed its budget
-    (totals only reach the configured N_pts when every kind saturates its
-    budget) or if the per-point feature rows or pixel ids are not aligned
-    with the points.
+    point i reads its image feature from row ``pixel[i]`` of ``features``,
+    or none when ``pixel[i]`` is -1.  The element table (``B``,
+    ``elem_valid``, ``kind``, ``source_id``) has one row per token id.
+    Raises BudgetMismatch if any kind's points exceed its budget (totals
+    only reach the configured N_pts when every kind saturates its budget),
+    if the pixel ids are not aligned with the points, or if an id is
+    outside [-1, len(features)).
     """
     counts = np.bincount(kind[P_ind[:, 1]], minlength=len(KIND_CODES))
     budgets = (config.n_pts_agent, config.n_pts_openset, config.n_pts_ground)
@@ -56,34 +54,34 @@ def build_tokenized_scene(P_xyz: np.ndarray, P_ind: np.ndarray,
         if counts[code] > budgets[code]:
             raise BudgetMismatch(f"{name} pool has {counts[code]} points, "
                                  f"budget is {budgets[code]}")
-    rows = features.shape[0] if pixel is None else pixel.shape[0]
-    if rows != P_xyz.shape[0]:
-        raise BudgetMismatch(f"F_pts has {rows} rows for {P_xyz.shape[0]} points")
+    if pixel.shape[0] != P_xyz.shape[0]:
+        raise BudgetMismatch(f"pixel has {pixel.shape[0]} ids for "
+                             f"{P_xyz.shape[0]} points")
+    bad = np.flatnonzero((pixel < -1) | (pixel >= features.shape[0]))
+    if bad.size:
+        raise BudgetMismatch(f"point {bad[0]} reads pixel {pixel[bad[0]]} of "
+                             f"a {features.shape[0]}-row feature table")
 
     return TokenizedScene(P_xyz=P_xyz, P_ind=np.asarray(P_ind, dtype=np.int64),
-                          features=features, F_pts_valid=F_pts_valid,
-                          B=B, elem_valid=elem_valid, kind=kind,
-                          source_id=source_id, pixel=pixel)
+                          features=features, pixel=pixel, B=B,
+                          elem_valid=elem_valid, kind=kind, source_id=source_id)
 
 
-def pool_image_features(features: np.ndarray, F_pts_valid: np.ndarray,
+def pool_image_features(features: np.ndarray, pixel: np.ndarray,
                         P_ind: np.ndarray, kinds: np.ndarray,
                         n_elem: int, T: int,
-                        pixel: np.ndarray | None = None,
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Mean image feature per (element, frame) cell.
 
-    Only points with a valid image feature contribute.  Each reads row
-    ``pixel[i]`` of ``features`` (without ``pixel``, row i), gathered chunk
-    by chunk inside ``segment_sum``, so no per-point feature table is made.
-    Empty cells are zero and invalid.  Open-set elements are additionally
-    averaged over their non-empty frames and the result broadcast to every
-    frame slot, matching the store-once temporal pooling of dynamic
-    elements.
+    Point i reads row ``pixel[i]`` of ``features``, gathered chunk by chunk
+    inside ``segment_sum``, so no per-point feature table is made; points
+    whose id is -1 contribute nothing.  Empty cells are zero and invalid.
+    Open-set elements are additionally averaged over their non-empty frames
+    and the result broadcast to every frame slot, matching the store-once
+    temporal pooling of dynamic elements.
     """
     D = features.shape[1]
     sums, counts = segment_sum(features, cell_index(P_ind, T), n_elem * T,
-                               rows=np.flatnonzero(F_pts_valid),
                                pixel=pixel)
     F_img = np.zeros((n_elem * T, D))
     nonzero = counts > 0

@@ -91,5 +91,9 @@ class IoFailure(StorageError):
     pass
 
 
+class UnsupportedDtype(StorageError, ValueError):
+    """An array's dtype has no code in the blob format."""
+
+
 class BudgetOverflowWarning(UserWarning):
     """More elements than the budget allows; the overflow was dropped."""

@@ -17,7 +17,8 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, ShapeHeaderMismatch, StorageError, VersionUnsupported
+from .errors import (BadMagic, ShapeHeaderMismatch, StorageError,
+                     UnsupportedDtype, VersionUnsupported)
 
 MAGIC = b"MOST"
 VERSION = 1
@@ -40,7 +41,7 @@ _CODE_OF_KIND = {"f4": 0, "f8": 1, "i4": 2, "i8": 3, "u1": 4, "b1": 5}
 def _dtype_code(dtype: np.dtype) -> int:
     key = dtype.str.lstrip("<>|=")
     if key not in _CODE_OF_KIND:
-        raise ValueError(f"unsupported dtype {dtype}")
+        raise UnsupportedDtype(f"unsupported dtype {dtype}")
     return _CODE_OF_KIND[key]
 
 

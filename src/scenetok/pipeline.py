@@ -206,12 +206,10 @@ def tokenize_bundle(bundle: SceneBundle, config: PipelineConfig,
     timings["project"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scene = compact.build_tokenized_scene(P_xyz, P_ind, table, pixel >= 0, B,
-                                          elem_valid, kind, source_id, config,
-                                          pixel=pixel)
+    scene = compact.build_tokenized_scene(P_xyz, P_ind, table, pixel, B,
+                                          elem_valid, kind, source_id, config)
     F_img, F_img_valid = compact.pool_image_features(
-        scene.features, scene.F_pts_valid, scene.P_ind, kind, scene.n_elem, T,
-        pixel=scene.pixel)
+        scene.features, scene.pixel, scene.P_ind, kind, scene.n_elem, T)
     timings["compact"] += time.perf_counter() - t0
 
     tokens = None

@@ -1,10 +1,11 @@
 """Segment pooling: group per-point features by (token id, frame id) cells.
 
 ``segment_sum`` sums each cell's point rows; its adjoint is the gather
-``g[cell]``.  A point's row may be read through a pixel id into a shared
-table instead (``gather_rows``), so image features are pooled straight
-from the camera pixel table and no per-point copy of them is made.
-``masked_mean`` averages each element's rows over its valid frames.
+``g[cell]``.  Given pixel ids, a point's row is read through its id into a
+shared table, so image features are pooled straight from the camera pixel
+table and no per-point copy of them is made; a point whose id is -1 reads
+nothing.  ``masked_mean`` averages each element's rows over its valid
+frames.
 """
 
 from __future__ import annotations
@@ -23,37 +24,28 @@ def cell_index(P_ind: np.ndarray, T: int) -> np.ndarray:
     return P_ind[:, 1] * T + P_ind[:, 0]
 
 
-def gather_rows(values: np.ndarray, points: np.ndarray,
-                pixel: np.ndarray | None = None) -> np.ndarray:
-    """The rows of ``values`` that the listed points read: row i for point
-    i, or row ``pixel[i]`` when ``pixel`` (N,) is given."""
-    return np.take(values, points if pixel is None else pixel[points], axis=0)
-
-
-def point_features(values: np.ndarray, valid: np.ndarray,
-                   pixel: np.ndarray | None = None) -> np.ndarray:
-    """(N, D) per-point rows (``gather_rows``) in ``values``' dtype, at least
-    float32; rows whose ``valid`` is false are zero.  Gathers in chunks of
+def point_features(values: np.ndarray, pixel: np.ndarray) -> np.ndarray:
+    """(N, D) rows ``values[pixel[i]]`` in ``values``' dtype, at least
+    float32; rows whose ``pixel`` is -1 are zero.  Gathers in chunks of
     about ``_POOL_BUFFER`` values."""
-    out = np.zeros((valid.shape[0], values.shape[1]),
+    out = np.zeros((pixel.shape[0], values.shape[1]),
                    dtype=np.result_type(np.float32, values.dtype))
-    rows = np.flatnonzero(valid)
+    rows = np.flatnonzero(pixel >= 0)
     step = max(1, _POOL_BUFFER // max(values.shape[1], 1))
     for a in range(0, rows.size, step):
-        out[rows[a:a + step]] = gather_rows(values, rows[a:a + step], pixel)
+        out[rows[a:a + step]] = np.take(values, pixel[rows[a:a + step]], axis=0)
     return out
 
 
 def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
-                rows: np.ndarray | None = None,
                 pixel: np.ndarray | None = None,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum each point's row of ``values`` into ``n_cells`` buckets.
 
-    ``cell`` (N,) gives each point's bucket.  ``rows``, if given, lists the
-    points that take part.  A point's row is read by ``gather_rows``: row i
-    of ``values`` (N, D) for point i, or row ``pixel[i]`` of a shared
-    table.
+    ``cell`` (N,) gives each point's bucket.  Without ``pixel``, point i
+    reads row i of ``values`` (N, D).  With ``pixel`` (N,), point i reads
+    row ``pixel[i]`` of a shared table, and points whose id is -1 take no
+    part.
 
     Returns (sums (n_cells, D) float64, counts (n_cells,) int64): each
     cell's sum of the rows its points read, and its number of points.
@@ -67,10 +59,11 @@ def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
     index order.
     """
     cell = np.asarray(cell, dtype=np.int32)
-    rows = (np.arange(cell.shape[0], dtype=np.int32) if rows is None
-            else np.asarray(rows, dtype=np.int32))
+    rows = (np.arange(cell.shape[0], dtype=np.int32) if pixel is None
+            else np.flatnonzero(pixel >= 0).astype(np.int32))
     M = sparse.csr_array((np.ones(rows.shape[0], dtype=np.int8), (cell[rows], rows)),
                          shape=(n_cells, cell.shape[0]))
+    read = M.indices if pixel is None else pixel[M.indices]
     D = values.shape[1]
     sums = np.zeros((n_cells, D), dtype=np.float64)
     indptr = M.indptr
@@ -85,7 +78,7 @@ def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
             local = sparse.csr_array(
                 (M.data[a:b], np.arange(b - a, dtype=np.int32), indptr[c0:c1 + 1] - a),
                 shape=(c1 - c0, b - a))
-            chunk = gather_rows(values, M.indices[a:b], pixel)
+            chunk = np.take(values, read[a:b], axis=0)
             sums[c0:c1] = local @ chunk.astype(np.float64, copy=False)
         c0 = c1
     return sums, np.diff(indptr).astype(np.int64)

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .formats import (
     KIND_PARAMS,
+    _dtype_code,
     _replace_on_success,
     read_blob,
     read_blob_header,
@@ -61,11 +62,13 @@ def write_scene_bundle(path, bundle: SceneBundle) -> None:
     serialised before the first blob is written, so a ``frame_size`` that
     does not split the points, agent or camera columns of unequal length, a
     pixel table that does not hold the camera maps, two maps of one
-    (camera, frame) pair (BundleValidationError) or a field that JSON cannot
-    hold (BadManifestField) leave the directory as it was.  Each camera map
-    is written in the pixel table's dtype.
+    (camera, frame) pair (BundleValidationError), a pixel table dtype that
+    the blob format cannot hold (UnsupportedDtype) or a field that JSON
+    cannot hold (BadManifestField) leave the directory as it was.  Each
+    camera map is written in the pixel table's dtype.
     """
     check_tables(bundle)
+    _dtype_code(bundle.pixel_features.dtype)
     root = Path(path)
     manifest = {
         "format_version": 1,

@@ -37,6 +37,12 @@ def camera_bundle(maps, camera_id=None, frame_index=None, intrinsics=None,
         **bundle_kwargs)
 
 
+def per_point_ids(valid):
+    """Ids that read a per-point table: row i for point i, or -1 where
+    ``valid`` is false."""
+    return np.where(valid, np.arange(len(valid)), -1)
+
+
 def sample_feature_reference(feature_map, uv):
     """Feature vectors at in-view pixel coordinates:
     feature_map[floor(v), floor(u)]."""
@@ -88,7 +94,7 @@ def pool_image_features_reference(F_pts, F_pts_valid, P_ind, kinds, n_elem,
     broadcast to every slot."""
     D = F_pts.shape[1]
     sums, counts = segment_sum(F_pts, cell_index(P_ind, T), n_elem * T,
-                               rows=np.flatnonzero(F_pts_valid))
+                               pixel=per_point_ids(F_pts_valid))
     F_img = np.zeros((n_elem * T, D))
     nonzero = counts > 0
     F_img[nonzero] = sums[nonzero] / counts[nonzero, None]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import scenetok as st
+from camera_helpers import per_point_ids
 from fusion_helpers import attn_along_axis, zero_attention_output
 from scenetok.compact import pool_image_features
 from scenetok.decompose import (
@@ -102,7 +103,8 @@ def test_criterion_03_pooling_oracle():
         P_ind = np.stack([rng.integers(0, T, n), rng.integers(0, n_elem, n)],
                          axis=1)
         kinds = rng.integers(0, 3, n_elem)
-        F_img, ok = pool_image_features(F_pts, valid, P_ind, kinds, n_elem, T)
+        F_img, ok = pool_image_features(F_pts, per_point_ids(valid), P_ind,
+                                        kinds, n_elem, T)
 
         # O(N*E*T) brute force, including the open-set temporal average
         exp = np.zeros((n_elem, T, D))

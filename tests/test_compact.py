@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from camera_helpers import per_point_ids
 from scipy.stats import hypergeom
 
 from scenetok import PipelineConfig, build_tokenized_scene, downsample
@@ -61,7 +62,7 @@ class TestBuildTokenizedScene:
         elements = [_element(0, KIND_AGENT, 3, row=[1, 2, 3, 1, 1, 1, 0])]
         scene = build_tokenized_scene(np.zeros((3, 3)),
                                       np.zeros((3, 2), dtype=np.int64),
-                                      np.zeros((3, 2)), np.ones(3, dtype=bool),
+                                      np.zeros((3, 2)), np.arange(3),
                                       *_table(elements, config.T), config)
         assert scene.P_ind.tolist() == [[0, 0], [0, 0], [0, 0]]
         assert scene.n_elem == 1 and scene.n_pts == 3
@@ -71,7 +72,7 @@ class TestBuildTokenizedScene:
         elements = [_element(0, KIND_OPENSET, 3, row=[5, 5, 1, 1, 1, 1, 0])]
         scene = build_tokenized_scene(np.zeros((0, 3)),
                                       np.zeros((0, 2), dtype=np.int64),
-                                      np.zeros((0, 2)), np.zeros(0, dtype=bool),
+                                      np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
                                       *_table(elements, config.T), config)
         assert scene.n_pts == 0
         assert scene.elem_valid[0].all()
@@ -89,20 +90,50 @@ class TestBuildTokenizedScene:
             with pytest.raises(BudgetMismatch,
                                match=f"{kind} pool has 3 points"):
                 build_tokenized_scene(np.zeros((3, 3)), P_ind,
-                                      np.zeros((3, 2)), np.ones(3, dtype=bool),
+                                      np.zeros((3, 2)), np.arange(3),
                                       *_table(elements, config.T), config)
             build_tokenized_scene(np.zeros((2, 3)), P_ind[:2],
-                                  np.zeros((2, 2)), np.ones(2, dtype=bool),
+                                  np.zeros((2, 2)), np.arange(2),
                                   *_table(elements, config.T), config)
 
     def test_misaligned_feature_rows_rejected(self):
         config = self.make_config()
         elements = [_element(0, KIND_AGENT, 3)]
-        with pytest.raises(BudgetMismatch, match="F_pts has 2 rows for 3"):
+        with pytest.raises(BudgetMismatch, match="pixel has 2 ids for 3"):
             build_tokenized_scene(np.zeros((3, 3)),
                                   np.zeros((3, 2), dtype=np.int64),
-                                  np.zeros((2, 2)), np.ones(2, dtype=bool),
+                                  np.zeros((2, 2)), np.arange(2),
                                   *_table(elements, config.T), config)
+
+    @pytest.mark.parametrize("bad", [7, 3, -2])
+    def test_out_of_range_pixel_id_rejected(self, bad):
+        # a 3-row table: ids 0..2 read a row and -1 reads none
+        config = self.make_config()
+        elements = [_element(0, KIND_AGENT, 3)]
+        with pytest.raises(BudgetMismatch,
+                           match=f"point 1 reads pixel {bad} of a 3-row"):
+            build_tokenized_scene(np.zeros((2, 3)),
+                                  np.zeros((2, 2), dtype=np.int64),
+                                  np.zeros((3, 2)), np.array([-1, bad]),
+                                  *_table(elements, config.T), config)
+
+    def test_unseen_point_reads_and_pools_nothing(self):
+        # point 0 is unseen (-1), point 1 reads the table's last row; the
+        # last row must not leak into point 0's feature or its cell
+        config = self.make_config()
+        table = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        P_ind = np.array([[0, 0], [1, 0]])
+        elements = [_element(0, KIND_AGENT, 3)]
+        scene = build_tokenized_scene(np.zeros((2, 3)), P_ind, table,
+                                      np.array([-1, 2]),
+                                      *_table(elements, config.T), config)
+        np.testing.assert_array_equal(scene.F_pts_valid, [False, True])
+        np.testing.assert_array_equal(scene.F_pts, [[0.0, 0.0], [5.0, 6.0]])
+        F_img, ok = pool_image_features(scene.features, scene.pixel,
+                                        scene.P_ind, scene.kind, 1, 3)
+        assert ok[0].tolist() == [False, True, False]
+        np.testing.assert_array_equal(F_img[0, 0], [0.0, 0.0])
+        np.testing.assert_array_equal(F_img[0, 1], [5.0, 6.0])
 
     def test_gather_reconstitutes_per_element_sets(self):
         rng = np.random.default_rng(0)
@@ -124,7 +155,7 @@ class TestBuildTokenizedScene:
                     zip(range(5), [KIND_AGENT, KIND_AGENT, KIND_OPENSET,
                                    KIND_GROUND, KIND_GROUND])]
         scene = build_tokenized_scene(P_xyz, P_ind, np.zeros((total, 2)),
-                                      np.ones(total, dtype=bool),
+                                      np.arange(total),
                                       *_table(elements, T), config)
         for token, pts in expected.items():
             got = scene.P_xyz[scene.P_ind[:, 1] == token]
@@ -151,7 +182,7 @@ class TestPoolImageFeatures:
         F_pts = np.array([[1.0, 3.0], [3.0, 5.0]])
         P_ind = np.array([[0, 0], [0, 0]])
         kinds = np.array([KIND_CODES[KIND_AGENT]])
-        F_img, ok = pool_image_features(F_pts, np.ones(2, dtype=bool), P_ind,
+        F_img, ok = pool_image_features(F_pts, np.arange(2), P_ind,
                                         kinds, 1, 1)
         np.testing.assert_allclose(F_img[0, 0], [2.0, 4.0])
         assert ok[0, 0]
@@ -160,7 +191,7 @@ class TestPoolImageFeatures:
         F_pts = np.array([[1.0, 1.0], [9.0, 9.0]])
         P_ind = np.array([[0, 0], [0, 0]])
         kinds = np.array([KIND_CODES[KIND_AGENT]])
-        F_img, ok = pool_image_features(F_pts, np.array([False, False]),
+        F_img, ok = pool_image_features(F_pts, np.array([-1, -1]),
                                         P_ind, kinds, 1, 1)
         assert not ok[0, 0]
         assert (F_img == 0).all()
@@ -173,7 +204,8 @@ class TestPoolImageFeatures:
         P_ind = np.stack([rng.integers(0, T, n), rng.integers(0, n_elem, n)],
                          axis=1)
         kinds = np.full(n_elem, KIND_CODES[KIND_AGENT])
-        F_img, ok = pool_image_features(F_pts, valid, P_ind, kinds, n_elem, T)
+        F_img, ok = pool_image_features(F_pts, per_point_ids(valid), P_ind,
+                                        kinds, n_elem, T)
         exp, exp_ok = pool_oracle(F_pts, valid, P_ind, n_elem, T)
         assert np.abs(F_img - exp).max() < 1e-6
         np.testing.assert_array_equal(ok, exp_ok)
@@ -184,7 +216,7 @@ class TestPoolImageFeatures:
         F_pts = np.array([[2.0], [4.0]])
         P_ind = np.array([[0, 0], [2, 0]])
         kinds = np.array([KIND_CODES[KIND_OPENSET]])
-        F_img, ok = pool_image_features(F_pts, np.ones(2, dtype=bool), P_ind,
+        F_img, ok = pool_image_features(F_pts, np.arange(2), P_ind,
                                         kinds, 1, 3)
         np.testing.assert_allclose(F_img[0], [[3.0], [3.0], [3.0]])
         assert ok[0].all()
@@ -193,7 +225,7 @@ class TestPoolImageFeatures:
         F_pts = np.array([[2.0], [4.0]])
         P_ind = np.array([[0, 0], [2, 0]])
         kinds = np.array([KIND_CODES[KIND_AGENT]])
-        F_img, ok = pool_image_features(F_pts, np.ones(2, dtype=bool), P_ind,
+        F_img, ok = pool_image_features(F_pts, np.arange(2), P_ind,
                                         kinds, 1, 3)
         np.testing.assert_allclose(F_img[0, :, 0], [2.0, 0.0, 4.0])
         assert ok[0].tolist() == [True, False, True]
@@ -205,10 +237,11 @@ class TestPoolImageFeatures:
         valid = rng.random(n) > 0.2
         P_ind = np.stack([rng.integers(0, 3, n), rng.integers(0, 4, n)], axis=1)
         kinds = np.array([KIND_CODES[KIND_AGENT]] * 4)
-        a, _ = pool_image_features(F_pts, valid, P_ind, kinds, 4, 3)
+        a, _ = pool_image_features(F_pts, per_point_ids(valid), P_ind, kinds,
+                                   4, 3)
         perm = rng.permutation(n)
-        b, _ = pool_image_features(F_pts[perm], valid[perm], P_ind[perm],
-                                   kinds, 4, 3)
+        b, _ = pool_image_features(F_pts[perm], per_point_ids(valid[perm]),
+                                   P_ind[perm], kinds, 4, 3)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_mass_conservation(self):
@@ -219,7 +252,8 @@ class TestPoolImageFeatures:
         P_ind = np.stack([rng.integers(0, T, n), rng.integers(0, n_elem, n)],
                          axis=1)
         kinds = np.full(n_elem, KIND_CODES[KIND_GROUND])
-        F_img, ok = pool_image_features(F_pts, valid, P_ind, kinds, n_elem, T)
+        F_img, ok = pool_image_features(F_pts, per_point_ids(valid), P_ind,
+                                        kinds, n_elem, T)
         counts = np.zeros((n_elem, T))
         for i in range(n):
             if valid[i]:

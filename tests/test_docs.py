@@ -6,7 +6,8 @@ from pathlib import Path
 
 from scenetok import PipelineConfig
 
-DOCS = Path(__file__).resolve().parent.parent / "docs"
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = ROOT / "docs"
 
 
 def test_config_file_section_lists_every_config_field():
@@ -15,3 +16,12 @@ def test_config_file_section_lists_every_config_field():
     listing = re.search(r"field names \((.*?)\)", section, re.DOTALL).group(1)
     assert sorted(re.findall(r"`(\w+)`", listing)) == sorted(
         field.name for field in dataclasses.fields(PipelineConfig))
+
+
+def test_readme_layout_names_every_module():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Layout", 1)[1].split("```", 2)[1]
+    listed = re.findall(r"^  (\S+)", block, re.MULTILINE)
+    package = ROOT / "src" / "scenetok"
+    modules = [p.name for p in package.glob("*.py") if p.name != "__init__.py"]
+    assert sorted(listed) == sorted(modules + ["fusion/"])

@@ -256,6 +256,8 @@ def test_invalid_feature_rows_are_zero(small_scene, small_config):
     result = tokenize_bundle(small_scene.bundle, small_config)
     scene = result.scene
     assert (scene.F_pts[~scene.F_pts_valid] == 0).all()
+    assert 0 < scene.F_pts_valid.sum() < scene.n_pts
+    np.testing.assert_array_equal(scene.F_pts_valid, scene.pixel >= 0)
 
 
 def test_float32_params_write_float32_tokens(small_scene, small_config,

@@ -11,6 +11,16 @@ from scenetok import pooling
 from scenetok.pooling import cell_index, segment_sum
 
 
+def ids_of(rows, n):
+    """Ids over a per-point table that read the listed ``rows``: row i for
+    a listed point i, -1 for the rest; None (every row) stays None."""
+    if rows is None:
+        return None
+    ids = np.full(n, -1)
+    ids[rows] = rows
+    return ids
+
+
 def add_at_reference(values, cell, n_cells, rows):
     """Sequential float64 scatter-add of ``values[rows]`` in row order."""
     if rows is None:
@@ -43,7 +53,8 @@ class TestSegmentSum:
     @given(pooling_cases())
     def test_matches_add_at_bit_for_bit(self, case):
         values, cell, n_cells, rows = case
-        sums, counts = segment_sum(values, cell, n_cells, rows=rows)
+        sums, counts = segment_sum(values, cell, n_cells,
+                                   pixel=ids_of(rows, len(values)))
         ref_sums, ref_counts = add_at_reference(values, cell, n_cells, rows)
         assert sums.dtype == np.float64
         np.testing.assert_array_equal(sums, ref_sums)
@@ -100,7 +111,8 @@ class TestChunkedSegmentSum:
         values[[2, 9]] = -0.0  # a -0.0 first summand, and a lone one
         values[10:12] = -0.0   # cell 5 sums only -0.0
         rows = np.array([0, 2, 3, 5, 8, 9, 10, 11, 13]) if subset else None
-        sums, counts = segment_sum(values, CHUNK_CELLS, 9, rows=rows)
+        sums, counts = segment_sum(values, CHUNK_CELLS, 9,
+                                   pixel=ids_of(rows, len(values)))
         ref_sums, ref_counts = add_at_reference(values, CHUNK_CELLS, 9, rows)
         assert sums.dtype == np.float64
         assert_same_sums(sums, ref_sums)
@@ -113,7 +125,8 @@ class TestChunkedSegmentSum:
     def test_any_chunk_size_matches_add_at(self, case, buffer):
         values, cell, n_cells, rows = case
         with mock.patch.object(pooling, "_POOL_BUFFER", buffer):
-            sums, counts = segment_sum(values, cell, n_cells, rows=rows)
+            sums, counts = segment_sum(values, cell, n_cells,
+                                       pixel=ids_of(rows, len(values)))
         ref_sums, ref_counts = add_at_reference(values, cell, n_cells, rows)
         assert_same_sums(sums, ref_sums)
         np.testing.assert_array_equal(counts, ref_counts)
@@ -151,8 +164,9 @@ class TestPixelGather:
         keep = data.draw(hnp.arrays(bool, n, elements=hs.booleans()))
         rows = data.draw(hs.sampled_from([None, np.flatnonzero(keep)]))
         with mock.patch.object(pooling, "_POOL_BUFFER", buffer):
-            sums, counts = segment_sum(table, cell, n_cells, rows=rows,
-                                       pixel=pixel)
+            read = pixel if rows is None else np.where(
+                ids_of(rows, n) >= 0, pixel, -1)
+            sums, counts = segment_sum(table, cell, n_cells, pixel=read)
         ref_sums, ref_counts = add_at_reference(table[pixel], cell, n_cells,
                                                 rows)
         assert_same_sums(sums, ref_sums)
@@ -168,7 +182,8 @@ class TestPixelGather:
         want = table[pixel].astype(np.float64)
         with mock.patch.object(pooling, "_POOL_BUFFER", buffer):
             sums, counts = segment_sum(table, cell, 4, pixel=pixel)
-            features = pooling.point_features(table, cell != 3, pixel)
+            features = pooling.point_features(
+                table, np.where(cell != 3, pixel, -1))
         ref_sums, ref_counts = add_at_reference(want, cell, 4, None)
         assert_same_sums(sums, ref_sums)
         np.testing.assert_array_equal(counts, ref_counts)

@@ -3,6 +3,7 @@ import pytest
 from camera_helpers import (
     build_point_features_reference,
     camera_bundle,
+    per_point_ids,
     pool_image_features_reference,
 )
 from hypothesis import given, settings
@@ -56,8 +57,7 @@ def cameras(*cams, **bundle_kwargs):
 def features(points, frame_ids, bundle, D):
     """(F_pts, valid) as the pipeline's scene gathers them on demand."""
     table, pixel = build_point_features(points, frame_ids, bundle, D)
-    valid = pixel >= 0
-    return point_features(table, valid, pixel), valid
+    return point_features(table, pixel), pixel >= 0
 
 
 def sample(fm, uv):
@@ -307,8 +307,7 @@ class TestPixelPoolingMatchesPerPointReference:
         points, P_ind, kinds = _points(rng, layout)
         table, pixel = build_point_features(points, P_ind[:, 0], bundle, 5)
         valid = pixel >= 0
-        got = pool_image_features(table, valid, P_ind, kinds, 12, 3,
-                                  pixel=pixel)
+        got = pool_image_features(table, pixel, P_ind, kinds, 12, 3)
         return bundle, points, P_ind, kinds, valid, got
 
     def test_default_path_is_bit_identical(self, layout):
@@ -357,11 +356,11 @@ class TestPixelPoolingMatchesPerPointReference:
 
     def test_point_features_equal_reference_rows(self, layout, monkeypatch):
         monkeypatch.setattr(pooling, "_POOL_BUFFER", 7)  # chunks of 1 row
-        bundle, points, P_ind, _, valid, _ = self._run(layout)
+        bundle, points, P_ind, _, _, _ = self._run(layout)
         table, pixel = build_point_features(points, P_ind[:, 0], bundle, 5)
         F_pts, _ = build_point_features_reference(points, P_ind[:, 0],
                                                   bundle, 5)
-        got = point_features(table, valid, pixel)
+        got = point_features(table, pixel)
         assert got.dtype == F_pts.dtype
         np.testing.assert_array_equal(got, F_pts)
 
@@ -372,9 +371,8 @@ class TestPixelPoolingMatchesPerPointReference:
         F_pts, _ = build_point_features_reference(points, P_ind[:, 0],
                                                   bundle, 5)
         cell = cell_index(P_ind, 3)
-        rows = np.flatnonzero(valid)
-        got = segment_sum(table, cell, 36, rows=rows, pixel=pixel)
-        want = segment_sum(F_pts, cell, 36, rows=rows)
+        got = segment_sum(table, cell, 36, pixel=pixel)
+        want = segment_sum(F_pts, cell, 36, pixel=per_point_ids(valid))
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 

@@ -237,6 +237,23 @@ class TestAtomicWrites:
             write_scene_bundle(tmp_path / "new", bad)
         assert not (tmp_path / "new").exists()
 
+    def test_unstorable_pixel_dtype_keeps_old_bundle(self, tmp_path,
+                                                     small_spec, small_scene):
+        # The blob format holds no float16; the writer refuses before it
+        # writes the other scene's point blobs.
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)  # seed 7
+        before = dir_bytes(d)
+        other = generate_scene(8, small_spec).bundle
+        bad = dataclasses.replace(
+            other, pixel_features=other.pixel_features.astype(np.float16))
+        with pytest.raises(StorageError, match="unsupported dtype float16"):
+            write_scene_bundle(d, bad)
+        assert dir_bytes(d) == before
+        with pytest.raises(StorageError, match="unsupported dtype float16"):
+            write_scene_bundle(tmp_path / "new", bad)
+        assert not (tmp_path / "new").exists()
+
     def test_failed_config_keeps_old_file(self, tmp_path, small_config):
         path = tmp_path / "cfg.json"
         save_pipeline_config(path, small_config)

@@ -15,6 +15,7 @@ import numpy as np
 from .config import PipelineConfig
 from .errors import (
     BadRotation,
+    BudgetMismatch,
     BundleValidationError,
     DuplicateCameraFrame,
     DuplicateTrackFrame,
@@ -145,7 +146,9 @@ class TokenizedScene:
     ``pixel`` (N_pts,) names each point's row, or is -1 for a point that no
     camera sees.  The number of points per frame is variable; only the
     per-kind totals are budgeted.  Row i of the element table (``B``,
-    ``elem_valid``, ``kind``, ``source_id``) is token id i.
+    ``elem_valid``, ``kind``, ``source_id``) is token id i.  Construction
+    raises BudgetMismatch if ``pixel`` is not one id per point or an id is
+    outside [-1, len(features)).
     """
 
     P_xyz: np.ndarray       # (N_pts, 3)
@@ -156,6 +159,18 @@ class TokenizedScene:
     elem_valid: np.ndarray  # (N_elem, T) bool
     kind: np.ndarray        # (N_elem,) int64 KIND_CODES
     source_id: np.ndarray   # (N_elem,) int64
+
+    def __post_init__(self):
+        self.pixel = np.asarray(self.pixel)
+        n_pts, n_rows = len(self.P_xyz), len(self.features)
+        if self.pixel.ndim != 1 or self.pixel.size != n_pts:
+            raise BudgetMismatch(f"pixel has {self.pixel.size} ids for "
+                                 f"{n_pts} points")
+        bad = np.flatnonzero((self.pixel < -1) | (self.pixel >= n_rows))
+        if bad.size:
+            raise BudgetMismatch(f"point {bad[0]} reads pixel "
+                                 f"{self.pixel[bad[0]]} of a {n_rows}-row "
+                                 f"feature table")
 
     @property
     def F_pts_valid(self) -> np.ndarray:

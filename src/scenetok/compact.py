@@ -44,9 +44,9 @@ def build_tokenized_scene(P_xyz: np.ndarray, P_ind: np.ndarray,
     or none when ``pixel[i]`` is -1.  The element table (``B``,
     ``elem_valid``, ``kind``, ``source_id``) has one row per token id.
     Raises BudgetMismatch if any kind's points exceed its budget (totals
-    only reach the configured N_pts when every kind saturates its budget),
-    if the pixel ids are not aligned with the points, or if an id is
-    outside [-1, len(features)).
+    only reach the configured N_pts when every kind saturates its budget);
+    ``TokenizedScene`` raises it for pixel ids that are not one per point
+    or fall outside [-1, len(features)).
     """
     counts = np.bincount(kind[P_ind[:, 1]], minlength=len(KIND_CODES))
     budgets = (config.n_pts_agent, config.n_pts_openset, config.n_pts_ground)
@@ -54,13 +54,6 @@ def build_tokenized_scene(P_xyz: np.ndarray, P_ind: np.ndarray,
         if counts[code] > budgets[code]:
             raise BudgetMismatch(f"{name} pool has {counts[code]} points, "
                                  f"budget is {budgets[code]}")
-    if pixel.shape[0] != P_xyz.shape[0]:
-        raise BudgetMismatch(f"pixel has {pixel.shape[0]} ids for "
-                             f"{P_xyz.shape[0]} points")
-    bad = np.flatnonzero((pixel < -1) | (pixel >= features.shape[0]))
-    if bad.size:
-        raise BudgetMismatch(f"point {bad[0]} reads pixel {pixel[bad[0]]} of "
-                             f"a {features.shape[0]}-row feature table")
 
     return TokenizedScene(P_xyz=P_xyz, P_ind=np.asarray(P_ind, dtype=np.int64),
                           features=features, pixel=pixel, B=B,

@@ -40,26 +40,31 @@ def linear_backward(g, x, w):
     return dx, dw, db
 
 
-def relu_forward(x):
-    return np.maximum(x, 0.0), x
+def relu_backward(g, h):
+    """``g`` where the ReLU output ``h`` is positive, zero elsewhere.
 
-
-def relu_backward(g, x):
-    return g * (x > 0)
+    ``h > 0`` equals ``h_pre > 0`` for ``h = max(h_pre, 0)``, so a ReLU can
+    run in place and keep only its output.
+    """
+    return g * (h > 0)
 
 
 def mlp2_forward(x, p):
-    """Two-layer MLP with ReLU: x -> hidden -> out."""
-    h_pre, _ = linear_forward(x, p.w1, p.b1)
-    h, _ = relu_forward(h_pre)
+    """Two-layer MLP with ReLU: x -> hidden -> out.
+
+    The ReLU runs in place on the hidden activations; the cache is
+    ``(x, h)``.
+    """
+    h, _ = linear_forward(x, p.w1, p.b1)
+    np.maximum(h, 0, out=h)
     y, _ = linear_forward(h, p.w2, p.b2)
-    return y, (x, h_pre, h)
+    return y, (x, h)
 
 
 def mlp2_backward(g, cache, p):
-    x, h_pre, h = cache
+    x, h = cache
     dh, dw2, db2 = linear_backward(g, h, p.w2)
-    dh_pre = relu_backward(dh, h_pre)
+    dh_pre = relu_backward(dh, h)
     dx, dw1, db1 = linear_backward(dh_pre, x, p.w1)
     return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 

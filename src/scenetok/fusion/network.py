@@ -5,6 +5,14 @@ block adds image, geometry, and temporal features, runs axial attention
 along time then along elements, and mean-pools valid frames into one vector
 per element.  Forward and backward are both hand-written so gradients can
 be checked against finite differences.
+
+There is one forward code path.  Only the training forward
+(``fusion_forward``, which feeds ``fusion_loss_and_grads``) keeps what the
+backward reads; ``encode_geometry`` and ``fuse_scene`` keep no backward
+state, so every activation is dropped as soon as the next step has read
+it.  Attention runs over chunks of whole groups whose logits hold at most
+``_GROUP_BUFFER`` values, so the fusion's peak memory follows one chunk,
+not the whole scene.
 """
 
 from __future__ import annotations
@@ -23,17 +31,21 @@ from .layers import (
     mlp2_backward,
     mlp2_forward,
     relu_backward,
-    relu_forward,
     softmax_backward,
 )
 from .params import AttentionBlockParams, FusionParams
+
+# Attention logit values per group chunk (4 MB in float64): groups of one
+# length are batched until a chunk's (groups, heads, L, L) logits would hold
+# more than this many values; a group larger than that is a chunk alone.
+_GROUP_BUFFER = 1 << 19
 
 
 # ---------------------------------------------------------------------------
 # geometry encoding
 
-def _pooled_point_forward(P_xyz, P_ind, params, n_elem):
-    """Mean-pooled MLP_f features per (element, frame) cell, with cache.
+def _pooled_point_forward(P_xyz, P_ind, params, n_elem, keep_cache=True):
+    """Mean-pooled MLP_f features per (element, frame) cell, and its cache.
 
     The second layer of MLP_f is affine, so a cell's mean of
     ``relu(h) @ W2.T + b2`` equals ``mean(relu(h)) @ W2.T + b2`` in exact
@@ -41,18 +53,22 @@ def _pooled_point_forward(P_xyz, P_ind, params, n_elem):
     layer and the ReLU run per point, then ``W2``, ``b2`` run per point
     before the pool when ``hidden >= D``, or on the non-empty cells after it
     when ``hidden < D``.  Each non-empty cell's float64 mean is rounded once
-    to ``params.dtype``; empty cells are exact zeros.  The cache is
-    ``(x, h_pre, cells, counts, w2_input)``, where ``w2_input`` is what
-    ``W2`` read: the per-point activations or the per-cell means.
+    to ``params.dtype``; empty cells are exact zeros.  The ReLU runs in
+    place.  The cache is ``(x, h, cells, counts, w2_input)``, where ``h`` is
+    the per-point ReLU output and ``w2_input`` is what ``W2`` read: ``h``
+    itself or the per-cell means.  Without ``keep_cache`` it is None and
+    the per-point activations are dropped when the function returns.
     """
     p = params.mlp_f
     pool_first = params.hidden < params.D
     cells = cell_index(P_ind, params.T)
     x = P_xyz.astype(params.dtype)
-    h_pre, _ = linear_forward(x, p.w1, p.b1)
-    w2_input, _ = relu_forward(h_pre)
-    rows = w2_input if pool_first else linear_forward(w2_input, p.w2, p.b2)[0]
+    h, _ = linear_forward(x, p.w1, p.b1)
+    np.maximum(h, 0, out=h)
+    w2_input = h
+    rows = h if pool_first else linear_forward(h, p.w2, p.b2)[0]
     sums, counts = segment_sum(rows, cells, n_elem * params.T)
+    del rows
     nz = counts > 0
     mean = (sums[nz] / counts[nz, None]).astype(params.dtype)
     if pool_first:
@@ -60,8 +76,8 @@ def _pooled_point_forward(P_xyz, P_ind, params, n_elem):
         mean, _ = linear_forward(mean, p.w2, p.b2)
     pooled = np.zeros((n_elem * params.T, params.D), dtype=params.dtype)
     pooled[nz] = mean
-    return (pooled.reshape(n_elem, params.T, params.D),
-            (x, h_pre, cells, counts, w2_input))
+    cache = (x, h, cells, counts, w2_input) if keep_cache else None
+    return pooled.reshape(n_elem, params.T, params.D), cache
 
 
 def _pooled_point_backward(g, cache, params, n_elem):
@@ -73,7 +89,7 @@ def _pooled_point_backward(g, cache, params, n_elem):
     back through ``W2`` on the non-empty cells, so the pooled gradient is
     ``hidden`` wide.
     """
-    x, h_pre, cells, counts, w2_input = cache
+    x, h, cells, counts, w2_input = cache
     p = params.mlp_f
     pool_first = params.hidden < params.D
     g = g.reshape(n_elem * params.T, params.D)
@@ -86,7 +102,7 @@ def _pooled_point_backward(g, cache, params, n_elem):
     g_pts = (g * scale[:, None]).astype(params.dtype)[cells]
     if not pool_first:
         g_pts, dw2, db2 = linear_backward(g_pts, w2_input, p.w2)
-    dh_pre = relu_backward(g_pts, h_pre)
+    dh_pre = relu_backward(g_pts, h)
     _, dw1, db1 = linear_backward(dh_pre, x, p.w1)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
@@ -96,13 +112,15 @@ def encode_geometry(P_xyz: np.ndarray, P_ind: np.ndarray, B: np.ndarray,
     """Per-element geometry features: pooled point branch + box branch.
 
     Empty (element, frame) cells contribute zeros from the pooled term; the
-    box MLP is applied to every row of B, including zero-padded ones.
+    box MLP is applied to every row of B, including zero-padded ones.  No
+    backward state is kept: the per-point activations are dropped once
+    they are pooled.
     """
-    F_geo, _ = _encode_geometry_fwd(P_xyz, P_ind, B, params)
+    F_geo, _ = _encode_geometry_fwd(P_xyz, P_ind, B, params, keep_cache=False)
     return F_geo
 
 
-def _encode_geometry_fwd(P_xyz, P_ind, B, params):
+def _encode_geometry_fwd(P_xyz, P_ind, B, params, keep_cache=True):
     P_xyz = np.asarray(P_xyz)
     P_ind = np.asarray(P_ind)
     B = np.asarray(B)
@@ -114,11 +132,12 @@ def _encode_geometry_fwd(P_xyz, P_ind, B, params):
         raise ShapeMismatch(f"B must be (n_elem, {params.T}, 7), got {B.shape}")
     n_elem = B.shape[0]
 
-    pooled, pool_cache = _pooled_point_forward(P_xyz, P_ind, params, n_elem)
+    F_geo, pool_cache = _pooled_point_forward(P_xyz, P_ind, params, n_elem,
+                                              keep_cache)
     box_flat, box_cache = mlp2_forward(
         B.reshape(n_elem * params.T, 7).astype(params.dtype), params.mlp_c)
-    F_geo = pooled + box_flat.reshape(n_elem, params.T, params.D)
-    return F_geo, (pool_cache, box_cache, n_elem)
+    F_geo += box_flat.reshape(n_elem, params.T, params.D)
+    return F_geo, ((pool_cache, box_cache, n_elem) if keep_cache else None)
 
 
 def _encode_geometry_bwd(dF_geo, cache, params):
@@ -137,30 +156,36 @@ def _encode_geometry_bwd(dF_geo, cache, params):
 # ---------------------------------------------------------------------------
 # axial attention
 
-def _slot_groups(sizes, order=None):
-    """Row-index matrices of the attention groups, one per group length.
+def _slot_groups(sizes, heads, order=None):
+    """Row-index matrices of the attention groups, in bounded chunks.
 
     Group i holds the ``sizes[i]`` rows that follow the earlier groups in
     ``order`` (default: the row order itself).  Groups of one length are
-    stacked into one ``(groups, length)`` matrix, so each length runs as
-    one batch; empty groups have no rows and are left out.
+    stacked into ``(groups, length)`` matrices, each holding as many groups
+    as keep its ``(groups, heads, L, L)`` logits within ``_GROUP_BUFFER``
+    values, and at least one; empty groups have no rows and are left out.
     """
     starts = np.cumsum(sizes) - sizes
     mats = []
     for L in np.unique(sizes[sizes > 0]):
         idx = starts[sizes == L][:, None] + np.arange(L)
-        mats.append(idx if order is None else order[idx])
+        if order is not None:
+            idx = order[idx]
+        step = max(1, _GROUP_BUFFER // (heads * int(L) ** 2))
+        mats.extend(idx[a:a + step] for a in range(0, idx.shape[0], step))
     return mats
 
 
-def _attention_fwd(X, block: AttentionBlockParams, groups):
+def _attention_fwd(X, block: AttentionBlockParams, groups, keep_cache=True):
     """Pre-norm residual attention among the rows of each group of X (n, D).
 
     ``groups`` is a list of ``(g, L)`` row-index matrices that together
     cover every row exactly once (see ``_slot_groups``); a row attends to
-    the L rows of its own group, all of them valid keys.  Returns the
-    output rows and the cache, which holds the per-group attention weights
-    ``(g, heads, L, L)`` at index 6.
+    the L rows of its own group, all of them valid keys.  Each matrix runs
+    as one batch.  Returns the output rows and the cache, which holds each
+    matrix's attention weights ``(g, heads, L, L)`` at index 6.  Without
+    ``keep_cache`` the cache is None, and the LayerNorm output, ``Q``,
+    ``K``, ``V`` and each matrix's weights are dropped once read.
     """
     D = X.shape[1]
     h = block.n_heads
@@ -170,6 +195,8 @@ def _attention_fwd(X, block: AttentionBlockParams, groups):
     Q, _ = linear_forward(Y, block.wq, block.bq)
     K = matmul_rows(Y, block.wk.T)
     V, _ = linear_forward(Y, block.wv, block.bv)
+    cache = (Y, ln_cache, Q, K, V, groups) if keep_cache else None
+    del Y, ln_cache
 
     ctx = np.empty_like(Q)
     weights = []
@@ -179,10 +206,12 @@ def _attention_fwd(X, block: AttentionBlockParams, groups):
         logits *= scale
         w = masked_softmax(logits)
         ctx[idx] = _merge_heads(w @ _split_heads(V[idx], h))
-        weights.append(w)
+        if keep_cache:
+            weights.append(w)
+    del Q, K, V
     out, _ = linear_forward(ctx, block.wo, block.bo)
     out += X
-    return out, (Y, ln_cache, Q, K, V, groups, weights, ctx)
+    return out, (cache + (weights, ctx) if keep_cache else None)
 
 
 def _split_heads(Z, h):
@@ -239,15 +268,17 @@ def _attention_bwd(g, block: AttentionBlockParams, cache):
 _masked_time_mean_fwd = masked_mean
 
 
-def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid):
+def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid,
+              keep_cache=True):
     """Fusion forward on the valid (element, frame) slots only.
 
-    The valid slots of ``X0`` are gathered once into a compact table of
-    rows in element-major order.  Time attention runs within each
-    element's valid frames, element attention within each frame's valid
-    elements (in element order).  The result is scattered back into a zero
-    ``(n_elem, T, D)`` array for the masked time-mean, so invalid slots
-    never reach ``F_elem``.
+    ``X0 = F_img + F_geo + f_temporal`` is formed on the valid slots only,
+    as a compact table of rows in element-major order.  Time attention runs
+    within each element's valid frames, element attention within each
+    frame's valid elements (in element order).  The result is scattered
+    back into a zero ``(n_elem, T, D)`` array for the masked time-mean, so
+    invalid slots never reach ``F_elem``.  Without ``keep_cache`` the cache
+    is None and neither attention block keeps backward state.
     """
     if F_img.shape != F_geo.shape:
         raise ShapeMismatch(f"F_img {F_img.shape} vs F_geo {F_geo.shape}")
@@ -258,22 +289,25 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid):
     if elem_valid.shape != (n_elem, T):
         raise ShapeMismatch(f"elem_valid {elem_valid.shape} != ({n_elem}, {T})")
 
-    X0 = F_img.astype(params.dtype) + F_geo.astype(params.dtype) \
-        + params.f_temporal[None, :, :]
     slots = np.flatnonzero(elem_valid.ravel())
-    time_groups = _slot_groups(elem_valid.sum(axis=1))
+    time_groups = _slot_groups(elem_valid.sum(axis=1),
+                               params.time_block.n_heads)
     elem_groups = _slot_groups(elem_valid.sum(axis=0),
+                               params.elem_block.n_heads,
                                np.argsort(slots % T, kind="stable"))
     # Each step rebinds x, so only the rows the next step reads stay alive.
-    x = X0.reshape(-1, D)[slots]
-    del X0
-    x, cache_t = _attention_fwd(x, params.time_block, time_groups)
-    x, cache_e = _attention_fwd(x, params.elem_block, elem_groups)
+    x = F_img.reshape(-1, D)[slots].astype(params.dtype, copy=False)
+    x += F_geo.reshape(-1, D)[slots].astype(params.dtype, copy=False)
+    x += params.f_temporal[slots % T]
+    x, cache_t = _attention_fwd(x, params.time_block, time_groups,
+                                keep_cache=keep_cache)
+    x, cache_e = _attention_fwd(x, params.elem_block, elem_groups,
+                                keep_cache=keep_cache)
     X2 = np.zeros((n_elem, T, D), dtype=x.dtype)
     X2.reshape(-1, D)[slots] = x
     del x
     F_elem, counts = _masked_time_mean_fwd(X2, elem_valid)
-    return F_elem, (slots, cache_t, cache_e, counts)
+    return F_elem, ((slots, cache_t, cache_e, counts) if keep_cache else None)
 
 
 def _fuse_bwd(dF_elem, cache, params: FusionParams, elem_valid):
@@ -300,9 +334,11 @@ def fuse_scene(F_img: np.ndarray, F_geo: np.ndarray, params: FusionParams,
     Adds the three inputs, attends along time then along elements among the
     valid slots only, and mean-pools each element over its valid frames.
     Values at invalid slots never reach the output, and elements with no
-    valid frame come out as zero rows.
+    valid frame come out as zero rows.  No backward state is kept: each
+    activation is dropped once read, and attention runs in chunks of whole
+    groups whose logits hold at most ``_GROUP_BUFFER`` values.
     """
-    F_elem, _ = _fuse_fwd(F_img, F_geo, params, elem_valid)
+    F_elem, _ = _fuse_fwd(F_img, F_geo, params, elem_valid, keep_cache=False)
     return F_elem
 
 
@@ -310,7 +346,7 @@ def fusion_forward(params: FusionParams, P_xyz, P_ind, B, F_img, elem_valid):
     """Full forward: geometry encoding then spatial-temporal fusion.
 
     Returns ``(F_elem, geo_cache, fuse_cache)``; the caches feed the
-    backward pass.
+    backward pass.  This is the only caller that keeps them.
     """
     F_geo, geo_cache = _encode_geometry_fwd(P_xyz, P_ind, B, params)
     F_elem, fuse_cache = _fuse_fwd(F_img, F_geo, params, elem_valid)

@@ -7,7 +7,7 @@ from scenetok.errors import ShapeMismatch
 from scenetok.fusion import AttentionBlockParams, FusionParams
 from scenetok.fusion.layers import (linear_backward, linear_forward,
                                     mlp2_backward, mlp2_forward,
-                                    relu_backward, relu_forward)
+                                    relu_backward)
 from scenetok.fusion.network import _attention_fwd, _slot_groups
 from scenetok.pooling import cell_index, segment_sum
 
@@ -38,7 +38,7 @@ def attn_along_axis(F: np.ndarray, axis: str, block: AttentionBlockParams,
     B, L, D = X.shape
     rows = X.reshape(B * L, D)
     slots = np.flatnonzero(mask.ravel())
-    groups = _slot_groups(mask.sum(axis=1))
+    groups = _slot_groups(mask.sum(axis=1), block.n_heads)
     x, cache = _attention_fwd(rows[slots], block, groups)
     group_weights = cache[6]
     out = rows.copy()
@@ -97,7 +97,7 @@ def pooled_point_forward_reference(P_xyz, P_ind, params, n_elem):
 
     p = params.mlp_f
     h_pre, _ = linear_forward(x, p.w1, p.b1)
-    h, _ = relu_forward(h_pre)
+    h = np.maximum(h_pre, 0.0)
     sums, counts = segment_sum(h, cells, n_cells)
     nz = counts > 0
     mean_h = (sums[nz] / counts[nz, None]).astype(params.dtype)

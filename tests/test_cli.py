@@ -315,6 +315,9 @@ def test_bench_prints_all_stages(workdir, capsys):
     out = capsys.readouterr().out
     for stage in ("ground", "decompose", "track", "project", "compact", "fuse"):
         assert stage in out
+    peak = [line.split("\t") for line in out.splitlines()
+            if line.startswith("peak_alloc_mb")]
+    assert len(peak) == 1 and float(peak[0][1]) > 0
 
 
 def test_multi_scene_tokenize(workdir):

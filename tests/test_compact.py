@@ -4,7 +4,8 @@ from camera_helpers import per_point_ids
 from scipy.stats import hypergeom
 
 from scenetok import PipelineConfig, build_tokenized_scene, downsample
-from scenetok.bundle import KIND_AGENT, KIND_CODES, KIND_GROUND, KIND_OPENSET, SceneElement
+from scenetok.bundle import (KIND_AGENT, KIND_CODES, KIND_GROUND, KIND_OPENSET,
+                             SceneElement, TokenizedScene)
 from scenetok.compact import pool_image_features
 from scenetok.errors import BudgetMismatch
 
@@ -116,6 +117,24 @@ class TestBuildTokenizedScene:
                                   np.zeros((2, 2), dtype=np.int64),
                                   np.zeros((3, 2)), np.array([-1, bad]),
                                   *_table(elements, config.T), config)
+
+    def test_direct_construction_checks_pixel_ids(self):
+        # the scene itself refuses an id past a 3-row table, so reading
+        # F_pts never ends in an IndexError
+        B, elem_valid, kind, source_id = _table([_element(0, KIND_AGENT, 3)], 3)
+        with pytest.raises(BudgetMismatch,
+                           match="point 0 reads pixel 7 of a 3-row"):
+            TokenizedScene(P_xyz=np.zeros((1, 3)),
+                           P_ind=np.zeros((1, 2), dtype=np.int64),
+                           features=np.zeros((3, 2)), pixel=[7], B=B,
+                           elem_valid=elem_valid, kind=kind,
+                           source_id=source_id)
+        with pytest.raises(BudgetMismatch, match="pixel has 2 ids for 1"):
+            TokenizedScene(P_xyz=np.zeros((1, 3)),
+                           P_ind=np.zeros((1, 2), dtype=np.int64),
+                           features=np.zeros((3, 2)), pixel=[0, 1], B=B,
+                           elem_valid=elem_valid, kind=kind,
+                           source_id=source_id)
 
     def test_unseen_point_reads_and_pools_nothing(self):
         # point 0 is unseen (-1), point 1 reads the table's last row; the

@@ -280,7 +280,7 @@ class TestRaggedValidity:
     def test_fixture_runs_several_group_lengths(self, ragged_fusion_inputs):
         valid = ragged_fusion_inputs["elem_valid"]
         for sizes in (valid.sum(axis=1), valid.sum(axis=0)):
-            mats = network._slot_groups(sizes)
+            mats = network._slot_groups(sizes, 2)
             assert len(mats) > 1 and max(m.shape[0] for m in mats) > 1
             assert sorted(np.concatenate([m.ravel() for m in mats])) == \
                 list(range(valid.sum()))
@@ -420,8 +420,8 @@ class TestPointPoolBackward:
         scale = np.zeros(counts.shape[0])
         scale[counts > 0] = 1.0 / counts[counts > 0]
         dphi = g.reshape(-1, params.D)[cells] * scale[cells, None]
-        _, want = mlp2_backward(dphi.astype(dtype),
-                                (cache[0], cache[1], cache[4]), params.mlp_f)
+        _, want = mlp2_backward(dphi.astype(dtype), (cache[0], cache[1]),
+                                params.mlp_f)
         assert got.keys() == want.keys()
         for name in want:
             assert got[name].dtype == want[name].dtype
@@ -679,3 +679,94 @@ def test_fuse_backward_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak_mb < 92
+
+
+def test_fuse_scene_peak_memory():
+    """Inference fusion at the budget shape (768 elements x 11 frames, all
+    slots valid, D=256, float32) allocates at most 80 MB at its peak.  It
+    measured 66.9 MB; a forward that kept every block's cache and attended
+    over all groups of a length at once measured 174.2 MB."""
+    rng = np.random.default_rng(0)
+    n_elem, T, D = 768, 11, 256
+    elem_valid = np.ones((n_elem, T), dtype=bool)
+    params = init_fusion_params(T=T, D=D, seed=0, dtype=np.float32)
+    F = rng.normal(size=(n_elem, T, D)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fuse_scene(F, F, params, elem_valid)
+        peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 80
+
+
+def budget_fusion_inputs():
+    """Training tensors at the 768 x 11 x 256 budget shape, about 20 % of
+    the slots invalid and 8 elements with none valid; few points."""
+    rng = np.random.default_rng(21)
+    n_elem, T, D, n_pts = 768, 11, 256, 4096
+    elem_valid = rng.random((n_elem, T)) >= 0.2
+    elem_valid[:8] = False
+    P_ind = np.stack([rng.integers(0, T, n_pts),
+                      rng.integers(0, n_elem, n_pts)], axis=1)
+    return dict(n_elem=n_elem, T=T, D=D, P_xyz=rng.normal(size=(n_pts, 3)),
+                P_ind=P_ind, B=rng.normal(size=(n_elem, T, 7)),
+                F_img=rng.normal(size=(n_elem, T, D)), elem_valid=elem_valid)
+
+
+class TestGroupChunks:
+    """Attention runs over chunks of whole groups; a chunk's logits hold at
+    most ``_GROUP_BUFFER`` values unless a single group holds more."""
+
+    @staticmethod
+    def run(t, dtype):
+        """(fuse_scene output, training F_elem, loss, grads) on ``t``."""
+        params = init_fusion_params(T=t["T"], D=t["D"], n_heads=2, seed=6,
+                                    dtype=dtype)
+        args = (t["P_xyz"], t["P_ind"], t["B"], t["F_img"], t["elem_valid"])
+        F_geo = encode_geometry(t["P_xyz"], t["P_ind"], t["B"], params)
+        fused = fuse_scene(t["F_img"], F_geo, params, t["elem_valid"])
+        F_elem = fusion_forward(params, *args)[0]
+        loss, grads = fusion_loss_and_grads(params, *args)
+        return fused, F_elem, loss, grads
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("inputs", ["ragged", "budget"])
+    def test_one_group_per_chunk_is_bit_identical(
+            self, ragged_fusion_inputs, monkeypatch, dtype, inputs):
+        t = ragged_fusion_inputs if inputs == "ragged" else budget_fusion_inputs()
+        fused, F_elem, loss, grads = self.run(t, dtype)
+        np.testing.assert_array_equal(fused, F_elem)
+        monkeypatch.setattr(network, "_GROUP_BUFFER", 1)
+        fused1, F_elem1, loss1, grads1 = self.run(t, dtype)
+        assert fused1.dtype == dtype
+        np.testing.assert_array_equal(fused1, fused)
+        np.testing.assert_array_equal(F_elem1, F_elem)
+        assert loss1 == loss
+        assert grads1.keys() == grads.keys()
+        for name in grads:
+            np.testing.assert_array_equal(grads1[name], grads[name])
+
+    def test_full_scene_element_axis_runs_six_chunks(self):
+        # 11 frames of 332 elements, 2 heads: 2 groups of 2 x 332^2 logits fit
+        mats = network._slot_groups(np.full(11, 332), 2)
+        assert [m.shape for m in mats] == [(2, 332)] * 5 + [(1, 332)]
+
+    @pytest.mark.parametrize("heads", [1, 2, 8])
+    def test_chunks_cover_every_row_once_within_the_bound(self, heads):
+        rng = np.random.default_rng(heads)
+        sizes = np.concatenate([rng.integers(0, 12, 700),
+                                [300, 300, 600, 0, 1000]])
+        order = rng.permutation(sizes.sum())
+        for perm in (None, order):
+            mats = network._slot_groups(sizes, heads, perm)
+            rows = np.concatenate([m.ravel() for m in mats])
+            np.testing.assert_array_equal(np.sort(rows),
+                                          np.arange(sizes.sum()))
+            for m in mats:
+                g, L = m.shape
+                assert g == 1 or g * heads * L * L <= network._GROUP_BUFFER
+            assert any(m.shape[0] > 1 for m in mats)
+            assert any(heads * m.shape[1] ** 2 > network._GROUP_BUFFER
+                       for m in mats)

@@ -526,24 +526,45 @@ def test_compaction_matches_per_frame_reference(case, small_scene,
         np.testing.assert_array_equal(got.frame_valid, want.frame_valid)
 
 
+def _full_size_tokenize_peak_mb(params=None):
+    """The criterion-11 scene (65 536 points, D = 256), tokenized once to
+    warm up, then once under tracemalloc: (result, peak MB)."""
+    spec = SceneSpec(n_agents=16, n_clutter=60, T=11, area_m=160.0,
+                     cameras=2, D=256, ground_points_per_frame=3200,
+                     agent_points=60, clutter_points=40, min_separation_m=6.0,
+                     feature_res=32)
+    bundle, config = generate_scene(100, spec).bundle, PipelineConfig()
+    tokenize_bundle(bundle, config, params=params)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        result = tokenize_bundle(bundle, config, params=params)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return result, peak_mb
+
+
 def test_full_size_tokenize_builds_no_point_feature_table():
     """Image features are pooled from the camera pixel table, so tokenizing
     the full-size scene (65 536 points, D = 256) never holds an (N_pts, D)
     table: one in float32 alone is 64 MB.  The tracemalloc peak of
     ``tokenize_bundle`` without fusion measured 30.9 MB here; the build
     that made one feature row per point peaked at 94.4 MB."""
-    spec = SceneSpec(n_agents=16, n_clutter=60, T=11, area_m=160.0,
-                     cameras=2, D=256, ground_points_per_frame=3200,
-                     agent_points=60, clutter_points=40, min_separation_m=6.0,
-                     feature_res=32)
-    bundle, config = generate_scene(100, spec).bundle, PipelineConfig()
-    tokenize_bundle(bundle, config)  # first-call imports and caches
-    tracemalloc.start()
-    try:
-        result = tokenize_bundle(bundle, config)
-        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
+    result, peak_mb = _full_size_tokenize_peak_mb()
+    config = PipelineConfig()
     assert result.scene.n_pts * config.D * 4 / 2**20 == 64.0
     assert result.F_img_valid.any()
     assert peak_mb < 40.0
+
+
+def test_full_size_tokenize_with_fusion_keeps_no_backward_state():
+    """With float32 fusion params, tokenizing the criterion-11 scene peaks
+    at 47.9 MB (tracemalloc).  A fusion that kept every activation a
+    backward pass reads, and attended over all groups of a length at once,
+    peaked at 82.2 MB."""
+    config = PipelineConfig()
+    params = init_fusion_params(T=config.T, D=config.D, seed=0,
+                                dtype=np.float32)
+    result, peak_mb = _full_size_tokenize_peak_mb(params)
+    assert result.tokens.F_elem.dtype == np.float32
+    assert peak_mb < 56.0

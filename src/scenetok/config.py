@@ -19,9 +19,6 @@ class RansacConfig:
 
     iters: int = 256
     inlier_threshold_m: float = 0.2
-    # Hypotheses are scored on at most this many points (seeded subsample);
-    # the final least-squares refinement always uses every inlier.
-    max_score_points: int = 50_000
 
     def validate(self) -> list[str]:
         problems = []
@@ -29,8 +26,6 @@ class RansacConfig:
             problems.append("ransac.iters must be > 0")
         if self.inlier_threshold_m <= 0:
             problems.append("ransac.inlier_threshold_m must be > 0")
-        if self.max_score_points < 3:
-            problems.append("ransac.max_score_points must be >= 3")
         return problems
 
 

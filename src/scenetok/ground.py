@@ -1,8 +1,9 @@
 """Ground-plane fitting, segmentation, and tiling into ground elements.
 
-One plane is fit per scene with RANSAC and refined by least squares over
-its inliers.  Ground points from all frames are merged before tiling, so a
-tile is a single static element whose box row repeats across frames.
+One plane is fit per scene with RANSAC on the lowest point of each 10 m xy
+cell, and refined by least squares over every point near it.  Ground points
+from all frames are merged before tiling, so a tile is a single static
+element whose box row repeats across frames.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ import numpy as np
 from .config import PipelineConfig, RansacConfig
 from .errors import DegenerateInput
 
+# Edge of the xy cells whose lowest points the plane is fit on, in metres.
+_CELL_M = 10.0
+
 # Float64 distances per scoring block (2 MB): as many hypotheses are scored at
-# once as fit, 5 at the default ``max_score_points`` of 50 000.  On a 2-vCPU
-# x86 VM with 2 MB of L2 per core, blocks of 32 (12.8 MB) made the full-size
-# scene's fit ~25 % slower.
+# once as fit.  The lowest-point set holds one point per occupied cell, a few
+# hundred on the synthetic scenes, so all hypotheses fit in one block there; a
+# 1 km square scene scores 26 at a time.  On a 2-vCPU x86 VM with 2 MB of L2
+# per core, 12.8 MB blocks made a 50 000-point scoring ~25 % slower.
 _SCORE_BUFFER = 1 << 18
 
 
@@ -86,41 +91,85 @@ def lexicographic_order(points: np.ndarray) -> np.ndarray:
     return order
 
 
+def _sort_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal (cx, cy) cells: their stable lexicographic order, and a
+    flag on each position of that order where a new cell begins.
+
+    The two keys are sorted as they are; packing them into one int64 would
+    overflow for far-apart cells.
+    """
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    sorted_cells = cells[order]
+    run_start = np.empty(cells.shape[0], dtype=bool)
+    run_start[0] = True
+    np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1, out=run_start[1:])
+    return order, run_start
+
+
+def _lowest_points(points: np.ndarray) -> np.ndarray:
+    """The lowest point of each occupied ``_CELL_M`` xy cell, (cells, 3).
+
+    Cells come in lexicographic (cx, cy) order.  A cell's point is its least
+    in z, ties broken by the least x, then the least y, so the set does not
+    depend on input order.  The cells are grouped by one sort; each key then
+    keeps the points that equal their cell's minimum of it.  On flat ground
+    most of a cell's points tie on z, and this costs about half a five-key
+    lexsort.
+    """
+    idx, run_start = _sort_cells(tile_cells(points[:, :2], _CELL_M))
+    cell = np.cumsum(run_start) - 1
+    for axis in (2, 0, 1):
+        key = points[idx, axis]
+        starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        keep = key == np.minimum.reduceat(key, starts)[cell]
+        idx, cell = idx[keep], cell[keep]
+    # A cell's remaining points are copies of one point: keep the first.
+    return points[idx[np.diff(cell, prepend=-1) > 0]]
+
+
 def fit_ground_plane(points: np.ndarray, config: RansacConfig,
                      seed: int = 0) -> GroundPlane:
-    """RANSAC plane fit, deterministic under ``seed``.
+    """RANSAC plane fit on each cell's lowest point, deterministic under ``seed``.
 
-    Hypotheses are 3-point samples drawn from a lexicographically sorted
-    copy of the cloud, so the result does not depend on input ordering.
-    All ``config.iters`` samples are drawn first; their normals come from
-    one row-wise cross product, and collinear samples are dropped.  The rest
-    are scored a block at a time: one stacked matrix-vector product gives a
-    (block, points) distance buffer, which is offset, made absolute
-    and counted against the threshold in place.  Each distance is rounded
-    exactly as when the hypothesis is scored on its own, so the count, and
-    the winner, do not depend on the blocking.  This is the breadth-first
-    order of preemptive RANSAC (Nister 2003) without its early exit: every
-    hypothesis is scored on every point.  The winning hypothesis (most
-    inliers, earliest sample on ties) is refined by a least-squares fit
-    over its inliers.
+    Hypotheses are drawn from, and scored on, the lowest point of each
+    occupied ``_CELL_M`` xy cell (``_lowest_points``, the "lowest point
+    representative" of Zermas et al. 2017).  Objects stand on the ground,
+    so a cell's lowest point is ground wherever the cell shows any, however
+    many of the cloud's points the objects hold.  The set's canonical order
+    makes the result independent of input order.  The cell size is a
+    constant: it need only be wide enough that most cells show ground
+    between objects, and 5 and 10 m cells give the same planes on the
+    synthetic workloads.
+
+    The ``config.iters`` 3-point samples are drawn at once and their normals
+    come from one row-wise cross product; collinear samples are dropped.
+    The rest are scored in blocks by one stacked matrix-vector product,
+    each distance rounded as when its hypothesis is scored alone, so the
+    winner does not depend on the blocking.  The winner (most inliers,
+    earliest sample on ties; Fischler & Bolles 1981) is refined by least
+    squares over every point of the cloud within the threshold, taken in
+    lexicographic order.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
     if n < 3:
         raise DegenerateInput(f"need at least 3 points to fit a plane, got {n}")
 
-    pts = points[lexicographic_order(points)]
+    low = _lowest_points(points)
+    m = low.shape[0]
+    if m < 3:
+        raise DegenerateInput(
+            f"points fill {m} cell(s) of {_CELL_M:g} m; fewer than 3 lowest "
+            "points are collinear, and the plane is underdetermined")
+
+    # Three distinct indices per sample, as drawn without replacement: take
+    # i < m, j < m - 1 and k < m - 2, then step j past i and k past both.
     rng = np.random.default_rng(seed)
-
-    if n > config.max_score_points:
-        score_idx = rng.choice(n, size=config.max_score_points, replace=False)
-        score_pts = pts[np.sort(score_idx)]
-    else:
-        score_pts = pts
-
-    samples = np.array([rng.choice(n, size=3, replace=False)
-                        for _ in range(config.iters)])
-    a, b, c = pts[samples[:, 0]], pts[samples[:, 1]], pts[samples[:, 2]]
+    i, j, k = rng.integers(0, [m, m - 1, m - 2], size=(config.iters, 3)).T
+    j += j >= i
+    k += k >= np.minimum(i, j)
+    k += k >= np.maximum(i, j)
+    a, b, c = low[i], low[j], low[k]
     normals = np.cross(b - a, c - a)
     norms = np.sqrt(_row_dots(normals, normals))
     kept = np.flatnonzero(norms >= 1e-12)  # drop collinear samples
@@ -131,20 +180,21 @@ def fit_ground_plane(points: np.ndarray, config: RansacConfig,
 
     thr = config.inlier_threshold_m
     counts = np.empty(kept.size, dtype=np.int64)
-    block = max(1, _SCORE_BUFFER // score_pts.shape[0])
+    block = max(1, _SCORE_BUFFER // m)
     for lo in range(0, kept.size, block):
         hi = min(lo + block, kept.size)
-        dist = np.matmul(score_pts, normals[lo:hi, :, None])[:, :, 0]
+        dist = np.matmul(low, normals[lo:hi, :, None])[:, :, 0]
         dist += offsets[lo:hi, None]
         np.abs(dist, out=dist)
         counts[lo:hi] = np.count_nonzero(dist <= thr, axis=1)
 
     best = int(np.argmax(counts))  # first maximum: earliest sample wins ties
     normal, offset = normals[best], float(offsets[best])
-    inliers = pts[np.abs(pts @ normal + offset) <= thr]
+    inliers = points[np.abs(points @ normal + offset) <= thr]
     if inliers.shape[0] >= 3:
         try:
-            normal, offset = _least_squares_plane(inliers)
+            normal, offset = _least_squares_plane(
+                inliers[lexicographic_order(inliers)])
         except DegenerateInput:
             normal, offset = _canonicalize(normal, offset)
     else:
@@ -186,16 +236,9 @@ def tile_ground(points: np.ndarray, tile_size: float,
                 np.empty(0, dtype=np.int64))
 
     cells = tile_cells(points[:, :2], tile_size)
-    # Group equal cells: sort lexicographically by (cx, cy), then split at
-    # the run boundaries.  The two keys are sorted as they are; packing them
-    # into one int64 would overflow for far-apart cells.
-    order = np.lexsort((cells[:, 1], cells[:, 0]))
-    sorted_cells = cells[order]
-    run_start = np.empty(n, dtype=bool)
-    run_start[0] = True
-    np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1, out=run_start[1:])
+    order, run_start = _sort_cells(cells)
     starts = np.flatnonzero(run_start)
-    uniq = sorted_cells[starts]
+    uniq = cells[order[starts]]
     inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.cumsum(run_start) - 1
     counts = np.diff(starts, append=n)

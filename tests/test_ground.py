@@ -4,10 +4,13 @@ import pytest
 from scenetok import fit_ground_plane, segment_ground, tile_ground
 from scenetok.bundle import KIND_GROUND, SceneElement
 from scenetok.config import PipelineConfig, RansacConfig
+from scenetok.decompose import LABEL_GROUND
 from scenetok.errors import DegenerateInput
+from scenetok.ground import (_CELL_M, GroundPlane, _canonicalize,
+                             _least_squares_plane, _lowest_points,
+                             fit_and_segment, lexicographic_order, tile_cells)
 from scenetok.pipeline import assign_token_ids
-from scenetok.ground import (GroundPlane, _canonicalize, _least_squares_plane,
-                             lexicographic_order, tile_cells)
+from scenetok.synthetic import SceneSpec, generate_scene
 
 CFG = RansacConfig()
 
@@ -45,31 +48,41 @@ def test_sloped_plane_with_outliers_matches_ls_oracle():
     assert angle < 1e-3
 
 
+def lowest_points_reference(points):
+    """Each occupied cell's point least in (z, x, y), by a loop over points;
+    cells in lexicographic (cx, cy) order."""
+    best = {}
+    for p in points:
+        cell = (int(np.floor(p[0] / _CELL_M)), int(np.floor(p[1] / _CELL_M)))
+        if cell not in best or (p[2], p[0], p[1]) < tuple(best[cell][[2, 0, 1]]):
+            best[cell] = p
+    return np.array([best[c] for c in sorted(best)]).reshape(-1, 3)
+
+
 def ransac_reference(points, config, seed=0):
-    """Per-hypothesis RANSAC loop: the reference for fit_ground_plane."""
+    """Per-hypothesis RANSAC loop on each cell's lowest point: the reference
+    for fit_ground_plane."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    n = points.shape[0]
-    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
-    pts = points[order]
+    low = lowest_points_reference(points)
+    m = low.shape[0]
+    if m < 3:
+        raise DegenerateInput("fewer than 3 cells: lowest points are collinear")
     rng = np.random.default_rng(seed)
-    if n > config.max_score_points:
-        score_idx = rng.choice(n, size=config.max_score_points, replace=False)
-        score_pts = pts[np.sort(score_idx)]
-    else:
-        score_pts = pts
+    draws = rng.integers(0, [m, m - 1, m - 2], size=(config.iters, 3))
 
     best_count = -1
     best_plane = None
-    for _ in range(config.iters):
-        i, j, k = rng.choice(n, size=3, replace=False)
-        a, b, c = pts[i], pts[j], pts[k]
+    for draw in draws:
+        pool = list(range(m))  # draw r picks the r-th index not yet drawn
+        i, j, k = (pool.pop(r) for r in draw)
+        a, b, c = low[i], low[j], low[k]
         normal = np.cross(b - a, c - a)
         norm = np.linalg.norm(normal)
         if norm < 1e-12:
             continue
         normal = normal / norm
         offset = -float(normal @ a)
-        count = int((np.abs(score_pts @ normal + offset)
+        count = int((np.abs(low @ normal + offset)
                      <= config.inlier_threshold_m).sum())
         if count > best_count:
             best_count = count
@@ -78,7 +91,8 @@ def ransac_reference(points, config, seed=0):
         raise DegenerateInput("all RANSAC samples were collinear")
 
     normal, offset = best_plane
-    inliers = pts[np.abs(pts @ normal + offset) <= config.inlier_threshold_m]
+    inliers = points[np.abs(points @ normal + offset) <= config.inlier_threshold_m]
+    inliers = inliers[np.lexsort((inliers[:, 2], inliers[:, 1], inliers[:, 0]))]
     if inliers.shape[0] >= 3:
         try:
             normal, offset = _least_squares_plane(inliers)
@@ -102,14 +116,24 @@ def _tilted_with_outliers(seed):
     return np.concatenate([np.column_stack([xy, z]), outliers]), CFG
 
 
-def _tied_layers(seed):
-    """An integer grid: its parallel axis-aligned slices tie on count."""
-    rng = np.random.default_rng(seed)
-    side, n_layers = int(rng.integers(3, 7)), int(rng.integers(2, 5))
-    g = np.arange(side, dtype=np.float64)
+def _stacked_layers(bottom, n_layers):
+    """Unit-spaced layers over a grid of columns, one column per cell;
+    column (i, j) stands at its cell's center from ``bottom[i, j]`` up."""
+    g = (np.arange(bottom.shape[0]) + 0.5) * _CELL_M
     x, y, z = np.meshgrid(g, g, np.arange(n_layers, dtype=np.float64),
                           indexing="ij")
-    pts = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    z = z + bottom[:, :, None]
+    return np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+
+
+def _tied_levels(seed):
+    """Half the columns stand a meter above the rest: the two horizontal
+    planes of their lowest points tie on count."""
+    rng = np.random.default_rng(seed)
+    side, n_layers = 2 * int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    bottom = rng.permutation(np.repeat([0.0, 1.0], side * side // 2))
+    pts = _stacked_layers(bottom.reshape(side, side), n_layers)
+    pts[:, :2] += rng.uniform(-4, 4, (len(pts), 2))
     return pts[rng.permutation(len(pts))], CFG
 
 
@@ -122,23 +146,29 @@ def _mostly_collinear(seed):
     return np.concatenate([line, off_line]), CFG
 
 
-def _subsampled(seed):
-    pts, _ = _tilted_with_outliers(seed)
-    pts = np.concatenate([pts, pts[: len(pts) // 3]])  # duplicate points too
-    cfg = RansacConfig(iters=64, max_score_points=max(3, len(pts) // 4))
-    return pts, cfg
+def _flat_sheet(seed):
+    """Points of a z = 0 integer lattice, some repeated: within a cell most
+    points tie on z, many on x too, and copies of a point on all three."""
+    rng = np.random.default_rng(seed)
+    xy = rng.integers(-12, 13, (int(rng.integers(50, 400)), 2))
+    sheet = np.column_stack([xy, np.zeros(len(xy))])
+    pts = np.concatenate([sheet, sheet[: len(sheet) // 2],
+                          rng.uniform(-12, 12, (20, 3)) + [0, 0, 13]])
+    return pts[rng.permutation(len(pts))], CFG
 
 
 REFERENCE_CLOUDS = ([("tilted", _tilted_with_outliers, s) for s in range(16)]
-                    + [("tied", _tied_layers, s) for s in range(16)]
+                    + [("tied", _tied_levels, s) for s in range(16)]
                     + [("collinear", _mostly_collinear, s) for s in range(12)]
-                    + [("subsample", _subsampled, s) for s in range(12)])
+                    + [("flat", _flat_sheet, s) for s in range(8)])
 
 
 @pytest.mark.parametrize("make,seed", [c[1:] for c in REFERENCE_CLOUDS],
                          ids=[f"{k}{s}" for k, _, s in REFERENCE_CLOUDS])
 def test_fit_matches_per_hypothesis_reference(make, seed):
     pts, cfg = make(seed)
+    np.testing.assert_array_equal(_lowest_points(pts),
+                                  lowest_points_reference(pts))
     got = fit_ground_plane(pts, cfg, seed=seed)
     want = ransac_reference(pts, cfg, seed=seed)
     np.testing.assert_array_equal(got.normal, want.normal)
@@ -146,19 +176,15 @@ def test_fit_matches_per_hypothesis_reference(make, seed):
     assert got.inlier_count == want.inlier_count
 
 
-def test_tied_layers_keep_the_earliest_sample():
-    # Here the horizontal layers score most, each the same count; the plane
-    # returned is the layer of the first in-layer sample, not of the last.
-    pts, _ = _tied_layers(0)
-    plane = fit_ground_plane(pts, CFG, seed=0)
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    rng = np.random.default_rng(0)
-    layers = [set(pts[order][rng.choice(len(pts), 3, replace=False), 2])
-              for _ in range(CFG.iters)]
-    in_layer = [next(iter(z)) for z in layers if len(z) == 1]
-    assert len(set(in_layer)) > 1  # the tie is real
+def test_stacked_layers_fit_the_bottom_layer():
+    # Every layer holds as many points as the others, but only the bottom
+    # one holds a cell's lowest point.
+    pts = _stacked_layers(np.full((5, 5), 2.0), n_layers=4)
+    plane = fit_ground_plane(pts[np.random.default_rng(0).permutation(100)],
+                             CFG, seed=0)
     np.testing.assert_allclose(plane.normal, [0.0, 0.0, 1.0], atol=1e-12)
-    assert -plane.offset == pytest.approx(in_layer[0], abs=1e-12)
+    assert -plane.offset == pytest.approx(2.0, abs=1e-12)
+    assert plane.inlier_count == 25
 
 
 def _order_cases():
@@ -204,14 +230,43 @@ def test_collinear_points_degenerate():
         ransac_reference(pts, CFG, seed=0)
 
 
-def test_fit_invariant_to_point_order():
+def _order_invariance_clouds():
     rng = np.random.default_rng(5)
-    pts = np.column_stack([rng.uniform(-5, 5, (200, 2)),
-                           rng.normal(0, 0.02, 200)])
+    g = np.arange(-15.0, 15.0)
+    x, y = np.meshgrid(g, g, indexing="ij")
+    return [("noisy", np.column_stack([rng.uniform(-5, 5, (200, 2)),
+                                       rng.normal(0, 0.02, 200)])),
+            ("flat_sheet", np.column_stack([x.ravel(), y.ravel(),
+                                            np.zeros(x.size)]))]
+
+
+@pytest.mark.parametrize("name, pts", _order_invariance_clouds(),
+                         ids=[name for name, _ in _order_invariance_clouds()])
+def test_fit_invariant_to_point_order(name, pts):
+    shuffled = pts[np.random.default_rng(5).permutation(len(pts))]
+    np.testing.assert_array_equal(_lowest_points(pts), _lowest_points(shuffled))
     a = fit_ground_plane(pts, CFG, seed=9)
-    b = fit_ground_plane(pts[rng.permutation(200)], CFG, seed=9)
+    b = fit_ground_plane(shuffled, CFG, seed=9)
     np.testing.assert_array_equal(a.normal, b.normal)
     assert a.offset == b.offset
+
+
+# The crowded_scene workload of perfbench/workloads.py: ground is 13 % of
+# its points, under a dense layer of agents and clutter.
+CROWDED_SPEC = dict(n_agents=150, n_clutter=450, T=11, area_m=220.0,
+                    cameras=2, D=256, ground_points_per_frame=2000,
+                    agent_points=30, clutter_points=20, min_separation_m=4.0,
+                    feature_res=32)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_crowded_scene_ground_matches_truth(seed):
+    scene = generate_scene(seed, SceneSpec(**CROWDED_SPEC))
+    _, mask = fit_and_segment(scene.bundle.points, PipelineConfig())
+    truth = np.concatenate(scene.truth.labels) == LABEL_GROUND
+    hits = int((mask & truth).sum())
+    assert hits / truth.sum() == 1.0  # recall
+    assert hits / mask.sum() == 1.0  # precision
 
 
 def test_segment_ground_threshold():

@@ -879,11 +879,16 @@ class TestConfigIO:
         with pytest.raises(ValueError):
             load_pipeline_config(path)
 
-    @pytest.mark.parametrize("field", ["feature_interp", "camera_overlap"])
-    def test_removed_pixel_field_rejected(self, tmp_path, field):
-        # older builds saved these two pixel-sampling fields
+    @pytest.mark.parametrize("raw, field", [
+        ({"feature_interp": "nearest"}, "feature_interp"),
+        ({"camera_overlap": "nearest"}, "camera_overlap"),
+        ({"ransac": {"max_score_points": 50_000}}, "ransac.max_score_points"),
+    ], ids=["feature_interp", "camera_overlap", "ransac.max_score_points"])
+    def test_removed_field_rejected(self, tmp_path, raw, field):
+        # older builds saved two pixel-sampling fields and the size of the
+        # RANSAC scoring subsample
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({field: "nearest", "T": 5}))
+        path.write_text(json.dumps(dict(raw, T=5)))
         with pytest.raises(ValueError, match=f"unknown config field {field}"):
             load_pipeline_config(path)
 

@@ -1,8 +1,8 @@
 """Ground-plane fitting, segmentation, and tiling into ground elements.
 
-One plane is fit per scene with RANSAC on the lowest point of each 10 m xy
-cell, and refined by least squares over every point near it.  Ground points
-from all frames are merged before tiling, so a tile is a single static
+One plane is fit per scene with RANSAC on the lowest supported point of each
+10 m xy cell, and refined by least squares over every point near it.  Ground
+points from all frames are merged before tiling, so a tile is a single static
 element whose box row repeats across frames.
 """
 
@@ -15,8 +15,14 @@ import numpy as np
 from .config import PipelineConfig, RansacConfig
 from .errors import DegenerateInput
 
-# Edge of the xy cells whose lowest points the plane is fit on, in metres.
+# Edge of the xy cells whose lowest points the plane is fit on, in metres.  A
+# cloud less than three cells wide is cut into cells a third of its width.
 _CELL_M = 10.0
+
+# Points of a cell, itself included, that must lie within the inlier threshold
+# above a point for it to stand for the cell.  A lower point with fewer is a
+# stray below the ground (multipath or sensor noise) and is passed over.
+_MIN_SUPPORT = 3
 
 # Float64 distances per scoring block (2 MB): as many hypotheses are scored at
 # once as fit.  The lowest-point set holds one point per occupied cell, a few
@@ -106,19 +112,46 @@ def _sort_cells(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, run_start
 
 
-def _lowest_points(points: np.ndarray) -> np.ndarray:
-    """The lowest point of each occupied ``_CELL_M`` xy cell, (cells, 3).
+def _lowest_points(points: np.ndarray, cell_m: float,
+                  threshold: float) -> np.ndarray:
+    """The lowest supported point of each occupied ``cell_m`` xy cell.
 
-    Cells come in lexicographic (cx, cy) order.  A cell's point is its least
-    in z, ties broken by the least x, then the least y, so the set does not
-    depend on input order.  The cells are grouped by one sort; each key then
-    keeps the points that equal their cell's minimum of it.  On flat ground
-    most of a cell's points tie on z, and this costs about half a five-key
-    lexsort.
+    Cells come in lexicographic (cx, cy) order.  A point is supported when
+    at least ``_MIN_SUPPORT`` of its cell's points, itself included, lie in
+    z within ``threshold`` above it; a cell without one keeps its lowest
+    point.  Among a cell's points at the chosen height the least x, then
+    the least y wins, so the set does not depend on input order.
+
+    The cells are grouped by one sort, and one count per cell tells
+    whether its least z is supported.  Only cells where it is not have
+    their points sorted by z, to find the lowest supported height.  Each
+    key then keeps the points that equal their cell's choice of it; on
+    flat ground most of a cell's points tie on z, and this costs about half
+    a five-key lexsort.
     """
-    idx, run_start = _sort_cells(tile_cells(points[:, :2], _CELL_M))
+    idx, run_start = _sort_cells(tile_cells(points[:, :2], cell_m))
+    starts = np.flatnonzero(run_start)
     cell = np.cumsum(run_start) - 1
-    for axis in (2, 0, 1):
+    z = points[idx, 2]
+    level = np.minimum.reduceat(z, starts)
+    support = np.add.reduceat(z <= level[cell] + threshold, starts,
+                              dtype=np.int64)
+    weak = support < _MIN_SUPPORT
+    if weak.any():
+        # Sort the weak cells' points by (cell, z): the point at position p
+        # is supported iff the one _MIN_SUPPORT - 1 places on is in its cell
+        # and within the threshold.  A tie's first point counts the most.
+        sub = np.flatnonzero(weak[cell])
+        sub = sub[np.lexsort((z[sub], cell[sub]))]
+        k = _MIN_SUPPORT - 1
+        zs, cs = z[sub[:-k]], cell[sub[:-k]]
+        ok = (cell[sub[k:]] == cs) & (z[sub[k:]] <= zs + threshold)
+        zs, cs = zs[ok], cs[ok]
+        first = np.flatnonzero(np.diff(cs, prepend=-1))
+        level[cs[first]] = zs[first]
+    keep = z == level[cell]
+    idx, cell = idx[keep], cell[keep]
+    for axis in (0, 1):
         key = points[idx, axis]
         starts = np.flatnonzero(np.diff(cell, prepend=-1))
         keep = key == np.minimum.reduceat(key, starts)[cell]
@@ -131,15 +164,22 @@ def fit_ground_plane(points: np.ndarray, config: RansacConfig,
                      seed: int = 0) -> GroundPlane:
     """RANSAC plane fit on each cell's lowest point, deterministic under ``seed``.
 
-    Hypotheses are drawn from, and scored on, the lowest point of each
-    occupied ``_CELL_M`` xy cell (``_lowest_points``, the "lowest point
+    Hypotheses are drawn from, and scored on, the lowest supported point of
+    each occupied xy cell (``_lowest_points``, the "lowest point
     representative" of Zermas et al. 2017).  Objects stand on the ground,
     so a cell's lowest point is ground wherever the cell shows any, however
-    many of the cloud's points the objects hold.  The set's canonical order
-    makes the result independent of input order.  The cell size is a
-    constant: it need only be wide enough that most cells show ground
+    many of the cloud's points the objects hold.  A point below the ground
+    with fewer than ``_MIN_SUPPORT`` points near it is passed over, so
+    isolated strays do not take the ground's place; a cell that holds only
+    strays still gives one.  The set's canonical order makes the result
+    independent of input order.
+
+    The cells are ``_CELL_M`` wide: wide enough that most cells show ground
     between objects, and 5 and 10 m cells give the same planes on the
-    synthetic workloads.
+    synthetic workloads.  A cloud less than three cells wide in x and in y
+    is cut into cells a third of its larger width instead, so it still
+    fills three or more; a cloud whose points fill fewer than three cells
+    raises ``DegenerateInput``.
 
     The ``config.iters`` 3-point samples are drawn at once and their normals
     come from one row-wise cross product; collinear samples are dropped.
@@ -155,11 +195,16 @@ def fit_ground_plane(points: np.ndarray, config: RansacConfig,
     if n < 3:
         raise DegenerateInput(f"need at least 3 points to fit a plane, got {n}")
 
-    low = _lowest_points(points)
+    thr = config.inlier_threshold_m
+    width = float(max(np.ptp(points[:, 0]), np.ptp(points[:, 1])))
+    if not width > 0:
+        raise DegenerateInput("points share one xy position; they are collinear")
+    cell_m = min(_CELL_M, width / 3)
+    low = _lowest_points(points, cell_m, thr)
     m = low.shape[0]
     if m < 3:
         raise DegenerateInput(
-            f"points fill {m} cell(s) of {_CELL_M:g} m; fewer than 3 lowest "
+            f"points fill {m} cell(s) of {cell_m:g} m; fewer than 3 lowest "
             "points are collinear, and the plane is underdetermined")
 
     # Three distinct indices per sample, as drawn without replacement: take
@@ -178,7 +223,6 @@ def fit_ground_plane(points: np.ndarray, config: RansacConfig,
     normals = normals[kept] / norms[kept, None]
     offsets = -_row_dots(normals, a[kept])
 
-    thr = config.inlier_threshold_m
     counts = np.empty(kept.size, dtype=np.int64)
     block = max(1, _SCORE_BUFFER // m)
     for lo in range(0, kept.size, block):

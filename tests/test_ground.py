@@ -6,9 +6,10 @@ from scenetok.bundle import KIND_GROUND, SceneElement
 from scenetok.config import PipelineConfig, RansacConfig
 from scenetok.decompose import LABEL_GROUND
 from scenetok.errors import DegenerateInput
-from scenetok.ground import (_CELL_M, GroundPlane, _canonicalize,
-                             _least_squares_plane, _lowest_points,
-                             fit_and_segment, lexicographic_order, tile_cells)
+from scenetok.ground import (_CELL_M, _MIN_SUPPORT, GroundPlane,
+                             _canonicalize, _least_squares_plane,
+                             _lowest_points, fit_and_segment,
+                             lexicographic_order, tile_cells)
 from scenetok.pipeline import assign_token_ids
 from scenetok.synthetic import SceneSpec, generate_scene
 
@@ -48,30 +49,46 @@ def test_sloped_plane_with_outliers_matches_ls_oracle():
     assert angle < 1e-3
 
 
-def lowest_points_reference(points):
-    """Each occupied cell's point least in (z, x, y), by a loop over points;
-    cells in lexicographic (cx, cy) order."""
-    best = {}
+def reference_cell_m(points):
+    """``_CELL_M``, or a third of the larger xy width of a narrower cloud."""
+    return min(_CELL_M, max(np.ptp(points[:, 0]), np.ptp(points[:, 1])) / 3)
+
+
+def lowest_points_reference(points, threshold):
+    """Each occupied cell's lowest supported point, by a loop over cells;
+    cells in lexicographic (cx, cy) order.
+
+    A cell's points are taken in (z, x, y) order, and the first with at
+    least ``_MIN_SUPPORT`` points of the cell in [z, z + threshold] stands
+    for it; if none has, the first point does.
+    """
+    cell_m = reference_cell_m(points)
+    by_cell = {}
     for p in points:
-        cell = (int(np.floor(p[0] / _CELL_M)), int(np.floor(p[1] / _CELL_M)))
-        if cell not in best or (p[2], p[0], p[1]) < tuple(best[cell][[2, 0, 1]]):
-            best[cell] = p
-    return np.array([best[c] for c in sorted(best)]).reshape(-1, 3)
+        key = (int(np.floor(p[0] / cell_m)), int(np.floor(p[1] / cell_m)))
+        by_cell.setdefault(key, []).append(p)
+    low = []
+    for key in sorted(by_cell):
+        pts = sorted(by_cell[key], key=lambda p: (p[2], p[0], p[1]))
+        z = np.array([p[2] for p in pts])
+        supported = [p for p, zi in zip(pts, z)
+                     if np.count_nonzero((z >= zi) & (z <= zi + threshold))
+                     >= _MIN_SUPPORT]
+        low.append((supported or pts)[0])
+    return np.array(low).reshape(-1, 3)
 
 
-def ransac_reference(points, config, seed=0):
-    """Per-hypothesis RANSAC loop on each cell's lowest point: the reference
-    for fit_ground_plane."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    low = lowest_points_reference(points)
+def reference_hypotheses(points, config, seed=0):
+    """Every non-collinear RANSAC sample on the lowest-point set, in draw
+    order: ``(count, normal, offset)``, by a per-hypothesis loop."""
+    low = lowest_points_reference(points, config.inlier_threshold_m)
     m = low.shape[0]
     if m < 3:
         raise DegenerateInput("fewer than 3 cells: lowest points are collinear")
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, [m, m - 1, m - 2], size=(config.iters, 3))
 
-    best_count = -1
-    best_plane = None
+    hypotheses = []
     for draw in draws:
         pool = list(range(m))  # draw r picks the r-th index not yet drawn
         i, j, k = (pool.pop(r) for r in draw)
@@ -84,11 +101,20 @@ def ransac_reference(points, config, seed=0):
         offset = -float(normal @ a)
         count = int((np.abs(low @ normal + offset)
                      <= config.inlier_threshold_m).sum())
-        if count > best_count:
-            best_count = count
-            best_plane = (normal, offset)
-    if best_plane is None:
+        hypotheses.append((count, normal, offset))
+    if not hypotheses:
         raise DegenerateInput("all RANSAC samples were collinear")
+    return hypotheses
+
+
+def ransac_reference(points, config, seed=0):
+    """Per-hypothesis RANSAC loop on each cell's lowest point: the reference
+    for fit_ground_plane."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    best_count = -1
+    for count, normal, offset in reference_hypotheses(points, config, seed):
+        if count > best_count:
+            best_count, best_plane = count, (normal, offset)
 
     normal, offset = best_plane
     inliers = points[np.abs(points @ normal + offset) <= config.inlier_threshold_m]
@@ -128,9 +154,10 @@ def _stacked_layers(bottom, n_layers):
 
 def _tied_levels(seed):
     """Half the columns stand a meter above the rest: the two horizontal
-    planes of their lowest points tie on count."""
+    planes of their lowest points tie on count.  The cloud is over three
+    cells wide, so each column keeps its cell."""
     rng = np.random.default_rng(seed)
-    side, n_layers = 2 * int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    side, n_layers = 2 * int(rng.integers(3, 5)), int(rng.integers(1, 4))
     bottom = rng.permutation(np.repeat([0.0, 1.0], side * side // 2))
     pts = _stacked_layers(bottom.reshape(side, side), n_layers)
     pts[:, :2] += rng.uniform(-4, 4, (len(pts), 2))
@@ -138,11 +165,14 @@ def _tied_levels(seed):
 
 
 def _mostly_collinear(seed):
-    """Most samples fall on one line (or repeat a point) and are dropped."""
+    """Most samples fall on one line (or repeat a point) and are dropped.
+    The off-line points lie where x and y differ in sign, in cells that the
+    line y = x / 2 does not cross, so each cell they fill gives one."""
     rng = np.random.default_rng(seed)
     t = rng.integers(-20, 20, int(rng.integers(20, 60))).astype(np.float64)
     line = np.column_stack([t, 0.5 * t, np.zeros_like(t)])
     off_line = rng.uniform(-5, 5, (int(rng.integers(1, 4)), 3))
+    off_line[:, 1] = -np.copysign(off_line[:, 1], off_line[:, 0])
     return np.concatenate([line, off_line]), CFG
 
 
@@ -167,8 +197,10 @@ REFERENCE_CLOUDS = ([("tilted", _tilted_with_outliers, s) for s in range(16)]
                          ids=[f"{k}{s}" for k, _, s in REFERENCE_CLOUDS])
 def test_fit_matches_per_hypothesis_reference(make, seed):
     pts, cfg = make(seed)
-    np.testing.assert_array_equal(_lowest_points(pts),
-                                  lowest_points_reference(pts))
+    thr = cfg.inlier_threshold_m
+    np.testing.assert_array_equal(
+        _lowest_points(pts, reference_cell_m(pts), thr),
+        lowest_points_reference(pts, thr))
     got = fit_ground_plane(pts, cfg, seed=seed)
     want = ransac_reference(pts, cfg, seed=seed)
     np.testing.assert_array_equal(got.normal, want.normal)
@@ -230,6 +262,16 @@ def test_collinear_points_degenerate():
         ransac_reference(pts, CFG, seed=0)
 
 
+def _flat_with_strays(n_ground, n_strays, seed, width=60.0):
+    """A z = 0 sheet over [0, width]^2 with isolated points 0.5-3 m below."""
+    rng = np.random.default_rng(seed)
+    sheet = np.column_stack([rng.uniform(0, width, (n_ground, 2)),
+                             np.zeros(n_ground)])
+    strays = np.column_stack([rng.uniform(0, width, (n_strays, 2)),
+                              rng.uniform(-3.0, -0.5, n_strays)])
+    return np.concatenate([sheet, strays])
+
+
 def _order_invariance_clouds():
     rng = np.random.default_rng(5)
     g = np.arange(-15.0, 15.0)
@@ -237,18 +279,82 @@ def _order_invariance_clouds():
     return [("noisy", np.column_stack([rng.uniform(-5, 5, (200, 2)),
                                        rng.normal(0, 0.02, 200)])),
             ("flat_sheet", np.column_stack([x.ravel(), y.ravel(),
-                                            np.zeros(x.size)]))]
+                                            np.zeros(x.size)])),
+            ("strays", np.round(_flat_with_strays(1500, 60, seed=5), 1))]
 
 
 @pytest.mark.parametrize("name, pts", _order_invariance_clouds(),
                          ids=[name for name, _ in _order_invariance_clouds()])
 def test_fit_invariant_to_point_order(name, pts):
     shuffled = pts[np.random.default_rng(5).permutation(len(pts))]
-    np.testing.assert_array_equal(_lowest_points(pts), _lowest_points(shuffled))
+    cell_m, thr = reference_cell_m(pts), CFG.inlier_threshold_m
+    np.testing.assert_array_equal(_lowest_points(pts, cell_m, thr),
+                                  _lowest_points(shuffled, cell_m, thr))
     a = fit_ground_plane(pts, CFG, seed=9)
     b = fit_ground_plane(shuffled, CFG, seed=9)
     np.testing.assert_array_equal(a.normal, b.normal)
     assert a.offset == b.offset
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_tied_levels_keep_the_earliest_sample(seed):
+    # The two level planes share the top count, and the plane returned is
+    # the level of the earliest sample among those at the top.
+    pts, cfg = _tied_levels(seed)
+    hypotheses = reference_hypotheses(pts, cfg, seed=seed)
+    top = max(count for count, _, _ in hypotheses)
+    levels = [-offset / normal[2] for count, normal, offset in hypotheses
+              if count == top]
+    assert {round(level, 9) for level in levels} == {0.0, 1.0}
+    plane = fit_ground_plane(pts, cfg, seed=seed)
+    np.testing.assert_allclose(plane.normal, [0.0, 0.0, 1.0], atol=1e-12)
+    assert -plane.offset == pytest.approx(levels[0], abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_tilted_cloud_with_outliers_fits_the_ground(seed):
+    # A quarter to a third of these clouds' points are outliers spread over
+    # 60 m of z; in most cells the lowest point is one of them.
+    pts, cfg = _tilted_with_outliers(seed)
+    n_in = int(np.random.default_rng(seed).integers(30, 1500))  # ground first
+    plane = fit_ground_plane(pts, cfg, seed=seed)
+    oracle_n = ls_plane_oracle(pts[:n_in])
+    assert np.arccos(min(1.0, abs(plane.normal @ oracle_n))) < 1e-3
+
+
+def test_strays_below_flat_ground_are_passed_over():
+    pts = _flat_with_strays(4000, 40, seed=0)
+    low = _lowest_points(pts, _CELL_M, CFG.inlier_threshold_m)
+    assert low.shape == (36, 3) and (low[:, 2] == 0.0).all()
+    plane = fit_ground_plane(pts, CFG, seed=0)
+    np.testing.assert_array_equal(plane.normal, [0.0, 0.0, 1.0])
+    assert plane.offset == 0.0 and plane.inlier_count == 4000
+
+
+def test_support_counts_points_at_the_threshold():
+    # 0.0 + 0.2 == 0.2 in float64: the point at 0.0 has three points in
+    # [0.0, 0.2], so it stands for the cell instead of the stray at -1.
+    pts = np.array([[1.0, 1.0, -1.0], [2.0, 1.0, 0.0], [3.0, 1.0, 0.1],
+                    [4.0, 1.0, 0.2]])
+    np.testing.assert_array_equal(_lowest_points(pts, _CELL_M, 0.2),
+                                  [[2.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("shift", [0.0, 4.5, -7.25])
+def test_scene_narrower_than_three_cells_fits_wherever_it_sits(shift):
+    # A 9 x 9 m scene: cells of 3 m, a third of its width, cut it into
+    # nine or more wherever the grid falls, and clutter above the ground
+    # does not move the plane.
+    rng = np.random.default_rng(3)
+    ground = np.column_stack([rng.uniform(0.5, 9.5, (900, 2)),
+                              np.full(900, 0.25)])
+    clutter = np.column_stack([rng.uniform(2.0, 7.0, (300, 2)),
+                               rng.uniform(0.8, 2.0, 300)])
+    pts = np.concatenate([ground, clutter]) + [shift, shift, 0.0]
+    assert len(np.unique(tile_cells(pts[:, :2], 3.0), axis=0)) >= 9
+    plane = fit_ground_plane(pts, CFG, seed=0)
+    np.testing.assert_array_equal(plane.normal, [0.0, 0.0, 1.0])
+    assert plane.offset == -0.25 and plane.inlier_count == 900
 
 
 # The crowded_scene workload of perfbench/workloads.py: ground is 13 % of

@@ -2,7 +2,10 @@
 
 Non-ground points are split into agent points (inside perception boxes) and
 open-set clusters (connected components of what remains).  Every input point
-ends up with exactly one label.
+ends up with exactly one label.  Each open-set cluster gets a tight box: all
+of a scene's clusters are hulled together by a batched, certified gift wrap,
+with Qhull only for hulls the wrap cannot certify, and one batched caliper
+fold fits the rectangles.
 """
 
 from __future__ import annotations
@@ -23,8 +26,13 @@ LABEL_DISCARDED = 3
 
 SIZE_FLOOR = 0.05  # minimum box edge, meters
 
-# Float64 entries per (clusters, angles, vertices) projection block (2 MB).
+# Float64 entries per (clusters, angles, vertices) projection block (2 MB),
+# and per (clusters, points) gift-wrap block.
 _FOLD_BUFFER = 1 << 18
+# Hull vertices a cluster may have before it goes to Qhull instead.
+_WRAP_STEPS = 64
+# Relative margin by which every point must lie inside a wrapped edge.
+_WRAP_MARGIN = 1e-9
 
 
 @dataclass
@@ -204,6 +212,88 @@ def _degenerate_rect(xy: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     return mid, length, width, heading
 
 
+def _wrap_hulls(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified convex hulls of a stack of point clouds, by gift wrapping.
+
+    Column c of ``x`` and ``y`` (points, clouds) holds cloud c, padded by
+    repeating a point.  All clouds step together, one hull vertex a step
+    (Jarvis march): from each cloud's lexicographic minimum, the next vertex
+    is the point of smallest counter-clockwise turn from the previous edge,
+    the argmax of u / (|u| + v) with u = e.d and v = e x d; copies of the
+    current vertex are never chosen.  An edge is certified when every point
+    but exact copies of its two ends has e x d > _WRAP_MARGIN * |e|_1 *
+    (|d|_1 + M), M being the cloud's largest |x| + |y|, which a NaN fails;
+    the M term covers Qhull's roundoff, which grows with the coordinates.
+    Returns (vertices (clouds, S), n_vertices):
+    cloud c's counter-clockwise cycle is ``vertices[c, :n_vertices[c]]``,
+    and n_vertices is 0 where a cloud fails an edge, has fewer than 3
+    vertices or is not closed within _WRAP_STEPS vertices.  Clouds leave
+    the stack as they close or fail.
+    """
+    k = x.shape[1]
+    live = cols = np.arange(k)
+    cur = np.where(x == x.min(axis=0), y, np.inf).argmin(axis=0)
+    first_x, first_y = x[cur, cols], y[cur, cols]
+    scale = (np.abs(x) + np.abs(y)).max(axis=0)
+    # Heading down from the lexicographic minimum, every point lies within
+    # a left turn of pi; the previous vertex starts as one nothing equals.
+    ex, ey = np.zeros(k), np.full(k, -1.0)
+    px = py = np.full(k, np.nan)
+    vertices = np.zeros((k, _WRAP_STEPS + 1), dtype=np.int64)
+    n_vertices = np.zeros(k, dtype=np.int64)
+    for step in range(_WRAP_STEPS + 1):
+        ax, ay = x[cur, cols], y[cur, cols]
+        dx, dy = x - ax, y - ay
+        u = ex * dx + ey * dy
+        v = ex * dy - ey * dx
+        l1 = np.abs(dx) + np.abs(dy)
+        at_cur = l1 == 0
+        if step:
+            margin = (l1 + scale) * (_WRAP_MARGIN * (np.abs(ex) + np.abs(ey)))
+            certified = ((v > margin)
+                         | at_cur | ((x == px) & (y == py))).all(axis=0)
+            closed = (ax == first_x) & (ay == first_y)
+            n_vertices[live[closed & certified]] = step
+            keep = certified & ~closed
+            if not keep.any():
+                break
+        vertices[live, step] = cur
+        with np.errstate(invalid="ignore", divide="ignore"):
+            turn = u / (np.abs(u) + v)
+        turn[at_cur] = -np.inf
+        cur = turn.argmax(axis=0)
+        px, py = ax, ay
+        ex, ey = x[cur, cols] - ax, y[cur, cols] - ay
+        if step and not keep.all():
+            live, x, y = live[keep], x[:, keep], y[:, keep]
+            cur, ex, ey, px, py = cur[keep], ex[keep], ey[keep], px[keep], py[keep]
+            first_x, first_y, scale = first_x[keep], first_y[keep], scale[keep]
+            cols = cols[:live.size]
+    n_vertices[n_vertices < 3] = 0
+    return vertices[:, :n_vertices.max()], n_vertices
+
+
+def _fold_hulls(rect: tuple[np.ndarray, ...], clusters: np.ndarray,
+                hull_xy: np.ndarray, first: np.ndarray,
+                n_vertices: np.ndarray) -> None:
+    """Write the minimum-area rectangles of hulls into ``rect``.
+
+    Hull i has ``n_vertices[i]`` vertices at ``hull_xy[first[i]:]`` and
+    fills row ``clusters[i]`` of each array of ``rect``.  Hulls go by size,
+    in blocks whose padded projection fits the buffer.
+    """
+    rows = np.argsort(n_vertices, kind="stable")
+    while rows.size:
+        cost = np.arange(1, rows.size + 1) * n_vertices[rows] ** 2
+        k = max(1, np.searchsorted(cost, _FOLD_BUFFER, side="right"))
+        block, rows = rows[:k], rows[k:]
+        h = n_vertices[block]
+        hull = hull_xy[first[block, None]
+                       + np.minimum(np.arange(h[-1]), h[:, None] - 1)]
+        for out, value in zip(rect, _min_area_rects(hull, h)):
+            out[clusters[block]] = value
+
+
 def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
     """Tightest 7-float boxes (center 3, size 3, heading), one per cluster.
 
@@ -216,11 +306,17 @@ def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
     All sizes are floored at SIZE_FLOOR so degenerate clusters still make
     usable boxes.
 
-    Each cluster's hull comes from Qhull; a cluster Qhull cannot hull
-    (fewer than 3 points, or collinear) gets its rectangle from its
-    principal direction.  One padded projection then fits the rectangles
-    of all hulls together (``_min_area_rects``).  The result for each
-    cluster does not depend on the other clusters in the call.
+    Clusters of 3 or more points are hulled together by a batched gift
+    wrap (``_wrap_hulls``) over blocks of clusters of similar size, padded
+    to fit the buffer.  It keeps only hulls whose every edge has all other
+    points strictly inside by a margin relative to their distance and to
+    the coordinates' magnitude; those are exactly Qhull's hulls.
+    Any other cluster (fewer than 3 points, collinear or nearly so, a hull
+    of more than _WRAP_STEPS vertices, a NaN) gets its hull from Qhull, or
+    its rectangle from its principal direction where Qhull cannot hull it.
+    One padded projection then fits the rectangles of the hulls
+    (``_min_area_rects``).  The result for each cluster does not depend on
+    the other clusters in the call.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
@@ -234,33 +330,45 @@ def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
         return np.empty((0, 7))
 
     start = np.cumsum(sizes) - sizes
+    xy = points[:, :2]
     center, length = np.empty((n, 2)), np.empty(n)
     width, heading = np.empty(n), np.empty(n)
     rect = (center, length, width, heading)
+    # Clusters by size, in blocks whose padded clouds fit the buffer.
+    fallback = [np.flatnonzero(sizes < 3)]
+    by_size = np.argsort(sizes, kind="stable")
+    by_size = by_size[sizes[by_size] >= 3]
+    while by_size.size:
+        cost = np.arange(1, by_size.size + 1) * sizes[by_size]
+        k = max(1, np.searchsorted(cost, _FOLD_BUFFER, side="right"))
+        block, by_size = by_size[:k], by_size[k:]
+        m = sizes[block]
+        index = start[block] + np.minimum(np.arange(m[-1])[:, None], m - 1)
+        x, y = points[index, 0], points[index, 1]
+        vertices, n_vertices = _wrap_hulls(x, y)
+        wrapped = n_vertices > 0
+        fallback.append(block[~wrapped])
+        col = np.flatnonzero(wrapped)[:, None]
+        hull = np.stack([x[vertices[wrapped], col], y[vertices[wrapped], col]],
+                        axis=-1)
+        _fold_hulls(rect, block[wrapped], hull.reshape(-1, 2),
+                    np.arange(hull.shape[0]) * hull.shape[1],
+                    n_vertices[wrapped])
+
     hulls, hulled = [], []
-    for c, cluster_xy in enumerate(np.split(points[:, :2], start[1:])):
+    for c in np.sort(np.concatenate(fallback)):
+        cluster_xy = xy[start[c]:start[c] + sizes[c]]
         try:
             hulls.append(cluster_xy[ConvexHull(cluster_xy).vertices])
             hulled.append(c)
         except (QhullError, ValueError):  # fewer than 3 points, or collinear
             for out, value in zip(rect, _degenerate_rect(cluster_xy)):
                 out[c] = value
-
-    hulled = np.array(hulled, dtype=np.int64)
-    n_vertices = np.array([len(h) for h in hulls], dtype=np.int64)
-    first = np.cumsum(n_vertices) - n_vertices
-    hull_xy = np.concatenate(hulls) if hulls else np.empty((0, 2))
-    # Hulls by size, in blocks whose padded projection fits the buffer.
-    rows = np.argsort(n_vertices, kind="stable")
-    while rows.size:
-        cost = np.arange(1, rows.size + 1) * n_vertices[rows] ** 2
-        k = max(1, np.searchsorted(cost, _FOLD_BUFFER, side="right"))
-        block, rows = rows[:k], rows[k:]
-        h = n_vertices[block]
-        hull = hull_xy[first[block, None]
-                       + np.minimum(np.arange(h[-1]), h[:, None] - 1)]
-        for out, value in zip(rect, _min_area_rects(hull, h)):
-            out[hulled[block]] = value
+    if hulls:
+        n_vertices = np.array([len(h) for h in hulls], dtype=np.int64)
+        _fold_hulls(rect, np.array(hulled, dtype=np.int64),
+                    np.concatenate(hulls), np.cumsum(n_vertices) - n_vertices,
+                    n_vertices)
 
     z_min = np.minimum.reduceat(points[:, 2], start)
     z_max = np.maximum.reduceat(points[:, 2], start)

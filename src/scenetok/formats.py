@@ -107,6 +107,12 @@ def _header(kind: bytes) -> bytes:
     return MAGIC + kind + struct.pack("<H", VERSION)
 
 
+def _temp_path(path) -> str:
+    """A fresh hidden name beside ``path``, for a file renamed onto it."""
+    head, tail = os.path.split(os.fspath(path))
+    return os.path.join(head, f".{tail}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+
+
 @contextlib.contextmanager
 def _replace_on_success(path):
     """Binary handle on a temp file that replaces ``path`` once closed.
@@ -115,8 +121,7 @@ def _replace_on_success(path):
     atomic rename: readers see the old file or the new one, never a partial
     write.  On any error the temp file is removed and ``path`` is untouched.
     """
-    head, tail = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    tmp = _temp_path(path)
     try:
         with open(tmp, "xb") as fh:
             yield fh

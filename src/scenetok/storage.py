@@ -7,8 +7,11 @@ tensor-container files.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,7 @@ from .formats import (
     KIND_PARAMS,
     _dtype_code,
     _replace_on_success,
+    _temp_path,
     read_blob,
     read_blob_header,
     read_tensor_file,
@@ -66,6 +70,11 @@ def write_scene_bundle(path, bundle: SceneBundle) -> None:
     the blob format cannot hold (UnsupportedDtype) or a field that JSON
     cannot hold (BadManifestField) leave the directory as it was.  Each
     camera map is written in the pixel table's dtype.
+
+    Every blob is written under a temporary name first, and renamed into
+    place only once the last one is written; the manifest follows.  A blob
+    write that fails partway removes the temporary files and leaves the old
+    bundle as it was.
     """
     check_tables(bundle)
     _dtype_code(bundle.pixel_features.dtype)
@@ -104,15 +113,27 @@ def write_scene_bundle(path, bundle: SceneBundle) -> None:
         text = json.dumps(manifest, indent=2) + "\n"
     except (TypeError, ValueError) as exc:
         raise BadManifestField(f"cannot write bundle at {path}: {exc}") from exc
+    frames = np.split(bundle.points, np.cumsum(bundle.frame_size)[:-1])
+    blobs = chain(
+        ((entry["points"], points.astype("<f8"))
+         for points, entry in zip(frames, manifest["frames"])),
+        ((entry["feature_map"], bundle.feature_map(c))
+         for c, entry in enumerate(manifest["cameras"])))
+    staged = []  # (temp path, final path) of each blob written so far
     try:
         root.mkdir(parents=True, exist_ok=True)
-        frames = np.split(bundle.points, np.cumsum(bundle.frame_size)[:-1])
-        for points, entry in zip(frames, manifest["frames"]):
-            write_blob(root / entry["points"], points.astype("<f8"))
-        for c, entry in enumerate(manifest["cameras"]):
-            write_blob(root / entry["feature_map"], bundle.feature_map(c))
-        with _replace_on_success(root / MANIFEST_NAME) as fh:
-            fh.write(text.encode())
+        try:
+            for name, array in blobs:
+                staged.append((_temp_path(root / name), root / name))
+                write_blob(staged[-1][0], array)
+            for tmp, final in staged:
+                os.replace(tmp, final)
+            with _replace_on_success(root / MANIFEST_NAME) as fh:
+                fh.write(text.encode())
+        finally:
+            for tmp, _ in staged:  # renamed ones are gone already
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
     except OSError as exc:
         raise IoFailure(f"failed to write bundle at {path}: {exc}") from exc
 

@@ -3,6 +3,9 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 from scipy.spatial import ConvexHull, QhullError
 
 from scenetok import cluster_open_set, extract_agent_elements, fit_tight_box
@@ -338,6 +341,27 @@ def tie_prone_clouds():
     return clouds
 
 
+def qhull_fallback_clouds():
+    """Clusters the gift wrap must hand to Qhull, with the reason for each."""
+    t = np.arange(80) * (2 * math.pi / 80)
+    ring = np.column_stack([np.cos(t), np.sin(t), t])  # 80 hull vertices
+    square = np.array([[x, y, 0.0] for x in (-1, 0, 1) for y in (-1, 0, 1)])
+    with_nan = np.random.default_rng(14).normal(size=(8, 3))
+    with_nan[3, 1] = np.nan
+    clouds = {"ring above the step bound": ring,
+              "square with edge midpoints": square,
+              "NaN coordinate": with_nan}
+    # Right triangles with legs of 3 ulps, and a point inside: Qhull's
+    # roundoff grows with the coordinates, so these certify only with the
+    # margin's magnitude term.
+    for x0, y0 in ((2.5, -0.75), (1e7 + 0.5, 3e7 + 0.25)):
+        dx, dy = 3 * np.spacing(x0), 3 * np.spacing(y0)
+        clouds[f"3-ulp triangle at {x0:g}"] = np.array([
+            [x0, y0, 0.0], [x0 + dx, y0, 1.0], [x0, y0 + dy, 2.0],
+            [x0 + dx / 3, y0 + dy / 3, 0.5]])
+    return clouds
+
+
 def fit_tight_box_reference(points):
     """Reference: one cluster at a time, Qhull then one angle at a time."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -391,11 +415,20 @@ class TestTightBox:
             n_agents=16, n_clutter=60, T=11, area_m=160.0, cameras=2, D=8,
             ground_points_per_frame=3200, agent_points=60, clutter_points=40,
             min_separation_m=6.0, feature_res=8))
+        hull_calls = []
+
+        def counting_hull(*args, **kwargs):
+            hull_calls.append(args)
+            return ConvexHull(*args, **kwargs)
+
+        monkeypatch.setattr(decompose, "ConvexHull", counting_hull)
         for bundle, config in ((small_scene.bundle, small_config),
                                (full.bundle, PipelineConfig(D=8))):
             clouds = pipeline_clusters(bundle, config, monkeypatch)
             assert len(clouds) > 10
             assert_boxes_match_reference(clouds)
+        # Every scene cluster is boxed by the certified gift wrap.
+        assert hull_calls == []
 
     def test_awkward_clusters_equal_reference(self):
         rng = np.random.default_rng(12)
@@ -418,6 +451,7 @@ class TestTightBox:
             jittered,                                             # Qhull raises
             np.concatenate([rng.normal(size=(30, 3)),
                             rng.normal(size=(30, 3))[:5]]),
+            *qhull_fallback_clouds().values(),
         ]
         assert_boxes_match_reference(clouds)
         for pts in clouds:  # and each cluster alone
@@ -433,6 +467,37 @@ class TestTightBox:
                                            rng.uniform(0, 0.2, 3000),
                                            rng.uniform(0, 3, 3000)]))
         assert_boxes_match_reference(clouds)
+
+    def test_uncertified_clusters_go_to_qhull(self):
+        clouds = list(qhull_fallback_clouds().values())
+        t = np.arange(60) * (2 * math.pi / 60)
+        clouds.append(np.column_stack([np.cos(t), np.sin(t), t]))
+        sizes = np.array([len(pts) for pts in clouds])
+        index = (np.cumsum(sizes) - sizes
+                 + np.minimum(np.arange(sizes.max())[:, None], sizes - 1))
+        points = np.concatenate(clouds)
+        _, n_vertices = decompose._wrap_hulls(points[index, 0],
+                                              points[index, 1])
+        # A 60-point ring is within the step bound; the others fall back.
+        assert n_vertices.tolist() == [0] * (len(clouds) - 1) + [60]
+        assert np.isnan(fit_tight_box(clouds[2], [8])[0]).any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(extra=hs.lists(hnp.arrays(
+               np.float64, hs.tuples(hs.integers(1, 25), hs.just(3)),
+               elements=hs.one_of(hs.integers(-3, 3).map(float),
+                                  hs.floats(-50, 50))), max_size=8),
+           data=hs.data())
+    def test_box_does_not_depend_on_other_clusters(self, extra, data):
+        clouds = tie_prone_clouds() + extra
+        sizes = [len(pts) for pts in clouds]
+        boxes = fit_tight_box(np.concatenate(clouds), sizes)
+        order = data.draw(hs.permutations(range(len(clouds))))
+        permuted = fit_tight_box(np.concatenate([clouds[i] for i in order]),
+                                 [sizes[i] for i in order])
+        np.testing.assert_array_equal(permuted, boxes[order])
+        alone = [fit_tight_box(pts, [len(pts)])[0] for pts in clouds]
+        np.testing.assert_array_equal(np.array(alone), boxes)
 
     def test_no_clusters(self):
         boxes = fit_tight_box(np.empty((0, 3)), [])

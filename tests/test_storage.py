@@ -25,6 +25,7 @@ from scenetok import (
 )
 from camera_helpers import camera_bundle
 
+from scenetok import storage
 from scenetok.bundle import KIND_CODES, SceneElement, SceneTokens
 from scenetok.errors import (
     BadMagic,
@@ -32,6 +33,7 @@ from scenetok.errors import (
     BundleValidationError,
     DuplicateCameraFrame,
     FrameCountMismatch,
+    IoFailure,
     ManifestMissingEntry,
     SceneTokError,
     ShapeHeaderMismatch,
@@ -180,6 +182,34 @@ class TestAtomicWrites:
                 back.agent_box[:, 6].tolist()] \
             == [want.agent_track.tolist(), want.agent_frame.tolist(),
                 want.agent_box[:, 6].tolist()]
+
+    @pytest.mark.parametrize("fail_at", [0, 4, -1])
+    def test_blob_write_failing_partway_keeps_old_bundle(
+            self, tmp_path, monkeypatch, small_spec, small_scene, fail_at):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)  # seed 7
+        before = dir_bytes(d)
+        other = generate_scene(8, small_spec).bundle
+        blobs = other.frame_size.size + other.camera_id.size
+        written = []
+
+        def failing_write_blob(path, array):
+            if len(written) == fail_at % blobs:
+                raise OSError(28, "No space left on device")
+            written.append(path)
+            write_blob(path, array)
+
+        monkeypatch.setattr(storage, "write_blob", failing_write_blob)
+        with pytest.raises(IoFailure, match="No space left"):
+            write_scene_bundle(d, other)
+        assert len(written) == fail_at % blobs
+        assert dir_bytes(d) == before  # no new blob, no .tmp file
+        back = read_scene_bundle(d)
+        want = small_scene.bundle
+        for key in ("frame_size", "points", "agent_box", "camera_frame",
+                    "camera_size", "pixel_features"):
+            np.testing.assert_array_equal(getattr(back, key),
+                                          getattr(want, key))
 
     @pytest.mark.parametrize("frame_size", [[3, 3], [3, 8], [-1, 11]])
     def test_frame_size_not_splitting_points_writes_nothing(self, tmp_path,

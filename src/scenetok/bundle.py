@@ -128,15 +128,6 @@ class SceneElement:
         self.frame_valid = np.asarray(self.frame_valid, dtype=bool)
 
 
-def element_views(kind: np.ndarray, boxes: np.ndarray, frame_valid: np.ndarray,
-                  source_id: np.ndarray) -> list[SceneElement]:
-    """One SceneElement per row of an element table; the token id is the row."""
-    return [SceneElement(token_id=row, kind=KIND_NAMES[code], boxes=b,
-                         frame_valid=v, source_id=s)
-            for row, (code, b, v, s) in enumerate(zip(
-                kind.tolist(), boxes, frame_valid, source_id.tolist()))]
-
-
 @dataclass
 class TokenizedScene:
     """The compacted model input.
@@ -188,7 +179,13 @@ class TokenizedScene:
 
     @property
     def elements(self) -> list[SceneElement]:
-        return element_views(self.kind, self.B, self.elem_valid, self.source_id)
+        """One SceneElement per row of the element table; the token id is
+        the row."""
+        return [SceneElement(token_id=row, kind=KIND_NAMES[code], boxes=b,
+                             frame_valid=v, source_id=s)
+                for row, (code, b, v, s) in enumerate(zip(
+                    self.kind.tolist(), self.B, self.elem_valid,
+                    self.source_id.tolist()))]
 
     @property
     def n_pts(self) -> int:

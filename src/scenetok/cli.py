@@ -51,6 +51,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _SceneDirs(argparse.Action):
+    """``--scene`` values.  Several scenes each write ``<out>/<name>.tokens``,
+    so two with one directory name are a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        names = [Path(v).name for v in values]
+        clashing = [v for v, name in zip(values, names) if names.count(name) > 1]
+        if clashing:
+            raise argparse.ArgumentError(
+                self, f"scenes {' '.join(clashing)} share a directory name, "
+                      "so their token files would overwrite each other")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="scenetok",
@@ -59,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("tokenize", help="tokenize scene bundle(s)")
-    t.add_argument("--scene", required=True, nargs="+", metavar="DIR")
+    t.add_argument("--scene", required=True, nargs="+", metavar="DIR",
+                   action=_SceneDirs)
     t.add_argument("--config", metavar="FILE")
     t.add_argument("--out", required=True, metavar="PATH",
                    help="token file, or a directory when multiple scenes are given")

@@ -4,8 +4,8 @@ Non-ground points are split into agent points (inside perception boxes) and
 open-set clusters (connected components of what remains).  Every input point
 ends up with exactly one label.  Each open-set cluster gets a tight box: all
 of a scene's clusters are hulled together by a batched, certified gift wrap,
-with Qhull only for hulls the wrap cannot certify, and one batched caliper
-fold fits the rectangles.
+with Qhull only for hulls the wrap cannot certify; both go into one table of
+hull vertex indices, and one batched caliper fold over it fits the rectangles.
 """
 
 from __future__ import annotations
@@ -126,10 +126,11 @@ def cluster_open_set(points: np.ndarray, radius: float,
     # Min-label propagation over both directions of every pair, with pointer
     # jumping: each point ends up holding the smallest canonical index in
     # its component.
+    head, tail = pairs.ravel(), pairs[:, ::-1].ravel()
     root = np.arange(n)
     while True:
         nxt = root.copy()
-        np.minimum.at(nxt, pairs.ravel(), root[pairs[:, ::-1].ravel()])
+        np.minimum.at(nxt, head, root[tail])
         nxt = nxt[nxt]
         if np.array_equal(nxt, root):
             break
@@ -273,27 +274,6 @@ def _wrap_hulls(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vertices[:, :n_vertices.max()], n_vertices
 
 
-def _fold_hulls(rect: tuple[np.ndarray, ...], clusters: np.ndarray,
-                hull_xy: np.ndarray, first: np.ndarray,
-                n_vertices: np.ndarray) -> None:
-    """Write the minimum-area rectangles of hulls into ``rect``.
-
-    Hull i has ``n_vertices[i]`` vertices at ``hull_xy[first[i]:]`` and
-    fills row ``clusters[i]`` of each array of ``rect``.  Hulls go by size,
-    in blocks whose padded projection fits the buffer.
-    """
-    rows = np.argsort(n_vertices, kind="stable")
-    while rows.size:
-        cost = np.arange(1, rows.size + 1) * n_vertices[rows] ** 2
-        k = max(1, np.searchsorted(cost, _FOLD_BUFFER, side="right"))
-        block, rows = rows[:k], rows[k:]
-        h = n_vertices[block]
-        hull = hull_xy[first[block, None]
-                       + np.minimum(np.arange(h[-1]), h[:, None] - 1)]
-        for out, value in zip(rect, _min_area_rects(hull, h)):
-            out[clusters[block]] = value
-
-
 def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
     """Tightest 7-float boxes (center 3, size 3, heading), one per cluster.
 
@@ -306,17 +286,18 @@ def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
     All sizes are floored at SIZE_FLOOR so degenerate clusters still make
     usable boxes.
 
-    Clusters of 3 or more points are hulled together by a batched gift
-    wrap (``_wrap_hulls``) over blocks of clusters of similar size, padded
-    to fit the buffer.  It keeps only hulls whose every edge has all other
-    points strictly inside by a margin relative to their distance and to
-    the coordinates' magnitude; those are exactly Qhull's hulls.
-    Any other cluster (fewer than 3 points, collinear or nearly so, a hull
-    of more than _WRAP_STEPS vertices, a NaN) gets its hull from Qhull, or
-    its rectangle from its principal direction where Qhull cannot hull it.
-    One padded projection then fits the rectangles of the hulls
-    (``_min_area_rects``).  The result for each cluster does not depend on
-    the other clusters in the call.
+    Clusters are hulled together by a batched gift wrap (``_wrap_hulls``)
+    over blocks of clusters of similar size, padded to fit the buffer.  It
+    keeps only hulls whose every edge has all other points strictly inside
+    by a margin relative to their distance and to the coordinates'
+    magnitude; those are exactly Qhull's hulls.  Any other cluster (fewer
+    than 3 points, collinear or nearly so, a hull of more than _WRAP_STEPS
+    vertices, a NaN) gets its hull from Qhull, or its rectangle from its
+    principal direction where Qhull cannot hull it.  Every hull, wrapped or
+    not, goes into one table of vertex indices into ``points``, and one
+    padded projection over blocks of hulls of similar size fits all the
+    rectangles (``_min_area_rects``).  The result for each cluster does not
+    depend on the other clusters in the call.
     """
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
@@ -334,41 +315,45 @@ def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
     center, length = np.empty((n, 2)), np.empty(n)
     width, heading = np.empty(n), np.empty(n)
     rect = (center, length, width, heading)
+    # Hull table: each hull's vertex indices into points, and their cluster.
+    hull, owner = [], []
     # Clusters by size, in blocks whose padded clouds fit the buffer.
-    fallback = [np.flatnonzero(sizes < 3)]
     by_size = np.argsort(sizes, kind="stable")
-    by_size = by_size[sizes[by_size] >= 3]
     while by_size.size:
         cost = np.arange(1, by_size.size + 1) * sizes[by_size]
         k = max(1, np.searchsorted(cost, _FOLD_BUFFER, side="right"))
         block, by_size = by_size[:k], by_size[k:]
         m = sizes[block]
         index = start[block] + np.minimum(np.arange(m[-1])[:, None], m - 1)
-        x, y = points[index, 0], points[index, 1]
-        vertices, n_vertices = _wrap_hulls(x, y)
-        wrapped = n_vertices > 0
-        fallback.append(block[~wrapped])
-        col = np.flatnonzero(wrapped)[:, None]
-        hull = np.stack([x[vertices[wrapped], col], y[vertices[wrapped], col]],
-                        axis=-1)
-        _fold_hulls(rect, block[wrapped], hull.reshape(-1, 2),
-                    np.arange(hull.shape[0]) * hull.shape[1],
-                    n_vertices[wrapped])
+        vertices, n_vertices = _wrap_hulls(points[index, 0], points[index, 1])
+        on_hull = np.arange(vertices.shape[1]) < n_vertices[:, None]
+        hull.append(index[vertices, np.arange(k)[:, None]][on_hull])
+        owner.append(np.repeat(block, n_vertices))
+        for c in block[n_vertices == 0]:
+            cluster_xy = xy[start[c]:start[c] + sizes[c]]
+            try:
+                vertices = ConvexHull(cluster_xy).vertices
+            except (QhullError, ValueError):  # under 3 points, or collinear
+                for out, value in zip(rect, _degenerate_rect(cluster_xy)):
+                    out[c] = value
+                continue
+            hull.append(start[c] + vertices)
+            owner.append(np.full(vertices.size, c))
 
-    hulls, hulled = [], []
-    for c in np.sort(np.concatenate(fallback)):
-        cluster_xy = xy[start[c]:start[c] + sizes[c]]
-        try:
-            hulls.append(cluster_xy[ConvexHull(cluster_xy).vertices])
-            hulled.append(c)
-        except (QhullError, ValueError):  # fewer than 3 points, or collinear
-            for out, value in zip(rect, _degenerate_rect(cluster_xy)):
-                out[c] = value
-    if hulls:
-        n_vertices = np.array([len(h) for h in hulls], dtype=np.int64)
-        _fold_hulls(rect, np.array(hulled, dtype=np.int64),
-                    np.concatenate(hulls), np.cumsum(n_vertices) - n_vertices,
-                    n_vertices)
+    # Hulls by size, in blocks whose padded projection fits the buffer.
+    hull = np.concatenate(hull)
+    hulled, first, n_vertices = np.unique(
+        np.concatenate(owner), return_index=True, return_counts=True)
+    rows = np.argsort(n_vertices, kind="stable")
+    while rows.size:
+        cost = np.arange(1, rows.size + 1) * n_vertices[rows] ** 2
+        k = max(1, np.searchsorted(cost, _FOLD_BUFFER, side="right"))
+        block, rows = rows[:k], rows[k:]
+        h = n_vertices[block]
+        cycle = hull[first[block, None]
+                     + np.minimum(np.arange(h[-1]), h[:, None] - 1)]
+        for out, value in zip(rect, _min_area_rects(xy[cycle], h)):
+            out[hulled[block]] = value
 
     z_min = np.minimum.reduceat(points[:, 2], start)
     z_max = np.maximum.reduceat(points[:, 2], start)

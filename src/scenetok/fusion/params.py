@@ -3,6 +3,7 @@ one attention block per fused axis."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,9 +33,6 @@ class AttentionBlockParams:
     bv: np.ndarray
     wo: np.ndarray
     bo: np.ndarray
-
-    def tensor_fields(self):
-        return [f.name for f in fields(self) if f.name != "n_heads"]
 
 
 @dataclass
@@ -69,8 +67,9 @@ class FusionParams:
                 out[f"{prefix}.{name}"] = getattr(mlp, name)
         out["f_temporal"] = self.f_temporal
         for prefix, block in (("time", self.time_block), ("elem", self.elem_block)):
-            for name in block.tensor_fields():
-                out[f"{prefix}.{name}"] = getattr(block, name)
+            for f in fields(block):
+                if f.name != "n_heads":
+                    out[f"{prefix}.{f.name}"] = getattr(block, f.name)
         return out
 
     def set_tensor(self, name: str, value: np.ndarray) -> None:
@@ -87,11 +86,7 @@ class FusionParams:
             raise KeyError(name)
 
     def copy(self) -> "FusionParams":
-        p = init_fusion_params(self.T, self.D, hidden=self.hidden,
-                               n_heads=self.n_heads, dtype=self.dtype)
-        for name, value in self.tensors().items():
-            p.set_tensor(name, value.copy())
-        return p
+        return copy.deepcopy(self)
 
     def astype(self, dtype) -> "FusionParams":
         p = self.copy()

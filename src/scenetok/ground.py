@@ -40,10 +40,6 @@ class GroundPlane:
     offset: float
     inlier_count: int
 
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        """Unsigned point-plane distances, (N,)."""
-        return np.abs(points @ self.normal + self.offset)
-
 
 def _canonicalize(normal: np.ndarray, offset: float) -> tuple[np.ndarray, float]:
     norm = np.linalg.norm(normal)
@@ -252,7 +248,7 @@ def segment_ground(points: np.ndarray, plane: GroundPlane,
                    threshold: float) -> np.ndarray:
     """Boolean mask: true iff the point lies within ``threshold`` of the plane."""
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return plane.distances(points) <= threshold
+    return np.abs(points @ plane.normal + plane.offset) <= threshold
 
 
 def tile_cells(points_xy: np.ndarray, tile_size: float) -> np.ndarray:

@@ -194,8 +194,10 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
 
     Frames must be numbered 0..T-1, in any order (FrameCountMismatch), point
     blobs (N, 3) and feature maps 3-D with one channel count D
-    (ShapeHeaderMismatch).  The feature maps are read into one pixel table
-    of their common dtype, map by map, so the table is held once."""
+    (ShapeHeaderMismatch).  A blob name must be a file name in the
+    directory (BadManifestField) of a regular file (ManifestMissingEntry).
+    The feature maps are read into one pixel table of their common dtype,
+    map by map, so the table is held once."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
@@ -203,9 +205,13 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
     manifest = _load_json(manifest_path)
 
     def blob_path(name: str) -> Path:
+        if Path(name).name != name:
+            raise BadManifestField(f"{manifest_path}: blob name {name!r} must "
+                                   "be a file name in the bundle directory")
         blob = root / name
-        if not blob.exists():
-            raise ManifestMissingEntry(f"manifest references absent file {blob}")
+        if not blob.is_file():
+            raise ManifestMissingEntry(f"manifest references {blob}, which is "
+                                       "absent or not a regular file")
         return blob
 
     def check_shape(blob: Path, shape: tuple, ok: bool, want: str) -> None:

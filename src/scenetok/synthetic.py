@@ -66,7 +66,6 @@ class SyntheticScene:
     truth: PointPartition
     spec: SceneSpec
     agent_specs: list[dict] = field(default_factory=list)
-    clutter_centers: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
 
 
 def _place_centers(rng, n, area, margin, min_sep, max_tries=10_000):
@@ -241,8 +240,7 @@ def generate_scene(seed: int, spec: SceneSpec) -> SyntheticScene:
     truth = PointPartition(labels=labels, agent_track=agent_track,
                            cluster_id=cluster_id)
     return SyntheticScene(bundle=bundle, truth=truth, spec=spec,
-                          agent_specs=agent_specs,
-                          clutter_centers=clutter_centers)
+                          agent_specs=agent_specs)
 
 
 def drop_agents(bundle: SceneBundle, ratio: float, seed: int) -> tuple[SceneBundle, list[int]]:

@@ -291,6 +291,25 @@ def test_jobs_below_one_is_a_usage_error(workdir, capsys, monkeypatch, jobs):
     assert read == [] and not out.exists()
 
 
+def test_scenes_sharing_a_name_are_a_usage_error(workdir, capsys,
+                                                  monkeypatch):
+    a, b = workdir / "a" / "scene", workdir / "b" / "scene"
+    for d in (a, b):
+        cli_main(["synth", "--seed", "1", "--spec",
+                  str(workdir / "spec.json"), "--out", str(d)])
+    capsys.readouterr()
+    read = []
+    monkeypatch.setattr("scenetok.cli.read_scene_bundle",
+                        lambda *args, **kwargs: read.append(args))
+    out = workdir / "tokens"
+    assert cli_main(["tokenize", "--scene", str(a), f"{b}/", "--out",
+                     str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{a} {b}/ share a directory name" in err
+    assert "Traceback" not in err
+    assert read == [] and not out.exists()
+
+
 def test_config_with_removed_pixel_fields_exits_1(workdir, capsys):
     # a config file as older builds saved it, with the two pixel-sampling
     # fields that no longer exist

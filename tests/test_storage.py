@@ -554,6 +554,33 @@ class TestBundleIO:
             read_scene_bundle(d)
         assert "points_f001.bin" in str(exc.value)
 
+    @pytest.mark.parametrize("section, key", [("frames", "points"),
+                                              ("cameras", "feature_map")])
+    @pytest.mark.parametrize("where", ["parent", "absolute", "subdirectory"])
+    def test_blob_name_outside_the_bundle_is_rejected(
+            self, tmp_path, small_scene, section, key, where):
+        a, b = tmp_path / "a", tmp_path / "b"
+        write_scene_bundle(a, small_scene.bundle)
+        write_scene_bundle(b, small_scene.bundle)
+        name = json.loads((a / "manifest.json").read_text())[section][1][key]
+        (a / "sub").mkdir()
+        (a / "sub" / name).write_bytes((a / name).read_bytes())
+        set_manifest_field(a, section, key, {
+            "parent": f"../b/{name}", "absolute": str(b / name),
+            "subdirectory": f"sub/{name}"}[where], entry=1)
+        with pytest.raises(BadManifestField, match="file name in the bundle"):
+            read_scene_bundle(a)
+
+    @pytest.mark.parametrize("name", ["sub", "..", ""])
+    def test_blob_name_of_a_directory_is_missing(self, tmp_path, small_scene,
+                                                 name):
+        d = tmp_path / "scene"
+        write_scene_bundle(d, small_scene.bundle)
+        (d / "sub").mkdir()
+        set_manifest_field(d, "frames", "points", name, entry=1)
+        with pytest.raises(ManifestMissingEntry, match="not a regular file"):
+            read_scene_bundle(d)
+
 
 def small_tokens(n_elem=3, T=2, D=4):
     rng = np.random.default_rng(1)

@@ -55,18 +55,34 @@ def _pack_array(array: np.ndarray) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
+    """Reads a container file front to back.
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    Every step is checked against the file's size, taken once from
+    ``fstat``, before anything is read or allocated for it, and each array
+    payload is read straight into its final array.
+    """
+
+    def __init__(self, fh, path):
+        self.fh = fh
+        self.path = path
+        self.pos = 0
+        self.size = os.fstat(fh.fileno()).st_size
+
+    def _step(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise ShapeHeaderMismatch(
                 f"{self.path}: truncated, needed {n} bytes at offset "
-                f"{self.pos}, file has {len(self.data)}")
-        out = self.data[self.pos:self.pos + n]
+                f"{self.pos}, file has {self.size}")
         self.pos += n
+
+    def _check_read(self, got: int, n: int) -> None:
+        if got != n:
+            raise ShapeHeaderMismatch(f"{self.path}: changed while being read")
+
+    def take(self, n: int) -> bytes:
+        self._step(n)
+        out = self.fh.read(n)
+        self._check_read(len(out), n)
         return out
 
     def unpack(self, fmt: str):
@@ -78,15 +94,36 @@ class _Reader:
             raise ShapeHeaderMismatch(f"{self.path}: unknown dtype code {code}")
         return self.unpack(f"<{ndim}Q"), _DTYPE_CODES[code]
 
-    def array(self) -> np.ndarray:
+    def array(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The next array, read into ``out`` when one is given.
+
+        ``out`` must be C-contiguous with the array's shape; a payload of
+        another dtype is read whole, then cast into it.
+        """
         shape, dtype = self.array_header()
         nbytes = math.prod(shape) * dtype.itemsize  # Python ints: no wrap
-        payload = self.take(nbytes)
-        try:  # a zero dimension lets the others be any u64
-            return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
-        except ValueError as exc:
+        self._step(nbytes)
+        if out is not None and out.shape != shape:
             raise ShapeHeaderMismatch(
-                f"{self.path}: shape {shape} is too large ({exc})") from exc
+                f"{self.path}: holds shape {shape}, expected {out.shape}")
+        if out is not None and out.dtype == dtype:
+            array = out
+        else:
+            try:  # a zero dimension lets the others be any u64
+                array = np.empty(shape, dtype=dtype)
+            except ValueError as exc:
+                raise ShapeHeaderMismatch(
+                    f"{self.path}: shape {shape} is too large ({exc})") from exc
+        self._check_read(self.fh.readinto(array), nbytes)
+        if out is not None and array is not out:
+            out[...] = array
+            array = out
+        return array
+
+    def finish(self) -> None:
+        if self.pos != self.size:
+            raise ShapeHeaderMismatch(f"{self.path}: {self.size - self.pos} "
+                                      "trailing bytes after payload")
 
 
 def _check_header(reader: _Reader, kind: bytes):
@@ -138,14 +175,15 @@ def write_blob(path, array: np.ndarray) -> None:
         fh.write(_pack_array(array))
 
 
-def read_blob(path) -> np.ndarray:
+def read_blob(path, out: np.ndarray | None = None) -> np.ndarray:
+    """A blob's array, read into ``out`` when one is given (see
+    ``_Reader.array``).  Magic, kind and version are checked before the
+    payload is read."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    _check_header(reader, KIND_BLOB)
-    array = reader.array()
-    if reader.pos != len(reader.data):
-        raise ShapeHeaderMismatch(
-            f"{path}: {len(reader.data) - reader.pos} trailing bytes after payload")
+        reader = _Reader(fh, path)
+        _check_header(reader, KIND_BLOB)
+        array = reader.array(out)
+        reader.finish()
     return array
 
 
@@ -156,15 +194,13 @@ def read_blob_header(path) -> tuple[tuple[int, ...], np.dtype]:
     unless the file's size is the header plus the payload it declares.
     """
     with open(path, "rb") as fh:
-        # magic, kind, version, dtype code, ndim and at most 255 dimensions
-        reader = _Reader(fh.read(12 + 255 * 8), path)
-        size = os.fstat(fh.fileno()).st_size
-    _check_header(reader, KIND_BLOB)
-    shape, dtype = reader.array_header()
+        reader = _Reader(fh, path)
+        _check_header(reader, KIND_BLOB)
+        shape, dtype = reader.array_header()
     payload = math.prod(shape) * dtype.itemsize
-    if reader.pos + payload != size:
+    if reader.pos + payload != reader.size:
         raise ShapeHeaderMismatch(f"{path}: header declares {payload} payload "
-                                  f"bytes, file has {size - reader.pos}")
+                                  f"bytes, file has {reader.size - reader.pos}")
     return shape, dtype
 
 
@@ -182,19 +218,17 @@ def write_tensor_file(path, tensors: dict[str, np.ndarray],
 
 def read_tensor_file(path, kind: bytes = KIND_TOKENS) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read(), path)
-    _check_header(reader, kind)
-    (count,) = reader.unpack("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = reader.unpack("<H")
-        try:
-            name = reader.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise StorageError(
-                f"{path}: tensor name is not valid UTF-8 ({exc})") from exc
-        tensors[name] = reader.array()
-    if reader.pos != len(reader.data):
-        raise ShapeHeaderMismatch(
-            f"{path}: {len(reader.data) - reader.pos} trailing bytes after payload")
+        reader = _Reader(fh, path)
+        _check_header(reader, kind)
+        (count,) = reader.unpack("<I")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = reader.unpack("<H")
+            try:
+                name = reader.take(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise StorageError(
+                    f"{path}: tensor name is not valid UTF-8 ({exc})") from exc
+            tensors[name] = reader.array()
+        reader.finish()
     return tensors

@@ -31,22 +31,25 @@ def linear_forward(x, w, b):
     return y, x
 
 
-def linear_backward(g, x, w):
+def linear_param_grads(g, x):
+    """``(dw, db)`` of ``linear_forward``: sums over every row of ``g``."""
     gf = g.reshape(-1, g.shape[-1])
-    xf = x.reshape(-1, x.shape[-1])
-    dx = matmul_rows(g, w)
-    dw = gf.T @ xf
-    db = gf.sum(axis=0)
-    return dx, dw, db
+    return gf.T @ x.reshape(-1, x.shape[-1]), gf.sum(axis=0)
+
+
+def linear_backward(g, x, w):
+    return (matmul_rows(g, w), *linear_param_grads(g, x))
 
 
 def relu_backward(g, h):
-    """``g`` where the ReLU output ``h`` is positive, zero elsewhere.
+    """``g`` where the ReLU output ``h`` is positive, zero elsewhere,
+    written into ``g``, which is returned.
 
     ``h > 0`` equals ``h_pre > 0`` for ``h = max(h_pre, 0)``, so a ReLU can
     run in place and keep only its output.
     """
-    return g * (h > 0)
+    g *= h > 0
+    return g
 
 
 def mlp2_forward(x, p):
@@ -61,33 +64,52 @@ def mlp2_forward(x, p):
     return y, (x, h)
 
 
-def mlp2_backward(g, cache, p):
+def mlp2_param_grads(g, cache, p):
+    """Weight and bias gradients of ``mlp2_forward``; the gradient of its
+    input is not formed."""
     x, h = cache
     dh, dw2, db2 = linear_backward(g, h, p.w2)
-    dh_pre = relu_backward(dh, h)
-    dx, dw1, db1 = linear_backward(dh_pre, x, p.w1)
-    return dx, {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    dw1, db1 = linear_param_grads(relu_backward(dh, h), x)
+    return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
 def layernorm_forward(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return gamma * xhat + beta, (xhat, inv)
+    """LayerNorm over the last axis; the cache is ``(xhat, inv)``.
+
+    ``gamma * xhat + beta`` with ``xhat = (x - mu) * inv`` and
+    ``inv = 1 / sqrt(mean((x - mu) ** 2) + LN_EPS)``, evaluated step by step
+    in two buffers, ``xhat`` and the output, so it is bit-identical to the
+    out-of-place formula.  ``x`` is not written.
+    """
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    y = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=y)
+    y += beta
+    return y, (xhat, inv)
 
 
 def layernorm_backward(g, cache, gamma):
+    """Adjoint of ``layernorm_forward``; ``dx`` is written into ``g``.
+
+    ``dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`` with
+    ``dxhat = g * gamma``, evaluated in that order in ``g`` and one scratch
+    buffer, so it is bit-identical to the formula.
+    """
     xhat, inv = cache
     axes = tuple(range(g.ndim - 1))
-    dgamma = (g * xhat).sum(axis=axes)
+    t = np.multiply(g, xhat)
+    dgamma = t.sum(axis=axes)
     dbeta = g.sum(axis=axes)
-    dxhat = g * gamma
-    dx = inv * (dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    return dx, dgamma, dbeta
+    g *= gamma
+    np.multiply(g, xhat, out=t)
+    m2 = t.mean(axis=-1, keepdims=True)
+    g -= g.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, m2, out=t)
+    g -= t
+    g *= inv
+    return g, dgamma, dbeta
 
 
 def masked_softmax(logits):

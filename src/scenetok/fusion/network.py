@@ -13,6 +13,16 @@ state, so every activation is dropped as soon as the next step has read
 it.  Attention runs over chunks of whole groups whose logits hold at most
 ``_GROUP_BUFFER`` values, so the fusion's peak memory follows one chunk,
 not the whole scene.
+
+The fusion keeps its valid slots as one table of rows, stored in group
+order for the attention block that reads them: time order (each element's
+valid frames) for the time block, element order (each frame's valid
+elements) for the element block.  Groups are sorted by length, so every
+chunk is one contiguous run of rows that attention reads and writes
+through views; the table is permuted once between the blocks.  LayerNorm,
+the ReLU adjoint and the gradient sums run in place, in the order of the
+out-of-place formulas, so each result is bit-identical to them.  Weight
+and bias gradients sum their rows in the stored order.
 """
 
 from __future__ import annotations
@@ -26,10 +36,11 @@ from .layers import (
     layernorm_forward,
     linear_backward,
     linear_forward,
+    linear_param_grads,
     masked_softmax,
     matmul_rows,
-    mlp2_backward,
     mlp2_forward,
+    mlp2_param_grads,
     relu_backward,
     softmax_backward,
 )
@@ -87,7 +98,7 @@ def _pooled_point_backward(g, cache, params, n_elem):
     ``1 / count``, rounded to ``params.dtype`` per cell before the gather;
     empty cells are never gathered.  When ``hidden < D``, ``g`` first goes
     back through ``W2`` on the non-empty cells, so the pooled gradient is
-    ``hidden`` wide.
+    ``hidden`` wide.  The gradient of the point coordinates is not formed.
     """
     x, h, cells, counts, w2_input = cache
     p = params.mlp_f
@@ -102,8 +113,7 @@ def _pooled_point_backward(g, cache, params, n_elem):
     g_pts = (g * scale[:, None]).astype(params.dtype)[cells]
     if not pool_first:
         g_pts, dw2, db2 = linear_backward(g_pts, w2_input, p.w2)
-    dh_pre = relu_backward(g_pts, h)
-    _, dw1, db1 = linear_backward(dh_pre, x, p.w1)
+    dw1, db1 = linear_param_grads(relu_backward(g_pts, h), x)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
@@ -143,7 +153,8 @@ def _encode_geometry_fwd(P_xyz, P_ind, B, params, keep_cache=True):
 def _encode_geometry_bwd(dF_geo, cache, params):
     pool_cache, box_cache, n_elem = cache
     grads = {}
-    _, c_grads = mlp2_backward(
+    # Boxes are inputs, so only the box MLP's own gradients are formed.
+    c_grads = mlp2_param_grads(
         dF_geo.reshape(n_elem * params.T, params.D), box_cache, params.mlp_c)
     for k, v in c_grads.items():
         grads[f"mlp_c.{k}"] = v
@@ -156,56 +167,72 @@ def _encode_geometry_bwd(dF_geo, cache, params):
 # ---------------------------------------------------------------------------
 # axial attention
 
-def _slot_groups(sizes, heads, order=None):
-    """Row-index matrices of the attention groups, in bounded chunks.
+def _group_rows(valid, heads):
+    """The valid slots of ``valid`` (groups, L) in group order, in runs.
 
-    Group i holds the ``sizes[i]`` rows that follow the earlier groups in
-    ``order`` (default: the row order itself).  Groups of one length are
-    stacked into ``(groups, length)`` matrices, each holding as many groups
-    as keep its ``(groups, heads, L, L)`` logits within ``_GROUP_BUFFER``
-    values, and at least one; empty groups have no rows and are left out.
+    Groups are stably sorted by their number of valid slots, and each
+    group's valid slots follow in ascending order, so the groups of one
+    length form one contiguous run of rows.  Returns the flat indices of
+    the slots into ``valid`` and the runs as ``(start, groups, L)`` chunks:
+    each holds as many groups as keep its ``(groups, heads, L, L)`` logits
+    within ``_GROUP_BUFFER`` values, and at least one.  Groups without a
+    valid slot have no rows.
     """
-    starts = np.cumsum(sizes) - sizes
-    mats = []
-    for L in np.unique(sizes[sizes > 0]):
-        idx = starts[sizes == L][:, None] + np.arange(L)
-        if order is not None:
-            idx = order[idx]
-        step = max(1, _GROUP_BUFFER // (heads * int(L) ** 2))
-        mats.extend(idx[a:a + step] for a in range(0, idx.shape[0], step))
-    return mats
+    valid = np.asarray(valid, dtype=bool)
+    sizes = valid.sum(axis=1)
+    order = np.argsort(sizes, kind="stable")
+    width = valid.shape[1]
+    slots = (order[:, None] * width + np.arange(width))[valid[order]]
+    runs, start = [], 0
+    lengths, counts = np.unique(sizes[sizes > 0], return_counts=True)
+    for L, n in zip(lengths.tolist(), counts.tolist()):
+        step = max(1, _GROUP_BUFFER // (heads * L * L))
+        for first in range(0, n, step):
+            groups = min(step, n - first)
+            runs.append((start, groups, L))
+            start += groups * L
+    return slots, runs
 
 
-def _attention_fwd(X, block: AttentionBlockParams, groups, keep_cache=True):
+def _split_heads(Z, groups, h):
+    """(groups * L, D) rows -> a (groups, heads, L, D / heads) view."""
+    return Z.reshape(groups, -1, h, Z.shape[1] // h).transpose(0, 2, 1, 3)
+
+
+def _attention_fwd(X, block: AttentionBlockParams, runs, keep_cache=True):
     """Pre-norm residual attention among the rows of each group of X (n, D).
 
-    ``groups`` is a list of ``(g, L)`` row-index matrices that together
-    cover every row exactly once (see ``_slot_groups``); a row attends to
-    the L rows of its own group, all of them valid keys.  Each matrix runs
-    as one batch.  Returns the output rows and the cache, which holds each
-    matrix's attention weights ``(g, heads, L, L)`` at index 6.  Without
-    ``keep_cache`` the cache is None, and the LayerNorm output, ``Q``,
-    ``K``, ``V`` and each matrix's weights are dropped once read.
+    The rows of X are in group order (see ``_group_rows``): ``runs`` lists
+    ``(start, groups, L)`` chunks that together cover every row exactly
+    once, chunk ``(s, g, L)`` holding groups of L consecutive rows from row
+    ``s`` on.  A row attends to the L rows of its own group, all of them
+    valid keys.  Each chunk runs as one batch on views of ``Q``, ``K``,
+    ``V`` and ``ctx``, so no chunk gathers or scatters rows.  Returns the
+    output rows and the cache, which holds each chunk's attention weights
+    ``(g, heads, L, L)`` at index 6.  Without ``keep_cache`` the cache is
+    None, and the LayerNorm output, ``Q``, ``K``, ``V`` and each chunk's
+    weights are dropped once read.
     """
     D = X.shape[1]
     h = block.n_heads
-    dh = D // h
-    scale = 1.0 / dh ** 0.5
+    scale = 1.0 / (D // h) ** 0.5
     Y, ln_cache = layernorm_forward(X, block.ln_gamma, block.ln_beta)
     Q, _ = linear_forward(Y, block.wq, block.bq)
     K = matmul_rows(Y, block.wk.T)
     V, _ = linear_forward(Y, block.wv, block.bv)
-    cache = (Y, ln_cache, Q, K, V, groups) if keep_cache else None
+    cache = (Y, ln_cache, Q, K, V, runs) if keep_cache else None
     del Y, ln_cache
 
     ctx = np.empty_like(Q)
     weights = []
-    for idx in groups:
-        logits = _split_heads(Q[idx], h) @ \
-            _split_heads(K[idx], h).transpose(0, 1, 3, 2)
+    for start, g, L in runs:
+        rows = slice(start, start + g * L)
+        logits = _split_heads(Q[rows], g, h) @ \
+            _split_heads(K[rows], g, h).transpose(0, 1, 3, 2)
         logits *= scale
         w = masked_softmax(logits)
-        ctx[idx] = _merge_heads(w @ _split_heads(V[idx], h))
+        np.matmul(w, _split_heads(V[rows], g, h),
+                  out=_split_heads(ctx[rows], g, h))
         if keep_cache:
             weights.append(w)
     del Q, K, V
@@ -214,20 +241,9 @@ def _attention_fwd(X, block: AttentionBlockParams, groups, keep_cache=True):
     return out, (cache + (weights, ctx) if keep_cache else None)
 
 
-def _split_heads(Z, h):
-    """(g, L, D) -> (g, heads, L, D / heads)."""
-    g, L, D = Z.shape
-    return Z.reshape(g, L, h, D // h).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(Zh):
-    """(g, heads, L, dh) -> (g, L, heads * dh)."""
-    g, h, L, dh = Zh.shape
-    return Zh.transpose(0, 2, 1, 3).reshape(g, L, h * dh)
-
-
 def _attention_bwd(g, block: AttentionBlockParams, cache):
-    Y, ln_cache, Q, K, V, groups, weights, ctx = cache
+    """Adjoint of ``_attention_fwd`` on rows in the same group order."""
+    Y, ln_cache, Q, K, V, runs, weights, ctx = cache
     D = g.shape[1]
     h = block.n_heads
     scale = 1.0 / (D // h) ** 0.5
@@ -236,25 +252,34 @@ def _attention_bwd(g, block: AttentionBlockParams, cache):
     dQ = np.empty_like(Q)
     dK = np.empty_like(K)
     dV = np.empty_like(V)
-    for idx, w in zip(groups, weights):
-        dctx_h = _split_heads(dctx[idx], h)
-        dweights = dctx_h @ _split_heads(V[idx], h).transpose(0, 1, 3, 2)
-        dV[idx] = _merge_heads(w.transpose(0, 1, 3, 2) @ dctx_h)
+    for (start, n, L), w in zip(runs, weights):
+        rows = slice(start, start + n * L)
+        dctx_h = _split_heads(dctx[rows], n, h)
+        dweights = dctx_h @ _split_heads(V[rows], n, h).transpose(0, 1, 3, 2)
+        np.matmul(w.transpose(0, 1, 3, 2), dctx_h,
+                  out=_split_heads(dV[rows], n, h))
         dlogits = softmax_backward(dweights, w)
-        dQh = dlogits @ _split_heads(K[idx], h)
+        dQh = _split_heads(dQ[rows], n, h)
+        np.matmul(dlogits, _split_heads(K[rows], n, h), out=dQh)
         dQh *= scale
-        dQ[idx] = _merge_heads(dQh)
-        dKh = dlogits.transpose(0, 1, 3, 2) @ _split_heads(Q[idx], h)
+        dKh = _split_heads(dK[rows], n, h)
+        np.matmul(dlogits.transpose(0, 1, 3, 2), _split_heads(Q[rows], n, h),
+                  out=dKh)
         dKh *= scale
-        dK[idx] = _merge_heads(dKh)
+    del dctx
 
-    dYq, dwq, dbq = linear_backward(dQ, Y, block.wq)
-    dYk = matmul_rows(dK, block.wk)
+    # dY = dYq + dYk + dYv, summed in that order in dYq's buffer
+    dY, dwq, dbq = linear_backward(dQ, Y, block.wq)
+    del dQ
+    dY += matmul_rows(dK, block.wk)
     dwk = dK.T @ Y
+    del dK
     dYv, dwv, dbv = linear_backward(dV, Y, block.wv)
-    dY = dYq + dYk + dYv
-    dX_ln, dgamma, dbeta = layernorm_backward(dY, ln_cache, block.ln_gamma)
-    dX = g + dX_ln
+    del dV
+    dY += dYv
+    del dYv
+    dX, dgamma, dbeta = layernorm_backward(dY, ln_cache, block.ln_gamma)
+    dX += g
     grads = {"ln_gamma": dgamma, "ln_beta": dbeta,
              "wq": dwq, "bq": dbq, "wk": dwk,
              "wv": dwv, "bv": dbv, "wo": dwo, "bo": dbo}
@@ -273,12 +298,18 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid,
     """Fusion forward on the valid (element, frame) slots only.
 
     ``X0 = F_img + F_geo + f_temporal`` is formed on the valid slots only,
-    as a compact table of rows in element-major order.  Time attention runs
-    within each element's valid frames, element attention within each
-    frame's valid elements (in element order).  The result is scattered
-    back into a zero ``(n_elem, T, D)`` array for the masked time-mean, so
-    invalid slots never reach ``F_elem``.  Without ``keep_cache`` the cache
-    is None and neither attention block keeps backward state.
+    gathered once into a compact table of rows in time order: elements
+    stably sorted by their number of valid frames, each element's valid
+    frames ascending.  Time attention runs within each element's rows.  The
+    rows are then permuted once into element order: frames stably sorted
+    by their number of valid elements, each frame's valid elements
+    ascending.  Element attention runs within each frame's rows.  In both
+    orders the groups of one length are one contiguous run of rows, so
+    attention reads and writes them through views.  The result is
+    scattered back into a zero ``(n_elem, T, D)`` array for the masked
+    time-mean, so invalid slots never reach ``F_elem``.  Without
+    ``keep_cache`` the cache is None and neither attention block keeps
+    backward state.
     """
     if F_img.shape != F_geo.shape:
         raise ShapeMismatch(f"F_img {F_img.shape} vs F_geo {F_geo.shape}")
@@ -289,38 +320,44 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid,
     if elem_valid.shape != (n_elem, T):
         raise ShapeMismatch(f"elem_valid {elem_valid.shape} != ({n_elem}, {T})")
 
-    slots = np.flatnonzero(elem_valid.ravel())
-    time_groups = _slot_groups(elem_valid.sum(axis=1),
-                               params.time_block.n_heads)
-    elem_groups = _slot_groups(elem_valid.sum(axis=0),
-                               params.elem_block.n_heads,
-                               np.argsort(slots % T, kind="stable"))
+    slots_t, runs_t = _group_rows(elem_valid, params.time_block.n_heads)
+    frame_major, runs_e = _group_rows(elem_valid.T, params.elem_block.n_heads)
+    slots_e = frame_major % n_elem * T + frame_major // n_elem
+    rank = np.empty(n_elem * T, dtype=np.intp)
+    rank[slots_t] = np.arange(slots_t.size)
+    to_elem = rank[slots_e]  # the time-order row of each element-order row
     # Each step rebinds x, so only the rows the next step reads stay alive.
-    x = F_img.reshape(-1, D)[slots].astype(params.dtype, copy=False)
-    x += F_geo.reshape(-1, D)[slots].astype(params.dtype, copy=False)
-    x += params.f_temporal[slots % T]
-    x, cache_t = _attention_fwd(x, params.time_block, time_groups,
+    x = F_img.reshape(-1, D)[slots_t].astype(params.dtype, copy=False)
+    x += F_geo.reshape(-1, D)[slots_t].astype(params.dtype, copy=False)
+    x += params.f_temporal[slots_t % T]
+    x, cache_t = _attention_fwd(x, params.time_block, runs_t,
                                 keep_cache=keep_cache)
-    x, cache_e = _attention_fwd(x, params.elem_block, elem_groups,
+    x = x[to_elem]
+    x, cache_e = _attention_fwd(x, params.elem_block, runs_e,
                                 keep_cache=keep_cache)
     X2 = np.zeros((n_elem, T, D), dtype=x.dtype)
-    X2.reshape(-1, D)[slots] = x
+    X2.reshape(-1, D)[slots_e] = x
     del x
     F_elem, counts = _masked_time_mean_fwd(X2, elem_valid)
-    return F_elem, ((slots, cache_t, cache_e, counts) if keep_cache else None)
+    cache = (slots_t, slots_e, to_elem, cache_t, cache_e, counts)
+    return F_elem, (cache if keep_cache else None)
 
 
 def _fuse_bwd(dF_elem, cache, params: FusionParams, elem_valid):
-    slots, cache_t, cache_e, counts = cache
+    slots_t, slots_e, to_elem, cache_t, cache_e, counts = cache
     n_elem, T = elem_valid.shape
     # A valid slot's gradient is its element's over the element's valid
     # frames; an element with no valid frame has no slot to read it.
     scale = (1.0 / np.maximum(counts, 1)).astype(dF_elem.dtype)
-    dx2 = (dF_elem * scale[:, None])[slots // T]
-    dx1, grads_e = _attention_bwd(dx2, params.elem_block, cache_e)
-    dx0, grads_t = _attention_bwd(dx1, params.time_block, cache_t)
-    dX0 = np.zeros((n_elem, T, dx0.shape[1]), dtype=dx0.dtype)
-    dX0.reshape(n_elem * T, -1)[slots] = dx0
+    dx = (dF_elem * scale[:, None])[slots_e // T]
+    dx, grads_e = _attention_bwd(dx, params.elem_block, cache_e)
+    dx_t = np.empty_like(dx)
+    dx_t[to_elem] = dx
+    del dx
+    dx, grads_t = _attention_bwd(dx_t, params.time_block, cache_t)
+    del dx_t
+    dX0 = np.zeros((n_elem, T, dx.shape[1]), dtype=dx.dtype)
+    dX0.reshape(n_elem * T, -1)[slots_t] = dx
     grads = {f"elem.{k}": v for k, v in grads_e.items()}
     grads.update({f"time.{k}": v for k, v in grads_t.items()})
     grads["f_temporal"] = dX0.sum(axis=0)

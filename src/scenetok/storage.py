@@ -197,7 +197,7 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
     (ShapeHeaderMismatch).  A blob name must be a file name in the
     directory (BadManifestField) of a regular file (ManifestMissingEntry).
     The feature maps are read into one pixel table of their common dtype,
-    map by map, so the table is held once."""
+    each map straight into its rows, so the table is held once."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.exists():
@@ -261,10 +261,7 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
         raise ShapeHeaderMismatch(f"{root}: feature maps too large ({exc})") from exc
     base = 0
     for blob, shape, n in zip(blobs, shapes, n_pixels):
-        feature_map = read_blob(blob)
-        if feature_map.shape != shape:
-            raise ShapeHeaderMismatch(f"{blob}: changed while being read")
-        table[base:base + n] = feature_map.reshape(n, shape[2])
+        read_blob(blob, out=table[base:base + n].reshape(shape))
         base += n
 
     agents = _manifest_get(manifest, "agents", str(manifest_path))

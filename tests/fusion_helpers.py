@@ -5,10 +5,10 @@ from scipy import sparse
 
 from scenetok.errors import ShapeMismatch
 from scenetok.fusion import AttentionBlockParams, FusionParams
-from scenetok.fusion.layers import (linear_backward, linear_forward,
-                                    mlp2_backward, mlp2_forward,
-                                    relu_backward)
-from scenetok.fusion.network import _attention_fwd, _slot_groups
+from scenetok.fusion.layers import (LN_EPS, linear_backward, linear_forward,
+                                    linear_param_grads, mlp2_forward,
+                                    mlp2_param_grads, relu_backward)
+from scenetok.fusion.network import _attention_fwd, _group_rows
 from scenetok.pooling import cell_index, segment_sum
 
 
@@ -37,18 +37,18 @@ def attn_along_axis(F: np.ndarray, axis: str, block: AttentionBlockParams,
         raise ValueError(f"axis must be 'time' or 'element', got {axis!r}")
     B, L, D = X.shape
     rows = X.reshape(B * L, D)
-    slots = np.flatnonzero(mask.ravel())
-    groups = _slot_groups(mask.sum(axis=1), block.n_heads)
-    x, cache = _attention_fwd(rows[slots], block, groups)
-    group_weights = cache[6]
+    slots, runs = _group_rows(mask, block.n_heads)
+    x, cache = _attention_fwd(rows[slots], block, runs)
+    run_weights = cache[6]
     out = rows.copy()
     out[slots] = x
     out = out.reshape(B, L, D)
     weights = np.zeros((B, block.n_heads, L, L), dtype=x.dtype)
     heads = np.arange(block.n_heads)[None, :, None, None]
-    for idx, w in zip(groups, group_weights):
-        batch = slots[idx[:, 0]] // L
-        pos = slots[idx] % L
+    for (start, g, n), w in zip(runs, run_weights):
+        idx = slots[start:start + g * n].reshape(g, n)
+        batch = idx[:, 0] // L
+        pos = idx % L
         weights[batch[:, None, None, None], heads, pos[:, None, :, None],
                 pos[:, None, None, :]] = w
     if axis == "element":
@@ -118,9 +118,8 @@ def pooled_point_backward_reference(g, cache, params, n_elem):
         nz = counts > 0
         scale[nz] = 1.0 / counts[nz]
         g_cell = g * scale[:, None]
-        _, grads = mlp2_backward(M.T @ g_cell.astype(params.dtype), mlp_cache,
-                                 params.mlp_f)
-        return grads
+        return mlp2_param_grads(M.T @ g_cell.astype(params.dtype), mlp_cache,
+                                params.mlp_f)
 
     x, h_pre, M, counts, mean_h = cache
     p = params.mlp_f
@@ -129,5 +128,30 @@ def pooled_point_backward_reference(g, cache, params, n_elem):
     g_cell = np.zeros((counts.shape[0], params.hidden), dtype=params.dtype)
     g_cell[nz] = dmean / counts[nz, None]
     dh_pre = relu_backward(M.T @ g_cell, h_pre)
-    _, dw1, db1 = linear_backward(dh_pre, x, p.w1)
+    dw1, db1 = linear_param_grads(dh_pre, x)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+
+
+# ---------------------------------------------------------------------------
+# LayerNorm as the out-of-place formulas that ``layers.layernorm_forward``
+# and ``layernorm_backward``, which run in place, must match bit for bit
+
+def layernorm_forward_reference(x, gamma, beta):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = xc * inv
+    return gamma * xhat + beta, (xhat, inv)
+
+
+def layernorm_backward_reference(g, cache, gamma):
+    xhat, inv = cache
+    axes = tuple(range(g.ndim - 1))
+    dgamma = (g * xhat).sum(axis=axes)
+    dbeta = g.sum(axis=axes)
+    dxhat = g * gamma
+    dx = inv * (dxhat
+                - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, dgamma, dbeta

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fusion_helpers import (attn_along_axis, pooled_point_backward_reference,
+from fusion_helpers import (attn_along_axis, layernorm_backward_reference,
+                            layernorm_forward_reference,
+                            pooled_point_backward_reference,
                             pooled_point_forward_reference,
                             zero_attention_output)
 from scenetok.errors import ShapeMismatch
@@ -19,8 +21,9 @@ from scenetok.fusion import (
     init_fusion_params,
 )
 from scenetok.fusion import network
-from scenetok.fusion.layers import (LN_EPS, masked_softmax, relu_backward,
-                                    softmax_backward)
+from scenetok.fusion.layers import (LN_EPS, layernorm_backward,
+                                    layernorm_forward, masked_softmax,
+                                    relu_backward, softmax_backward)
 
 
 def toy_params(T=3, D=8, hidden=8, seed=1):
@@ -231,6 +234,13 @@ class TestFuseScene:
                        t["elem_valid"])
         np.testing.assert_array_equal(a, b)
 
+    def test_integer_mask_equals_boolean_mask(self, toy_fusion_inputs):
+        t = toy_fusion_inputs
+        a = fuse_scene(t["F_img"], t["F_img"], toy_params(), t["elem_valid"])
+        b = fuse_scene(t["F_img"], t["F_img"], toy_params(),
+                       t["elem_valid"].astype(np.int64))
+        np.testing.assert_array_equal(a, b)
+
     def test_matches_straight_line_reference(self, toy_fusion_inputs):
         t = toy_fusion_inputs
         params = toy_params()
@@ -279,11 +289,10 @@ class TestRaggedValidity:
 
     def test_fixture_runs_several_group_lengths(self, ragged_fusion_inputs):
         valid = ragged_fusion_inputs["elem_valid"]
-        for sizes in (valid.sum(axis=1), valid.sum(axis=0)):
-            mats = network._slot_groups(sizes, 2)
-            assert len(mats) > 1 and max(m.shape[0] for m in mats) > 1
-            assert sorted(np.concatenate([m.ravel() for m in mats])) == \
-                list(range(valid.sum()))
+        for axis_valid in (valid, valid.T):
+            _, runs = network._group_rows(axis_valid, 2)
+            assert len(runs) > 1 and max(g for _, g, _ in runs) > 1
+            assert sorted(run_rows(runs)) == list(range(valid.sum()))
 
     def test_matches_straight_line_reference(self, ragged_fusion_inputs):
         t = ragged_fusion_inputs
@@ -389,12 +398,77 @@ class TestSoftmaxBackward:
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLayerNormInPlace:
+    """The in-place LayerNorm against the out-of-place formulas it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(50, 16), (3, 7, 16)])
+    def test_equals_reference_bit_for_bit(self, dtype, shape):
+        rng = np.random.default_rng(12)
+        x = (3.0 * rng.normal(size=shape) + 1.0).astype(dtype)
+        x.reshape(-1, shape[-1])[4] = 2.5  # a constant row: xhat is all zero
+        gamma = rng.normal(size=shape[-1]).astype(dtype)
+        beta = rng.normal(size=shape[-1]).astype(dtype)
+        x_in = x.copy()
+        y, cache = layernorm_forward(x, gamma, beta)
+        y_ref, cache_ref = layernorm_forward_reference(x, gamma, beta)
+        assert_bits_equal(x, x_in)
+        assert_bits_equal(y, y_ref)
+        for got, want in zip(cache, cache_ref):
+            assert_bits_equal(got, want)
+        assert (cache[0].reshape(-1, shape[-1])[4] == 0).all()
+
+        g = rng.normal(size=shape).astype(dtype)
+        want = layernorm_backward_reference(g, cache_ref, gamma)
+        got = layernorm_backward(g.copy(), cache, gamma)
+        for a, b in zip(got, want):
+            assert_bits_equal(a, b)
+
+
+class TestInPlaceSafety:
+    """In-place steps write only into arrays the fusion made itself."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inputs_and_params_unchanged_and_repeats_identical(
+            self, ragged_fusion_inputs, dtype):
+        t = ragged_fusion_inputs
+        params = init_fusion_params(T=t["T"], D=t["D"], n_heads=2, seed=6,
+                                    dtype=dtype)
+        F_geo = encode_geometry(t["P_xyz"], t["P_ind"], t["B"], params)
+        args = (t["P_xyz"], t["P_ind"], t["B"], t["F_img"].astype(dtype),
+                t["elem_valid"])
+
+        def step():
+            loss, grads = fusion_loss_and_grads(params, *args)
+            return dict(grads, loss=np.float64(loss))
+
+        calls = [lambda: {"F_geo": encode_geometry(*args[:3], params)},
+                 lambda: {"F_elem": fuse_scene(args[3], F_geo, params,
+                                               args[4])},
+                 step]
+        names = ("P_xyz", "P_ind", "B", "F_img", "elem_valid")
+        arrays = {**dict(zip(names, args)), "F_geo": F_geo,
+                  **params.tensors()}
+        before = {k: v.copy() for k, v in arrays.items()}
+        for call in calls:
+            first, again = call(), call()
+            for name in first:
+                assert_bits_equal(again[name], first[name])
+            for name, value in arrays.items():
+                assert_bits_equal(value, before[name])
+
+
 class TestPointPoolBackward:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_equals_gather_reference_bit_for_bit(self, small_scene,
                                                  small_config, dtype):
         from scenetok import tokenize_bundle
-        from scenetok.fusion.layers import mlp2_backward
+        from scenetok.fusion.layers import mlp2_param_grads
         from scenetok.fusion.network import (_pooled_point_backward,
                                              _pooled_point_forward)
         from scenetok.pooling import cell_index
@@ -420,7 +494,7 @@ class TestPointPoolBackward:
         scale = np.zeros(counts.shape[0])
         scale[counts > 0] = 1.0 / counts[counts > 0]
         dphi = g.reshape(-1, params.D)[cells] * scale[cells, None]
-        _, want = mlp2_backward(dphi.astype(dtype), (cache[0], cache[1]),
+        want = mlp2_param_grads(dphi.astype(dtype), (cache[0], cache[1]),
                                 params.mlp_f)
         assert got.keys() == want.keys()
         for name in want:
@@ -532,7 +606,7 @@ class TestPoolFirstPath:
         seen = []
 
         def spy(dh, h_pre):
-            seen.append(dh)
+            seen.append(dh.copy())  # relu_backward writes into dh
             return relu_backward(dh, h_pre)
 
         monkeypatch.setattr(network, "relu_backward", spy)
@@ -659,11 +733,23 @@ class TestOutputsKeepParamsDtype:
             {k: np.dtype(dtype) for k in grads}
 
 
+def traced_peak_mb(fn, *args):
+    """MB that ``fn(*args)`` allocates at its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def test_fuse_backward_peak_memory():
     """The fusion backward at the budget shape (768 elements x 11 frames,
-    D=256, float32) allocates at most 92 MB at its peak.  It measured
-    89.7 MB; gradients taken through a dense (elements, frames, D) time-mean
-    gradient measured 97.9 MB."""
+    D=256, float32) allocates at most 55 MB at its peak.  It measured
+    49.8 MB with rows stored in group order and in-place LayerNorm and
+    gradient sums; per-chunk row gathers and out-of-place steps measured
+    89.7 MB, and a dense (elements, frames, D) time-mean gradient 97.9 MB."""
     rng = np.random.default_rng(0)
     n_elem, T, D = 768, 11, 256
     elem_valid = rng.random((n_elem, T)) >= 0.2
@@ -671,34 +757,44 @@ def test_fuse_backward_peak_memory():
     F = rng.normal(size=(n_elem, T, D)).astype(np.float32)
     F_elem, cache = network._fuse_fwd(F, F, params, elem_valid)
     dF_elem = 2.0 * F_elem
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        network._fuse_bwd(dF_elem, cache, params, elem_valid)
-        peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
-    finally:
-        tracemalloc.stop()
-    assert peak_mb < 92
+    assert traced_peak_mb(network._fuse_bwd, dF_elem, cache, params,
+                          elem_valid) < 55
 
 
 def test_fuse_scene_peak_memory():
     """Inference fusion at the budget shape (768 elements x 11 frames, all
-    slots valid, D=256, float32) allocates at most 80 MB at its peak.  It
-    measured 66.9 MB; a forward that kept every block's cache and attended
-    over all groups of a length at once measured 174.2 MB."""
+    slots valid, D=256, float32) allocates at most 65 MB at its peak.  It
+    measured 58.9 MB with attention on views of rows stored in group order;
+    per-chunk copies of Q, K and V measured 66.9 MB, and a forward that
+    kept every block's cache and attended over all groups of a length at
+    once 174.2 MB."""
     rng = np.random.default_rng(0)
     n_elem, T, D = 768, 11, 256
     elem_valid = np.ones((n_elem, T), dtype=bool)
     params = init_fusion_params(T=T, D=D, seed=0, dtype=np.float32)
     F = rng.normal(size=(n_elem, T, D)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fuse_scene(F, F, params, elem_valid)
-        peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
-    finally:
-        tracemalloc.stop()
-    assert peak_mb < 80
+    assert traced_peak_mb(fuse_scene, F, F, params, elem_valid) < 65
+
+
+def test_fusion_step_peak_memory():
+    """One training step, ``fusion_loss_and_grads``, at the budget shape
+    (768 elements x 11 frames, D=256, 65 536 points, float32, about 20 % of
+    the slots invalid) allocates at most 203 MB at its peak.  It measured
+    184.1 MB; per-chunk row gathers, out-of-place LayerNorm and gradient
+    sums, and the discarded point and box input gradients measured
+    223.6 MB."""
+    rng = np.random.default_rng(21)
+    n_elem, T, D, n_pts = 768, 11, 256, 65_536
+    elem_valid = rng.random((n_elem, T)) >= 0.2
+    elem_valid[:8] = False
+    P_ind = np.stack([rng.integers(0, T, n_pts),
+                      rng.integers(0, n_elem, n_pts)], axis=1)
+    P_xyz = rng.normal(size=(n_pts, 3)).astype(np.float32)
+    B = rng.normal(size=(n_elem, T, 7)).astype(np.float32)
+    F_img = rng.normal(size=(n_elem, T, D)).astype(np.float32)
+    params = init_fusion_params(T=T, D=D, seed=0, dtype=np.float32)
+    assert traced_peak_mb(fusion_loss_and_grads, params, P_xyz, P_ind, B,
+                          F_img, elem_valid) < 203
 
 
 def budget_fusion_inputs():
@@ -750,23 +846,36 @@ class TestGroupChunks:
 
     def test_full_scene_element_axis_runs_six_chunks(self):
         # 11 frames of 332 elements, 2 heads: 2 groups of 2 x 332^2 logits fit
-        mats = network._slot_groups(np.full(11, 332), 2)
-        assert [m.shape for m in mats] == [(2, 332)] * 5 + [(1, 332)]
+        _, runs = network._group_rows(np.ones((11, 332), dtype=bool), 2)
+        assert [(g, L) for _, g, L in runs] == [(2, 332)] * 5 + [(1, 332)]
 
     @pytest.mark.parametrize("heads", [1, 2, 8])
     def test_chunks_cover_every_row_once_within_the_bound(self, heads):
         rng = np.random.default_rng(heads)
         sizes = np.concatenate([rng.integers(0, 12, 700),
                                 [300, 300, 600, 0, 1000]])
-        order = rng.permutation(sizes.sum())
-        for perm in (None, order):
-            mats = network._slot_groups(sizes, heads, perm)
-            rows = np.concatenate([m.ravel() for m in mats])
+        packed = np.arange(sizes.max()) < sizes[:, None]
+        for valid in (packed, rng.permuted(packed, axis=1)):
+            slots, runs = network._group_rows(valid, heads)
+            rows = run_rows(runs)
             np.testing.assert_array_equal(np.sort(rows),
                                           np.arange(sizes.sum()))
-            for m in mats:
-                g, L = m.shape
+            np.testing.assert_array_equal(np.sort(slots),
+                                          np.flatnonzero(valid))
+            for start, g, L in runs:
                 assert g == 1 or g * heads * L * L <= network._GROUP_BUFFER
-            assert any(m.shape[0] > 1 for m in mats)
-            assert any(heads * m.shape[1] ** 2 > network._GROUP_BUFFER
-                       for m in mats)
+                # each group is L rows of one input group, in slot order
+                group = slots[start:start + g * L].reshape(g, L)
+                owner = group // valid.shape[1]
+                assert (owner == owner[:, :1]).all()
+                assert (sizes[owner[:, 0]] == L).all()
+                assert (np.diff(group, axis=1) > 0).all()
+            assert any(g > 1 for _, g, _ in runs)
+            assert any(heads * L ** 2 > network._GROUP_BUFFER
+                       for _, _, L in runs)
+
+
+def run_rows(runs):
+    """The row indices that ``(start, groups, L)`` runs cover, in run order."""
+    return np.concatenate([np.arange(start, start + g * L)
+                           for start, g, L in runs])

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,42 @@ class TestBlobs:
         path.write_bytes(set_shape(path.read_bytes(), (3, 5), (2**62, 4)))
         with pytest.raises(ShapeHeaderMismatch, match="truncated"):
             read_blob(path)
+
+    def test_payload_is_read_once(self, tmp_path):
+        # a 22.9 MB payload once peaked at three times its size
+        big = np.random.default_rng(0).normal(size=(3000, 1000))
+        write_blob(tmp_path / "a.bin", big)
+        write_tensor_file(tmp_path / "a.tensors",
+                          {"big": big, "ids": np.arange(10)})
+        back, peak = traced_peak(read_blob, tmp_path / "a.bin")
+        np.testing.assert_array_equal(back, big)
+        assert peak <= big.nbytes + 2**20
+        back, peak = traced_peak(read_tensor_file, tmp_path / "a.tensors")
+        np.testing.assert_array_equal(back["big"], big)
+        assert peak <= big.nbytes + 2**20
+
+    def test_bad_magic_is_raised_before_the_payload_is_read(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(b"NOPE" + bytes(24 * 2**20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadMagic):
+                read_blob(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the bytes it allocated at its peak (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestAtomicWrites:
@@ -374,6 +411,21 @@ class TestBundleIO:
             np.testing.assert_array_equal(back.feature_map(c), fm)
         write_scene_bundle(d2, back)
         assert dir_bytes(d1) == dir_bytes(d2)
+
+    def test_maps_of_mixed_dtypes_read_into_one_table(self, tmp_path):
+        # a float32 map on disk beside float64 ones is cast into its rows
+        rng = np.random.default_rng(3)
+        maps = [rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 2, 4))]
+        bundle = camera_bundle(maps, points=rng.normal(size=(3, 3)),
+                               frame_size=[3])
+        d = tmp_path / "scene"
+        write_scene_bundle(d, bundle)
+        write_blob(d / "cam00_f000.bin", maps[0].astype(np.float32))
+        back = read_scene_bundle(d)
+        assert back.pixel_features.dtype == np.float64
+        np.testing.assert_array_equal(back.feature_map(0),
+                                      maps[0].astype(np.float32))
+        np.testing.assert_array_equal(back.feature_map(1), maps[1])
 
     def test_feature_maps_of_different_D(self, tmp_path, small_scene):
         d = tmp_path / "scene"

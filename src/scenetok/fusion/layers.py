@@ -41,14 +41,15 @@ def linear_backward(g, x, w):
     return (matmul_rows(g, w), *linear_param_grads(g, x))
 
 
-def relu_backward(g, h):
-    """``g`` where the ReLU output ``h`` is positive, zero elsewhere,
-    written into ``g``, which is returned.
+def relu_backward(g, active):
+    """``g`` where ``active`` is true, zero elsewhere, written into ``g``,
+    which is returned.
 
-    ``h > 0`` equals ``h_pre > 0`` for ``h = max(h_pre, 0)``, so a ReLU can
-    run in place and keep only its output.
+    ``active`` is ``h > 0`` for the ReLU output ``h``, which equals
+    ``h_pre > 0`` for ``h = max(h_pre, 0)``: a ReLU can run in place and
+    keep only its output, or only that mask.
     """
-    g *= h > 0
+    g *= active
     return g
 
 
@@ -69,7 +70,7 @@ def mlp2_param_grads(g, cache, p):
     input is not formed."""
     x, h = cache
     dh, dw2, db2 = linear_backward(g, h, p.w2)
-    dw1, db1 = linear_param_grads(relu_backward(dh, h), x)
+    dw1, db1 = linear_param_grads(relu_backward(dh, h > 0), x)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
@@ -85,9 +86,19 @@ def layernorm_forward(x, gamma, beta):
     y = np.multiply(xhat, xhat)
     inv = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + LN_EPS)
     xhat *= inv
-    np.multiply(xhat, gamma, out=y)
-    y += beta
-    return y, (xhat, inv)
+    return layernorm_output(xhat, gamma, beta, out=y), (xhat, inv)
+
+
+def layernorm_output(xhat, gamma, beta, out):
+    """``gamma * xhat + beta``, written into ``out``, which is returned.
+
+    These are the operations ``layernorm_forward`` ends with, so a backward
+    that keeps only the cache ``(xhat, inv)`` rebuilds the output bit for
+    bit.
+    """
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out
 
 
 def layernorm_backward(g, cache, gamma):
@@ -127,7 +138,11 @@ def masked_softmax(logits):
 
 
 def softmax_backward(g, w):
-    """``w * (g - (g * w).sum(-1))``, written into ``g``, which is returned."""
+    """``w * (g - (g * w).sum(-1))``, written into ``w``, which is returned.
+
+    ``g`` is overwritten too.  The product is formed as ``w *= g``, which
+    equals ``g * w`` bit for bit.
+    """
     g -= (g * w).sum(axis=-1, keepdims=True)
-    g *= w
-    return g
+    w *= g
+    return w

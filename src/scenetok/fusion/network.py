@@ -19,26 +19,36 @@ order for the attention block that reads them: time order (each element's
 valid frames) for the time block, element order (each frame's valid
 elements) for the element block.  Groups are sorted by length, so every
 chunk is one contiguous run of rows that attention reads and writes
-through views; the table is permuted once between the blocks.  LayerNorm,
-the ReLU adjoint and the gradient sums run in place, in the order of the
-out-of-place formulas, so each result is bit-identical to them.  Weight
-and bias gradients sum their rows in the stored order.
+through views; the table is permuted once between the blocks, and back
+to time order once for the time-mean.  LayerNorm, the ReLU adjoint and the
+gradient sums run in place, in the order of the out-of-place formulas, so
+each result is bit-identical to them.  Weight and bias gradients sum their
+rows in the stored order.
+
+Each attention block projects Q, K and V into one ``(n, 3D)`` table and
+keeps, for its backward, only the LayerNorm's ``(xhat, inv)``, that table,
+its attention weights in one buffer and ``ctx``; the point branch keeps
+the ReLU's sign, not its output, when it pools before ``W2``.  The
+backward writes its gradients over these arrays (``dctx`` over ``ctx``,
+``dQKV`` over ``QKV``, ``dlogits`` over the weights) and rebuilds the
+LayerNorm output from ``xhat``, so a training cache feeds exactly one
+backward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeMismatch
-from ..pooling import cell_index, masked_mean, segment_sum
+from ..errors import InvalidInput, ShapeMismatch
+from ..pooling import cell_index, segment_sum
 from .layers import (
     layernorm_backward,
     layernorm_forward,
+    layernorm_output,
     linear_backward,
     linear_forward,
     linear_param_grads,
     masked_softmax,
-    matmul_rows,
     mlp2_forward,
     mlp2_param_grads,
     relu_backward,
@@ -65,10 +75,12 @@ def _pooled_point_forward(P_xyz, P_ind, params, n_elem, keep_cache=True):
     before the pool when ``hidden >= D``, or on the non-empty cells after it
     when ``hidden < D``.  Each non-empty cell's float64 mean is rounded once
     to ``params.dtype``; empty cells are exact zeros.  The ReLU runs in
-    place.  The cache is ``(x, h, cells, counts, w2_input)``, where ``h`` is
-    the per-point ReLU output and ``w2_input`` is what ``W2`` read: ``h``
-    itself or the per-cell means.  Without ``keep_cache`` it is None and
-    the per-point activations are dropped when the function returns.
+    place.  The cache is ``(x, active, cells, counts, w2_input)``, where
+    ``active`` is the boolean ``h > 0`` of the per-point ReLU output ``h``
+    and ``w2_input`` is what ``W2`` read: ``h`` itself or the per-cell
+    means, so ``h`` outlives the call only when ``hidden >= D``.  Without
+    ``keep_cache`` the cache is None and the per-point activations are
+    dropped when the function returns.
     """
     p = params.mlp_f
     pool_first = params.hidden < params.D
@@ -76,8 +88,10 @@ def _pooled_point_forward(P_xyz, P_ind, params, n_elem, keep_cache=True):
     x = P_xyz.astype(params.dtype)
     h, _ = linear_forward(x, p.w1, p.b1)
     np.maximum(h, 0, out=h)
+    active = h > 0 if keep_cache else None
     w2_input = h
     rows = h if pool_first else linear_forward(h, p.w2, p.b2)[0]
+    del h
     sums, counts = segment_sum(rows, cells, n_elem * params.T)
     del rows
     nz = counts > 0
@@ -87,7 +101,7 @@ def _pooled_point_forward(P_xyz, P_ind, params, n_elem, keep_cache=True):
         mean, _ = linear_forward(mean, p.w2, p.b2)
     pooled = np.zeros((n_elem * params.T, params.D), dtype=params.dtype)
     pooled[nz] = mean
-    cache = (x, h, cells, counts, w2_input) if keep_cache else None
+    cache = (x, active, cells, counts, w2_input) if keep_cache else None
     return pooled.reshape(n_elem, params.T, params.D), cache
 
 
@@ -100,7 +114,7 @@ def _pooled_point_backward(g, cache, params, n_elem):
     back through ``W2`` on the non-empty cells, so the pooled gradient is
     ``hidden`` wide.  The gradient of the point coordinates is not formed.
     """
-    x, h, cells, counts, w2_input = cache
+    x, active, cells, counts, w2_input = cache
     p = params.mlp_f
     pool_first = params.hidden < params.D
     g = g.reshape(n_elem * params.T, params.D)
@@ -113,7 +127,7 @@ def _pooled_point_backward(g, cache, params, n_elem):
     g_pts = (g * scale[:, None]).astype(params.dtype)[cells]
     if not pool_first:
         g_pts, dw2, db2 = linear_backward(g_pts, w2_input, p.w2)
-    dw1, db1 = linear_param_grads(relu_backward(g_pts, h), x)
+    dw1, db1 = linear_param_grads(relu_backward(g_pts, active), x)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
@@ -141,6 +155,15 @@ def _encode_geometry_fwd(P_xyz, P_ind, B, params, keep_cache=True):
     if B.ndim != 3 or B.shape[1] != params.T or B.shape[2] != 7:
         raise ShapeMismatch(f"B must be (n_elem, {params.T}, 7), got {B.shape}")
     n_elem = B.shape[0]
+    # A point pools into cell token * T + frame, so a frame id outside
+    # [0, T) would land in another element's cell.
+    frame, token = P_ind[:, 0], P_ind[:, 1]
+    bad = (frame < 0) | (frame >= params.T) | (token < 0) | (token >= n_elem)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidInput(
+            f"P_ind row {i} is (frame {frame[i]}, token {token[i]}); frames "
+            f"must lie in [0, {params.T}) and tokens in [0, {n_elem})")
 
     F_geo, pool_cache = _pooled_point_forward(P_xyz, P_ind, params, n_elem,
                                               keep_cache)
@@ -206,91 +229,134 @@ def _attention_fwd(X, block: AttentionBlockParams, runs, keep_cache=True):
     ``(start, groups, L)`` chunks that together cover every row exactly
     once, chunk ``(s, g, L)`` holding groups of L consecutive rows from row
     ``s`` on.  A row attends to the L rows of its own group, all of them
-    valid keys.  Each chunk runs as one batch on views of ``Q``, ``K``,
-    ``V`` and ``ctx``, so no chunk gathers or scatters rows.  Returns the
-    output rows and the cache, which holds each chunk's attention weights
-    ``(g, heads, L, L)`` at index 6.  Without ``keep_cache`` the cache is
-    None, and the LayerNorm output, ``Q``, ``K``, ``V`` and each chunk's
-    weights are dropped once read.
+    valid keys.  Q, K and V are the column blocks of one ``(n, 3D)`` table
+    ``QKV``, each projected from the LayerNorm output by its own GEMM
+    written into its block, which equals the separate products bit for bit.
+    Each chunk runs as one batch on views of ``QKV`` and ``ctx``, so no
+    chunk gathers or scatters rows, and its ``(g, heads, L, L)`` logits are
+    a view of one buffer.
+
+    Returns the output rows and the cache ``(ln_cache, QKV, runs, weights,
+    ctx)``: the LayerNorm's ``(xhat, inv)``, not its output, and each
+    chunk's attention weights, views of one buffer that holds them all.
+    The cache feeds exactly one ``_attention_bwd``, which writes over it.
+    Without ``keep_cache`` the cache is None, one logits buffer the size of
+    the largest chunk serves every chunk, and the LayerNorm output,
+    ``QKV`` and the weights are dropped once read.
     """
-    D = X.shape[1]
+    n, D = X.shape
     h = block.n_heads
     scale = 1.0 / (D // h) ** 0.5
     Y, ln_cache = layernorm_forward(X, block.ln_gamma, block.ln_beta)
-    Q, _ = linear_forward(Y, block.wq, block.bq)
-    K = matmul_rows(Y, block.wk.T)
-    V, _ = linear_forward(Y, block.wv, block.bv)
-    cache = (Y, ln_cache, Q, K, V, runs) if keep_cache else None
-    del Y, ln_cache
+    ln_cache = ln_cache if keep_cache else None  # only the backward reads it
+    QKV = np.empty((n, 3 * D), dtype=Y.dtype)
+    Q, K, V = (QKV[:, i * D:(i + 1) * D] for i in range(3))
+    np.matmul(Y, block.wq.T, out=Q)
+    np.matmul(Y, block.wk.T, out=K)
+    np.matmul(Y, block.wv.T, out=V)
+    Q += block.bq
+    V += block.bv
+    del Y
 
-    ctx = np.empty_like(Q)
-    weights = []
-    for start, g, L in runs:
+    sizes = [g * h * L * L for _, g, L in runs]
+    logits = np.empty(sum(sizes) if keep_cache else max(sizes, default=0),
+                      dtype=QKV.dtype)
+    ctx = np.empty((n, D), dtype=QKV.dtype)
+    weights, offset = [], 0
+    for (start, g, L), size in zip(runs, sizes):
         rows = slice(start, start + g * L)
-        logits = _split_heads(Q[rows], g, h) @ \
-            _split_heads(K[rows], g, h).transpose(0, 1, 3, 2)
-        logits *= scale
-        w = masked_softmax(logits)
+        w = logits[offset:offset + size].reshape(g, h, L, L)
+        np.matmul(_split_heads(Q[rows], g, h),
+                  _split_heads(K[rows], g, h).transpose(0, 1, 3, 2), out=w)
+        w *= scale
+        w = masked_softmax(w)
         np.matmul(w, _split_heads(V[rows], g, h),
                   out=_split_heads(ctx[rows], g, h))
         if keep_cache:
             weights.append(w)
-    del Q, K, V
+            offset += size
+    cache = (ln_cache, QKV, runs, weights, ctx) if keep_cache else None
+    del QKV, Q, K, V, logits
     out, _ = linear_forward(ctx, block.wo, block.bo)
     out += X
-    return out, (cache + (weights, ctx) if keep_cache else None)
+    return out, cache
 
 
 def _attention_bwd(g, block: AttentionBlockParams, cache):
-    """Adjoint of ``_attention_fwd`` on rows in the same group order."""
-    Y, ln_cache, Q, K, V, runs, weights, ctx = cache
-    D = g.shape[1]
+    """Adjoint of ``_attention_fwd`` on rows in the same group order.
+
+    The backward writes over its cache, which therefore feeds exactly one
+    backward: ``dctx`` over ``ctx``; per chunk ``dV`` over V, ``dlogits``
+    over the chunk's weights, ``dK`` over K and ``dQ`` over Q, so ``QKV``
+    becomes ``dQKV``; then the rebuilt LayerNorm output and ``dY`` over
+    ``dctx``.  Each chunk's ``dweights`` goes into one scratch buffer.  The
+    Q/K/V weight gradients are one GEMM ``dQKV.T @ Y``, and ``dY`` is one
+    GEMM ``dQKV @ [wq; wk; wv]``, a single sum over all ``3D`` columns.
+    The returned input gradient is ``ctx``'s buffer.
+    """
+    ln_cache, QKV, runs, weights, ctx = cache
+    n, D = g.shape
     h = block.n_heads
     scale = 1.0 / (D // h) ** 0.5
 
-    dctx, dwo, dbo = linear_backward(g, ctx, block.wo)
-    dQ = np.empty_like(Q)
-    dK = np.empty_like(K)
-    dV = np.empty_like(V)
-    for (start, n, L), w in zip(runs, weights):
-        rows = slice(start, start + n * L)
-        dctx_h = _split_heads(dctx[rows], n, h)
-        dweights = dctx_h @ _split_heads(V[rows], n, h).transpose(0, 1, 3, 2)
-        np.matmul(w.transpose(0, 1, 3, 2), dctx_h,
-                  out=_split_heads(dV[rows], n, h))
+    dwo, dbo = linear_param_grads(g, ctx)
+    dctx = np.matmul(g, block.wo, out=ctx)
+    Q, K, V = (QKV[:, i * D:(i + 1) * D] for i in range(3))
+    scratch = np.empty(max((w.size for w in weights), default=0),
+                       dtype=QKV.dtype)
+    for (start, c, L), w in zip(runs, weights):
+        rows = slice(start, start + c * L)
+        dctx_h = _split_heads(dctx[rows], c, h)
+        Qh, Kh, Vh = (_split_heads(Z[rows], c, h) for Z in (Q, K, V))
+        dweights = np.matmul(dctx_h, Vh.transpose(0, 1, 3, 2),
+                             out=scratch[:w.size].reshape(w.shape))
+        np.matmul(w.transpose(0, 1, 3, 2), dctx_h, out=Vh)
         dlogits = softmax_backward(dweights, w)
-        dQh = _split_heads(dQ[rows], n, h)
-        np.matmul(dlogits, _split_heads(K[rows], n, h), out=dQh)
-        dQh *= scale
-        dKh = _split_heads(dK[rows], n, h)
-        np.matmul(dlogits.transpose(0, 1, 3, 2), _split_heads(Q[rows], n, h),
-                  out=dKh)
-        dKh *= scale
-    del dctx
+        # the chunk's dctx rows are spent: they hold dK until Q is read
+        np.matmul(dlogits.transpose(0, 1, 3, 2), Qh, out=dctx_h)
+        np.matmul(dlogits, Kh, out=Qh)
+        Qh *= scale
+        np.multiply(dctx_h, scale, out=Kh)
+    del scratch
 
-    # dY = dYq + dYk + dYv, summed in that order in dYq's buffer
-    dY, dwq, dbq = linear_backward(dQ, Y, block.wq)
-    del dQ
-    dY += matmul_rows(dK, block.wk)
-    dwk = dK.T @ Y
-    del dK
-    dYv, dwv, dbv = linear_backward(dV, Y, block.wv)
-    del dV
-    dY += dYv
-    del dYv
+    dbq, dbv = Q.sum(axis=0), V.sum(axis=0)
+    Y = layernorm_output(ln_cache[0], block.ln_gamma, block.ln_beta, out=ctx)
+    dW = QKV.T @ Y
+    dY = np.matmul(QKV, np.concatenate((block.wq, block.wk, block.wv)),
+                   out=Y)
     dX, dgamma, dbeta = layernorm_backward(dY, ln_cache, block.ln_gamma)
     dX += g
     grads = {"ln_gamma": dgamma, "ln_beta": dbeta,
-             "wq": dwq, "bq": dbq, "wk": dwk,
-             "wv": dwv, "bv": dbv, "wo": dwo, "bo": dbo}
+             "wq": dW[:D], "bq": dbq, "wk": dW[D:2 * D],
+             "wv": dW[2 * D:], "bv": dbv, "wo": dwo, "bo": dbo}
     return dX, grads
 
 
 # ---------------------------------------------------------------------------
 # fusion
 
-# The span perfbench names ``fusion.time_mean`` wraps this module attribute.
-_masked_time_mean_fwd = masked_mean
+def _masked_time_mean_fwd(x, elem, runs, n_elem):
+    """Mean of each element's rows of ``x`` (n, D), and each element's count.
+
+    The rows are in time order (see ``_group_rows``): ``elem`` (n,) names
+    each row's element, and ``runs`` lists the ``(start, groups, L)`` chunks
+    whose groups of L consecutive rows are one element's valid frames,
+    ascending.  Each group's rows are summed one at a time in that order and
+    divided by L; an element without rows has a zero mean.  That is
+    ``pooling.masked_mean`` over the zero-filled ``(n_elem, T, D)`` table
+    bit for bit, except that an exactly-zero sum may differ in sign: the
+    masked sum also adds the zeros of the invalid slots.  Returns
+    ``(means (n_elem, D), counts (n_elem,))``.
+    """
+    means = np.zeros((n_elem, x.shape[1]), dtype=x.dtype)
+    counts = np.zeros(n_elem, dtype=np.int64)
+    for start, g, L in runs:
+        owner = elem[start:start + g * L:L]
+        means[owner] = x[start:start + g * L].reshape(g, L, -1).sum(axis=1)
+        counts[owner] = L
+    nz = counts > 0
+    means[nz] /= counts[nz, None]
+    return means, counts
 
 
 def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid,
@@ -305,11 +371,11 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid,
     by their number of valid elements, each frame's valid elements
     ascending.  Element attention runs within each frame's rows.  In both
     orders the groups of one length are one contiguous run of rows, so
-    attention reads and writes them through views.  The result is
-    scattered back into a zero ``(n_elem, T, D)`` array for the masked
-    time-mean, so invalid slots never reach ``F_elem``.  Without
-    ``keep_cache`` the cache is None and neither attention block keeps
-    backward state.
+    attention reads and writes them through views.  The rows go back to
+    time order once, where the time-mean sums each element's contiguous
+    rows, so invalid slots never reach ``F_elem``.  Without ``keep_cache``
+    the cache is None and neither attention block keeps backward state.
+    The cache feeds exactly one ``_fuse_bwd``, which writes over it.
     """
     if F_img.shape != F_geo.shape:
         raise ShapeMismatch(f"F_img {F_img.shape} vs F_geo {F_geo.shape}")
@@ -335,15 +401,16 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid,
     x = x[to_elem]
     x, cache_e = _attention_fwd(x, params.elem_block, runs_e,
                                 keep_cache=keep_cache)
-    X2 = np.zeros((n_elem, T, D), dtype=x.dtype)
-    X2.reshape(-1, D)[slots_e] = x
+    x_t = np.empty_like(x)
+    x_t[to_elem] = x
     del x
-    F_elem, counts = _masked_time_mean_fwd(X2, elem_valid)
+    F_elem, counts = _masked_time_mean_fwd(x_t, slots_t // T, runs_t, n_elem)
     cache = (slots_t, slots_e, to_elem, cache_t, cache_e, counts)
     return F_elem, (cache if keep_cache else None)
 
 
 def _fuse_bwd(dF_elem, cache, params: FusionParams, elem_valid):
+    """Adjoint of ``_fuse_fwd``; it writes over both attention caches."""
     slots_t, slots_e, to_elem, cache_t, cache_e, counts = cache
     n_elem, T = elem_valid.shape
     # A valid slot's gradient is its element's over the element's valid
@@ -356,8 +423,9 @@ def _fuse_bwd(dF_elem, cache, params: FusionParams, elem_valid):
     del dx
     dx, grads_t = _attention_bwd(dx_t, params.time_block, cache_t)
     del dx_t
-    dX0 = np.zeros((n_elem, T, dx.shape[1]), dtype=dx.dtype)
-    dX0.reshape(n_elem * T, -1)[slots_t] = dx
+    D = dx.shape[1]
+    dX0 = np.zeros((n_elem, T, D), dtype=dx.dtype)
+    dX0.reshape(n_elem * T, D)[slots_t] = dx
     grads = {f"elem.{k}": v for k, v in grads_e.items()}
     grads.update({f"time.{k}": v for k, v in grads_t.items()})
     grads["f_temporal"] = dX0.sum(axis=0)
@@ -383,7 +451,12 @@ def fusion_forward(params: FusionParams, P_xyz, P_ind, B, F_img, elem_valid):
     """Full forward: geometry encoding then spatial-temporal fusion.
 
     Returns ``(F_elem, geo_cache, fuse_cache)``; the caches feed the
-    backward pass.  This is the only caller that keeps them.
+    backward pass, and this is the only caller that keeps them.  The point
+    branch keeps the ReLU's boolean mask, not its output, when
+    ``hidden < D``; each attention block keeps its LayerNorm's ``(xhat,
+    inv)``, one ``(n, 3D)`` Q/K/V table, its attention weights in one
+    buffer and ``ctx`` (see ``_attention_fwd``).  The backward writes over
+    these arrays, so each cache feeds exactly one backward.
     """
     F_geo, geo_cache = _encode_geometry_fwd(P_xyz, P_ind, B, params)
     F_elem, fuse_cache = _fuse_fwd(F_img, F_geo, params, elem_valid)
@@ -398,5 +471,6 @@ def fusion_loss_and_grads(params: FusionParams, P_xyz, P_ind, B, F_img,
     loss = float((F_elem ** 2).sum())
     dF_elem = 2.0 * F_elem
     dX0, grads = _fuse_bwd(dF_elem, fuse_cache, params, elem_valid)
+    del fuse_cache  # spent: the geometry backward runs without it
     grads.update(_encode_geometry_bwd(dX0, geo_cache, params))
     return loss, grads

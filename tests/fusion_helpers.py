@@ -5,10 +5,12 @@ from scipy import sparse
 
 from scenetok.errors import ShapeMismatch
 from scenetok.fusion import AttentionBlockParams, FusionParams
-from scenetok.fusion.layers import (LN_EPS, linear_backward, linear_forward,
-                                    linear_param_grads, mlp2_forward,
+from scenetok.fusion.layers import (LN_EPS, layernorm_forward,
+                                    linear_backward, linear_forward,
+                                    linear_param_grads, masked_softmax,
+                                    matmul_rows, mlp2_forward,
                                     mlp2_param_grads, relu_backward)
-from scenetok.fusion.network import _attention_fwd, _group_rows
+from scenetok.fusion.network import _attention_fwd, _group_rows, _split_heads
 from scenetok.pooling import cell_index, segment_sum
 
 
@@ -39,7 +41,7 @@ def attn_along_axis(F: np.ndarray, axis: str, block: AttentionBlockParams,
     rows = X.reshape(B * L, D)
     slots, runs = _group_rows(mask, block.n_heads)
     x, cache = _attention_fwd(rows[slots], block, runs)
-    run_weights = cache[6]
+    run_weights = cache[3]
     out = rows.copy()
     out[slots] = x
     out = out.reshape(B, L, D)
@@ -127,7 +129,7 @@ def pooled_point_backward_reference(g, cache, params, n_elem):
     dmean, dw2, db2 = linear_backward(g[nz], mean_h, p.w2)
     g_cell = np.zeros((counts.shape[0], params.hidden), dtype=params.dtype)
     g_cell[nz] = dmean / counts[nz, None]
-    dh_pre = relu_backward(M.T @ g_cell, h_pre)
+    dh_pre = relu_backward(M.T @ g_cell, h_pre > 0)
     dw1, db1 = linear_param_grads(dh_pre, x)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
@@ -155,3 +157,34 @@ def layernorm_backward_reference(g, cache, gamma):
                 - dxhat.mean(axis=-1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
     return dx, dgamma, dbeta
+
+
+# ---------------------------------------------------------------------------
+# attention with Q, K and V as three separate projections and a fresh logits
+# array per chunk: the formula ``network._attention_fwd``, which writes them
+# into one table and one buffer, must match bit for bit
+
+def attention_forward_reference(X, block, runs):
+    """``(out, Y, Q, K, V, weights, ctx)`` of pre-norm residual attention
+    among the rows of each group of X, in the chunks ``runs``."""
+    D = X.shape[1]
+    h = block.n_heads
+    scale = 1.0 / (D // h) ** 0.5
+    Y, _ = layernorm_forward(X, block.ln_gamma, block.ln_beta)
+    Q, _ = linear_forward(Y, block.wq, block.bq)
+    K = matmul_rows(Y, block.wk.T)
+    V, _ = linear_forward(Y, block.wv, block.bv)
+    ctx = np.empty_like(Q)
+    weights = []
+    for start, g, L in runs:
+        rows = slice(start, start + g * L)
+        logits = _split_heads(Q[rows], g, h) @ \
+            _split_heads(K[rows], g, h).transpose(0, 1, 3, 2)
+        logits *= scale
+        w = masked_softmax(logits)
+        np.matmul(w, _split_heads(V[rows], g, h),
+                  out=_split_heads(ctx[rows], g, h))
+        weights.append(w)
+    out, _ = linear_forward(ctx, block.wo, block.bo)
+    out += X
+    return out, Y, Q, K, V, weights, ctx

@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fusion_helpers import (attn_along_axis, layernorm_backward_reference,
+from fusion_helpers import (attention_forward_reference, attn_along_axis,
+                            layernorm_backward_reference,
                             layernorm_forward_reference,
                             pooled_point_backward_reference,
                             pooled_point_forward_reference,
                             zero_attention_output)
-from scenetok.errors import ShapeMismatch
+from scenetok.errors import InvalidInput, ShapeMismatch
 from scenetok.fusion import (
     compare_grads,
     encode_geometry,
@@ -22,8 +23,10 @@ from scenetok.fusion import (
 )
 from scenetok.fusion import network
 from scenetok.fusion.layers import (LN_EPS, layernorm_backward,
-                                    layernorm_forward, masked_softmax,
-                                    relu_backward, softmax_backward)
+                                    layernorm_forward, layernorm_output,
+                                    masked_softmax, relu_backward,
+                                    softmax_backward)
+from scenetok.pooling import masked_mean
 
 
 def toy_params(T=3, D=8, hidden=8, seed=1):
@@ -393,6 +396,7 @@ class TestSoftmaxBackward:
         g = rng.normal(size=w.shape).astype(dtype)
         want = w * (g - (g * w).sum(axis=-1, keepdims=True))
         got = softmax_backward(g.copy(), w)
+        assert got is w
         assert got.dtype == want.dtype == dtype
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
@@ -428,6 +432,136 @@ class TestLayerNormInPlace:
         got = layernorm_backward(g.copy(), cache, gamma)
         for a, b in zip(got, want):
             assert_bits_equal(a, b)
+
+
+class TestStackedAttentionForward:
+    """``_attention_fwd`` writes Q, K and V into one table and every chunk's
+    logits into one buffer; both must equal the separate arrays they
+    replaced bit for bit, or the token files would change."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 37, 65, 1000])
+    def test_qkv_table_equals_three_projections(self, dtype, n):
+        # OpenBLAS's small-matrix path rounds a stacked (D, 3D) product
+        # differently from three (D, D) ones at a few rows, D = 256
+        D = 256
+        block = init_fusion_params(T=1, D=D, seed=3, dtype=dtype).time_block
+        X = np.random.default_rng(n).normal(size=(n, D)).astype(dtype)
+        _, runs = network._group_rows(np.ones((n, 1), dtype=bool), 2)
+        _, cache = network._attention_fwd(X, block, runs)
+        _, _, Q, K, V, _, _ = attention_forward_reference(X, block, runs)
+        QKV = cache[1]
+        assert QKV.shape == (n, 3 * D)
+        for i, want in enumerate((Q, K, V)):
+            assert_bits_equal(np.ascontiguousarray(QKV[:, i * D:(i + 1) * D]),
+                              want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("buffer", [None, 1])
+    def test_equals_reference(self, ragged_fusion_inputs, monkeypatch,
+                              dtype, buffer):
+        if buffer is not None:
+            monkeypatch.setattr(network, "_GROUP_BUFFER", buffer)
+        t = ragged_fusion_inputs
+        block = init_fusion_params(T=t["T"], D=t["D"], seed=5,
+                                   dtype=dtype).elem_block
+        slots, runs = network._group_rows(t["elem_valid"].T, block.n_heads)
+        X = t["F_img"].astype(dtype).transpose(1, 0, 2).reshape(
+            -1, t["D"])[slots]
+        out, Y, *_, weights, ctx = attention_forward_reference(X, block, runs)
+        got, no_cache = network._attention_fwd(X, block, runs,
+                                               keep_cache=False)
+        assert no_cache is None
+        assert_bits_equal(got, out)
+        got, cache = network._attention_fwd(X, block, runs)
+        assert_bits_equal(got, out)
+        (xhat, inv), _, cache_runs, got_weights, got_ctx = cache
+        assert cache_runs is runs
+        assert_bits_equal(got_ctx, ctx)
+        assert len(got_weights) == len(weights) > 1
+        for a, b in zip(got_weights, weights):
+            assert_bits_equal(a, b)
+        # every chunk's weights are views of one buffer
+        assert len({id(w.base) for w in got_weights}) == 1
+        # the backward rebuilds the LayerNorm output from the cache
+        rebuilt = layernorm_output(xhat, block.ln_gamma, block.ln_beta,
+                                   out=np.empty_like(xhat))
+        assert_bits_equal(rebuilt, Y)
+
+
+class TestTimeMean:
+    """The time-mean over each element's contiguous rows against
+    ``pooling.masked_mean`` over the zero-filled (element, frame) table."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [1, 4, 11])
+    @pytest.mark.parametrize("buffer", [None, 1])
+    def test_equals_masked_mean(self, monkeypatch, dtype, T, buffer):
+        if buffer is not None:
+            monkeypatch.setattr(network, "_GROUP_BUFFER", buffer)
+        rng = np.random.default_rng(T)
+        n_elem, D = 60, 5
+        valid = rng.random((n_elem, T)) < 0.6
+        valid[:3] = False
+        valid[3] = True
+        X = rng.normal(size=(n_elem, T, D)).astype(dtype)
+        slots, runs = network._group_rows(valid, 2)
+        got, counts = network._masked_time_mean_fwd(
+            X.reshape(-1, D)[slots], slots // T, runs, n_elem)
+        table = np.zeros_like(X)
+        table[valid] = X[valid]
+        want, want_counts = masked_mean(table, valid)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(counts, want_counts)
+        # equal bit for bit up to the sign of an exactly-zero sum
+        np.testing.assert_array_equal(got, want)
+        assert (got[~valid.any(axis=1)] == 0).all()
+
+
+class TestEmptyScene:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_loss_and_gradients_are_zero(self, dtype):
+        T, D = 3, 8
+        params = init_fusion_params(T=T, D=D, n_heads=2, seed=2, dtype=dtype)
+        args = (np.empty((0, 3), dtype=dtype), np.empty((0, 2), dtype=np.int64),
+                np.empty((0, T, 7), dtype=dtype),
+                np.empty((0, T, D), dtype=dtype), np.empty((0, T), dtype=bool))
+        F_geo = encode_geometry(*args[:3], params)
+        assert fuse_scene(args[3], F_geo, params, args[4]).shape == (0, D)
+        loss, grads = fusion_loss_and_grads(params, *args)
+        assert loss == 0.0
+        assert grads.keys() == params.tensors().keys()
+        for name, value in params.tensors().items():
+            assert grads[name].shape == value.shape
+            assert grads[name].dtype == value.dtype
+            assert not grads[name].any()
+
+
+class TestPointIndexRange:
+    """A point whose frame or token id is out of range is rejected, naming
+    its row, before it can pool into another element's cell."""
+
+    @pytest.mark.parametrize("bad", [(3, 1), (-1, 1), (0, 4), (0, -1)],
+                             ids=["frame_T", "frame_-1", "token_n_elem",
+                                  "token_-1"])
+    def test_rejected(self, toy_fusion_inputs, bad):
+        t = toy_fusion_inputs
+        assert (t["T"], t["n_elem"]) == (3, 4)
+        P_ind = t["P_ind"].copy()
+        P_ind[5] = bad
+        params = toy_params()
+        with pytest.raises(InvalidInput, match="P_ind row 5 "):
+            encode_geometry(t["P_xyz"], P_ind, t["B"], params)
+        with pytest.raises(InvalidInput, match="P_ind row 5 "):
+            fusion_loss_and_grads(params, t["P_xyz"], P_ind, t["B"],
+                                  t["F_img"], t["elem_valid"])
+
+    def test_frame_T_used_to_fill_the_next_element(self):
+        # frame 3 of token 0 with T = 3 is cell 3: element 1, frame 0
+        params = toy_params()
+        with pytest.raises(InvalidInput, match=r"frames must lie in \[0, 3\)"):
+            encode_geometry(np.ones((1, 3)), np.array([[3, 0]]),
+                            np.zeros((2, 3, 7)), params)
 
 
 class TestInPlaceSafety:
@@ -494,7 +628,9 @@ class TestPointPoolBackward:
         scale = np.zeros(counts.shape[0])
         scale[counts > 0] = 1.0 / counts[counts > 0]
         dphi = g.reshape(-1, params.D)[cells] * scale[cells, None]
-        want = mlp2_param_grads(dphi.astype(dtype), (cache[0], cache[1]),
+        # hidden >= D: W2 read the per-point ReLU output, cached last
+        assert params.hidden >= params.D
+        want = mlp2_param_grads(dphi.astype(dtype), (cache[0], cache[4]),
                                 params.mlp_f)
         assert got.keys() == want.keys()
         for name in want:
@@ -605,9 +741,9 @@ class TestPoolFirstPath:
         g = np.random.default_rng(8).normal(size=(n_elem, T, 16))
         seen = []
 
-        def spy(dh, h_pre):
+        def spy(dh, active):
             seen.append(dh.copy())  # relu_backward writes into dh
-            return relu_backward(dh, h_pre)
+            return relu_backward(dh, active)
 
         monkeypatch.setattr(network, "relu_backward", spy)
         got = network._pooled_point_backward(g, cache, params, n_elem)
@@ -746,10 +882,11 @@ def traced_peak_mb(fn, *args):
 
 def test_fuse_backward_peak_memory():
     """The fusion backward at the budget shape (768 elements x 11 frames,
-    D=256, float32) allocates at most 55 MB at its peak.  It measured
-    49.8 MB with rows stored in group order and in-place LayerNorm and
-    gradient sums; per-chunk row gathers and out-of-place steps measured
-    89.7 MB, and a dense (elements, frames, D) time-mean gradient 97.9 MB."""
+    D=256, float32) allocates at most 19 MB at its peak.  It measured
+    17.2 MB writing its gradients over the forward's cache; fresh dctx, dQ,
+    dK, dV and dYv arrays per block measured 49.8 MB, per-chunk row
+    gathers and out-of-place steps 89.7 MB, and a dense (elements, frames,
+    D) time-mean gradient 97.9 MB."""
     rng = np.random.default_rng(0)
     n_elem, T, D = 768, 11, 256
     elem_valid = rng.random((n_elem, T)) >= 0.2
@@ -758,31 +895,29 @@ def test_fuse_backward_peak_memory():
     F_elem, cache = network._fuse_fwd(F, F, params, elem_valid)
     dF_elem = 2.0 * F_elem
     assert traced_peak_mb(network._fuse_bwd, dF_elem, cache, params,
-                          elem_valid) < 55
+                          elem_valid) < 19
 
 
 def test_fuse_scene_peak_memory():
     """Inference fusion at the budget shape (768 elements x 11 frames, all
-    slots valid, D=256, float32) allocates at most 65 MB at its peak.  It
-    measured 58.9 MB with attention on views of rows stored in group order;
-    per-chunk copies of Q, K and V measured 66.9 MB, and a forward that
-    kept every block's cache and attended over all groups of a length at
-    once 174.2 MB."""
+    slots valid, D=256, float32) allocates at most 51 MB at its peak.  It
+    measured 46.1 MB with one Q/K/V table, one reused logits buffer and the
+    time-mean over each element's rows; a dense (elements, frames, D)
+    time-mean table measured 58.9 MB, per-chunk copies of Q, K and V
+    66.9 MB, and a forward that kept every block's cache and attended over
+    all groups of a length at once 174.2 MB."""
     rng = np.random.default_rng(0)
     n_elem, T, D = 768, 11, 256
     elem_valid = np.ones((n_elem, T), dtype=bool)
     params = init_fusion_params(T=T, D=D, seed=0, dtype=np.float32)
     F = rng.normal(size=(n_elem, T, D)).astype(np.float32)
-    assert traced_peak_mb(fuse_scene, F, F, params, elem_valid) < 65
+    assert traced_peak_mb(fuse_scene, F, F, params, elem_valid) < 51
 
 
-def test_fusion_step_peak_memory():
-    """One training step, ``fusion_loss_and_grads``, at the budget shape
-    (768 elements x 11 frames, D=256, 65 536 points, float32, about 20 % of
-    the slots invalid) allocates at most 203 MB at its peak.  It measured
-    184.1 MB; per-chunk row gathers, out-of-place LayerNorm and gradient
-    sums, and the discarded point and box input gradients measured
-    223.6 MB."""
+def budget_step_inputs():
+    """``fusion_loss_and_grads`` arguments at the budget shape (768
+    elements x 11 frames, D=256, 65 536 points, float32, about 20 % of the
+    slots invalid)."""
     rng = np.random.default_rng(21)
     n_elem, T, D, n_pts = 768, 11, 256, 65_536
     elem_valid = rng.random((n_elem, T)) >= 0.2
@@ -793,8 +928,37 @@ def test_fusion_step_peak_memory():
     B = rng.normal(size=(n_elem, T, 7)).astype(np.float32)
     F_img = rng.normal(size=(n_elem, T, D)).astype(np.float32)
     params = init_fusion_params(T=T, D=D, seed=0, dtype=np.float32)
-    assert traced_peak_mb(fusion_loss_and_grads, params, P_xyz, P_ind, B,
-                          F_img, elem_valid) < 203
+    return params, P_xyz, P_ind, B, F_img, elem_valid
+
+
+def test_fusion_step_peak_memory():
+    """One training step, ``fusion_loss_and_grads``, at the budget shape
+    allocates at most 142 MB at its peak.  It measured 129.0 MB, reached in
+    the forward; with Y, separate Q, K and V, the point branch's ReLU
+    output, fresh backward arrays and the fusion cache alive through the
+    geometry backward it measured 184.1 MB, and with per-chunk row gathers,
+    out-of-place LayerNorm and gradient sums and the discarded point and
+    box input gradients 223.6 MB."""
+    assert traced_peak_mb(fusion_loss_and_grads, *budget_step_inputs()) < 142
+
+
+def test_fusion_forward_cache_memory():
+    """The caches ``fusion_forward`` returns at the budget shape hold at
+    most 119 MB.  They measured 108.2 MB: per attention block the
+    LayerNorm's xhat, one (n, 3D) Q/K/V table, the attention weights and
+    ctx; in the point branch the ReLU's boolean mask.  With the LayerNorm
+    output, the ReLU output and separate Q, K and V they measured
+    133.3 MB."""
+    args = budget_step_inputs()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = fusion_forward(*args)
+        held_mb = (tracemalloc.get_traced_memory()[0] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert held[0].shape == (768, 256)
+    assert held_mb < 119
 
 
 def budget_fusion_inputs():

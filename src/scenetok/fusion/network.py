@@ -295,7 +295,7 @@ def _attention_bwd(g, block: AttentionBlockParams, cache):
     The returned input gradient is ``ctx``'s buffer.
     """
     ln_cache, QKV, runs, weights, ctx = cache
-    n, D = g.shape
+    D = g.shape[1]
     h = block.n_heads
     scale = 1.0 / (D // h) ** 0.5
 

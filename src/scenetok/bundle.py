@@ -38,6 +38,19 @@ KIND_NAMES = {code: name for name, code in KIND_CODES.items()}
 MAX_COORDINATE_M = 1e9
 _FAR = f"beyond {MAX_COORDINATE_M:.0e} m"
 
+# Each table's SceneBundle columns: dtype and row shape.  The columns of one
+# table must have one length; a length error names them in this order.
+AGENT_COLUMNS = {"agent_track": (np.int64, ()), "agent_frame": (np.int64, ()),
+                 "agent_box": (np.float64, (7,)),
+                 "agent_label": (object, ())}
+CAMERA_COLUMNS = {"camera_id": (np.int64, ()), "camera_frame": (np.int64, ()),
+                  "camera_intrinsics": (np.float64, (4,)),
+                  "camera_rotation": (np.float64, (3, 3)),
+                  "camera_translation": (np.float64, (3,)),
+                  "camera_valid": (bool, ()), "camera_size": (np.int64, (2,))}
+_COLUMNS = {"points": (np.float64, (3,)), "frame_size": (np.int64, ()),
+            **AGENT_COLUMNS, **CAMERA_COLUMNS}
+
 
 @dataclass
 class SceneBundle:
@@ -78,22 +91,9 @@ class SceneBundle:
     pixel_features: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        self.frame_size = np.asarray(self.frame_size, dtype=np.int64).reshape(-1)
-        self.agent_track = np.asarray(self.agent_track, dtype=np.int64).reshape(-1)
-        self.agent_frame = np.asarray(self.agent_frame, dtype=np.int64).reshape(-1)
-        self.agent_box = np.asarray(self.agent_box, dtype=np.float64).reshape(-1, 7)
-        self.agent_label = np.asarray(self.agent_label, dtype=object).reshape(-1)
-        self.camera_id = np.asarray(self.camera_id, dtype=np.int64).reshape(-1)
-        self.camera_frame = np.asarray(self.camera_frame, dtype=np.int64).reshape(-1)
-        self.camera_intrinsics = np.asarray(self.camera_intrinsics,
-                                            dtype=np.float64).reshape(-1, 4)
-        self.camera_rotation = np.asarray(self.camera_rotation,
-                                          dtype=np.float64).reshape(-1, 3, 3)
-        self.camera_translation = np.asarray(self.camera_translation,
-                                             dtype=np.float64).reshape(-1, 3)
-        self.camera_valid = np.asarray(self.camera_valid, dtype=bool).reshape(-1)
-        self.camera_size = np.asarray(self.camera_size, dtype=np.int64).reshape(-1, 2)
+        for name, (dtype, row) in _COLUMNS.items():
+            setattr(self, name, np.asarray(getattr(self, name),
+                                           dtype=dtype).reshape(-1, *row))
         self.pixel_features = np.asarray(self.pixel_features)
 
     @property
@@ -225,26 +225,38 @@ def _frame_size_error(bundle: SceneBundle) -> BundleValidationError | None:
     return None
 
 
-def _agent_length_error(bundle: SceneBundle) -> BundleValidationError | None:
-    lengths = (bundle.agent_track.size, bundle.agent_frame.size,
-               bundle.agent_box.shape[0], bundle.agent_label.size)
+def _length_error(bundle: SceneBundle, table: str,
+                  columns: dict) -> BundleValidationError | None:
+    lengths = tuple(len(getattr(bundle, name)) for name in columns)
     if len(set(lengths)) > 1:
+        names = ", ".join(name.split("_", 1)[1] for name in columns)
         return BundleValidationError(
-            f"agent columns track, frame, box, label differ in length: {lengths}")
+            f"{table} columns {names} differ in length: {lengths}")
     return None
+
+
+def _repeats(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n,) bool: the rows whose (a, b) pair an earlier row already has."""
+    repeat = np.ones(a.size, dtype=bool)
+    repeat[np.unique(np.stack([a, b], axis=1), axis=0,
+                     return_index=True)[1]] = False
+    return repeat
+
+
+def _raise_first(problems: list[BundleValidationError]) -> None:
+    """Raise the first problem, listing all of them in its ``violations``."""
+    if problems:
+        head = problems[0]
+        head.violations = [str(p) for p in problems]
+        raise head
 
 
 def _camera_table_errors(bundle: SceneBundle) -> list[BundleValidationError]:
     """Camera columns of unequal length, empty maps, a pixel table that is
     not (Σ H·W, D), and repeated (camera, frame) pairs."""
-    columns = (bundle.camera_id, bundle.camera_frame, bundle.camera_intrinsics,
-               bundle.camera_rotation, bundle.camera_translation,
-               bundle.camera_valid, bundle.camera_size)
-    lengths = tuple(len(column) for column in columns)
-    if len(set(lengths)) > 1:
-        return [BundleValidationError(
-            "camera columns id, frame, intrinsics, rotation, translation, "
-            f"valid, size differ in length: {lengths}")]
+    length_error = _length_error(bundle, "camera", CAMERA_COLUMNS)
+    if length_error is not None:
+        return [length_error]
     problems: list[BundleValidationError] = []
     ids, frames, size = bundle.camera_id, bundle.camera_frame, bundle.camera_size
     table = bundle.pixel_features
@@ -258,11 +270,7 @@ def _camera_table_errors(bundle: SceneBundle) -> list[BundleValidationError]:
         problems.append(BundleValidationError(
             f"pixel table must be ({n_pixels}, D) for the cameras' {n_pixels} "
             f"pixels, got shape {table.shape}"))
-    # A row repeats a (camera, frame) pair unless it is the pair's first row.
-    repeat = np.ones(ids.size, dtype=bool)
-    repeat[np.unique(np.stack([ids, frames], axis=1), axis=0,
-                     return_index=True)[1]] = False
-    for c in np.flatnonzero(repeat).tolist():
+    for c in np.flatnonzero(_repeats(ids, frames)).tolist():
         problems.append(DuplicateCameraFrame(
             f"camera {ids[c]} appears twice in frame {frames[c]}"))
     return problems
@@ -280,12 +288,9 @@ def check_tables(bundle: SceneBundle) -> None:
     before it writes anything.
     """
     problems = [e for e in (_frame_size_error(bundle),
-                            _agent_length_error(bundle)) if e is not None]
-    problems += _camera_table_errors(bundle)
-    if problems:
-        head = problems[0]
-        head.violations = [str(p) for p in problems]
-        raise head
+                            _length_error(bundle, "agent", AGENT_COLUMNS))
+                if e is not None]
+    _raise_first(problems + _camera_table_errors(bundle))
 
 
 def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleValidationError]:
@@ -334,19 +339,15 @@ def check_bundle(bundle: SceneBundle, config: PipelineConfig) -> list[BundleVali
                 f"camera {i}: frame_index {f} outside [0, {config.T})"))
 
     track, frame, box = bundle.agent_track, bundle.agent_frame, bundle.agent_box
-    table_error = _agent_length_error(bundle)
+    table_error = _length_error(bundle, "agent", AGENT_COLUMNS)
     if table_error is not None:
         problems.append(table_error)
         return problems
-    # A row repeats a (track, frame) pair unless it is the pair's first row.
-    duplicate = np.ones(track.size, dtype=bool)
-    duplicate[np.unique(np.stack([track, frame], axis=1), axis=0,
-                        return_index=True)[1]] = False
     finite = np.isfinite(box).all(axis=1)
     heading = box[:, 6]
     # One column per check, in the order a row reports them; a row with a
     # non-finite attribute reports nothing after that.
-    failed = np.stack([duplicate, ~finite,
+    failed = np.stack([_repeats(track, frame), ~finite,
                        finite & (box[:, 3:6] <= 0).any(axis=1),
                        finite & (np.abs(box[:, :6]) > MAX_COORDINATE_M).any(axis=1),
                        finite & ~((-math.pi <= heading) & (heading < math.pi)),
@@ -374,9 +375,5 @@ def validate_bundle(bundle: SceneBundle, config: PipelineConfig) -> SceneBundle:
     On failure raises the most specific error for the first violation; the
     exception's ``violations`` attribute lists all of them.
     """
-    problems = check_bundle(bundle, config)
-    if problems:
-        head = problems[0]
-        head.violations = [str(p) for p in problems]
-        raise head
+    _raise_first(check_bundle(bundle, config))
     return bundle

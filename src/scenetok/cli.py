@@ -17,15 +17,7 @@ import numpy as np
 from .bench import bench_tokenize
 from .bundle import KIND_CODES
 from .config import PipelineConfig
-from .errors import (
-    BudgetMismatch,
-    BundleValidationError,
-    DegenerateInput,
-    DimensionMismatch,
-    InvalidInput,
-    ShapeMismatch,
-    StorageError,
-)
+from .errors import InvalidInput, SceneTokError, StorageError
 from .fusion import FusionParams, init_fusion_params
 from .pipeline import tokenize_bundle
 from .storage import (
@@ -39,9 +31,7 @@ from .storage import (
 )
 from .synthetic import SceneSpec, drop_agents, generate_scene
 
-_VALIDATION_ERRORS = (BundleValidationError, BudgetMismatch, DimensionMismatch,
-                      ShapeMismatch, DegenerateInput, InvalidInput)
-_FAILURES = (*_VALIDATION_ERRORS, StorageError, OSError)
+_FAILURES = (SceneTokError, OSError)
 
 
 def _positive_int(text: str) -> int:
@@ -109,15 +99,22 @@ def _load_config(path) -> PipelineConfig:
 
 
 def _default_params(config: PipelineConfig):
-    return init_fusion_params(T=config.T, D=config.D, seed=config.seed,
-                              dtype=np.float32)
+    try:
+        return init_fusion_params(T=config.T, D=config.D, seed=config.seed,
+                                  dtype=np.float32)
+    except InvalidInput:
+        raise
+    except (MemoryError, ValueError) as exc:  # numpy refuses the shape
+        raise InvalidInput(f"fusion parameters for T={config.T} and "
+                           f"D={config.D} cannot be allocated: {exc}") from exc
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
-    """Exit code and message of a validation (1) or I/O (2) error."""
-    if isinstance(exc, _VALIDATION_ERRORS):
-        return 1, f"error: {exc}"
-    return 2, f"i/o error: {exc}"
+    """Exit code and message of an I/O or format error (2) or any other
+    scenetok error (1)."""
+    if isinstance(exc, (StorageError, OSError)):
+        return 2, f"i/o error: {exc}"
+    return 1, f"error: {exc}"
 
 
 def _tokenize_one(job: tuple) -> tuple[int, str]:

@@ -8,9 +8,27 @@ history, 65536 points, and a 768-element token budget split 128 agents /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .errors import InvalidInput
+
+
+def _bound_problems(config, prefix: str = "") -> list[str]:
+    """The bound rule: every number field of ``config`` must be finite and
+    > 0, or >= 0 if its class lists it in ``may_be_zero``.  A nested config
+    is checked after the numbers, its fields named ``section.field``."""
+    problems = []
+    may_be_zero = getattr(config, "may_be_zero", ())
+    for f in sorted(fields(config),
+                    key=lambda f: is_dataclass(getattr(config, f.name))):
+        value, name = getattr(config, f.name), prefix + f.name
+        if is_dataclass(value):
+            problems += _bound_problems(value, f"{name}.")
+        elif not (0 < value < math.inf or value == 0 and f.name in may_be_zero):
+            bound = ">= 0" if f.name in may_be_zero else "> 0"
+            problems.append(f"{name} must be {bound} and finite")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -20,14 +38,6 @@ class RansacConfig:
     iters: int = 256
     inlier_threshold_m: float = 0.2
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.iters <= 0:
-            problems.append("ransac.iters must be > 0")
-        if self.inlier_threshold_m <= 0:
-            problems.append("ransac.inlier_threshold_m must be > 0")
-        return problems
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -35,14 +45,6 @@ class ClusterConfig:
 
     radius_m: float = 0.5
     min_points: int = 3
-
-    def validate(self) -> list[str]:
-        problems = []
-        if self.radius_m <= 0:
-            problems.append("cluster.radius_m must be > 0")
-        if self.min_points <= 0:
-            problems.append("cluster.min_points must be > 0")
-        return problems
 
 
 @dataclass(frozen=True)
@@ -56,17 +58,8 @@ class TrackConfig:
     init_pos_var: float = 1e-2
     init_vel_var: float = 1.0
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.gate_m <= 0:
-            problems.append("track.gate_m must be > 0")
-        if self.dt_s <= 0:
-            problems.append("track.dt_s must be > 0")
-        for name in ("process_noise_vel", "measurement_noise_pos",
-                     "init_pos_var", "init_vel_var"):
-            if getattr(self, name) < 0:
-                problems.append(f"track.{name} must be >= 0")
-        return problems
+    may_be_zero = ("process_noise_vel", "measurement_noise_pos",
+                   "init_pos_var", "init_vel_var")
 
 
 @dataclass(frozen=True)
@@ -93,20 +86,10 @@ class PipelineConfig:
     track: TrackConfig = field(default_factory=TrackConfig)
     seed: int = 0
 
+    may_be_zero = ("seed",)
+
     def __post_init__(self):
-        problems = []
-        for name in ("T", "D", "n_elem_agent", "n_elem_openset",
-                     "n_elem_ground", "n_pts_ground", "n_pts_agent",
-                     "n_pts_openset"):
-            if getattr(self, name) <= 0:
-                problems.append(f"{name} must be > 0")
-        if self.tile_size_m <= 0:
-            problems.append("tile_size_m must be > 0")
-        if self.seed < 0:
-            problems.append("seed must be >= 0")
-        problems += self.ransac.validate()
-        problems += self.cluster.validate()
-        problems += self.track.validate()
+        problems = _bound_problems(self)
         if problems:
             raise InvalidInput("invalid config: " + "; ".join(problems))
 

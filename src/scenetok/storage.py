@@ -79,35 +79,22 @@ def write_scene_bundle(path, bundle: SceneBundle) -> None:
     check_tables(bundle)
     _dtype_code(bundle.pixel_features.dtype)
     root = Path(path)
+    T = bundle.frame_size.size
+    ids, frames = bundle.camera_id.tolist(), bundle.camera_frame.tolist()
+    box = bundle.agent_box
     manifest = {
         "format_version": 1,
-        "frame_count": bundle.frame_size.size,
-        "frames": [{"frame_index": f, "points": _frame_blob(f)}
-                   for f in range(bundle.frame_size.size)],
-        "cameras": [{
-            "camera_id": camera_id,
-            "frame_index": frame,
-            "feature_map": _camera_blob(camera_id, frame),
-            "fx": fx, "fy": fy, "cx": cx, "cy": cy,
-            "rotation": rotation,
-            "translation": translation,
-            "valid": valid,
-        } for camera_id, frame, (fx, fy, cx, cy), rotation, translation, valid
-            in zip(bundle.camera_id.tolist(), bundle.camera_frame.tolist(),
-                   bundle.camera_intrinsics.tolist(),
-                   bundle.camera_rotation.tolist(),
-                   bundle.camera_translation.tolist(),
-                   bundle.camera_valid.tolist())],
-        "agents": [{
-            "track_id": track,
-            "frame_index": frame,
-            "center": box[:3],
-            "size": box[3:6],
-            "heading": box[6],
-            "label": label,
-        } for track, frame, box, label in zip(
-            bundle.agent_track.tolist(), bundle.agent_frame.tolist(),
-            bundle.agent_box.tolist(), bundle.agent_label.tolist())],
+        "frame_count": T,
+        "frames": _entries("frames", range(T), map(_frame_blob, range(T))),
+        "cameras": _entries(
+            "cameras", ids, frames, map(_camera_blob, ids, frames),
+            *bundle.camera_intrinsics.T.tolist(),
+            bundle.camera_rotation.tolist(),
+            bundle.camera_translation.tolist(), bundle.camera_valid.tolist()),
+        "agents": _entries(
+            "agents", bundle.agent_track.tolist(), bundle.agent_frame.tolist(),
+            box[:, :3].tolist(), box[:, 3:6].tolist(), box[:, 6].tolist(),
+            bundle.agent_label.tolist()),
     }
     try:
         text = json.dumps(manifest, indent=2) + "\n"
@@ -150,15 +137,27 @@ def _load_json(path):
 # JSON value types accepted per declared field type; bool is not a number.
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "list": list}
 
-# JSON type of every manifest field read with _manifest_get: a _JSON_TYPES
-# name or "bool"; each "[3]" suffix wraps it in an array of exactly 3.
-_MANIFEST_TYPES = {"frames": "list", "cameras": "list", "agents": "list",
-                   "frame_index": "int", "track_id": "int", "camera_id": "int",
-                   "points": "str", "feature_map": "str", "heading": "float",
-                   "center": "float[3]", "size": "float[3]",
-                   "rotation": "float[3][3]", "translation": "float[3]",
-                   "fx": "float", "fy": "float", "cx": "float", "cy": "float",
-                   "valid": "bool", "label": "str"}
+# Every manifest section's entry fields in written order: JSON type (a
+# _JSON_TYPES name or "bool"; each "[3]" suffix wraps it in an array of
+# exactly 3) and the default of an absent key (None: the key is required).
+_FIELDS = {
+    "frames": {"frame_index": ("int", None), "points": ("str", None)},
+    "cameras": {"camera_id": ("int", None), "frame_index": ("int", None),
+                "feature_map": ("str", None), "fx": ("float", 1.0),
+                "fy": ("float", 1.0), "cx": ("float", 0.0),
+                "cy": ("float", 0.0), "rotation": ("float[3][3]", None),
+                "translation": ("float[3]", None), "valid": ("bool", True)},
+    "agents": {"track_id": ("int", None), "frame_index": ("int", None),
+               "center": ("float[3]", None), "size": ("float[3]", None),
+               "heading": ("float", None), "label": ("str", "")},
+}
+
+
+def _entries(section: str, *columns) -> list[dict]:
+    """One manifest entry of ``section`` per row of ``columns``, which are
+    given in _FIELDS order."""
+    return [dict(zip(_FIELDS[section], row, strict=True))
+            for row in zip(*columns)]
 
 
 def _json_is(value, expected: str) -> bool:
@@ -171,9 +170,9 @@ def _json_is(value, expected: str) -> bool:
             and isinstance(value, _JSON_TYPES[expected]))
 
 
-def _manifest_get(entry, key: str, context: str, default=None):
-    """``entry[key]`` checked against _MANIFEST_TYPES; the key is optional
-    when a ``default`` is given."""
+def _field(entry, key: str, expected: str, context: str, default=None):
+    """``entry[key]``, checked to be of JSON type ``expected``; the key is
+    optional when a ``default`` is given."""
     if not isinstance(entry, dict):
         raise BadManifestField(f"{context} must be a JSON object, "
                                f"got {json.dumps(entry)}")
@@ -182,17 +181,28 @@ def _manifest_get(entry, key: str, context: str, default=None):
             raise ManifestMissingEntry(f"{context}: missing key {key!r}")
         return default
     value = entry[key]
-    if not _json_is(value, _MANIFEST_TYPES[key]):
-        raise BadManifestField(f"{context}: field {key} must be "
-                               f"{_MANIFEST_TYPES[key]}, "
+    if not _json_is(value, expected):
+        raise BadManifestField(f"{context}: field {key} must be {expected}, "
                                f"got {json.dumps(value)}")
     return value
+
+
+def _read_entries(manifest, section: str, manifest_path) -> dict[str, list]:
+    """The manifest's ``section`` list as one column per _FIELDS key, read
+    key by key."""
+    entries = _field(manifest, section, "list", str(manifest_path))
+    context = f"{section[:-1]} entry"
+    return {key: [_field(entry, key, expected, context, default)
+                  for entry in entries]
+            for key, (expected, default) in _FIELDS[section].items()}
 
 
 def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle:
     """Read a bundle directory; validates invariants when a config is given.
 
-    Frames must be numbered 0..T-1, in any order (FrameCountMismatch), point
+    Each manifest section's fields are type-checked, one _FIELDS key at a
+    time over all its entries, before the section's blobs are read.  Frames
+    must be numbered 0..T-1, in any order (FrameCountMismatch), point
     blobs (N, 3) and feature maps 3-D with one channel count D
     (ShapeHeaderMismatch).  A blob name must be a file name in the
     directory (BadManifestField) of a regular file (ManifestMissingEntry).
@@ -218,10 +228,10 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
         if not ok:
             raise ShapeHeaderMismatch(f"{blob}: must be {want}, got shape {shape}")
 
+    entries = _read_entries(manifest, "frames", manifest_path)
     frames = []
-    for entry in _manifest_get(manifest, "frames", str(manifest_path)):
-        index = _manifest_get(entry, "frame_index", "frame entry")
-        blob = blob_path(_manifest_get(entry, "points", "frame entry"))
+    for index, name in zip(entries["frame_index"], entries["points"]):
+        blob = blob_path(name)
         points = read_blob(blob)
         check_shape(blob, points.shape,
                     points.ndim == 2 and points.shape[1] == 3, "(N, 3) points")
@@ -233,16 +243,11 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
                 f"frame at position {pos} has frame_index {index}; "
                 "frames must be time-ordered 0..T-1")
 
-    entries = _manifest_get(manifest, "cameras", str(manifest_path))
-
-    def camera(key: str, default=None) -> list:
-        return [_manifest_get(entry, key, "camera entry", default)
-                for entry in entries]
-
+    cameras = _read_entries(manifest, "cameras", manifest_path)
     # Every map's header is read first, so the pixel table is allocated
     # once and filled map by map.
     blobs, shapes, dtypes = [], [], []
-    for name in camera("feature_map"):
+    for name in cameras["feature_map"]:
         blob = blob_path(name)
         shape, dtype = read_blob_header(blob)
         check_shape(blob, shape, len(shape) == 3, "an (H, W, D) feature map")
@@ -264,30 +269,24 @@ def read_scene_bundle(path, config: PipelineConfig | None = None) -> SceneBundle
         read_blob(blob, out=table[base:base + n].reshape(shape))
         base += n
 
-    agents = _manifest_get(manifest, "agents", str(manifest_path))
-
-    def column(key: str, default=None) -> list:
-        return [_manifest_get(entry, key, "agent entry", default)
-                for entry in agents]
-
+    agents = _read_entries(manifest, "agents", manifest_path)
     try:
         bundle = SceneBundle(
             points=np.concatenate([np.empty((0, 3))]
                                   + [points for _, points in frames]),
             frame_size=[points.shape[0] for _, points in frames],
-            agent_track=column("track_id"),
-            agent_frame=column("frame_index"),
-            agent_box=np.column_stack([column("center"), column("size"),
-                                       column("heading")]),
-            agent_label=column("label", ""),
-            camera_id=camera("camera_id"),
-            camera_frame=camera("frame_index"),
+            agent_track=agents["track_id"],
+            agent_frame=agents["frame_index"],
+            agent_box=np.column_stack(
+                [agents[key] for key in ("center", "size", "heading")]),
+            agent_label=agents["label"],
+            camera_id=cameras["camera_id"],
+            camera_frame=cameras["frame_index"],
             camera_intrinsics=np.column_stack(
-                [camera("fx", 1.0), camera("fy", 1.0), camera("cx", 0.0),
-                 camera("cy", 0.0)]),
-            camera_rotation=camera("rotation"),
-            camera_translation=camera("translation"),
-            camera_valid=camera("valid", True),
+                [cameras[key] for key in ("fx", "fy", "cx", "cy")]),
+            camera_rotation=cameras["rotation"],
+            camera_translation=cameras["translation"],
+            camera_valid=cameras["valid"],
             camera_size=[shape[:2] for shape in shapes],
             pixel_features=table)
     except OverflowError as exc:  # a JSON number beyond int64 or float64

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import SceneBundle, normalize_heading
+from .bundle import AGENT_COLUMNS, SceneBundle, normalize_heading
 from .decompose import LABEL_AGENT, LABEL_GROUND, LABEL_OPENSET, PointPartition
 from .errors import InvalidInput
 
@@ -83,6 +83,12 @@ def _place_centers(rng, n, area, margin, min_sep, max_tries=10_000):
     return np.array(centers).reshape(-1, 2)
 
 
+# Per box face: the axis it is normal to, then the two axes it spans.  Faces
+# come in +/- pairs, so face i lies at sign (-1)**i along its axis.
+_FACE_AXES = np.array([[0, 1, 2], [0, 1, 2], [1, 0, 2], [1, 0, 2],
+                       [2, 0, 1], [2, 0, 1]])
+
+
 def _sample_box_shell(rng, size, n):
     """Uniform points on the surface of an axis-aligned box at the origin."""
     l, w, h = size
@@ -90,19 +96,10 @@ def _sample_box_shell(rng, size, n):
     face = rng.choice(6, size=n, p=areas / areas.sum())
     a = rng.uniform(-0.5, 0.5, size=n)
     b = rng.uniform(-0.5, 0.5, size=n)
+    axes = _FACE_AXES[face]
     pts = np.empty((n, 3))
-    for i, (axis, sign) in enumerate(((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1))):
-        sel = face == i
-        if axis == 0:
-            pts[sel] = np.stack([np.full(sel.sum(), sign * l / 2),
-                                 a[sel] * w, b[sel] * h], axis=1)
-        elif axis == 1:
-            pts[sel] = np.stack([a[sel] * l,
-                                 np.full(sel.sum(), sign * w / 2),
-                                 b[sel] * h], axis=1)
-        else:
-            pts[sel] = np.stack([a[sel] * l, b[sel] * w,
-                                 np.full(sel.sum(), sign * h / 2)], axis=1)
+    pts[np.arange(n)[:, None], axes] = (
+        np.stack([0.5 - face % 2, a, b], axis=1) * np.asarray(size)[axes])
     return pts
 
 
@@ -260,7 +257,5 @@ def drop_agents(bundle: SceneBundle, ratio: float, seed: int) -> tuple[SceneBund
     rng = np.random.default_rng(seed)
     dropped = sorted(rng.choice(track_ids, size=n_drop, replace=False).tolist())
     keep = ~np.isin(bundle.agent_track, dropped)
-    return dataclasses.replace(
-        bundle, agent_track=bundle.agent_track[keep],
-        agent_frame=bundle.agent_frame[keep], agent_box=bundle.agent_box[keep],
-        agent_label=bundle.agent_label[keep]), dropped
+    return dataclasses.replace(bundle, **{
+        name: getattr(bundle, name)[keep] for name in AGENT_COLUMNS}), dropped

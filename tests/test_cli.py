@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from scenetok.cli import cli_main
+from scenetok import errors
+from scenetok.cli import _failure, cli_main
 from scenetok.formats import read_blob, write_blob
 from scenetok.storage import read_tokens
 
@@ -197,6 +199,83 @@ def test_invalid_user_values_exit_1(workdir, capsys, command, written,
     assert cli_main([arg.format(w=workdir) for arg in command]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+_FLOAT_FIELDS = ["tile_size_m", "ransac.inlier_threshold_m",
+                 "cluster.radius_m", "track.gate_m", "track.dt_s",
+                 "track.process_noise_vel", "track.measurement_noise_pos",
+                 "track.init_pos_var", "track.init_vel_var"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_non_finite_config_number_exits_1(workdir, capsys, field, value):
+    # json.load reads the bare NaN, Infinity and -Infinity that json.dumps
+    # writes for these floats
+    scene_dir, out = workdir / "scene", workdir / "x.tokens"
+    cli_main(["synth", "--seed", "4", "--spec", str(workdir / "spec.json"),
+              "--out", str(scene_dir)])
+    section, _, key = field.rpartition(".")
+    config = dict(CONFIG, **({section: {key: value}} if section
+                             else {key: value}))
+    path = workdir / "non_finite.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    code = cli_main(["tokenize", "--scene", str(scene_dir), "--config",
+                     str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{field} must be" in err and "finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+# Sizes whose parameter tensors numpy refuses before touching memory: beyond
+# any address space (MemoryError) or beyond its largest array (ValueError).
+@pytest.mark.parametrize("field, value", [("T", 2**55), ("D", 2**52),
+                                          ("T", 2**62), ("D", 2**62)])
+def test_unallocatable_fusion_size_exits_1(workdir, capsys, field, value):
+    path, out = workdir / "huge.json", workdir / "x.tokens"
+    path.write_text(json.dumps(dict(CONFIG, **{field: value})))
+    code = cli_main(["tokenize", "--scene", str(workdir / "nope"), "--config",
+                     str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{field}={value}" in err and "cannot be allocated" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+# Exit code of every scenetok error: 2 for I/O and file-format errors, 1 for
+# the rest.
+_EXIT_CODES = {
+    "SceneTokError": 1, "BundleValidationError": 1, "NonFiniteCoordinate": 1,
+    "BadRotation": 1, "DuplicateTrackFrame": 1, "DuplicateCameraFrame": 1,
+    "FrameCountMismatch": 1, "InvalidInput": 1, "DegenerateInput": 1,
+    "DimensionMismatch": 1, "BudgetMismatch": 1, "ShapeMismatch": 1,
+    "StorageError": 2, "BadMagic": 2, "VersionUnsupported": 2,
+    "ShapeHeaderMismatch": 2, "ManifestMissingEntry": 2, "BadJson": 2,
+    "BadManifestField": 2, "IoFailure": 2, "UnsupportedDtype": 2}
+
+
+def test_exit_code_of_every_error_class():
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.SceneTokError)}
+    assert set(classes) == set(_EXIT_CODES)
+    for name, cls in classes.items():
+        code, message = _failure(cls("boom"))
+        assert code == _EXIT_CODES[name], name
+        assert message == ("i/o error: boom" if code == 2 else "error: boom")
+    assert _failure(OSError("boom")) == (2, "i/o error: boom")
+
+
+def test_bare_scenetok_error_exits_1(workdir, capsys, monkeypatch):
+    def broken(path):
+        raise errors.SceneTokError("no such thing")
+
+    monkeypatch.setattr("scenetok.cli.read_tokens", broken)
+    assert cli_main(["inspect", "--tokens", str(workdir / "x.tokens")]) == 1
+    err = capsys.readouterr().err
+    assert "error: no such thing" in err and "Traceback" not in err
 
 
 def test_value_error_inside_a_stage_propagates(workdir, monkeypatch):

@@ -34,6 +34,7 @@ from scenetok.errors import (
     BundleValidationError,
     DuplicateCameraFrame,
     FrameCountMismatch,
+    InvalidInput,
     IoFailure,
     ManifestMissingEntry,
     SceneTokError,
@@ -1019,6 +1020,33 @@ class TestConfigIO:
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"config field {field} must be"):
             load_pipeline_config(path)
+
+    @pytest.mark.parametrize("field, may_be_zero", [
+        ("T", False), ("D", False), ("n_elem_agent", False),
+        ("n_elem_openset", False), ("n_elem_ground", False),
+        ("n_pts_ground", False), ("n_pts_agent", False),
+        ("n_pts_openset", False), ("tile_size_m", False), ("seed", True),
+        ("ransac.iters", False), ("ransac.inlier_threshold_m", False),
+        ("cluster.radius_m", False), ("cluster.min_points", False),
+        ("track.gate_m", False), ("track.dt_s", False),
+        ("track.process_noise_vel", True),
+        ("track.measurement_noise_pos", True), ("track.init_pos_var", True),
+        ("track.init_vel_var", True)])
+    def test_number_bounds(self, tmp_path, field, may_be_zero):
+        # every number must be > 0, except those that may also be 0
+        path = tmp_path / "cfg.json"
+        section, _, key = field.rpartition(".")
+        for value, ok in ((0, may_be_zero), (-1, False), (1, True)):
+            path.write_text(json.dumps({section: {key: value}} if section
+                                       else {key: value}))
+            if ok:
+                load_pipeline_config(path)
+                continue
+            bound = ">= 0" if may_be_zero else "> 0"
+            with pytest.raises(InvalidInput,
+                               match=f"^invalid config: {field} must be "
+                                     f"{bound} and finite$"):
+                load_pipeline_config(path)
 
     def test_int_accepted_for_float_field(self, tmp_path):
         path = tmp_path / "cfg.json"

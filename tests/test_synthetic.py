@@ -9,6 +9,7 @@ from scenetok import (
     generate_scene,
     tokenize_bundle,
 )
+from scenetok.synthetic import _sample_box_shell
 
 
 def bundles_equal(a, b):
@@ -80,6 +81,41 @@ def test_feature_maps_encode_camera_and_label(small_scene):
         vals = fm[occupied]
         assert ((vals == 0) | (vals == camera_id + 1)).all()
         assert ((vals > 0).sum(axis=1) == 1).all()
+
+
+def sample_box_shell_reference(rng, size, n):
+    """The per-face loop that _sample_box_shell replaced."""
+    l, w, h = size
+    areas = np.array([w * h, w * h, l * h, l * h, l * w, l * w])
+    face = rng.choice(6, size=n, p=areas / areas.sum())
+    a = rng.uniform(-0.5, 0.5, size=n)
+    b = rng.uniform(-0.5, 0.5, size=n)
+    pts = np.empty((n, 3))
+    for i, (axis, sign) in enumerate(((0, 1), (0, -1), (1, 1), (1, -1),
+                                      (2, 1), (2, -1))):
+        sel = face == i
+        if axis == 0:
+            pts[sel] = np.stack([np.full(sel.sum(), sign * l / 2),
+                                 a[sel] * w, b[sel] * h], axis=1)
+        elif axis == 1:
+            pts[sel] = np.stack([a[sel] * l, np.full(sel.sum(), sign * w / 2),
+                                 b[sel] * h], axis=1)
+        else:
+            pts[sel] = np.stack([a[sel] * l, b[sel] * w,
+                                 np.full(sel.sum(), sign * h / 2)], axis=1)
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_box_shell_equals_per_face_loop(seed):
+    # same points bit for bit, from the same draws
+    size = np.random.default_rng(seed).uniform(0.1, 5.0, 3)
+    n = 37 * seed
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pts = _sample_box_shell(rng, size, n)
+    assert pts.tobytes() == sample_box_shell_reference(ref_rng, size,
+                                                       n).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_spec_requires_room_for_labels():

@@ -6,6 +6,7 @@ ends up with exactly one label.  Each open-set cluster gets a tight box: all
 of a scene's clusters are hulled together by a batched, certified gift wrap,
 with Qhull only for hulls the wrap cannot certify; both go into one table of
 hull vertex indices, and one batched caliper fold over it fits the rectangles.
+``scipy.spatial`` is imported where it runs, not when this module loads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .ground import lexicographic_order
 
@@ -80,6 +80,8 @@ def extract_agent_elements(points: np.ndarray, track_ids: np.ndarray,
     # One cos/sin per box, broadcast over its candidate points.
     cos_sin = np.column_stack([np.cos(boxes[:, 6]), np.sin(boxes[:, 6])])
     radius = np.linalg.norm(half, axis=1)
+    from scipy.spatial import cKDTree
+
     # A sliding-midpoint tree builds faster, and one query per box is all
     # it serves.
     tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
@@ -119,6 +121,8 @@ def cluster_open_set(points: np.ndarray, radius: float,
     labels = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return labels
+
+    from scipy.spatial import cKDTree
 
     order = lexicographic_order(points)
     pairs = cKDTree(points[order]).query_pairs(radius, output_type="ndarray")
@@ -330,6 +334,8 @@ def fit_tight_box(points: np.ndarray, sizes) -> np.ndarray:
         hull.append(index[vertices, np.arange(k)[:, None]][on_hull])
         owner.append(np.repeat(block, n_vertices))
         for c in block[n_vertices == 0]:
+            from scipy.spatial import ConvexHull, QhullError
+
             cluster_xy = xy[start[c]:start[c] + sizes[c]]
             try:
                 vertices = ConvexHull(cluster_xy).vertices

@@ -25,14 +25,29 @@ gradient sums run in place, in the order of the out-of-place formulas, so
 each result is bit-identical to them.  Weight and bias gradients sum their
 rows in the stored order.
 
-Each attention block projects Q, K and V into one ``(n, 3D)`` table and
-keeps, for its backward, only the LayerNorm's ``(xhat, inv)``, that table,
-its attention weights in one buffer and ``ctx``; the point branch keeps
-the ReLU's sign, not its output, when it pools before ``W2``.  The
-backward writes its gradients over these arrays (``dctx`` over ``ctx``,
-``dQKV`` over ``QKV``, ``dlogits`` over the weights) and rebuilds the
-LayerNorm output from ``xhat``, so a training cache feeds exactly one
-backward.
+The training cache keeps only what the backward cannot rebuild in one
+cheap pass:
+
+- the point branch, ``(x, nz, cells, counts, w2_input)``: the points in
+  ``params.dtype``, the non-empty cells, each point's cell, each cell's
+  count, and what ``W2`` read (the per-point ReLU output when ``hidden >=
+  D``, the per-cell means when ``hidden < D``).  The ReLU's mask is
+  rebuilt: from ``w2_input``, or by rerunning the first layer on ``x``.
+- the box branch, ``mlp2_forward``'s ``(x, h)``.
+- each attention block, ``(ln_cache, QKV, runs, weights, ctx)``: the
+  LayerNorm's ``(xhat, inv)``, not its output; Q, K and V as the column
+  blocks of one ``(n, 3D)`` table; the chunks; each chunk's attention
+  weights, views of one buffer; and ``ctx``.
+- the fusion, ``(slots_t, slots_e, to_elem, cache_t, cache_e, counts)``:
+  the valid slots in both group orders, the permutation between them,
+  both attention caches and each element's number of valid frames.
+
+The geometry table does not outlive the gather of the valid rows: the
+training forward hands it over to ``_fuse_fwd``, which drops it before
+attention runs.  The backward writes its gradients over
+the cache (``dctx`` over ``ctx``, ``dQKV`` over ``QKV``, ``dlogits`` over
+the weights) and rebuilds the LayerNorm output from ``xhat``, so a
+training cache feeds exactly one backward.
 """
 
 from __future__ import annotations
@@ -75,12 +90,8 @@ def _pooled_point_forward(P_xyz, P_ind, params, n_elem, keep_cache=True):
     before the pool when ``hidden >= D``, or on the non-empty cells after it
     when ``hidden < D``.  Each non-empty cell's float64 mean is rounded once
     to ``params.dtype``; empty cells are exact zeros.  The ReLU runs in
-    place.  The cache is ``(x, active, cells, counts, w2_input)``, where
-    ``active`` is the boolean ``h > 0`` of the per-point ReLU output ``h``
-    and ``w2_input`` is what ``W2`` read: ``h`` itself or the per-cell
-    means, so ``h`` outlives the call only when ``hidden >= D``.  Without
-    ``keep_cache`` the cache is None and the per-point activations are
-    dropped when the function returns.
+    place.  The cache is described in the module docstring; without
+    ``keep_cache`` it is None.
     """
     p = params.mlp_f
     pool_first = params.hidden < params.D
@@ -88,7 +99,6 @@ def _pooled_point_forward(P_xyz, P_ind, params, n_elem, keep_cache=True):
     x = P_xyz.astype(params.dtype)
     h, _ = linear_forward(x, p.w1, p.b1)
     np.maximum(h, 0, out=h)
-    active = h > 0 if keep_cache else None
     w2_input = h
     rows = h if pool_first else linear_forward(h, p.w2, p.b2)[0]
     del h
@@ -101,26 +111,33 @@ def _pooled_point_forward(P_xyz, P_ind, params, n_elem, keep_cache=True):
         mean, _ = linear_forward(mean, p.w2, p.b2)
     pooled = np.zeros((n_elem * params.T, params.D), dtype=params.dtype)
     pooled[nz] = mean
-    cache = (x, active, cells, counts, w2_input) if keep_cache else None
+    cache = (x, nz, cells, counts, w2_input) if keep_cache else None
     return pooled.reshape(n_elem, params.T, params.D), cache
 
 
 def _pooled_point_backward(g, cache, params, n_elem):
     """Adjoint of ``_pooled_point_forward``.
 
-    The pool's adjoint gathers each point's cell gradient times
-    ``1 / count``, rounded to ``params.dtype`` per cell before the gather;
-    empty cells are never gathered.  When ``hidden < D``, ``g`` first goes
-    back through ``W2`` on the non-empty cells, so the pooled gradient is
-    ``hidden`` wide.  The gradient of the point coordinates is not formed.
+    The ReLU's mask is rebuilt, not cached: it is ``w2_input > 0`` when
+    ``W2`` read the per-point ReLU output (``hidden >= D``), and otherwise
+    the sign of the first layer's output, recomputed from ``x`` by the
+    forward's own call.  The pool's adjoint gathers each point's cell
+    gradient times ``1 / count``, rounded to ``params.dtype`` per cell
+    before the gather; empty cells are never gathered.  When ``hidden <
+    D``, ``g`` first goes back through ``W2`` on the non-empty cells, so
+    the pooled gradient is ``hidden`` wide.  The gradient of the point
+    coordinates is not formed.
     """
-    x, active, cells, counts, w2_input = cache
+    x, nz, cells, counts, w2_input = cache
     p = params.mlp_f
     pool_first = params.hidden < params.D
+    if pool_first:
+        active = linear_forward(x, p.w1, p.b1)[0] > 0
+    else:
+        active = w2_input > 0
     g = g.reshape(n_elem * params.T, params.D)
     scale = 1.0 / np.maximum(counts, 1)
     if pool_first:
-        nz = counts > 0
         dmean, dw2, db2 = linear_backward(g[nz], w2_input, p.w2)
         g = np.zeros((counts.shape[0], params.hidden), dtype=params.dtype)
         g[nz] = dmean
@@ -236,13 +253,11 @@ def _attention_fwd(X, block: AttentionBlockParams, runs, keep_cache=True):
     chunk gathers or scatters rows, and its ``(g, heads, L, L)`` logits are
     a view of one buffer.
 
-    Returns the output rows and the cache ``(ln_cache, QKV, runs, weights,
-    ctx)``: the LayerNorm's ``(xhat, inv)``, not its output, and each
-    chunk's attention weights, views of one buffer that holds them all.
-    The cache feeds exactly one ``_attention_bwd``, which writes over it.
-    Without ``keep_cache`` the cache is None, one logits buffer the size of
-    the largest chunk serves every chunk, and the LayerNorm output,
-    ``QKV`` and the weights are dropped once read.
+    Returns the output rows and the cache (see the module docstring), which
+    feeds exactly one ``_attention_bwd``.  Without ``keep_cache`` the cache
+    is None, one logits buffer the size of the largest chunk serves every
+    chunk, and the LayerNorm output, ``QKV`` and the weights are dropped
+    once read.
     """
     n, D = X.shape
     h = block.n_heads
@@ -363,6 +378,11 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid,
               keep_cache=True):
     """Fusion forward on the valid (element, frame) slots only.
 
+    ``F_geo`` is the ``(n_elem, T, D)`` geometry table, or a one-element
+    list holding it, which this function empties once it has gathered the
+    valid rows: a caller that keeps no other reference to the table hands
+    it over, and it is freed before attention runs.
+
     ``X0 = F_img + F_geo + f_temporal`` is formed on the valid slots only,
     gathered once into a compact table of rows in time order: elements
     stably sorted by their number of valid frames, each element's valid
@@ -375,8 +395,9 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid,
     time order once, where the time-mean sums each element's contiguous
     rows, so invalid slots never reach ``F_elem``.  Without ``keep_cache``
     the cache is None and neither attention block keeps backward state.
-    The cache feeds exactly one ``_fuse_bwd``, which writes over it.
     """
+    if isinstance(F_geo, list):
+        F_geo = F_geo.pop()
     if F_img.shape != F_geo.shape:
         raise ShapeMismatch(f"F_img {F_img.shape} vs F_geo {F_geo.shape}")
     n_elem, T, D = F_img.shape
@@ -395,6 +416,7 @@ def _fuse_fwd(F_img, F_geo, params: FusionParams, elem_valid,
     # Each step rebinds x, so only the rows the next step reads stay alive.
     x = F_img.reshape(-1, D)[slots_t].astype(params.dtype, copy=False)
     x += F_geo.reshape(-1, D)[slots_t].astype(params.dtype, copy=False)
+    del F_geo
     x += params.f_temporal[slots_t % T]
     x, cache_t = _attention_fwd(x, params.time_block, runs_t,
                                 keep_cache=keep_cache)
@@ -450,16 +472,15 @@ def fuse_scene(F_img: np.ndarray, F_geo: np.ndarray, params: FusionParams,
 def fusion_forward(params: FusionParams, P_xyz, P_ind, B, F_img, elem_valid):
     """Full forward: geometry encoding then spatial-temporal fusion.
 
-    Returns ``(F_elem, geo_cache, fuse_cache)``; the caches feed the
-    backward pass, and this is the only caller that keeps them.  The point
-    branch keeps the ReLU's boolean mask, not its output, when
-    ``hidden < D``; each attention block keeps its LayerNorm's ``(xhat,
-    inv)``, one ``(n, 3D)`` Q/K/V table, its attention weights in one
-    buffer and ``ctx`` (see ``_attention_fwd``).  The backward writes over
-    these arrays, so each cache feeds exactly one backward.
+    Returns ``(F_elem, geo_cache, fuse_cache)``; the caches (see the module
+    docstring) feed exactly one backward, and this is the only caller that
+    keeps them.  The geometry table is handed over to ``_fuse_fwd``, so it
+    is freed before attention runs.
     """
     F_geo, geo_cache = _encode_geometry_fwd(P_xyz, P_ind, B, params)
-    F_elem, fuse_cache = _fuse_fwd(F_img, F_geo, params, elem_valid)
+    handed = [F_geo]
+    del F_geo
+    F_elem, fuse_cache = _fuse_fwd(F_img, handed, params, elem_valid)
     return F_elem, geo_cache, fuse_cache
 
 

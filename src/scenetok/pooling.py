@@ -11,7 +11,6 @@ frames.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 # Float64 values per pooling chunk (4 MB): whole cells are gathered and
 # widened to float64 until a chunk holds about this many values, so no
@@ -58,6 +57,8 @@ def segment_sum(values: np.ndarray, cell: np.ndarray, n_cells: int,
     starting from 0.0: a sum equals a sequential float64 scatter-add in
     index order.
     """
+    from scipy import sparse  # loaded on first use, not on import
+
     cell = np.asarray(cell, dtype=np.int32)
     rows = (np.arange(cell.shape[0], dtype=np.int32) if pixel is None
             else np.flatnonzero(pixel >= 0).astype(np.int32))

@@ -45,6 +45,12 @@ class SceneSpec:
     feature_res: int = 32
 
     def __post_init__(self):
+        # Every float field must be finite; slope may be negative, so the
+        # config's "> 0 and finite" bound rule does not fit here.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidInput(f"{f.name} must be finite, got {value}")
         if self.D < 3:
             raise InvalidInput("D must be >= 3 to hold the label channels")
         if self.T <= 0 or self.area_m <= 0:

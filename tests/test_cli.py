@@ -230,6 +230,25 @@ def test_non_finite_config_number_exits_1(workdir, capsys, field, value):
     assert "Traceback" not in err and not out.exists()
 
 
+_SPEC_FLOAT_FIELDS = ["area_m", "slope", "dt_s", "min_speed", "max_speed",
+                      "agent_clearance_m", "clutter_z_m", "clutter_radius_m",
+                      "min_separation_m"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", _SPEC_FLOAT_FIELDS)
+def test_non_finite_spec_number_exits_1(tmp_path, capsys, field, value):
+    path, out = tmp_path / "spec.json", tmp_path / "scene"
+    path.write_text(json.dumps(dict(SPEC, **{field: value})))
+    code = cli_main(["synth", "--seed", "1", "--spec", str(path), "--out",
+                     str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{field} must be finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 # Sizes whose parameter tensors numpy refuses before touching memory: beyond
 # any address space (MemoryError) or beyond its largest array (ValueError).
 @pytest.mark.parametrize("field, value", [("T", 2**55), ("D", 2**52),

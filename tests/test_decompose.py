@@ -421,7 +421,8 @@ class TestTightBox:
             hull_calls.append(args)
             return ConvexHull(*args, **kwargs)
 
-        monkeypatch.setattr(decompose, "ConvexHull", counting_hull)
+        # decompose imports ConvexHull from scipy.spatial where it runs
+        monkeypatch.setattr("scipy.spatial.ConvexHull", counting_hull)
         for bundle, config in ((small_scene.bundle, small_config),
                                (full.bundle, PipelineConfig(D=8))):
             clouds = pipeline_clusters(bundle, config, monkeypatch)

@@ -933,21 +933,24 @@ def budget_step_inputs():
 
 def test_fusion_step_peak_memory():
     """One training step, ``fusion_loss_and_grads``, at the budget shape
-    allocates at most 142 MB at its peak.  It measured 129.0 MB, reached in
-    the forward; with Y, separate Q, K and V, the point branch's ReLU
+    allocates at most 135 MB at its peak.  It measured 122.3 MB, reached in
+    the fusion backward; with the geometry table alive through attention
+    and the point branch's ReLU mask cached it measured 129.0 MB, reached
+    in the forward; with Y, separate Q, K and V, the point branch's ReLU
     output, fresh backward arrays and the fusion cache alive through the
-    geometry backward it measured 184.1 MB, and with per-chunk row gathers,
+    geometry backward 184.1 MB, and with per-chunk row gathers,
     out-of-place LayerNorm and gradient sums and the discarded point and
     box input gradients 223.6 MB."""
-    assert traced_peak_mb(fusion_loss_and_grads, *budget_step_inputs()) < 142
+    assert traced_peak_mb(fusion_loss_and_grads, *budget_step_inputs()) < 135
 
 
 def test_fusion_forward_cache_memory():
     """The caches ``fusion_forward`` returns at the budget shape hold at
-    most 119 MB.  They measured 108.2 MB: per attention block the
-    LayerNorm's xhat, one (n, 3D) Q/K/V table, the attention weights and
-    ctx; in the point branch the ReLU's boolean mask.  With the LayerNorm
-    output, the ReLU output and separate Q, K and V they measured
+    most 115 MB, and the point branch's cache no per-point ``(N, hidden)``
+    array.  They measured 104.2 MB: per attention block the LayerNorm's
+    xhat, one (n, 3D) Q/K/V table, the attention weights and ctx.  With
+    the point branch's boolean ReLU mask they measured 108.2 MB, and with
+    the LayerNorm output, the ReLU output and separate Q, K and V
     133.3 MB."""
     args = budget_step_inputs()
     tracemalloc.start()
@@ -958,7 +961,13 @@ def test_fusion_forward_cache_memory():
     finally:
         tracemalloc.stop()
     assert held[0].shape == (768, 256)
-    assert held_mb < 119
+    assert held_mb < 115
+    # hidden < D: W2 read the per-cell means, so x (N, 3) and each point's
+    # cell are the only per-point arrays kept
+    n_pts = args[1].shape[0]
+    point_cache = held[1][0]
+    assert [a.shape for a in point_cache if isinstance(a, np.ndarray)
+            and a.shape[0] == n_pts] == [(n_pts, 3), (n_pts,)]
 
 
 def budget_fusion_inputs():
